@@ -42,18 +42,18 @@ from .lab import (
     verify_sum_bounds,
 )
 from .lattice import (
-    DENSE_CAP_ENV,
     HamiltonianModel,
     LatticeSpec,
+    OperatorBasis,
     assemble_hamiltonian,
     basis_stack,
-    dense_cap,
+    check_dense_budget,
     enumerate_basis,
     load_model,
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
-from .qbp import FilterKernel, hessian_logZ, log_partition, quasilocal_W, verify_fourier_pair
+from .qbp import FilterKernel, hessian_logZ, quasilocal_W, verify_fourier_pair
 from .reporting import (
     is_manifest,
     new_manifest,
@@ -134,13 +134,12 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
     return LatticeSpec(dimension=dim, side_lengths=tuple(sides), periodic=periodic)
 
 
-def _check_dense_cap(n_sites: int) -> None:
-    cap = dense_cap()
-    if n_sites > cap:
-        raise CLIError(
-            f"{n_sites} sites exceeds the dense-simulation cap {cap}; "
-            f"set {DENSE_CAP_ENV} to raise it"
-        )
+def _check_budget(basis: OperatorBasis, n_matrices: int) -> None:
+    """Fail before any dense allocation when a command cannot fit in memory."""
+    try:
+        check_dense_budget(n_matrices, basis.lattice.n_sites)
+    except ValueError as exc:
+        raise CLIError(str(exc))
 
 
 def _solver_config(raw: dict | None) -> SolverConfig:
@@ -244,8 +243,7 @@ def _learn_once(
 
 
 def _write_trace_csv(path: str, trace) -> None:
-    rows = list(zip(trace.iterations, trace.objectives, trace.grad_norms, trace.steps))
-    write_csv(path, ("iteration", "objective", "grad_norm", "step"), rows)
+    write_csv(path, ("iteration", "objective", "grad_norm", "step"), trace.csv_rows())
 
 
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
@@ -268,7 +266,8 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         model = load_model(config["model"])
     except FileNotFoundError:
         raise CLIError(f"model file not found: {config['model']}")
-    _check_dense_cap(model.basis.lattice.n_sites)
+    # the Newton polish and the alpha segment hold Hessian tensors of 3m matrices
+    _check_budget(model.basis, 3 * model.basis.m)
     beta = float(config["beta"])
 
     trace_path = os.path.join(out, "trace.csv")
@@ -283,19 +282,10 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         raise CLIError(f"solver failed: {exc} (trace at {trace_path})")
 
     estimates = run["estimates"]
-    est_rows = list(
-        zip(range(model.basis.m), estimates.e_hat, estimates.delta, estimates.shots)
+    write_csv(
+        os.path.join(out, "estimates.csv"), ("l", "e_hat", "delta", "shots"), estimates.csv_rows()
     )
-    write_csv(os.path.join(out, "estimates.csv"), ("l", "e_hat", "delta", "shots"), est_rows)
-    write_json(
-        os.path.join(out, "estimates.json"),
-        {
-            "seed": estimates.seed,
-            "scheme": estimates.scheme,
-            "N_total": estimates.n_total,
-            "delta_fail": estimates.delta_fail,
-        },
-    )
+    write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
     trace = run["trace"]
     _write_trace_csv(trace_path, trace)
     result = {
@@ -383,12 +373,10 @@ def _trial_worker(payload: dict) -> dict:
         row = (trial, n, -1, beta, n_copies, math.nan, math.nan, math.nan, math.nan, False)
         error = f"{type(exc).__name__}: {exc}"
     runtime = time.perf_counter() - t0
-    if payload["fragment"] is not None:
-        write_csv(payload["fragment"], SWEEP_HEADER, [row])
     return {"trial": trial, "row": row, "runtime": runtime, "error": error}
 
 
-def _sweep_payloads(config: dict, seed: int, tmp_dir: str) -> list[dict]:
+def _sweep_payloads(config: dict, seed: int) -> list[dict]:
     axis = config["axis"]
     values = config["values"]
     trials = config["trials"]
@@ -413,7 +401,6 @@ def _sweep_payloads(config: dict, seed: int, tmp_dir: str) -> list[dict]:
                     "delta_fail": float(config.get("delta_fail", DEFAULT_DELTA_FAIL)),
                     "mu": config.get("mu") if isinstance(config.get("mu"), list) else None,
                     "solver": solver_raw,
-                    "fragment": os.path.join(tmp_dir, f"trial_{trial:06d}.csv"),
                 }
             )
             trial += 1
@@ -444,35 +431,25 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     if axis == "size" and isinstance(config.get("mu"), list):
         offenders.append("mu (explicit coefficients cannot span a size sweep)")
     _fail_fields("sweep", offenders)
+    payloads = _sweep_payloads(config, seed)
+    workers = min(jobs, len(payloads))
     sizes = config["values"] if axis == "size" else [config["n"]]
     for n in sizes:
-        _check_dense_cap(int(n))
+        try:
+            basis = enumerate_basis(
+                LatticeSpec(dimension=1, side_lengths=(int(n),)), payloads[0]["kappa"]
+            )
+        except ValueError:
+            continue  # the trials of this size fail and are recorded as such
+        # every worker holds the Hessian tensors of one trial at a time
+        _check_budget(basis, 3 * basis.m * workers)
 
-    tmp_dir = os.path.join(out, "tmp")
-    os.makedirs(tmp_dir, exist_ok=True)
-    payloads = _sweep_payloads(config, seed, tmp_dir)
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_trial_worker, payloads))
     else:
         results = [_trial_worker(p) for p in payloads]
-    results.sort(key=lambda r: r["trial"])
-
-    # merge per-trial fragments in index order, then drop the scratch dir
-    rows = []
-    for payload, res in zip(payloads, results):
-        frag = payload["fragment"]
-        with open(frag) as fh:
-            body = fh.read().splitlines()
-        rows.append(tuple(body[1].split(",")))
-        os.remove(frag)
-    os.rmdir(tmp_dir)
-    sweep_path = os.path.join(out, "sweep.csv")
-    with open(sweep_path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, [res["row"] for res in results])
 
     trials = config["trials"]
     cells = []
@@ -828,12 +805,12 @@ def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, fl
         model = load_model(config["model"])
     except FileNotFoundError:
         raise CLIError(f"model file not found: {config['model']}")
-    _check_dense_cap(model.basis.lattice.n_sites)
     return model, float(config["beta"])
 
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "hessian")
+    _check_budget(model.basis, 3 * model.basis.m)
     report = hessian_logZ(model, beta)
     rows = [
         (j, k, report.matrix[j, k])
@@ -859,6 +836,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
+    _check_budget(model.basis, model.basis.m)
     ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(
@@ -868,7 +846,7 @@ def cmd_marginals(config: dict, seed: int, out: str) -> int:
     )
     write_json(
         os.path.join(out, "marginals.json"),
-        {"beta": beta, "m": model.basis.m, "log_Z": log_partition(model, beta)},
+        {"beta": beta, "m": model.basis.m, "log_Z": ensemble.log_z},
     )
     manifest = new_manifest("marginals", config, seed, __version__)
     manifest["outputs"] = ["marginals.csv", "marginals.json"]

@@ -29,7 +29,7 @@ from .lattice import (
     assemble_hamiltonian,
     basis_stack,
 )
-from .qbp import FilterKernel, f_tilde, quasilocal_W
+from .qbp import gap_filter, quasilocal_W
 from .solver import hessian_at
 
 __all__ = [
@@ -161,8 +161,7 @@ def strong_convexity_probe(
     stack = basis_stack(model.basis)
     hess = hessian_at(model.basis, model.mu, beta).matrix
 
-    gaps = spectral.energies[:, None] - spectral.energies[None, :]
-    filt = f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
+    filt = gap_filter(spectral, beta)
     r = ensemble.weights
     V = spectral.vectors
 
@@ -482,7 +481,6 @@ class QuasiLocalProfile:
 
     radii: list[int]
     norms: list[float]
-    tau: float
     a1: float
     a2: float
     zeta: float
@@ -554,7 +552,6 @@ def lieb_robinson_decay(
     return QuasiLocalProfile(
         radii=list(radii),
         norms=norms,
-        tau=1.0,
         a1=a1,
         a2=a2,
         zeta=float(max(norms)) if norms else 0.0,

@@ -18,8 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "DEFAULT_DENSE_CAP",
-    "DENSE_CAP_ENV",
     "LatticeSpec",
     "LocalBasisOp",
     "OperatorBasis",
@@ -28,16 +26,13 @@ __all__ = [
     "to_dense",
     "assemble_hamiltonian",
     "basis_stack",
-    "dense_cap",
+    "check_dense_budget",
     "pauli_matrix",
     "model_to_dict",
     "model_from_dict",
     "save_model",
     "load_model",
 ]
-
-DENSE_CAP_ENV = "GIBBSLEARN_DENSE_CAP"
-DEFAULT_DENSE_CAP = 14
 
 PAULI_LETTERS = "XYZ"
 
@@ -49,26 +44,20 @@ _PAULI = {
 }
 
 
-def dense_cap() -> int:
-    """Site-count cap for dense 2^n matrices, overridable via GIBBSLEARN_DENSE_CAP."""
-    raw = os.environ.get(DENSE_CAP_ENV)
-    if raw is None:
-        return DEFAULT_DENSE_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{DENSE_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ValueError(f"{DENSE_CAP_ENV} must be >= 1, got {cap}")
-    return cap
+def check_dense_budget(n_matrices: int, n_sites: int) -> None:
+    """Refuse to hold `n_matrices` dense complex 2^n x 2^n matrices at once.
 
-
-def _check_dense_cap(n: int, cap: int | None) -> None:
-    limit = dense_cap() if cap is None else cap
-    if n > limit:
+    The one size limit of the package: callers pass what they are about to
+    allocate (k * 4^n * 16 bytes) before allocating it, and the request fails
+    when it exceeds the machine's physical memory.
+    """
+    need = n_matrices * 4**n_sites * 16
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
         raise ValueError(
-            f"dense dimension cap exceeded: n={n} sites needs a 2^{n} matrix, "
-            f"cap is n<={limit} (set {DENSE_CAP_ENV} to raise it)"
+            f"memory budget exceeded: {n_matrices} x 4^{n_sites} complex entries "
+            f"need {need / 1e9:.1f} GB, but this machine has {have / 1e9:.1f} GB "
+            "of physical memory"
         )
 
 
@@ -83,7 +72,6 @@ class LatticeSpec:
     dimension: int
     side_lengths: tuple[int, ...]
     periodic: bool = False
-    qudit_dim: int = 2  # carried for forward compatibility, fixed to 2 here
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "side_lengths", tuple(int(s) for s in self.side_lengths))
@@ -95,8 +83,6 @@ class LatticeSpec:
             )
         if any(s < 1 for s in self.side_lengths):
             raise ValueError(f"side lengths must be positive, got {self.side_lengths}")
-        if self.qudit_dim != 2:
-            raise ValueError("only qubit lattices (qudit_dim=2) are supported")
 
     @property
     def n_sites(self) -> int:
@@ -201,9 +187,6 @@ class OperatorBasis:
     def m(self) -> int:
         return len(self.ops)
 
-    def ops_touching(self, site: int) -> tuple[int, ...]:
-        return tuple(op.index for op in self.ops if site in op.support)
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianModel:
@@ -287,37 +270,34 @@ def pauli_matrix(letters_by_site: Iterable[str]) -> np.ndarray:
     return out
 
 
-def to_dense(
-    op: LocalBasisOp, lattice: LatticeSpec, cap: int | None = None
-) -> np.ndarray:
+def to_dense(op: LocalBasisOp, lattice: LatticeSpec) -> np.ndarray:
     """Dense 2^n x 2^n matrix for one basis element."""
     n = lattice.n_sites
     if any(s >= n for s in op.support):
         raise ValueError(f"support {op.support} does not fit a lattice with n={n}")
-    _check_dense_cap(n, cap)
+    check_dense_budget(1, n)
     return pauli_matrix(op.letter_at(site) for site in range(n))
 
 
 @lru_cache(maxsize=8)
-def basis_stack(basis: OperatorBasis, cap: int | None = None) -> np.ndarray:
+def basis_stack(basis: OperatorBasis) -> np.ndarray:
     """All basis elements as one (m, 2^n, 2^n) read-only array.
 
     Cached: the stack is rebuilt at most once per basis, and every hot loop
     (solver iterations, Hessian assembly, sampling) reads from it.
     """
     n = basis.lattice.n_sites
-    _check_dense_cap(n, cap)
+    check_dense_budget(basis.m, n)
     stack = np.empty((basis.m, 2**n, 2**n), dtype=complex)
     for op in basis.ops:
-        stack[op.index] = to_dense(op, basis.lattice, cap)
+        stack[op.index] = to_dense(op, basis.lattice)
     stack.flags.writeable = False
     return stack
 
 
-def assemble_hamiltonian(model: HamiltonianModel, cap: int | None = None) -> np.ndarray:
+def assemble_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     """Dense H(mu) = sum_l mu_l E_l."""
-    stack = basis_stack(model.basis, cap)
-    return np.tensordot(model.mu, stack, axes=1)
+    return np.tensordot(model.mu, basis_stack(model.basis), axes=1)
 
 
 # ---------------------------------------------------------------------------

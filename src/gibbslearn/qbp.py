@@ -17,14 +17,18 @@ only so the Fourier pair can be verified by quadrature.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals
-from .lattice import HamiltonianModel, assemble_hamiltonian, basis_stack
+from .lattice import (
+    HamiltonianModel,
+    assemble_hamiltonian,
+    basis_stack,
+    check_dense_budget,
+)
 
 __all__ = [
     "FilterKernel",
@@ -33,6 +37,7 @@ __all__ = [
     "QuadratureConfig",
     "f_tilde",
     "f_time",
+    "gap_filter",
     "verify_fourier_pair",
     "qbp_transform",
     "grad_logZ",
@@ -40,8 +45,6 @@ __all__ = [
     "quasilocal_W",
     "log_partition",
 ]
-
-HESSIAN_BUDGET = 4_000_000  # max m * 2^n before hessian_logZ refuses
 
 
 @dataclass(frozen=True)
@@ -193,6 +196,12 @@ def verify_fourier_pair(
     )
 
 
+def gap_filter(spectral: SpectralDecomposition, beta: float) -> np.ndarray:
+    """Matrix f_tilde(E_j - E_k) over every pair of energies; all ones at beta = 0."""
+    gaps = spectral.energies[:, None] - spectral.energies[None, :]
+    return f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
+
+
 def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -> np.ndarray:
     """Filter an operator by f_tilde of the energy gap, in the energy basis.
 
@@ -206,10 +215,8 @@ def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -
         raise ValueError(
             f"operator shape {O.shape} does not match spectral dimension {spectral.dim}"
         )
-    gaps = spectral.energies[:, None] - spectral.energies[None, :]
-    filt = f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
     A = V.conj().T @ O @ V
-    out = V @ (A * filt) @ V.conj().T
+    out = V @ (A * gap_filter(spectral, beta)) @ V.conj().T
     return 0.5 * (out + out.conj().T)
 
 
@@ -251,28 +258,20 @@ class HessianReport:
             payload["matrix"] = [[float(x) for x in row] for row in self.matrix]
         return payload
 
-    def to_json(self, include_matrix: bool = False) -> str:
-        return json.dumps(self.to_dict(include_matrix), indent=2, sort_keys=True)
-
 
 def _hessian_core(basis, lam: np.ndarray, beta: float) -> HessianReport:
     lam = np.asarray(lam, dtype=float)
+    # the stack, its energy-basis copy A and the weighted copy A * weight
+    check_dense_budget(3 * basis.m, basis.lattice.n_sites)
     stack = basis_stack(basis)
-    dim = stack.shape[1]
-    if basis.m * dim > HESSIAN_BUDGET:
-        raise ValueError(
-            f"hessian budget exceeded: m * 2^n = {basis.m} * {dim} "
-            f"> {HESSIAN_BUDGET}; shrink the system or raise HESSIAN_BUDGET"
-        )
     spectral = diagonalize(np.tensordot(lam, stack, axes=1))
     ensemble = gibbs(spectral, beta)
     V = spectral.vectors
     # Energy-basis forms of every basis element.
     A = np.einsum("aj,lab,bk->ljk", V.conj(), stack, V, optimize=True)
-    gaps = spectral.energies[:, None] - spectral.energies[None, :]
-    filt = f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
     r = ensemble.weights
-    weight = filt * (r[:, None] + r[None, :])  # f(E_j - E_k) * (r_k + r_j)
+    # f(E_j - E_k) * (r_k + r_j)
+    weight = gap_filter(spectral, beta) * (r[:, None] + r[None, :])
     e = np.einsum("ljj,j->l", A, r).real
     raw = 0.5 * beta**2 * np.einsum("ljk,mkj->lm", A, A * weight, optimize=True).real
     raw -= beta**2 * np.outer(e, e)

@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
+from .gibbs import diagonalize, gibbs, marginals
 from .lattice import OperatorBasis, basis_stack
 from .measure import MarginalEstimates
 
@@ -110,15 +110,9 @@ def _e_hat_vector(e_hat, m: int) -> np.ndarray:
 
 def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, stack: np.ndarray):
     """(objective, gradient) from one diagonalization of H(lam)."""
-    H = np.tensordot(lam, stack, axes=1)
-    energies, V = np.linalg.eigh(H)
-    exponents = -beta * energies
-    log_z = float(logsumexp(exponents))
-    weights = np.exp(exponents - log_z)
-    rho = (V * weights) @ V.conj().T
-    e = np.einsum("lab,ba->l", stack, rho).real
-    obj = log_z + beta * float(np.dot(lam, target))
-    grad = beta * (target - e)
+    ensemble = gibbs(diagonalize(np.tensordot(lam, stack, axes=1)), beta)
+    obj = ensemble.log_z + beta * float(np.dot(lam, target))
+    grad = beta * (target - marginals(stack, ensemble))
     return obj, grad
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -7,12 +8,9 @@ import pytest
 
 from gibbslearn.cli import SUITES, main
 from gibbslearn.gibbs import gibbs_state, marginals
-from gibbslearn.lattice import (
-    DENSE_CAP_ENV,
-    assemble_hamiltonian,
-    basis_stack,
-    load_model,
-)
+from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
+
+from conftest import BUDGET_MESSAGE
 
 
 def write_config(tmp_path, name, payload):
@@ -375,13 +373,17 @@ def test_marginals_dump_matches_direct_computation(tmp_path):
     assert meta["log_Z"] == pytest.approx(ens.log_z, rel=1e-12)
 
 
-def test_dense_cap_blocks_large_instances(tmp_path, capsys, monkeypatch):
-    model_path = run_gen(tmp_path, n=3)
-    monkeypatch.setenv(DENSE_CAP_ENV, "2")
-    cfg = learn_config(tmp_path, model_path)
-    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "cap" in err and DENSE_CAP_ENV in err
+@pytest.mark.parametrize("command", ["learn", "hessian", "marginals", "sweep"])
+def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
+    # an open n=14 chain: its basis stack alone would take 683 GB
+    if command == "sweep":
+        cfg = sweep_config(tmp_path, axis="size", values=[3, 14], beta=1.0, N=2000)
+    else:
+        cfg = learn_config(tmp_path, run_gen(tmp_path, n=14))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
+    assert not any(out.iterdir())
 
 
 def test_seed_range_validated(tmp_path, capsys):

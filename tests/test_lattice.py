@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn.lattice import (
-    DEFAULT_DENSE_CAP,
-    DENSE_CAP_ENV,
     HamiltonianModel,
     LatticeSpec,
     LocalBasisOp,
     OperatorBasis,
     assemble_hamiltonian,
     basis_stack,
-    dense_cap,
     enumerate_basis,
     model_from_dict,
     model_to_dict,
@@ -24,7 +21,7 @@ from gibbslearn.lattice import (
 )
 from gibbslearn.lattice import load_model
 
-from conftest import chain_basis
+from conftest import chain_basis, raises_before_allocating
 
 
 def test_basis_counts_small_chains():
@@ -214,8 +211,16 @@ def test_model_dict_is_json_serializable():
     assert "lattice" in text
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.delenv(DENSE_CAP_ENV, raising=False)
-    assert dense_cap() == DEFAULT_DENSE_CAP
-    monkeypatch.setenv(DENSE_CAP_ENV, "6")
-    assert dense_cap() == 6
+def test_dense_budget_refuses_basis_stack():
+    # open n=14 chain, kappa=2: 159 dense 2^14 x 2^14 matrices are 683 GB
+    basis = chain_basis(14)
+    assert basis.m == 159
+    raises_before_allocating(lambda: basis_stack(basis))
+    model = HamiltonianModel(basis=basis, mu=np.zeros(basis.m))
+    raises_before_allocating(lambda: assemble_hamiltonian(model))
+
+
+def test_dense_budget_refuses_single_matrix():
+    # one 2^20 x 2^20 complex matrix is 17.6 TB
+    basis = chain_basis(20)
+    raises_before_allocating(lambda: to_dense(basis.ops[0], basis.lattice))

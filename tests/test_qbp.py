@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gibbslearn.qbp as qbp
 from gibbslearn.gibbs import diagonalize, gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, pauli_matrix
 from gibbslearn.qbp import (
@@ -21,7 +20,7 @@ from gibbslearn.qbp import (
     verify_fourier_pair,
 )
 
-from conftest import random_chain_model
+from conftest import raises_before_allocating, random_chain_model
 
 
 def test_filter_kernel_validation():
@@ -180,14 +179,13 @@ def test_hessian_report_round_trip():
     assert payload["beta"] == 1.0
     assert len(payload["matrix"]) == model.basis.m
     assert "matrix" not in report.to_dict()
-    assert "min_eig" in report.to_json()
+    assert "min_eig" in report.to_dict()
 
 
-def test_hessian_budget_guard(monkeypatch):
-    model = random_chain_model(2, seed=1)
-    monkeypatch.setattr(qbp, "HESSIAN_BUDGET", 10)
-    with pytest.raises(ValueError, match="budget"):
-        hessian_logZ(model, 1.0)
+def test_hessian_budget_refuses_before_allocating():
+    # open n=14 chain: the stack alone is 683 GB, the Hessian tensors triple it
+    model = random_chain_model(14, seed=1)
+    raises_before_allocating(lambda: hessian_logZ(model, 1.0))
 
 
 def test_quasilocal_direction_shape_check():

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gibbslearn.gibbs import gibbs_state, marginals
-from gibbslearn.lattice import assemble_hamiltonian, basis_stack
+from gibbslearn.gibbs import gibbs_state, marginal, marginals
+from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack
+from gibbslearn.qbp import log_partition
 from gibbslearn.solver import (
     SolverConfig,
     alpha_along_segment,
@@ -46,6 +50,29 @@ def test_objective_and_gradient_at_origin():
     )
     np.testing.assert_allclose(
         gradient(np.zeros(basis.m), e_hat, beta, basis), beta * e_hat, atol=1e-13
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_eval_matches_independent_oracles(data):
+    # objective = log Z + beta <lam, e_hat> and gradient = beta (e_hat - e),
+    # against an eigvalsh log Z and per-operator dense marginals
+    n = data.draw(st.integers(1, 4), label="n")
+    basis = chain_basis(n, kappa=min(n, 2))
+    unit_box = hnp.arrays(float, basis.m, elements=st.floats(-1.0, 1.0))
+    lam = data.draw(unit_box, label="lam")
+    e_hat = data.draw(unit_box, label="e_hat")
+    beta = data.draw(st.floats(0.05, 3.0), label="beta")
+    model = HamiltonianModel(basis=basis, mu=lam)
+
+    expected = log_partition(model, beta) + beta * float(np.dot(lam, e_hat))
+    assert abs(objective(lam, e_hat, beta, basis) - expected) <= 1e-12
+
+    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    e = np.array([marginal(op, ens, basis.lattice) for op in basis.ops])
+    np.testing.assert_allclose(
+        gradient(lam, e_hat, beta, basis), beta * (e_hat - e), rtol=0, atol=1e-12
     )
 
 
