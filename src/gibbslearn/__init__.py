@@ -89,7 +89,6 @@ from .solver import (
     alpha_along_segment,
     error_bound,
     gradient,
-    hessian_at,
     objective,
     solve,
 )
@@ -160,7 +159,6 @@ __all__ = [
     "alpha_along_segment",
     "error_bound",
     "gradient",
-    "hessian_at",
     "objective",
     "solve",
     "__version__",

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import argparse
 import math
+import multiprocessing
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .lattice import (
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
 from .qbp import FilterKernel, hessian_logZ, quasilocal_W, verify_fourier_pair
 from .reporting import (
+    THREAD_VARS,
     is_manifest,
     new_manifest,
     read_json,
@@ -242,10 +245,6 @@ def _learn_once(
     }
 
 
-def _write_trace_csv(path: str, trace) -> None:
-    write_csv(path, ("iteration", "objective", "grad_norm", "step"), trace.csv_rows())
-
-
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
     offenders = _require_fields(
         config,
@@ -270,16 +269,10 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
     _check_budget(model.basis, 3 * model.basis.m)
     beta = float(config["beta"])
 
-    trace_path = os.path.join(out, "trace.csv")
     try:
         run = _learn_once(model, beta, config["N"], scheme, delta_fail, seed, cfg)
-    except ValueError as exc:
+    except ValueError as exc:  # numpy.linalg.LinAlgError included
         raise CLIError(str(exc))
-    except RuntimeError as exc:
-        partial = getattr(exc, "trace", None)
-        if partial is not None:
-            _write_trace_csv(trace_path, partial)
-        raise CLIError(f"solver failed: {exc} (trace at {trace_path})")
 
     estimates = run["estimates"]
     write_csv(
@@ -287,8 +280,13 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
     )
     write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
     trace = run["trace"]
-    _write_trace_csv(trace_path, trace)
+    write_csv(
+        os.path.join(out, "trace.csv"),
+        ("iteration", "objective", "grad_norm", "step", "phase", "evals"),
+        trace.csv_rows(),
+    )
     result = {
+        "mu_hat": run["mu_hat"],
         "l2_error": run["l2_error"],
         "delta_max": run["delta_max"],
         "iterations": len(trace.iterations),
@@ -376,6 +374,29 @@ def _trial_worker(payload: dict) -> dict:
     return {"trial": trial, "row": row, "runtime": runtime, "error": error}
 
 
+@contextmanager
+def _trial_pool(workers: int):
+    """Spawned worker processes that share the cores instead of each claiming all.
+
+    Every worker gets cpu_count // workers BLAS/OpenMP threads, unless the
+    user set one of THREAD_VARS, which then governs.  The variables are in
+    the environment while the pool spawns its processes, so each worker sees
+    them before it imports numpy.
+    """
+    added = {}
+    if not any(var in os.environ for var in THREAD_VARS):
+        threads = str(max(1, (os.cpu_count() or 1) // workers))
+        added = dict.fromkeys(THREAD_VARS, threads)
+    os.environ.update(added)
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            yield pool
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
 def _sweep_payloads(config: dict, seed: int) -> list[dict]:
     axis = config["axis"]
     values = config["values"]
@@ -445,7 +466,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         _check_budget(basis, 3 * basis.m * workers)
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with _trial_pool(workers) as pool:
             results = list(pool.map(_trial_worker, payloads))
     else:
         results = [_trial_worker(p) for p in payloads]

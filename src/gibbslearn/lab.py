@@ -29,8 +29,7 @@ from .lattice import (
     assemble_hamiltonian,
     basis_stack,
 )
-from .qbp import gap_filter, quasilocal_W
-from .solver import hessian_at
+from .qbp import gap_filter, hessian_logZ, quasilocal_W
 
 __all__ = [
     "CheckReport",
@@ -159,7 +158,7 @@ def strong_convexity_probe(
     spectral = diagonalize(assemble_hamiltonian(model))
     ensemble = gibbs(spectral, beta)
     stack = basis_stack(model.basis)
-    hess = hessian_at(model.basis, model.mu, beta).matrix
+    hess = hessian_logZ(model, beta).matrix
 
     filt = gap_filter(spectral, beta)
     r = ensemble.weights

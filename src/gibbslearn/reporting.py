@@ -10,9 +10,12 @@ lands in JSON sidecars instead.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 
 __all__ = [
     "fmt_cell",
@@ -27,6 +30,7 @@ __all__ = [
 ]
 
 MANIFEST_KEY = "gibbslearn_manifest"
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def fmt_cell(value) -> str:
@@ -81,8 +85,29 @@ def utc_now() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _numerical_environment() -> dict:
+    """Library versions, BLAS build and thread settings behind a run's floats."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas.get("name"), "version": blas.get("version")}
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        blas = None
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas,
+        "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def new_manifest(command: str, config: dict, master_seed: int, version: str) -> dict:
-    """Skeleton manifest; the caller appends output paths and trial seeds."""
+    """Skeleton manifest; the caller appends output paths and trial seeds.
+
+    Replay reads only `config` and `master_seed`; `environment` records what
+    produced the floats, since results move in the last digits with BLAS.
+    """
     return {
         MANIFEST_KEY: 1,
         "command": command,
@@ -90,6 +115,7 @@ def new_manifest(command: str, config: dict, master_seed: int, version: str) -> 
         "master_seed": int(master_seed),
         "tool_version": version,
         "created_utc": utc_now(),
+        "environment": _numerical_environment(),
         "outputs": [],
         "trial_seeds": [],
     }

@@ -3,9 +3,10 @@
 The dual objective is convex (its Hessian is the filtered covariance matrix,
 which is PSD), so the constrained minimizer is unique up to degeneracy of the
 marginal map, and with exact marginals it sits at the true coefficient vector.
-Backtracking is the default step rule; Nesterov extrapolation with a monotone
-restart is enabled by default because low-temperature instances are badly
-conditioned, and is safeguarded so accepted objective values never increase.
+There is one method: backtracking projected gradient with Nesterov
+extrapolation and a monotone restart (low-temperature instances are badly
+conditioned), safeguarded so accepted objective values never increase, then
+a damped Newton polish that certifies the gradient tolerance.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .gibbs import diagonalize, gibbs, marginals
 from .lattice import OperatorBasis, basis_stack
 from .measure import MarginalEstimates
+from .qbp import _hessian_core
 
 __all__ = [
     "SolverConfig",
@@ -27,34 +29,30 @@ __all__ = [
     "solve",
     "error_bound",
     "alpha_along_segment",
-    "hessian_at",
 ]
 
 CONSTRAINTS = ("linf", "l2", "none")
+ETA0 = 1.0  # first backtracking trial step
+ARMIJO_C = 0.5
+SHRINK = 0.5
+# Newton polish takes over once the projected gradient is this small
+POLISH_TRIGGER = 1e-3
+ALPHA_POINTS = 11  # Hessians sampled along the alpha segment
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    step_rule: str = "backtracking"  # "backtracking" | "fixed"
-    eta: float = 1.0  # fixed step size, or the initial backtracking trial
-    armijo_c: float = 0.5
-    shrink: float = 0.5
     tol_grad: float = 1e-7  # on the projected-gradient norm
-    max_iters: int = 100_000
+    max_iters: int = 100_000  # first-order iterations
     constraint: str = "linf"
     radius: float = 1.0
     lambda0: np.ndarray | None = None
-    momentum: bool = True  # Nesterov extrapolation with monotone restart
-    # Damped Newton refinement once the projected gradient is small.  Needed
-    # at large beta where the dual Hessian spectrum spans ~5 decades and a
-    # first-order method cannot certify tight gradient norms in float64.
-    polish: bool = True
-    polish_trigger: float = 1e-3
+    # Damped Newton steps after the first-order phase.  Needed at large beta
+    # where the dual Hessian spectrum spans ~5 decades and a first-order
+    # method cannot certify tight gradient norms in float64.
     polish_max_iters: int = 60
 
     def __post_init__(self) -> None:
-        if self.step_rule not in ("backtracking", "fixed"):
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
         if self.constraint not in CONSTRAINTS:
             raise ValueError(
                 f"unknown constraint {self.constraint!r}, expected one of {CONSTRAINTS}"
@@ -63,23 +61,26 @@ class SolverConfig:
             raise ValueError("tol_grad must be positive")
         if self.constraint != "none" and self.radius <= 0:
             raise ValueError("constraint radius must be positive")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if not 0 < self.shrink < 1 or not 0 < self.armijo_c < 1:
-            raise ValueError("backtracking parameters must lie in (0, 1)")
-        if self.polish_trigger <= 0 or self.polish_max_iters < 0:
-            raise ValueError("polish parameters must be positive")
+        if self.polish_max_iters < 0:
+            raise ValueError("polish_max_iters must be non-negative")
 
 
 @dataclass(eq=False)
 class SolverTrace:
-    """Per-iteration record of the descent, plus the outcome summary."""
+    """Per-iteration record of the descent, plus the outcome summary.
+
+    `steps` holds the backtracking step on "first-order" rows and the Newton
+    damping on "polish" rows; `evals` counts dual evaluations so far,
+    the initial one included.
+    """
 
     iterations: list[int] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     steps: list[float] = field(default_factory=list)
-    mu_hat: np.ndarray | None = None
+    phases: list[str] = field(default_factory=list)
+    evals: list[int] = field(default_factory=list)
+    dual_evals: int = 0
     converged: bool = False
     wall_time: float = 0.0
 
@@ -87,9 +88,18 @@ class SolverTrace:
     def n_iterations(self) -> int:
         return len(self.iterations)
 
+    def record(self, objective: float, grad_norm: float, step: float, phase: str) -> None:
+        self.iterations.append(self.n_iterations)
+        self.objectives.append(objective)
+        self.grad_norms.append(grad_norm)
+        self.steps.append(step)
+        self.phases.append(phase)
+        self.evals.append(self.dual_evals)
+
     def csv_rows(self):
-        for row in zip(self.iterations, self.objectives, self.grad_norms, self.steps):
-            yield row
+        yield from zip(
+            self.iterations, self.objectives, self.grad_norms, self.steps, self.phases, self.evals
+        )
 
 
 def _project(x: np.ndarray, constraint: str, radius: float) -> np.ndarray:
@@ -156,29 +166,17 @@ def solve(
     started = time.perf_counter()
     trace = SolverTrace()
 
+    def evaluate(lam):
+        trace.dual_evals += 1
+        return _dual_eval(lam, target, beta, stack)
+
     x = np.zeros(basis.m) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
     x = project(x)
-    fx, gx = _dual_eval(x, target, beta, stack)
-
-    polish = cfg.polish and cfg.step_rule == "backtracking"
-    tol = max(cfg.tol_grad, cfg.polish_trigger) if polish else cfg.tol_grad
-    try:
-        if cfg.step_rule == "fixed":
-            x, fx, gx = _fixed_step_loop(x, fx, gx, target, beta, stack, cfg, project, trace)
-        else:
-            x, fx, gx = _backtracking_loop(
-                x, fx, gx, target, beta, stack, cfg, project, trace, tol
-            )
-        if polish:
-            x, fx, gx = _newton_polish(x, fx, gx, target, beta, stack, basis, cfg, project, trace)
-    except RuntimeError as err:
-        # hand callers the partial history so failures can be archived
-        trace.wall_time = time.perf_counter() - started
-        err.trace = trace
-        raise
+    fx, gx = evaluate(x)
+    x, fx, gx = _first_order(x, fx, gx, evaluate, project, cfg, trace)
+    x, fx, gx = _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace)
 
     trace.converged = _pg_norm(x, gx, project) <= cfg.tol_grad
-    trace.mu_hat = x
     trace.wall_time = time.perf_counter() - started
     return x, trace
 
@@ -187,47 +185,19 @@ def _pg_norm(x, g, project) -> float:
     return float(np.linalg.norm(x - project(x - g)))
 
 
-def _fixed_step_loop(x, fx, gx, target, beta, stack, cfg, project, trace):
-    increases = 0
-    last_step = 0.0
-    for it in range(cfg.max_iters):
-        pg = _pg_norm(x, gx, project)
-        trace.iterations.append(it)
-        trace.objectives.append(fx)
-        trace.grad_norms.append(pg)
-        trace.steps.append(last_step)
-        if pg <= cfg.tol_grad:
-            trace.converged = True
-            return x, fx, gx
-        x_new = project(x - cfg.eta * gx)
-        f_new, g_new = _dual_eval(x_new, target, beta, stack)
-        increases = increases + 1 if f_new > fx else 0
-        if increases >= 10:
-            raise RuntimeError(
-                "descent failure: objective increased for 10 consecutive steps "
-                f"(eta={cfg.eta}); reduce the step size"
-            )
-        x, fx, gx = x_new, f_new, g_new
-        last_step = cfg.eta
-    return x, fx, gx
-
-
-def _backtracking_loop(x, fx, gx, target, beta, stack, cfg, project, trace, tol):
-    eta = cfg.eta
+def _first_order(x, fx, gx, evaluate, project, cfg, trace):
+    """Backtracking projected gradient with Nesterov extrapolation, down to the polish trigger."""
+    tol = max(cfg.tol_grad, POLISH_TRIGGER)
+    eta = ETA0
     t_momentum = 1.0
     x_prev = x
     y, fy, gy = x, fx, gx  # line-search source point
     last_step = 0.0
-    it = 0
-    while it < cfg.max_iters:
+    for _ in range(cfg.max_iters):
         pg = _pg_norm(x, gx, project)
-        trace.iterations.append(it)
-        trace.objectives.append(fx)
-        trace.grad_norms.append(pg)
-        trace.steps.append(last_step)
+        trace.record(fx, pg, last_step, "first-order")
         if pg <= tol:
             return x, fx, gx
-        it += 1
 
         # Armijo line search along the projection arc from y.  When y is the
         # last accepted iterate the step must also keep the trace monotone.
@@ -235,16 +205,16 @@ def _backtracking_loop(x, fx, gx, target, beta, stack, cfg, project, trace, tol)
         slack = 4e-16 * max(1.0, abs(fy))
         while True:
             cand = project(y - eta * gy)
-            f_cand, g_cand = _dual_eval(cand, target, beta, stack)
-            decrease = cfg.armijo_c * float(np.dot(gy, y - cand))
+            f_cand, g_cand = evaluate(cand)
+            decrease = ARMIJO_C * float(np.dot(gy, y - cand))
             if f_cand <= fy - decrease + slack and (extrapolated or f_cand <= fx):
                 break
-            eta *= cfg.shrink
+            eta *= SHRINK
             if eta < 1e-16:
                 # no representable step makes progress; stop here
                 return x, fx, gx
         last_step = eta
-        eta /= cfg.shrink  # allow the next trial step to grow back
+        eta /= SHRINK  # allow the next trial step to grow back
 
         if extrapolated and f_cand > fx:
             # extrapolated step overshot: restart momentum from the last
@@ -255,21 +225,18 @@ def _backtracking_loop(x, fx, gx, target, beta, stack, cfg, project, trace, tol)
 
         x_prev, x = x, cand
         fx, gx = f_cand, g_cand
-        if cfg.momentum:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-            # keep the extrapolation feasible so the line search can succeed
-            y = project(x + ((t_momentum - 1.0) / t_next) * (x - x_prev))
-            t_momentum = t_next
-            if np.array_equal(y, x):
-                fy, gy = fx, gx
-            else:
-                fy, gy = _dual_eval(y, target, beta, stack)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
+        # keep the extrapolation feasible so the line search can succeed
+        y = project(x + ((t_momentum - 1.0) / t_next) * (x - x_prev))
+        t_momentum = t_next
+        if np.array_equal(y, x):
+            fy, gy = fx, gx
         else:
-            y, fy, gy = x, fx, gx
+            fy, gy = evaluate(y)
     return x, fx, gx
 
 
-def _newton_polish(x, fx, gx, target, beta, stack, basis, cfg, project, trace):
+def _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace):
     """Damped Newton refinement entered once the projected gradient is small.
 
     Each step solves H(x) d = g exactly and backtracks along the projection
@@ -278,9 +245,6 @@ def _newton_polish(x, fx, gx, target, beta, stack, basis, cfg, project, trace):
     near the 1e-14 evaluation floor, which a first-order method cannot certify
     when the Hessian spectrum spans several decades.
     """
-    from .qbp import _hessian_core
-
-    it = trace.n_iterations  # continue the iteration numbering
     for _ in range(cfg.polish_max_iters):
         pg = _pg_norm(x, gx, project)
         if pg <= cfg.tol_grad:
@@ -310,7 +274,7 @@ def _newton_polish(x, fx, gx, target, beta, stack, basis, cfg, project, trace):
         slack = 4e-16 * max(1.0, abs(fx))
         for _ in range(40):
             cand = project(x - s * d)
-            f_cand, g_cand = _dual_eval(cand, target, beta, stack)
+            f_cand, g_cand = evaluate(cand)
             if f_cand <= fx + slack and _pg_norm(cand, g_cand, project) < pg:
                 accepted = True
                 break
@@ -318,11 +282,7 @@ def _newton_polish(x, fx, gx, target, beta, stack, basis, cfg, project, trace):
         if not accepted:
             return x, fx, gx
         x, fx, gx = cand, f_cand, g_cand
-        trace.iterations.append(it)
-        trace.objectives.append(fx)
-        trace.grad_norms.append(_pg_norm(x, gx, project))
-        trace.steps.append(s)
-        it += 1
+        trace.record(fx, _pg_norm(x, gx, project), s, "polish")
     return x, fx, gx
 
 
@@ -337,21 +297,12 @@ def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:
     return 2.0 * beta * np.sqrt(m) * delta / alpha
 
 
-def hessian_at(basis: OperatorBasis, lam, beta: float):
-    """HessianReport of log Z at an arbitrary coefficient point (no unit-ball cap)."""
-    from .qbp import _hessian_core
-
-    return _hessian_core(basis, np.asarray(lam, dtype=float), float(beta))
-
-
-def alpha_along_segment(
-    basis: OperatorBasis, a, b, beta: float, n_points: int = 11
-) -> float:
-    """Min Hessian eigenvalue over equispaced points of the segment [a, b]."""
+def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
+    """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lo = np.inf
-    for t in np.linspace(0.0, 1.0, n_points):
-        report = hessian_at(basis, (1 - t) * a + t * b, beta)
+    for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
+        report = _hessian_core(basis, (1 - t) * a + t * b, float(beta))
         lo = min(lo, report.min_eigenvalue)
     return float(lo)

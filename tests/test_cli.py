@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -6,9 +7,10 @@ import sys
 import numpy as np
 import pytest
 
-from gibbslearn.cli import SUITES, main
+from gibbslearn.cli import SUITES, _trial_pool, main
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
+from gibbslearn.reporting import THREAD_VARS
 
 from conftest import BUDGET_MESSAGE
 
@@ -144,8 +146,24 @@ def test_learn_end_to_end(tmp_path, capsys):
     assert meta["seed"] == 3
 
     trace_lines = (out / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iteration,objective,grad_norm,step"
+    assert trace_lines[0] == "iteration,objective,grad_norm,step,phase,evals"
     assert len(trace_lines) == result["iterations"] + 1
+    phases = [line.split(",")[4] for line in trace_lines[1:]]
+    assert set(phases) <= {"first-order", "polish"}
+    assert phases[0] == "first-order"
+    assert trace_lines[1].split(",")[5] == "1"
+
+    # the learned coefficients, whose distance to the truth is l2_error
+    model = load_model(model_path)
+    mu_hat = np.array(result["mu_hat"])
+    assert mu_hat.shape == (model.basis.m,)
+    assert np.linalg.norm(mu_hat - model.mu) == result["l2_error"]
+
+    manifest = json.loads((out / "learn_manifest.json").read_text())
+    env = manifest["environment"]
+    assert env["numpy"] == np.__version__
+    assert set(env["thread_env"]) == set(THREAD_VARS)
+    assert env["cpu_count"] == os.cpu_count()
 
 
 def test_learn_exact_scheme_flag_wins(tmp_path):
@@ -203,6 +221,13 @@ def test_learn_missing_model(tmp_path, capsys):
     assert "model file not found" in capsys.readouterr().err
 
 
+def test_learn_rejects_unknown_solver_field(tmp_path, capsys):
+    model_path = run_gen(tmp_path, n=2)
+    cfg = learn_config(tmp_path, model_path, solver={"step_rule": "fixed"})
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown solver config fields: step_rule" in capsys.readouterr().err
+
+
 def test_learn_unknown_scheme(tmp_path, capsys):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(tmp_path, model_path, scheme="psychic")
@@ -256,6 +281,22 @@ def test_sweep_jobs_do_not_change_bytes(tmp_path):
     )
     for name in ("sweep.csv", "cells.csv"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_sweep_workers_share_blas_threads(monkeypatch):
+    for var in THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    with _trial_pool(2) as pool:
+        seen = list(pool.map(os.getenv, THREAD_VARS))
+    assert seen == [str(max(1, os.cpu_count() // 2))] * len(THREAD_VARS)
+    assert not any(var in os.environ for var in THREAD_VARS)
+
+    # a value the user set governs, and nothing is derived next to it
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    with _trial_pool(2) as pool:
+        seen = list(pool.map(os.getenv, THREAD_VARS))
+    assert seen == [None, "3", None]
+    assert os.environ["OMP_NUM_THREADS"] == "3"
 
 
 def test_sweep_manifest_replay(tmp_path):
