@@ -45,7 +45,6 @@ from .measure import (
     MeasurementPlan,
     build_plan,
     hoeffding_radius,
-    pauli_commute,
     required_delta,
     sample_outcomes,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "MeasurementPlan",
     "build_plan",
     "hoeffding_radius",
-    "pauli_commute",
     "required_delta",
     "sample_outcomes",
     "FilterKernel",

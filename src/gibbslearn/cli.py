@@ -55,7 +55,7 @@ from .lattice import (
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
-from .qbp import FilterKernel, hessian_logZ, quasilocal_W, verify_fourier_pair
+from .qbp import FilterKernel, hessian_logZ, hessian_matrices, quasilocal_W, verify_fourier_pair
 from .reporting import (
     THREAD_VARS,
     is_manifest,
@@ -160,6 +160,9 @@ def _solver_config(raw: dict | None) -> SolverConfig:
         raise CLIError(f"bad solver config: {exc}")
 
 
+DELTA_FAIL_FIELD = (False, lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)")
+
+
 def _instance_mu(config: dict, m: int, rng: np.random.Generator) -> np.ndarray:
     mu_spec = config.get("mu", "random")
     if isinstance(mu_spec, str):
@@ -227,10 +230,9 @@ def _learn_once(
     l2_error = float(np.linalg.norm(mu_hat - model.mu))
     delta_max = float(np.max(estimates.delta)) if m else 0.0
     alpha = alpha_along_segment(basis, model.mu, mu_hat, beta)
-    pg_final = float(trace.grad_norms[-1]) if trace.grad_norms else 0.0
     # fold the solver residual into an effective marginal error so the bound
     # stays meaningful when measurement noise is zero (exact scheme)
-    effective_delta = max(delta_max, pg_final / (2.0 * beta * math.sqrt(m)))
+    effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
     bound = error_bound(effective_delta, alpha, beta, m) if alpha > 0 else math.inf
     return {
         "estimates": estimates,
@@ -241,7 +243,7 @@ def _learn_once(
         "alpha": alpha,
         "bound": bound,
         "bound_holds": bool(l2_error <= bound),
-        "pg_final": pg_final,
+        "pg_final": trace.pg_final,
     }
 
 
@@ -253,6 +255,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
             "model": (True, lambda v: isinstance(v, str), "path to a model JSON"),
             "N": (True, lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
             "beta": (True, lambda v: isinstance(v, (int, float)) and v > 0, "float > 0"),
+            "delta_fail": DELTA_FAIL_FIELD,
         },
     )
     _fail_fields("learn", offenders)
@@ -265,8 +268,8 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         model = load_model(config["model"])
     except FileNotFoundError:
         raise CLIError(f"model file not found: {config['model']}")
-    # the Newton polish and the alpha segment hold Hessian tensors of 3m matrices
-    _check_budget(model.basis, 3 * model.basis.m)
+    # the Newton polish and the alpha segment build Hessians
+    _check_budget(model.basis, hessian_matrices(model.basis.m))
     beta = float(config["beta"])
 
     try:
@@ -440,6 +443,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
                 "nonempty list",
             ),
             "trials": (True, lambda v: isinstance(v, int) and v >= 1, "int >= 1"),
+            "delta_fail": DELTA_FAIL_FIELD,
         },
     )
     axis = config.get("axis")
@@ -463,7 +467,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
         # every worker holds the Hessian tensors of one trial at a time
-        _check_budget(basis, 3 * basis.m * workers)
+        _check_budget(basis, hessian_matrices(basis.m) * workers)
 
     if workers > 1:
         with _trial_pool(workers) as pool:
@@ -831,7 +835,7 @@ def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, fl
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "hessian")
-    _check_budget(model.basis, 3 * model.basis.m)
+    _check_budget(model.basis, hessian_matrices(model.basis.m))
     report = hessian_logZ(model, beta)
     rows = [
         (j, k, report.matrix[j, k])
@@ -857,7 +861,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
-    _check_budget(model.basis, model.basis.m)
+    _check_budget(model.basis, 2)  # H and rho
     ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(

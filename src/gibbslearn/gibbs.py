@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .lattice import HamiltonianModel, LocalBasisOp, LatticeSpec, to_dense
+from .lattice import LocalBasisOp, LatticeSpec, PauliTable, to_dense
 
 __all__ = [
     "SpectralDecomposition",
@@ -130,10 +130,9 @@ def marginal(E, ensemble: GibbsEnsemble, lattice: LatticeSpec | None = None) -> 
     return float(np.real(np.dot(ensemble.weights, diag)))
 
 
-def marginals(stack: np.ndarray, ensemble: GibbsEnsemble) -> np.ndarray:
-    """Tr[E_l rho] for a whole (m, dim, dim) operator stack at once."""
-    rho = density_matrix(ensemble)
-    return np.einsum("lab,ba->l", stack, rho).real
+def marginals(stack: PauliTable, ensemble: GibbsEnsemble) -> np.ndarray:
+    """Tr[E_l rho] for every element of a basis table (`lattice.basis_stack`)."""
+    return stack.expectations(density_matrix(ensemble))
 
 
 def variance(O, ensemble: GibbsEnsemble, lattice: LatticeSpec | None = None) -> float:

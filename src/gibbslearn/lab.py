@@ -28,6 +28,7 @@ from .lattice import (
     LocalBasisOp,
     assemble_hamiltonian,
     basis_stack,
+    to_dense,
 )
 from .qbp import gap_filter, hessian_logZ, quasilocal_W
 
@@ -157,7 +158,7 @@ def strong_convexity_probe(
     m = model.basis.m
     spectral = diagonalize(assemble_hamiltonian(model))
     ensemble = gibbs(spectral, beta)
-    stack = basis_stack(model.basis)
+    table = basis_stack(model.basis)
     hess = hessian_logZ(model, beta).matrix
 
     filt = gap_filter(spectral, beta)
@@ -171,7 +172,7 @@ def strong_convexity_probe(
     for trial in range(trials):
         v = DirectionVector.random(m, rng).v
         q = float(v @ hess @ v)
-        W = np.tensordot(v, stack, axes=1)
+        W = table.combine(v)
         B = V.conj().T @ W @ V
         mean = float(np.real(np.sum(r * np.diag(B))))
         second = float(np.real(np.einsum("j,jk,kj->", r, B * filt, B * filt)))
@@ -522,8 +523,7 @@ def lieb_robinson_decay(
     spectral = diagonalize(assemble_hamiltonian(model))
     V = spectral.vectors
     phases = np.exp(-1j * spectral.energies * t)
-    stack = basis_stack(model.basis)
-    E_dense = stack[E.index]
+    E_dense = to_dense(E, lattice)
     in_energy = V.conj().T @ E_dense @ V
     E_t = V @ (np.outer(phases, phases.conj()) * in_energy) @ V.conj().T
 

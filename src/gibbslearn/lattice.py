@@ -25,6 +25,7 @@ __all__ = [
     "enumerate_basis",
     "to_dense",
     "assemble_hamiltonian",
+    "PauliTable",
     "basis_stack",
     "check_dense_budget",
     "pauli_matrix",
@@ -155,12 +156,10 @@ class LocalBasisOp:
     def weight(self) -> int:
         return len(self.support)
 
-    def letter_at(self, site: int) -> str:
-        """Letter acting on `site`, 'I' off the support."""
-        try:
-            return self.letters[self.support.index(site)]
-        except ValueError:
-            return "I"
+    def word(self, n_sites: int) -> str:
+        """One letter per site of an n-site lattice, 'I' off the support."""
+        letters = dict(zip(self.support, self.letters))
+        return "".join(letters.get(site, "I") for site in range(n_sites))
 
 
 @dataclass(frozen=True)
@@ -276,28 +275,117 @@ def to_dense(op: LocalBasisOp, lattice: LatticeSpec) -> np.ndarray:
     if any(s >= n for s in op.support):
         raise ValueError(f"support {op.support} does not fit a lattice with n={n}")
     check_dense_budget(1, n)
-    return pauli_matrix(op.letter_at(site) for site in range(n))
+    return pauli_matrix(op.word(n))
+
+
+class PauliTable:
+    """Symplectic form of an operator basis: E_l |c> = phases[l, c] |c ^ x[l]>.
+
+    Bit n-1-s of a mask or a basis index c belongs to site s, the order of
+    `pauli_matrix`.  x marks X and Y sites, z marks Y and Z sites, and
+    phases[l, c] = i^{#Y} (-1)^{|c & z|} (Aaronson-Gottesman, quant-ph/0406196):
+    m * 2^n entries in place of m dense matrices.  Only this class reads them.
+    """
+
+    def __init__(self, basis: OperatorBasis):
+        n = basis.lattice.n_sites
+        words = [op.word(n) for op in basis.ops]
+        self._x, self._z = (
+            np.array([int(w.translate(bits), 2) for w in words], dtype=np.int64)
+            for bits in (str.maketrans("IXYZ", "0110"), str.maketrans("IXYZ", "0011"))
+        )
+        self.n_sites = n
+        self._cols = np.arange(2**n)
+        signs = (-1.0) ** np.bitwise_count(self._cols & self._z[:, None])
+        self._phases = np.array([1, 1j, -1, -1j])[[w.count("Y") % 4 for w in words], None] * signs
+        # H[c ^ x, c] collects every element with that x-mask: one scatter per mask
+        masks, owner = np.unique(self._x, return_inverse=True)
+        self._rows = self._cols ^ masks[:, None]
+        self._select = (owner == np.arange(masks.size)[:, None]).astype(float)
+        arrays = (self._x, self._z, self._cols, self._phases, self._rows, self._select)
+        self.nbytes = sum(a.nbytes for a in arrays)
+
+    def combine(self, coeffs) -> np.ndarray:
+        """Dense sum_l c_l E_l."""
+        out = np.zeros((self._cols.size,) * 2, dtype=complex)
+        out[self._rows, self._cols] = (self._select * np.asarray(coeffs, float)) @ self._phases
+        return out
+
+    def expectations(self, rho: np.ndarray) -> np.ndarray:
+        """Tr[E_l rho] for every l, one 2^n gather each."""
+        gathered = rho[self._cols, self._cols ^ self._x[:, None]]  # rho[c, c ^ x_l]
+        return np.einsum("lc,lc->l", self._phases, gathered).real
+
+    def times(self, V: np.ndarray) -> np.ndarray:
+        """E_l V for every l, as an (m, 2^n, k) array."""
+        source = self._cols ^ self._x[:, None]  # row r of E_l V is a multiple of row r ^ x_l of V
+        out = V[source]
+        out *= np.take_along_axis(self._phases, source, axis=1)[:, :, None]
+        return out
+
+    def anticommutation(self) -> np.ndarray:
+        """(m, m) boolean matrix: True where E_k and E_l anticommute."""
+        x, z = self._x, self._z
+        return (np.bitwise_count(x[:, None] & z) + np.bitwise_count(z[:, None] & x)) % 2 == 1
+
+    def group_law(self, group: Sequence[int], rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Exact joint outcome law of a commuting group on rho (Gokhale et al., arXiv:1907.13623).
+
+        Generators are the members GF(2)-independent of the earlier members;
+        each member is a sign times a product of generators.  Returns (probs,
+        values): probs[t] is the probability of generator outcome t (bit j
+        set: generator j reads -1), values[i, t] the reading of member i.
+        """
+        vectors = [(int(self._x[k]) << self.n_sites) | int(self._z[k]) for k in group]
+        span = {0: 0}  # (x|z) vector -> the generator subset whose product it is
+        generators: list[int] = []
+        for k, vec in zip(group, vectors):
+            if vec not in span:
+                bit = 1 << len(generators)
+                span.update({v ^ vec: subset | bit for v, subset in span.items()})
+                generators.append(k)
+        subsets = np.array([span[vec] for vec in vectors], dtype=np.int64)
+
+        # expectations of all 2^r generator products, each from the previous
+        # one in Gray-code order at O(2^n), then a Walsh-Hadamard transform
+        size = 2 ** len(generators)
+        means = np.ones(size)
+        leading = np.ones(size, dtype=complex)  # phase at |0> of each product
+        x_mask, phase = 0, np.ones(self._cols.size, dtype=complex)
+        for step in range(1, size):
+            g = generators[(step & -step).bit_length() - 1]
+            # (P E_g)|c> = phases_g[c] phases_P[c ^ x_g] |c ^ x_g ^ x_P>
+            phase = phase[self._cols ^ self._x[g]] * self._phases[g]
+            x_mask ^= int(self._x[g])
+            subset = step ^ (step >> 1)
+            leading[subset] = phase[0]
+            means[subset] = np.dot(phase, rho[self._cols, self._cols ^ x_mask]).real
+        half = 1
+        while half < size:
+            pairs = means.reshape(-1, 2, half)
+            pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+            half *= 2
+
+        signs = (leading[subsets] * self._phases[list(group), 0].conj()).real
+        parity = np.bitwise_count(np.arange(size) & subsets[:, None])
+        return means / size, signs[:, None] * (-1.0) ** parity
 
 
 @lru_cache(maxsize=8)
-def basis_stack(basis: OperatorBasis) -> np.ndarray:
-    """All basis elements as one (m, 2^n, 2^n) read-only array.
+def basis_stack(basis: OperatorBasis) -> PauliTable:
+    """The basis as its PauliTable, the package's one operator form.
 
-    Cached: the stack is rebuilt at most once per basis, and every hot loop
-    (solver iterations, Hessian assembly, sampling) reads from it.
+    Cached: built at most once per basis, then asked by every hot loop.
     """
     n = basis.lattice.n_sites
-    check_dense_budget(basis.m, n)
-    stack = np.empty((basis.m, 2**n, 2**n), dtype=complex)
-    for op in basis.ops:
-        stack[op.index] = to_dense(op, basis.lattice)
-    stack.flags.writeable = False
-    return stack
+    # the m rows of 2^n phases, plus the dense matrix every table operation reads or writes
+    check_dense_budget(1 + -(-basis.m // 2**n), n)
+    return PauliTable(basis)
 
 
 def assemble_hamiltonian(model: HamiltonianModel) -> np.ndarray:
     """Dense H(mu) = sum_l mu_l E_l."""
-    return np.tensordot(model.mu, basis_stack(model.basis), axes=1)
+    return basis_stack(model.basis).combine(model.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A plan partitions the basis into commuting groups; each shot consumes one copy
 of the state and yields a joint outcome for every operator in one group.  At
-desk scale the joint distribution is computed exactly (simultaneous
-diagonalization), so the simulator is a faithful sampler of the ideal
+desk scale the joint distribution is computed exactly from the Pauli algebra
+(`PauliTable.group_law`), so the simulator is a faithful sampler of the ideal
 projective measurement, not a circuit-level emulation.
 """
 
@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, marginals
-from .lattice import LocalBasisOp, OperatorBasis, basis_stack
+from .gibbs import GibbsEnsemble, density_matrix, marginals
+from .lattice import OperatorBasis, basis_stack
 
 __all__ = [
     "MeasurementPlan",
     "MarginalEstimates",
     "SCHEMES",
-    "pauli_commute",
     "build_plan",
     "sample_outcomes",
     "required_delta",
@@ -28,20 +27,6 @@ __all__ = [
 
 SCHEMES = ("direct", "grouped", "exact")
 DEFAULT_DELTA_FAIL = 0.05
-
-
-def pauli_commute(a: LocalBasisOp, b: LocalBasisOp) -> bool:
-    """Whether two Pauli strings commute as matrices.
-
-    They anticommute on each shared site carrying different letters; the
-    strings commute overall iff the number of such sites is even.
-    """
-    clashes = 0
-    common = set(a.support) & set(b.support)
-    for site in common:
-        if a.letter_at(site) != b.letter_at(site):
-            clashes += 1
-    return clashes % 2 == 0
 
 
 @dataclass(frozen=True)
@@ -70,14 +55,12 @@ class MeasurementPlan:
                 seen.add(idx)
         if seen != set(range(self.basis.m)):
             raise ValueError("groups must cover every basis index exactly once")
-        ops = self.basis.ops
+        anti = basis_stack(self.basis).anticommutation()
         for group in self.groups:
-            for pos, k in enumerate(group):
-                for l in group[pos + 1 :]:
-                    if not pauli_commute(ops[k], ops[l]):
-                        raise ValueError(
-                            f"operators {k} and {l} do not commute but share a group"
-                        )
+            clashes = np.argwhere(np.triu(anti[np.ix_(group, group)]))
+            if clashes.size:
+                k, l = (group[i] for i in clashes[0])
+                raise ValueError(f"operators {k} and {l} do not commute but share a group")
 
     @property
     def copies_consumed(self) -> int:
@@ -85,32 +68,17 @@ class MeasurementPlan:
 
 
 def _greedy_groups(basis: OperatorBasis) -> tuple[tuple[int, ...], ...]:
-    """Color the conflict graph (edges = non-commuting pairs) greedily.
+    """Greedy coloring of the anticommutation graph.
 
-    Vertices are processed by descending degree, ties broken by index; each
-    takes the smallest color absent from its already-colored neighbors.
+    Vertices go by descending degree, ties by index; each takes the smallest
+    color that no already-colored vertex it anticommutes with carries.
     """
-    m = basis.m
-    ops = basis.ops
-    adjacency: list[set[int]] = [set() for _ in range(m)]
-    for k in range(m):
-        for l in range(k + 1, m):
-            if not pauli_commute(ops[k], ops[l]):
-                adjacency[k].add(l)
-                adjacency[l].add(k)
-    order = sorted(range(m), key=lambda k: (-len(adjacency[k]), k))
-    color: dict[int, int] = {}
-    for k in order:
-        taken = {color[nb] for nb in adjacency[k] if nb in color}
-        c = 0
-        while c in taken:
-            c += 1
-        color[k] = c
-    n_colors = max(color.values()) + 1 if color else 0
-    groups = [[] for _ in range(n_colors)]
-    for k in range(m):
-        groups[color[k]].append(k)
-    return tuple(tuple(g) for g in groups)
+    anti = basis_stack(basis).anticommutation()
+    color = np.full(basis.m, -1)
+    for k in np.lexsort((np.arange(basis.m), -anti.sum(axis=1))):
+        taken = set(color[anti[k]].tolist())
+        color[k] = min(set(range(len(taken) + 1)) - taken)
+    return tuple(tuple(np.flatnonzero(color == c).tolist()) for c in range(color.max() + 1))
 
 
 def build_plan(basis: OperatorBasis, scheme: str, n_copies: int) -> MeasurementPlan:
@@ -184,36 +152,6 @@ def hoeffding_radius(m: int, delta_fail: float, shots) -> np.ndarray:
     return out
 
 
-def simultaneous_eigenbasis(mats: list[np.ndarray], tol: float = 1e-9) -> np.ndarray:
-    """Common eigenbasis of a pairwise-commuting Hermitian family.
-
-    Diagonalizes the first matrix, then refines each degenerate block with the
-    next matrix, and so on.  Exact commutation guarantees every matrix is
-    block-diagonal in the running basis, so refinement never breaks earlier
-    diagonalizations.
-    """
-    if not mats:
-        raise ValueError("need at least one matrix")
-    dim = mats[0].shape[0]
-    V = np.eye(dim, dtype=complex)
-    blocks = [np.arange(dim)]
-    for M in mats:
-        new_blocks = []
-        for idx in blocks:
-            if idx.size == 1:
-                new_blocks.append(idx)
-                continue
-            B = V[:, idx]
-            sub = B.conj().T @ M @ B
-            vals, U = np.linalg.eigh(sub)
-            V[:, idx] = B @ U
-            # split the block wherever consecutive eigenvalues separate
-            cuts = np.flatnonzero(np.diff(vals) > tol) + 1
-            new_blocks.extend(np.split(idx, cuts))
-        blocks = new_blocks
-    return V
-
-
 def sample_outcomes(
     plan: MeasurementPlan,
     ensemble: GibbsEnsemble,
@@ -226,60 +164,22 @@ def sample_outcomes(
     spawned from the master seed, so group order and parallelism cannot change
     the result.
     """
-    basis = plan.basis
-    m = basis.m
-    stack = basis_stack(basis)
-    if stack.shape[1] != ensemble.dim:
-        raise ValueError(
-            f"plan dimension {stack.shape[1]} does not match state dimension {ensemble.dim}"
-        )
+    m, dim = plan.basis.m, 2**plan.basis.lattice.n_sites
+    if dim != ensemble.dim:
+        raise ValueError(f"plan dimension {dim} does not match state dimension {ensemble.dim}")
+    table = basis_stack(plan.basis)
 
-    if plan.scheme == "exact":
-        e_hat = np.clip(marginals(stack, ensemble), -1.0, 1.0)
-        return MarginalEstimates(
-            e_hat=e_hat,
-            delta=np.zeros(m),
-            shots=np.zeros(m, dtype=np.int64),
-            n_total=0,
-            seed=seed,
-            scheme="exact",
-            delta_fail=delta_fail,
-        )
-
-    master = np.random.SeedSequence(seed)
-    substreams = master.spawn(len(plan.groups))
-
-    V_rho = ensemble.spectral.vectors
-    e_hat = np.zeros(m)
+    e_hat = marginals(table, ensemble) if plan.scheme == "exact" else np.zeros(m)
     shots = np.zeros(m, dtype=np.int64)
+    rho = density_matrix(ensemble)
+    substreams = np.random.SeedSequence(seed).spawn(len(plan.groups))
     for group, stream in zip(plan.groups, substreams):
-        mats = [stack[k] for k in group]
-        V = simultaneous_eigenbasis(mats)
-        # +/-1 eigenvalue of each operator on each joint eigenvector
-        values = np.empty((len(group), ensemble.dim))
-        for row, M in enumerate(mats):
-            A = V.conj().T @ M @ V
-            diag = np.diagonal(A).real
-            rounded = np.round(diag)
-            off = float(np.max(np.abs(A - np.diag(np.diagonal(A)))))
-            if (
-                off > 1e-8
-                or np.max(np.abs(diag - rounded)) > 1e-8
-                or not np.all(np.isin(rounded, (-1.0, 1.0)))
-            ):
-                raise ValueError("joint eigenbasis failed to diagonalize a group member")
-            values[row] = rounded
-        # outcome distribution: p_w = <w| rho |w>
-        overlap = V.conj().T @ V_rho
-        probs = (np.abs(overlap) ** 2) @ ensemble.weights
+        probs, values = table.group_law(group, rho)
         probs = np.clip(probs, 0.0, None)
-        probs /= probs.sum()
         rng = np.random.default_rng(stream)
-        counts = rng.multinomial(plan.shots_per_group, probs)
-        means = values @ counts / plan.shots_per_group
-        for row, k in enumerate(group):
-            e_hat[k] = means[row]
-            shots[k] = plan.shots_per_group
+        counts = rng.multinomial(plan.shots_per_group, probs / probs.sum())
+        e_hat[list(group)] = values @ counts / plan.shots_per_group
+        shots[list(group)] = plan.shots_per_group
 
     return MarginalEstimates(
         e_hat=np.clip(e_hat, -1.0, 1.0),

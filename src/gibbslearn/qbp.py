@@ -38,6 +38,7 @@ __all__ = [
     "f_tilde",
     "f_time",
     "gap_filter",
+    "hessian_matrices",
     "verify_fourier_pair",
     "qbp_transform",
     "grad_logZ",
@@ -229,8 +230,7 @@ def log_partition(model: HamiltonianModel, beta: float) -> float:
 def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
     """Gradient of log Z in the coefficients: component l is -beta * Tr[E_l rho]."""
     ensemble = gibbs(_spectral_of(model), beta)
-    stack = basis_stack(model.basis)
-    return -beta * marginals(stack, ensemble)
+    return -beta * marginals(basis_stack(model.basis), ensemble)
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,21 +259,29 @@ class HessianReport:
         return payload
 
 
+def hessian_matrices(m: int) -> int:
+    """Dense matrices `_hessian_core` holds at once: two m-stacks, V, V^dag, filter, weight."""
+    return 2 * m + 4
+
+
 def _hessian_core(basis, lam: np.ndarray, beta: float) -> HessianReport:
     lam = np.asarray(lam, dtype=float)
-    # the stack, its energy-basis copy A and the weighted copy A * weight
-    check_dense_budget(3 * basis.m, basis.lattice.n_sites)
-    stack = basis_stack(basis)
-    spectral = diagonalize(np.tensordot(lam, stack, axes=1))
+    m = basis.m
+    check_dense_budget(hessian_matrices(m), basis.lattice.n_sites)
+    table = basis_stack(basis)
+    spectral = diagonalize(table.combine(lam))
     ensemble = gibbs(spectral, beta)
     V = spectral.vectors
     # Energy-basis forms of every basis element.
-    A = np.einsum("aj,lab,bk->ljk", V.conj(), stack, V, optimize=True)
+    A = V.conj().T @ table.times(V)
     r = ensemble.weights
-    # f(E_j - E_k) * (r_k + r_j)
+    # f(E_j - E_k) * (r_k + r_j), symmetric in j and k
     weight = gap_filter(spectral, beta) * (r[:, None] + r[None, :])
     e = np.einsum("ljj,j->l", A, r).real
-    raw = 0.5 * beta**2 * np.einsum("ljk,mkj->lm", A, A * weight, optimize=True).real
+    # sum_jk A_l[j,k] A_m[k,j] weight[k,j], with A_m[k,j] = conj(A_m[j,k])
+    weighted = np.conjugate(A)
+    weighted *= weight
+    raw = 0.5 * beta**2 * (A.reshape(m, -1) @ weighted.reshape(m, -1).T).real
     raw -= beta**2 * np.outer(e, e)
     asymmetry = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
     matrix = 0.5 * (raw + raw.T)
@@ -302,7 +310,7 @@ def quasilocal_W(v, model: HamiltonianModel, beta: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (model.basis.m,):
         raise ValueError(f"direction has shape {v.shape}, expected ({model.basis.m},)")
-    W = np.tensordot(v, basis_stack(model.basis), axes=1)
+    W = basis_stack(model.basis).combine(v)
     return qbp_transform(W, _spectral_of(model), beta)
 
 

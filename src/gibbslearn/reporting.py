@@ -87,16 +87,12 @@ def utc_now() -> str:
 
 def _numerical_environment() -> dict:
     """Library versions, BLAS build and thread settings behind a run's floats."""
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas = {"name": blas.get("name"), "version": blas.get("version")}
-    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
-        blas = None
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": blas,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "thread_env": {var: os.environ.get(var) for var in THREAD_VARS},
         "cpu_count": os.cpu_count(),
     }

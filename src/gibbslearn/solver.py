@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
 from .gibbs import diagonalize, gibbs, marginals
-from .lattice import OperatorBasis, basis_stack
+from .lattice import OperatorBasis, PauliTable, basis_stack
 from .measure import MarginalEstimates
 from .qbp import _hessian_core
 
@@ -57,12 +58,17 @@ class SolverConfig:
             raise ValueError(
                 f"unknown constraint {self.constraint!r}, expected one of {CONSTRAINTS}"
             )
-        if self.tol_grad <= 0:
+        kinds = dict(max_iters=Integral, polish_max_iters=Integral, tol_grad=Real, radius=Real)
+        for name, kind in kinds.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+        if self.max_iters < 0 or self.polish_max_iters < 0:
+            raise ValueError("max_iters and polish_max_iters must be non-negative")
+        if not self.tol_grad > 0:
             raise ValueError("tol_grad must be positive")
-        if self.constraint != "none" and self.radius <= 0:
+        if self.constraint != "none" and not self.radius > 0:
             raise ValueError("constraint radius must be positive")
-        if self.polish_max_iters < 0:
-            raise ValueError("polish_max_iters must be non-negative")
 
 
 @dataclass(eq=False)
@@ -71,7 +77,8 @@ class SolverTrace:
 
     `steps` holds the backtracking step on "first-order" rows and the Newton
     damping on "polish" rows; `evals` counts dual evaluations so far,
-    the initial one included.
+    the initial one included.  `pg_final` is the projected-gradient norm at
+    the returned point.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -81,6 +88,7 @@ class SolverTrace:
     phases: list[str] = field(default_factory=list)
     evals: list[int] = field(default_factory=list)
     dual_evals: int = 0
+    pg_final: float = 0.0
     converged: bool = False
     wall_time: float = 0.0
 
@@ -118,29 +126,27 @@ def _e_hat_vector(e_hat, m: int) -> np.ndarray:
     return vec
 
 
-def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, stack: np.ndarray):
+def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTable):
     """(objective, gradient) from one diagonalization of H(lam)."""
-    ensemble = gibbs(diagonalize(np.tensordot(lam, stack, axes=1)), beta)
+    ensemble = gibbs(diagonalize(table.combine(lam)), beta)
     obj = ensemble.log_z + beta * float(np.dot(lam, target))
-    grad = beta * (target - marginals(stack, ensemble))
+    grad = beta * (target - marginals(table, ensemble))
     return obj, grad
 
 
 def objective(lam, e_hat, beta: float, basis: OperatorBasis) -> float:
     """Dual objective log Z(lam) + beta * <lam, e_hat>."""
-    stack = basis_stack(basis)
     lam = np.asarray(lam, dtype=float)
     target = _e_hat_vector(e_hat, basis.m)
-    obj, _ = _dual_eval(lam, target, float(beta), stack)
+    obj, _ = _dual_eval(lam, target, float(beta), basis_stack(basis))
     return obj
 
 
 def gradient(lam, e_hat, beta: float, basis: OperatorBasis) -> np.ndarray:
     """Dual gradient: component l is beta * (e_hat_l - e_l(lam))."""
-    stack = basis_stack(basis)
     lam = np.asarray(lam, dtype=float)
     target = _e_hat_vector(e_hat, basis.m)
-    _, grad = _dual_eval(lam, target, float(beta), stack)
+    _, grad = _dual_eval(lam, target, float(beta), basis_stack(basis))
     return grad
 
 
@@ -156,7 +162,7 @@ def solve(
     gradient dropped below cfg.tol_grad within the iteration budget.
     """
     cfg = cfg or SolverConfig()
-    stack = basis_stack(basis)
+    table = basis_stack(basis)
     beta = float(beta)
     target = _e_hat_vector(e_hat, basis.m)
 
@@ -168,7 +174,7 @@ def solve(
 
     def evaluate(lam):
         trace.dual_evals += 1
-        return _dual_eval(lam, target, beta, stack)
+        return _dual_eval(lam, target, beta, table)
 
     x = np.zeros(basis.m) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
     x = project(x)
@@ -176,7 +182,8 @@ def solve(
     x, fx, gx = _first_order(x, fx, gx, evaluate, project, cfg, trace)
     x, fx, gx = _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace)
 
-    trace.converged = _pg_norm(x, gx, project) <= cfg.tol_grad
+    trace.pg_final = _pg_norm(x, gx, project)
+    trace.converged = trace.pg_final <= cfg.tol_grad
     trace.wall_time = time.perf_counter() - started
     return x, trace
 

@@ -2,8 +2,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from gibbslearn.lattice import HamiltonianModel, LatticeSpec, enumerate_basis
+from gibbslearn.lattice import HamiltonianModel, LatticeSpec, enumerate_basis, to_dense
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -31,6 +32,30 @@ def raises_before_allocating(call):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@st.composite
+def small_bases(draw):
+    """Bases of kappa <= 3 on open or periodic chains and 2D grids of at most 6 sites."""
+    periodic = draw(st.booleans())
+    if draw(st.booleans()):
+        lattice = LatticeSpec(1, (draw(st.integers(2, 6)),), periodic)
+    else:
+        sides = draw(st.sampled_from([(2, 2), (2, 3), (3, 2)]))
+        lattice = LatticeSpec(2, sides, periodic)
+    return enumerate_basis(lattice, draw(st.integers(1, min(3, lattice.n_sites))))
+
+
+def dense_basis(basis):
+    """The (m, 2^n, 2^n) oracle stack, one `to_dense` matrix per basis element."""
+    return np.array([to_dense(op, basis.lattice) for op in basis.ops])
+
+
+def random_state(dim: int, rank: int, rng) -> np.ndarray:
+    """A density matrix of the given rank with Haar-like random eigenvectors."""
+    G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = G @ G.conj().T
+    return rho / np.trace(rho).real
 
 
 @pytest.fixture

@@ -47,7 +47,7 @@ from gibbslearn.solver import (
     solve,
 )
 
-from conftest import ACCEPTANCE_LINES, chain_basis, random_chain_model
+from conftest import ACCEPTANCE_LINES, chain_basis, dense_basis, random_chain_model
 
 BETAS = (0.2, 1.0, 3.0)
 
@@ -82,7 +82,7 @@ def _ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
 def test_acceptance_01_derivatives_match_finite_differences():
     started = time.perf_counter()
     basis = chain_basis(3)
-    stack = basis_stack(basis)
+    stack = dense_basis(basis)
     m = basis.m
     worst_grad = 0.0
     worst_hess = 0.0

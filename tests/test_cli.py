@@ -11,6 +11,7 @@ from gibbslearn.cli import SUITES, _trial_pool, main
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
 from gibbslearn.reporting import THREAD_VARS
+from gibbslearn.solver import gradient
 
 from conftest import BUDGET_MESSAGE
 
@@ -228,6 +229,62 @@ def test_learn_rejects_unknown_solver_field(tmp_path, capsys):
     assert "unknown solver config fields: step_rule" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "solver, field",
+    [
+        ({"max_iters": 1.5}, "max_iters"),
+        ({"max_iters": -3}, "max_iters"),
+        ({"max_iters": True}, "max_iters"),
+        ({"polish_max_iters": "5"}, "polish_max_iters"),
+        ({"tol_grad": "x"}, "tol_grad"),
+        ({"radius": None}, "radius"),
+    ],
+)
+def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, field):
+    model_path = run_gen(tmp_path, n=2)
+    cfg = learn_config(tmp_path, model_path, solver=solver)
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "bad solver config" in err and field in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["learn", "sweep"])
+@pytest.mark.parametrize("delta_fail", ["abc", 0, -0.1, 1, 1.5])
+def test_delta_fail_must_be_a_probability(tmp_path, capsys, command, delta_fail):
+    if command == "learn":
+        cfg = learn_config(tmp_path, run_gen(tmp_path, n=2), delta_fail=delta_fail)
+    else:
+        cfg = sweep_config(tmp_path, delta_fail=delta_fail)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "delta_fail (expected number in (0, 1)" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("max_iters", [0, 2])
+def test_pg_final_is_the_residual_at_the_returned_point(tmp_path, max_iters):
+    model_path = run_gen(tmp_path, n=2)
+    cfg = learn_config(
+        tmp_path,
+        model_path,
+        scheme="exact",
+        solver={"max_iters": max_iters, "polish_max_iters": 0},
+    )
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 1  # not converged
+    result = json.loads((out / "result.json").read_text())
+    assert result["iterations"] == max_iters
+    model = load_model(model_path)
+    e = marginals(basis_stack(model.basis), gibbs_state(assemble_hamiltonian(model), 1.0))
+    mu_hat = np.array(result["mu_hat"])
+    g = gradient(mu_hat, e, 1.0, model.basis)
+    residual = np.linalg.norm(mu_hat - np.clip(mu_hat - g, -1.0, 1.0))
+    assert residual > 0.01
+    assert result["pg_final"] == pytest.approx(residual, rel=1e-9)
+
+
 def test_learn_unknown_scheme(tmp_path, capsys):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(tmp_path, model_path, scheme="psychic")
@@ -416,11 +473,12 @@ def test_marginals_dump_matches_direct_computation(tmp_path):
 
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals", "sweep"])
 def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
-    # an open n=14 chain: its basis stack alone would take 683 GB
+    # an open n=14 chain: a Hessian holds 2m + 4 = 322 matrices of 4.3 GB.
+    # marginals holds two dense matrices, which take 17.6 TB each at n=20.
     if command == "sweep":
         cfg = sweep_config(tmp_path, axis="size", values=[3, 14], beta=1.0, N=2000)
     else:
-        cfg = learn_config(tmp_path, run_gen(tmp_path, n=14))
+        cfg = learn_config(tmp_path, run_gen(tmp_path, n=20 if command == "marginals" else 14))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)

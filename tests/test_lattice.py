@@ -21,7 +21,13 @@ from gibbslearn.lattice import (
 )
 from gibbslearn.lattice import load_model
 
-from conftest import chain_basis, raises_before_allocating
+from conftest import (
+    chain_basis,
+    dense_basis,
+    raises_before_allocating,
+    random_state,
+    small_bases,
+)
 
 
 def test_basis_counts_small_chains():
@@ -136,11 +142,11 @@ def test_to_dense_two_site_product():
 
 def test_stack_rows_hermitian_traceless_unit_norm():
     basis = chain_basis(3)
-    stack = basis_stack(basis)
+    table = basis_stack(basis)
     dim = 2**3
-    assert stack.shape == (basis.m, dim, dim)
-    assert not stack.flags.writeable
-    for E in stack:
+    for op, unit in zip(basis.ops, np.eye(basis.m)):
+        E = table.combine(unit)
+        np.testing.assert_array_equal(E, to_dense(op, basis.lattice))
         np.testing.assert_allclose(E, E.conj().T)
         assert abs(np.trace(E)) < 1e-12
         # pauli strings square to the identity
@@ -150,6 +156,29 @@ def test_stack_rows_hermitian_traceless_unit_norm():
 def test_stack_is_cached():
     basis = chain_basis(3)
     assert basis_stack(basis) is basis_stack(basis)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bases(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_pauli_table_matches_dense_oracle(basis, rank, seed):
+    table = basis_stack(basis)
+    dense = dense_basis(basis)
+    dim = dense.shape[1]
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, basis.m)
+    np.testing.assert_allclose(
+        table.combine(coeffs), np.tensordot(coeffs, dense, axes=1), rtol=0, atol=1e-12
+    )
+    rho = random_state(dim, rank, rng)
+    np.testing.assert_allclose(
+        table.expectations(rho), np.einsum("lab,ba->l", dense, rho).real, rtol=0, atol=1e-12
+    )
+    V = np.linalg.qr(random_state(dim, dim, rng))[0]
+    np.testing.assert_allclose(table.times(V), dense @ V, rtol=0, atol=1e-12)
+    anti = table.anticommutation()
+    for k, l in rng.integers(basis.m, size=(200, 2)):
+        anticommutator = dense[k] @ dense[l] + dense[l] @ dense[k]
+        assert anti[k, l] == (np.max(np.abs(anticommutator)) < 1e-12)
 
 
 def test_assemble_matches_manual_sum():
@@ -212,9 +241,10 @@ def test_model_dict_is_json_serializable():
 
 
 def test_dense_budget_refuses_basis_stack():
-    # open n=14 chain, kappa=2: 159 dense 2^14 x 2^14 matrices are 683 GB
-    basis = chain_basis(14)
-    assert basis.m == 159
+    # open n=20 chain, kappa=2: the table is small, but the one dense
+    # 2^20 x 2^20 matrix each of its operations reads or writes is 17.6 TB
+    basis = chain_basis(20)
+    assert basis.m == 231
     raises_before_allocating(lambda: basis_stack(basis))
     model = HamiltonianModel(basis=basis, mu=np.zeros(basis.m))
     raises_before_allocating(lambda: assemble_hamiltonian(model))

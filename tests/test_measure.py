@@ -1,35 +1,36 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gibbslearn.gibbs import gibbs_state, marginals
-from gibbslearn.lattice import (
-    assemble_hamiltonian,
-    basis_stack,
-    pauli_matrix,
-    to_dense,
-)
+from gibbslearn.lattice import assemble_hamiltonian, basis_stack
 from gibbslearn.measure import (
     MarginalEstimates,
     MeasurementPlan,
     build_plan,
     hoeffding_radius,
-    pauli_commute,
     required_delta,
     sample_outcomes,
-    simultaneous_eigenbasis,
 )
 
-from conftest import chain_basis, random_chain_model
+from conftest import (
+    chain_basis,
+    dense_basis,
+    random_chain_model,
+    random_state,
+    small_bases,
+)
 
 
-def test_pauli_commute_against_dense_commutator():
+def test_anticommutation_against_dense_commutator():
     basis = chain_basis(2)
-    stack = basis_stack(basis)
+    dense = dense_basis(basis)
+    anti = basis_stack(basis).anticommutation()
     for k in range(basis.m):
-        for l in range(k, basis.m):
-            comm = stack[k] @ stack[l] - stack[l] @ stack[k]
-            dense_says = np.max(np.abs(comm)) < 1e-12
-            assert pauli_commute(basis.ops[k], basis.ops[l]) == dense_says
+        for l in range(basis.m):
+            comm = dense[k] @ dense[l] - dense[l] @ dense[k]
+            assert anti[k, l] == (np.max(np.abs(comm)) > 1e-12)
 
 
 def test_direct_plan_layout():
@@ -182,17 +183,20 @@ def test_estimates_validation_and_serialization():
     assert rows[0] == (0, 0.25, 0.1, 10)
 
 
-def test_simultaneous_eigenbasis_degenerate_family():
-    Z, X = pauli_matrix("Z"), pauli_matrix("X")
-    mats = [np.kron(Z, np.eye(2)), np.kron(np.eye(2), Z)]
-    V = simultaneous_eigenbasis(mats)
-    np.testing.assert_allclose(V.conj().T @ V, np.eye(4), atol=1e-12)
-    for M in mats:
-        A = V.conj().T @ M @ V
-        assert np.max(np.abs(A - np.diag(np.diagonal(A)))) < 1e-10
-    # non-diagonal commuting pair
-    mats = [np.kron(X, X), np.kron(Z, Z)]
-    V = simultaneous_eigenbasis(mats)
-    for M in mats:
-        A = V.conj().T @ M @ V
-        assert np.max(np.abs(A - np.diag(np.diagonal(A)))) < 1e-10
+@settings(max_examples=40, deadline=None)
+@given(small_bases(), st.sampled_from(["grouped", "direct"]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+# the 3-chain's grouped plan has a member that is minus a product of generators
+@example(chain_basis(3), "grouped", 1, 0)
+def test_group_law_matches_dense_oracle(basis, scheme, rank, seed):
+    table = basis_stack(basis)
+    dense = dense_basis(basis)
+    rho = random_state(dense.shape[1], rank, np.random.default_rng(seed))
+    for group in build_plan(basis, scheme, basis.m).groups:
+        probs, values = table.group_law(group, rho)
+        assert probs.min() >= -1e-15
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+        members = dense[list(group)]
+        means = np.einsum("kab,ba->k", members, rho).real
+        np.testing.assert_allclose(values @ probs, means, rtol=0, atol=1e-12)
+        pairs = np.einsum("kab,lba->kl", members, members @ rho).real
+        np.testing.assert_allclose((values * probs) @ values.T, pairs, rtol=0, atol=1e-12)

@@ -20,7 +20,7 @@ from gibbslearn.qbp import (
     verify_fourier_pair,
 )
 
-from conftest import raises_before_allocating, random_chain_model
+from conftest import dense_basis, raises_before_allocating, random_chain_model
 
 
 def test_filter_kernel_validation():
@@ -210,7 +210,7 @@ def test_quasilocal_w_at_zero_coupling_is_unfiltered():
     model = random_chain_model(2, seed=7)
     zero = dataclasses.replace(model, mu=np.zeros(model.basis.m))
     v = np.random.default_rng(9).normal(size=model.basis.m)
-    W = np.tensordot(v, basis_stack(model.basis), axes=1)
+    W = np.tensordot(v, dense_basis(model.basis), axes=1)
     np.testing.assert_allclose(quasilocal_W(v, zero, 2.5), W, atol=1e-12)
 
 
