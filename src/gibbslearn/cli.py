@@ -849,7 +849,6 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
             "beta": report.beta,
             "m": model.basis.m,
             "min_eigenvalue": report.min_eigenvalue,
-            "asymmetry": report.asymmetry,
         },
     )
     manifest = new_manifest("hessian", config, seed, __version__)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .lattice import LocalBasisOp, LatticeSpec, PauliTable, to_dense
 
@@ -20,6 +19,7 @@ __all__ = [
     "diagonalize",
     "gibbs",
     "gibbs_state",
+    "log_sum_exp",
     "density_matrix",
     "marginal",
     "marginals",
@@ -82,11 +82,28 @@ def diagonalize(H: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecompos
     return SpectralDecomposition(energies, vectors)
 
 
+def log_sum_exp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) of a nonempty real vector, shifted by its maximum.
+
+    The maxima are taken out of the sum and added back through log1p and the
+    log of their count (Blanchard, Higham and Higham, IMA J. Numer. Anal. 41,
+    2021), so the result does not overflow and keeps full precision when one
+    term dominates.
+    """
+    a = np.asarray(a, dtype=float)
+    a_max = a.max()
+    top = a == a_max
+    count = float(np.count_nonzero(top))
+    shifted = np.exp(a - a_max)
+    shifted[top] = 0.0
+    return float(np.log1p(shifted.sum() / count) + np.log(count) + a_max)
+
+
 def gibbs(spectral: SpectralDecomposition, beta: float) -> GibbsEnsemble:
     """Thermal ensemble at inverse temperature beta >= 0.
 
-    Weights come from logsumexp-shifted exponentials, so large beta*||H|| does
-    not overflow.
+    Weights come from log-sum-exp-shifted exponentials, so large beta*||H||
+    does not overflow.
     """
     beta = float(beta)
     if not np.isfinite(beta):
@@ -94,7 +111,7 @@ def gibbs(spectral: SpectralDecomposition, beta: float) -> GibbsEnsemble:
     if beta < 0:
         raise ValueError(f"negative inverse temperature: beta={beta}")
     exponents = -beta * spectral.energies
-    log_z = float(logsumexp(exponents))
+    log_z = log_sum_exp(exponents)
     weights = np.exp(exponents - log_z)
     return GibbsEnsemble(spectral, beta, log_z, weights)
 

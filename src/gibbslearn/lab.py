@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc, gammaln
 
 from .gibbs import GibbsEnsemble, diagonalize, gibbs, density_matrix
 from .lattice import (
@@ -576,6 +575,8 @@ def _sum_until(term, tail_bound, start: int = 0) -> float:
 
 def _gamma_tail(s: float, z: float) -> float:
     """Upper incomplete gamma Gamma(s, z), computed stably."""
+    from scipy.special import gammaincc, gammaln  # 0.3 s to import; only the lab needs it
+
     return float(np.exp(gammaln(s)) * gammaincc(s, z))
 
 

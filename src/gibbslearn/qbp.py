@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals
+from .gibbs import SpectralDecomposition, diagonalize, gibbs, log_sum_exp, marginals
 from .lattice import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -224,7 +223,7 @@ def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -
 def log_partition(model: HamiltonianModel, beta: float) -> float:
     """log Z at H(mu); cheap standalone evaluation for finite-difference oracles."""
     energies = np.linalg.eigvalsh(assemble_hamiltonian(model))
-    return float(logsumexp(-beta * energies))
+    return log_sum_exp(-beta * energies)
 
 
 def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
@@ -235,24 +234,18 @@ def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class HessianReport:
-    """Hessian of log Z at a coefficient point, with its extreme eigenvalue.
-
-    `asymmetry` is the max |M - M^T| entry of the raw assembly before the
-    (M + M^T)/2 symmetrization; it should sit at numerical noise.
-    """
+    """Hessian of log Z at a coefficient point, with its extreme eigenvalue."""
 
     lam: np.ndarray = field(repr=False)
     beta: float = 0.0
     matrix: np.ndarray = field(repr=False, default=None)
     min_eigenvalue: float = 0.0
-    asymmetry: float = 0.0
 
     def to_dict(self, include_matrix: bool = False) -> dict:
         payload = {
             "lambda": [float(x) for x in self.lam],
             "beta": float(self.beta),
             "min_eig": float(self.min_eigenvalue),
-            "asymmetry": float(self.asymmetry),
         }
         if include_matrix:
             payload["matrix"] = [[float(x) for x in row] for row in self.matrix]
@@ -260,8 +253,14 @@ class HessianReport:
 
 
 def hessian_matrices(m: int) -> int:
-    """Dense matrices `_hessian_core` holds at once: two m-stacks, V, V^dag, filter, weight."""
-    return 2 * m + 4
+    """Dense matrices `_hessian_core` holds at once.
+
+    At its peak it holds m + 3.5: the energy-basis stack (m), V, V^dag, one
+    product buffer and the real weight root.  The rest covers the table's
+    (m, 2^n) index arrays and numpy's ufunc buffers; diagonalising H before
+    the stack exists takes about 4.
+    """
+    return m + 5
 
 
 def _hessian_core(basis, lam: np.ndarray, beta: float) -> HessianReport:
@@ -271,28 +270,26 @@ def _hessian_core(basis, lam: np.ndarray, beta: float) -> HessianReport:
     table = basis_stack(basis)
     spectral = diagonalize(table.combine(lam))
     ensemble = gibbs(spectral, beta)
-    V = spectral.vectors
-    # Energy-basis forms of every basis element.
-    A = V.conj().T @ table.times(V)
     r = ensemble.weights
-    # f(E_j - E_k) * (r_k + r_j), symmetric in j and k
-    weight = gap_filter(spectral, beta) * (r[:, None] + r[None, :])
+    # sqrt(f(E_j - E_k) * (r_j + r_k)): symmetric in j and k, never negative
+    root = gap_filter(spectral, beta)
+    root *= r[:, None] + r[None, :]
+    np.sqrt(root, out=root)
+    V = spectral.vectors
+    Vh = V.conj().T
+    # energy-basis forms A_l = V^dag E_l V, built in place in one m-stack
+    A = table.times(V)
+    for block in A:
+        block[...] = Vh @ block
     e = np.einsum("ljj,j->l", A, r).real
-    # sum_jk A_l[j,k] A_m[k,j] weight[k,j], with A_m[k,j] = conj(A_m[j,k])
-    weighted = np.conjugate(A)
-    weighted *= weight
-    raw = 0.5 * beta**2 * (A.reshape(m, -1) @ weighted.reshape(m, -1).T).real
-    raw -= beta**2 * np.outer(e, e)
-    asymmetry = float(np.max(np.abs(raw - raw.T))) if raw.size else 0.0
-    matrix = 0.5 * (raw + raw.T)
+    # sum_jk A_l[j,k] A_m[k,j] w[j,k] = Re sum_jk (root A_l)[j,k] conj(root A_m)[j,k]
+    # by Hermiticity, so the whole sum is one real Gram matrix (a syrk)
+    A *= root
+    B = A.reshape(m, -1).view(float)
+    matrix = 0.5 * beta**2 * (B @ B.T)
+    matrix -= beta**2 * np.outer(e, e)
     min_eig = float(np.linalg.eigvalsh(matrix)[0]) if matrix.size else 0.0
-    return HessianReport(
-        lam=lam.copy(),
-        beta=float(beta),
-        matrix=matrix,
-        min_eigenvalue=min_eig,
-        asymmetry=asymmetry,
-    )
+    return HessianReport(lam=lam.copy(), beta=float(beta), matrix=matrix, min_eigenvalue=min_eig)
 
 
 def hessian_logZ(model: HamiltonianModel, beta: float) -> HessianReport:

@@ -11,6 +11,7 @@ a damped Newton polish that certifies the gradient tolerance.
 
 from __future__ import annotations
 
+import reprlib
 import time
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -176,7 +177,7 @@ def solve(
         trace.dual_evals += 1
         return _dual_eval(lam, target, beta, table)
 
-    x = np.zeros(basis.m) if cfg.lambda0 is None else np.asarray(cfg.lambda0, float).copy()
+    x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
     x = project(x)
     fx, gx = evaluate(x)
     x, fx, gx = _first_order(x, fx, gx, evaluate, project, cfg, trace)
@@ -186,6 +187,17 @@ def solve(
     trace.converged = trace.pg_final <= cfg.tol_grad
     trace.wall_time = time.perf_counter() - started
     return x, trace
+
+
+def _start_point(lambda0, m: int) -> np.ndarray:
+    """cfg.lambda0 as a fresh float vector; ValueError unless it is m finite reals."""
+    try:
+        x = np.asarray(lambda0)
+    except ValueError:  # ragged nesting
+        x = None
+    if x is None or x.shape != (m,) or x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+        raise ValueError(f"lambda0 must be m = {m} finite reals, got {reprlib.repr(lambda0)}")
+    return x.astype(float)
 
 
 def _pg_norm(x, g, project) -> float:

@@ -250,6 +250,20 @@ def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, fie
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "lambda0",
+    [[1, 2], "x", [0.0] * 14 + ["x"], [0.0] * 14 + [None], [0.0] * 14 + [float("nan")],
+     [[0.0]] * 15, [True] * 15, [0.0, [1.0]]],
+)
+def test_learn_rejects_a_bad_lambda0(tmp_path, capsys, lambda0):
+    model_path = run_gen(tmp_path, n=2)  # m = 15
+    cfg = learn_config(tmp_path, model_path, solver={"lambda0": lambda0})
+    out = tmp_path / "o"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
+    assert "lambda0 must be m = 15 finite reals" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["learn", "sweep"])
 @pytest.mark.parametrize("delta_fail", ["abc", 0, -0.1, 1, 1.5])
 def test_delta_fail_must_be_a_probability(tmp_path, capsys, command, delta_fail):
@@ -452,6 +466,7 @@ def test_hessian_dump(tmp_path):
     assert meta["beta"] == 2.0
     assert meta["m"] == 15
     assert meta["min_eigenvalue"] > 0
+    assert set(meta) == {"beta", "m", "min_eigenvalue"}
     body = (out / "hessian.csv").read_text().splitlines()
     assert len(body) == 1 + 15 * 15
 
@@ -499,3 +514,11 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert "gibbslearn" in out.stdout
+
+
+def test_cli_import_leaves_scipy_special_out():
+    # scipy.special costs about 0.3 s per process; only the lab's series check needs it
+    code = "import sys, gibbslearn.cli; print('scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

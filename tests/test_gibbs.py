@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from gibbslearn.gibbs import (
     diagonalize,
     density_matrix,
     gibbs,
     gibbs_state,
+    log_sum_exp,
     marginal,
     marginals,
     variance,
@@ -18,6 +20,28 @@ from conftest import random_chain_model
 
 Z = pauli_matrix("Z")
 X = pauli_matrix("X")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 300),
+    st.floats(0.0, 1e3),
+    st.floats(-1e3, 1e3),
+    st.integers(0, 2**32 - 1),
+)
+def test_log_sum_exp_matches_scipy(size, spread, shift, seed):
+    # spreads up to beta*||H|| ~ 1e3; sizes down to one element
+    a = shift + spread * np.random.default_rng(seed).uniform(-1.0, 0.0, size)
+    ref = float(logsumexp(a))
+    assert log_sum_exp(a) == pytest.approx(ref, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 1024])
+@pytest.mark.parametrize("value", [-700.0, 0.0, 3.25, 800.0])
+def test_log_sum_exp_of_equal_entries(size, value):
+    a = np.full(size, value)
+    assert log_sum_exp(a) == pytest.approx(float(logsumexp(a)), rel=1e-13)
+    assert log_sum_exp(a) == pytest.approx(value + np.log(size), rel=1e-13)
 
 
 def test_single_qubit_partition_function():
