@@ -145,6 +145,12 @@ def _check_budget(basis: OperatorBasis, n_matrices: int) -> None:
         raise CLIError(str(exc))
 
 
+def _learn_matrices(basis: OperatorBasis) -> int:
+    """Dense matrices one learn holds at once: a Hessian of the Newton polish
+    or the alpha segment, plus the eigenvectors at both ends of the segment."""
+    return hessian_matrices(basis.m, basis.lattice.n_sites) + 2
+
+
 def _solver_config(raw: dict | None) -> SolverConfig:
     if raw is None:
         return SolverConfig()
@@ -229,7 +235,10 @@ def _learn_once(
     m = basis.m
     l2_error = float(np.linalg.norm(mu_hat - model.mu))
     delta_max = float(np.max(estimates.delta)) if m else 0.0
-    alpha = alpha_along_segment(basis, model.mu, mu_hat, beta)
+    # the segment's ends were diagonalized for sampling and by the solver
+    alpha = alpha_along_segment(
+        basis, model.mu, mu_hat, beta, ends=(ensemble.spectral, trace.spectral)
+    )
     # fold the solver residual into an effective marginal error so the bound
     # stays meaningful when measurement noise is zero (exact scheme)
     effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
@@ -268,8 +277,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         model = load_model(config["model"])
     except FileNotFoundError:
         raise CLIError(f"model file not found: {config['model']}")
-    # the Newton polish and the alpha segment build Hessians
-    _check_budget(model.basis, hessian_matrices(model.basis.m))
+    _check_budget(model.basis, _learn_matrices(model.basis))
     beta = float(config["beta"])
 
     try:
@@ -466,8 +474,8 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             )
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
-        # every worker holds the Hessian tensors of one trial at a time
-        _check_budget(basis, hessian_matrices(basis.m) * workers)
+        # every worker runs one learn at a time
+        _check_budget(basis, _learn_matrices(basis) * workers)
 
     if workers > 1:
         with _trial_pool(workers) as pool:
@@ -835,7 +843,7 @@ def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, fl
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "hessian")
-    _check_budget(model.basis, hessian_matrices(model.basis.m))
+    _check_budget(model.basis, hessian_matrices(model.basis.m, model.n_sites))
     report = hessian_logZ(model, beta)
     rows = [
         (j, k, report.matrix[j, k])

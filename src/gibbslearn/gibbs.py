@@ -66,20 +66,22 @@ class GibbsEnsemble:
         return self.spectral.dim
 
 
-def diagonalize(H: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomposition:
-    """Eigendecompose a Hermitian matrix; rejects non-Hermitian input."""
+def diagonalize(H: np.ndarray) -> SpectralDecomposition:
+    """Eigendecompose a Hermitian matrix, the package's one `eigh`.
+
+    Only the lower triangle of H is read: callers hand in matrices that are
+    Hermitian by construction (`PauliTable.combine`), and `gibbs_state`
+    checks the ones that come from outside.
+    """
+    energies, vectors = np.linalg.eigh(_square(H))
+    return SpectralDecomposition(energies, vectors)
+
+
+def _square(H) -> np.ndarray:
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    scale = max(1.0, float(np.max(np.abs(H)))) if H.size else 1.0
-    defect = float(np.max(np.abs(H - H.conj().T))) if H.size else 0.0
-    if defect > tol * scale:
-        raise ValueError(
-            f"matrix is not Hermitian: max|H - H^dag| = {defect:.3e} "
-            f"exceeds {tol:.0e} * max|H|"
-        )
-    energies, vectors = np.linalg.eigh(H)
-    return SpectralDecomposition(energies, vectors)
+    return H
 
 
 def log_sum_exp(a: np.ndarray) -> float:
@@ -117,7 +119,16 @@ def gibbs(spectral: SpectralDecomposition, beta: float) -> GibbsEnsemble:
 
 
 def gibbs_state(H: np.ndarray, beta: float) -> GibbsEnsemble:
-    """Convenience: diagonalize then build the ensemble."""
+    """Thermal ensemble of a caller's matrix; rejects non-Hermitian input."""
+    H = _square(H)
+    if H.size:
+        scale = max(1.0, float(np.max(np.abs(H))))
+        defect = float(np.max(np.abs(H - H.conj().T)))
+        if defect > HERMITICITY_TOL * scale:
+            raise ValueError(
+                f"matrix is not Hermitian: max|H - H^dag| = {defect:.3e} "
+                f"exceeds {HERMITICITY_TOL:.0e} * max|H|"
+            )
     return gibbs(diagonalize(H), beta)
 
 

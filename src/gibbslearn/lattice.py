@@ -316,11 +316,12 @@ class PauliTable:
         gathered = rho[self._cols, self._cols ^ self._x[:, None]]  # rho[c, c ^ x_l]
         return np.einsum("lc,lc->l", self._phases, gathered).real
 
-    def times(self, V: np.ndarray) -> np.ndarray:
-        """E_l V for every l, as an (m, 2^n, k) array."""
-        source = self._cols ^ self._x[:, None]  # row r of E_l V is a multiple of row r ^ x_l of V
-        out = V[source]
-        out *= np.take_along_axis(self._phases, source, axis=1)[:, :, None]
+    def sandwich(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """W E_l V for every l, as an (m, rows of W, columns of V) array."""
+        out = np.empty((self._x.size, W.shape[0], V.shape[1]), dtype=complex)
+        for l, (x, phase) in enumerate(zip(self._x, self._phases)):
+            # column c of W E_l is phases[l, c] times column c ^ x_l of W
+            np.matmul(W[:, self._cols ^ x] * phase, V, out=out[l])
         return out
 
     def anticommutation(self) -> np.ndarray:

@@ -196,9 +196,12 @@ def verify_fourier_pair(
     )
 
 
-def gap_filter(spectral: SpectralDecomposition, beta: float) -> np.ndarray:
-    """Matrix f_tilde(E_j - E_k) over every pair of energies; all ones at beta = 0."""
-    gaps = spectral.energies[:, None] - spectral.energies[None, :]
+def gap_filter(
+    spectral: SpectralDecomposition, beta: float, rows=slice(None), cols=slice(None)
+) -> np.ndarray:
+    """Matrix f_tilde(E_j - E_k) over energies j in `rows`, k in `cols`; all ones at beta = 0."""
+    energies = spectral.energies
+    gaps = energies[rows, None] - energies[None, cols]
     return f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
 
 
@@ -252,44 +255,67 @@ class HessianReport:
         return payload
 
 
-def hessian_matrices(m: int) -> int:
-    """Dense matrices `_hessian_core` holds at once.
+SLAB_ROWS = 32  # energy rows per slab of the Hessian kernel
 
-    At its peak it holds m + 3.5: the energy-basis stack (m), V, V^dag, one
-    product buffer and the real weight root.  The rest covers the table's
-    (m, 2^n) index arrays and numpy's ufunc buffers; diagonalising H before
-    the stack exists takes about 4.
+
+def hessian_matrices(m: int, n: int) -> int:
+    """Dense 2^n x 2^n matrices `_hessian_core` holds at once on n sites.
+
+    Its peak is one slab, A_l[J, lo:] for every l: m * b rows of at most 2^n
+    entries, so ceil(m * b / 2^n) matrices with b = min(SLAB_ROWS, 2^n).
+    The constant covers V, the slab's row block and its scratch, the table's
+    index arrays and numpy's buffers; diagonalising H before the first slab
+    exists takes about 4.
     """
-    return m + 5
+    dim = 2**n
+    return 5 + -(-m * min(SLAB_ROWS, dim) // dim)
 
 
-def _hessian_core(basis, lam: np.ndarray, beta: float) -> HessianReport:
+def _hessian_core(
+    basis, lam: np.ndarray, beta: float, spectral: SpectralDecomposition | None = None
+) -> HessianReport:
+    """Hessian of log Z at lam; `spectral`, when given, is the eigensystem of H(lam)."""
     lam = np.asarray(lam, dtype=float)
     m = basis.m
-    check_dense_budget(hessian_matrices(m), basis.lattice.n_sites)
+    n = basis.lattice.n_sites
+    check_dense_budget(hessian_matrices(m, n), n)
     table = basis_stack(basis)
-    spectral = diagonalize(table.combine(lam))
-    ensemble = gibbs(spectral, beta)
-    r = ensemble.weights
-    # sqrt(f(E_j - E_k) * (r_j + r_k)): symmetric in j and k, never negative
-    root = gap_filter(spectral, beta)
-    root *= r[:, None] + r[None, :]
-    np.sqrt(root, out=root)
-    V = spectral.vectors
-    Vh = V.conj().T
-    # energy-basis forms A_l = V^dag E_l V, built in place in one m-stack
-    A = table.times(V)
-    for block in A:
-        block[...] = Vh @ block
-    e = np.einsum("ljj,j->l", A, r).real
-    # sum_jk A_l[j,k] A_m[k,j] w[j,k] = Re sum_jk (root A_l)[j,k] conj(root A_m)[j,k]
-    # by Hermiticity, so the whole sum is one real Gram matrix (a syrk)
-    A *= root
-    B = A.reshape(m, -1).view(float)
-    matrix = 0.5 * beta**2 * (B @ B.T)
+    if spectral is None:
+        spectral = diagonalize(table.combine(lam))
+    r = gibbs(spectral, beta).weights
+    gram = np.zeros((m, m))
+    e = np.zeros(m)
+    # one slab of energy rows alive at a time
+    for lo in range(0, spectral.dim, SLAB_ROWS):
+        slab_gram, slab_e = _slab(table, spectral, r, beta, slice(lo, lo + SLAB_ROWS))
+        gram += slab_gram
+        e += slab_e
+    matrix = 0.5 * beta**2 * gram
     matrix -= beta**2 * np.outer(e, e)
     min_eig = float(np.linalg.eigvalsh(matrix)[0]) if matrix.size else 0.0
     return HessianReport(lam=lam.copy(), beta=float(beta), matrix=matrix, min_eigenvalue=min_eig)
+
+
+def _slab(table, spectral, r, beta, J: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Gram matrix and e_l contributions of energy rows J of every A_l = V^dag E_l V.
+
+    Entry (k, l) of the Gram matrix is sum_ij w[i,j] Re A_k[i,j] conj(A_l[i,j])
+    with w = f(E_i - E_j) (r_i + r_j), which is symmetric in i and j.  A_l is
+    Hermitian, so the columns right of the diagonal block J x J stand in for
+    their mirror below it at twice the weight, and only columns >= J.start
+    are formed.  Scaled by sqrt(w), the slab's contribution is one real syrk.
+    """
+    V = spectral.vectors
+    A = table.sandwich(V[:, J].conj().T, V[:, J.start :])
+    rows = A.shape[1]
+    e = A[:, np.arange(rows), np.arange(rows)].real @ r[J]
+    root = gap_filter(spectral, beta, J, slice(J.start, None))
+    root *= r[J, None] + r[None, J.start :]
+    root[:, rows:] *= 2.0
+    np.sqrt(root, out=root)
+    A *= root
+    B = A.reshape(A.shape[0], -1).view(float)
+    return B @ B.T, e
 
 
 def hessian_logZ(model: HamiltonianModel, beta: float) -> HessianReport:

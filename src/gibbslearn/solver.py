@@ -18,7 +18,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .gibbs import diagonalize, gibbs, marginals
+from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals
 from .lattice import OperatorBasis, PauliTable, basis_stack
 from .measure import MarginalEstimates
 from .qbp import _hessian_core
@@ -79,7 +79,8 @@ class SolverTrace:
     `steps` holds the backtracking step on "first-order" rows and the Newton
     damping on "polish" rows; `evals` counts dual evaluations so far,
     the initial one included.  `pg_final` is the projected-gradient norm at
-    the returned point.
+    the returned point, and `spectral` the eigensystem of H there, so that
+    callers need not diagonalize it again.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -92,6 +93,7 @@ class SolverTrace:
     pg_final: float = 0.0
     converged: bool = False
     wall_time: float = 0.0
+    spectral: SpectralDecomposition | None = field(default=None, repr=False)
 
     @property
     def n_iterations(self) -> int:
@@ -128,27 +130,26 @@ def _e_hat_vector(e_hat, m: int) -> np.ndarray:
 
 
 def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTable):
-    """(objective, gradient) from one diagonalization of H(lam)."""
-    ensemble = gibbs(diagonalize(table.combine(lam)), beta)
+    """(objective, gradient, eigensystem of H(lam)) from one diagonalization."""
+    spectral = diagonalize(table.combine(lam))
+    ensemble = gibbs(spectral, beta)
     obj = ensemble.log_z + beta * float(np.dot(lam, target))
     grad = beta * (target - marginals(table, ensemble))
-    return obj, grad
+    return obj, grad, spectral
 
 
 def objective(lam, e_hat, beta: float, basis: OperatorBasis) -> float:
     """Dual objective log Z(lam) + beta * <lam, e_hat>."""
     lam = np.asarray(lam, dtype=float)
     target = _e_hat_vector(e_hat, basis.m)
-    obj, _ = _dual_eval(lam, target, float(beta), basis_stack(basis))
-    return obj
+    return _dual_eval(lam, target, float(beta), basis_stack(basis))[0]
 
 
 def gradient(lam, e_hat, beta: float, basis: OperatorBasis) -> np.ndarray:
     """Dual gradient: component l is beta * (e_hat_l - e_l(lam))."""
     lam = np.asarray(lam, dtype=float)
     target = _e_hat_vector(e_hat, basis.m)
-    _, grad = _dual_eval(lam, target, float(beta), basis_stack(basis))
-    return grad
+    return _dual_eval(lam, target, float(beta), basis_stack(basis))[1]
 
 
 def solve(
@@ -179,10 +180,11 @@ def solve(
 
     x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
     x = project(x)
-    fx, gx = evaluate(x)
-    x, fx, gx = _first_order(x, fx, gx, evaluate, project, cfg, trace)
-    x, fx, gx = _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace)
+    fx, gx, sx = evaluate(x)
+    x, fx, gx, sx = _first_order(x, fx, gx, sx, evaluate, project, cfg, trace)
+    x, fx, gx, sx = _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace)
 
+    trace.spectral = sx
     trace.pg_final = _pg_norm(x, gx, project)
     trace.converged = trace.pg_final <= cfg.tol_grad
     trace.wall_time = time.perf_counter() - started
@@ -204,8 +206,11 @@ def _pg_norm(x, g, project) -> float:
     return float(np.linalg.norm(x - project(x - g)))
 
 
-def _first_order(x, fx, gx, evaluate, project, cfg, trace):
-    """Backtracking projected gradient with Nesterov extrapolation, down to the polish trigger."""
+def _first_order(x, fx, gx, sx, evaluate, project, cfg, trace):
+    """Backtracking projected gradient with Nesterov extrapolation, down to the polish trigger.
+
+    sx, the eigensystem at the accepted iterate x, travels with it.
+    """
     tol = max(cfg.tol_grad, POLISH_TRIGGER)
     eta = ETA0
     t_momentum = 1.0
@@ -216,7 +221,7 @@ def _first_order(x, fx, gx, evaluate, project, cfg, trace):
         pg = _pg_norm(x, gx, project)
         trace.record(fx, pg, last_step, "first-order")
         if pg <= tol:
-            return x, fx, gx
+            return x, fx, gx, sx
 
         # Armijo line search along the projection arc from y.  When y is the
         # last accepted iterate the step must also keep the trace monotone.
@@ -224,14 +229,14 @@ def _first_order(x, fx, gx, evaluate, project, cfg, trace):
         slack = 4e-16 * max(1.0, abs(fy))
         while True:
             cand = project(y - eta * gy)
-            f_cand, g_cand = evaluate(cand)
+            f_cand, g_cand, s_cand = evaluate(cand)
             decrease = ARMIJO_C * float(np.dot(gy, y - cand))
             if f_cand <= fy - decrease + slack and (extrapolated or f_cand <= fx):
                 break
             eta *= SHRINK
             if eta < 1e-16:
                 # no representable step makes progress; stop here
-                return x, fx, gx
+                return x, fx, gx, sx
         last_step = eta
         eta /= SHRINK  # allow the next trial step to grow back
 
@@ -243,7 +248,7 @@ def _first_order(x, fx, gx, evaluate, project, cfg, trace):
             continue
 
         x_prev, x = x, cand
-        fx, gx = f_cand, g_cand
+        fx, gx, sx = f_cand, g_cand, s_cand
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
         # keep the extrapolation feasible so the line search can succeed
         y = project(x + ((t_momentum - 1.0) / t_next) * (x - x_prev))
@@ -251,11 +256,11 @@ def _first_order(x, fx, gx, evaluate, project, cfg, trace):
         if np.array_equal(y, x):
             fy, gy = fx, gx
         else:
-            fy, gy = evaluate(y)
-    return x, fx, gx
+            fy, gy, _ = evaluate(y)
+    return x, fx, gx, sx
 
 
-def _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace):
+def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace):
     """Damped Newton refinement entered once the projected gradient is small.
 
     Each step solves H(x) d = g exactly and backtracks along the projection
@@ -267,7 +272,7 @@ def _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace):
     for _ in range(cfg.polish_max_iters):
         pg = _pg_norm(x, gx, project)
         if pg <= cfg.tol_grad:
-            return x, fx, gx
+            return x, fx, gx, sx
         # coordinates pinned on the box boundary with an outward gradient are
         # binding: the Newton system is solved on the free block only, or the
         # clipped step would chase the unconstrained optimum outside the box
@@ -279,30 +284,30 @@ def _newton_polish(x, fx, gx, evaluate, basis, beta, project, cfg, trace):
             binding = np.zeros(x.shape, dtype=bool)
         free = np.where(~binding)[0]
         if free.size == 0:
-            return x, fx, gx
-        H = _hessian_core(basis, x, beta).matrix[np.ix_(free, free)]
+            return x, fx, gx, sx
+        H = _hessian_core(basis, x, beta, sx).matrix[np.ix_(free, free)]
         try:
             d = np.zeros_like(x)
             d[free] = np.linalg.solve(H + 1e-14 * np.eye(free.size), gx[free])
         except np.linalg.LinAlgError:
-            return x, fx, gx
+            return x, fx, gx, sx
         if not np.all(np.isfinite(d)):
-            return x, fx, gx
+            return x, fx, gx, sx
         s = 1.0
         accepted = False
         slack = 4e-16 * max(1.0, abs(fx))
         for _ in range(40):
             cand = project(x - s * d)
-            f_cand, g_cand = evaluate(cand)
+            f_cand, g_cand, s_cand = evaluate(cand)
             if f_cand <= fx + slack and _pg_norm(cand, g_cand, project) < pg:
                 accepted = True
                 break
             s *= 0.5
         if not accepted:
-            return x, fx, gx
-        x, fx, gx = cand, f_cand, g_cand
+            return x, fx, gx, sx
+        x, fx, gx, sx = cand, f_cand, g_cand, s_cand
         trace.record(fx, _pg_norm(x, gx, project), s, "polish")
-    return x, fx, gx
+    return x, fx, gx, sx
 
 
 def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:
@@ -316,12 +321,23 @@ def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:
     return 2.0 * beta * np.sqrt(m) * delta / alpha
 
 
-def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
-    """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b]."""
+def alpha_along_segment(
+    basis: OperatorBasis,
+    a,
+    b,
+    beta: float,
+    ends: tuple[SpectralDecomposition | None, SpectralDecomposition | None] = (None, None),
+) -> float:
+    """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b].
+
+    `ends` may hold the eigensystems of H(a) and H(b), which the first and
+    last points then reuse.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
+    spectra = [ends[0], *[None] * (ALPHA_POINTS - 2), ends[1]]
     lo = np.inf
-    for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
-        report = _hessian_core(basis, (1 - t) * a + t * b, float(beta))
+    for t, spectral in zip(np.linspace(0.0, 1.0, ALPHA_POINTS), spectra):
+        report = _hessian_core(basis, (1 - t) * a + t * b, float(beta), spectral)
         lo = min(lo, report.min_eigenvalue)
     return float(lo)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from gibbslearn import cli, qbp, solver
 from gibbslearn.cli import SUITES, _trial_pool, main
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
@@ -165,6 +166,25 @@ def test_learn_end_to_end(tmp_path, capsys):
     assert env["numpy"] == np.__version__
     assert set(env["thread_env"]) == set(THREAD_VARS)
     assert env["cpu_count"] == os.cpu_count()
+
+
+def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
+    # sampling diagonalizes mu and each dual evaluation its point; the Newton
+    # polish and the ends of the alpha segment reuse those eigensystems
+    calls = []
+
+    def counted(H, original=cli.diagonalize):
+        calls.append(1)
+        return original(H)
+
+    for module in (cli, qbp, solver):
+        monkeypatch.setattr(module, "diagonalize", counted)
+    model = load_model(run_gen(tmp_path, n=3))
+    cfg = solver.SolverConfig(tol_grad=1e-12)
+    run = cli._learn_once(model, 3.0, 1000, "exact", 0.05, 1, cfg)
+    trace = run["trace"]
+    assert "polish" in trace.phases
+    assert len(calls) == trace.dual_evals + 1 + (solver.ALPHA_POINTS - 2)
 
 
 def test_learn_exact_scheme_flag_wins(tmp_path):
@@ -488,12 +508,12 @@ def test_marginals_dump_matches_direct_computation(tmp_path):
 
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals", "sweep"])
 def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
-    # an open n=14 chain: a Hessian holds 2m + 4 = 322 matrices of 4.3 GB.
-    # marginals holds two dense matrices, which take 17.6 TB each at n=20.
+    # an open n=20 chain: a dense matrix takes 17.6 TB, and every command
+    # holds at least two
     if command == "sweep":
-        cfg = sweep_config(tmp_path, axis="size", values=[3, 14], beta=1.0, N=2000)
+        cfg = sweep_config(tmp_path, axis="size", values=[3, 20], beta=1.0, N=2000)
     else:
-        cfg = learn_config(tmp_path, run_gen(tmp_path, n=20 if command == "marginals" else 14))
+        cfg = learn_config(tmp_path, run_gen(tmp_path, n=20))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)

@@ -77,12 +77,15 @@ def test_gibbs_rejects_bad_beta():
         gibbs(spec, float("nan"))
 
 
-def test_diagonalize_rejects_non_hermitian():
+def test_gibbs_state_rejects_non_hermitian():
+    # a caller's matrix is checked; diagonalize reads one triangle of the
+    # table-built H, which test_lattice pins Hermitian
     M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        diagonalize(M)
-    with pytest.raises(ValueError):
-        diagonalize(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        gibbs_state(M, 1.0)
+    for call in (diagonalize, lambda H: gibbs_state(H, 1.0)):
+        with pytest.raises(ValueError, match="square"):
+            call(np.zeros((2, 3)))
 
 
 def test_spectral_reconstruction():

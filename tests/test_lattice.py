@@ -174,11 +174,25 @@ def test_pauli_table_matches_dense_oracle(basis, rank, seed):
         table.expectations(rho), np.einsum("lab,ba->l", dense, rho).real, rtol=0, atol=1e-12
     )
     V = np.linalg.qr(random_state(dim, dim, rng))[0]
-    np.testing.assert_allclose(table.times(V), dense @ V, rtol=0, atol=1e-12)
+    lo = rng.integers(dim)
+    W = V[:, lo : rng.integers(lo + 1, dim + 1)].conj().T
+    right = V[:, rng.integers(dim) :]
+    np.testing.assert_allclose(
+        table.sandwich(W, right), W @ dense @ right, rtol=0, atol=1e-12
+    )
     anti = table.anticommutation()
     for k, l in rng.integers(basis.m, size=(200, 2)):
         anticommutator = dense[k] @ dense[l] + dense[l] @ dense[k]
         assert anti[k, l] == (np.max(np.abs(anticommutator)) < 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_bases(), st.integers(0, 2**32 - 1))
+def test_combine_is_exactly_hermitian(basis, seed):
+    # gibbs.diagonalize reads only the lower triangle of the table-built H
+    coeffs = np.random.default_rng(seed).uniform(-1.0, 1.0, basis.m)
+    H = basis_stack(basis).combine(coeffs)
+    np.testing.assert_array_equal(H, H.conj().T)
 
 
 def test_assemble_matches_manual_sum():

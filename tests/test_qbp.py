@@ -1,17 +1,20 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslearn import qbp
 from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
     assemble_hamiltonian,
     basis_stack,
+    check_dense_budget,
     enumerate_basis,
     pauli_matrix,
 )
@@ -30,7 +33,7 @@ from gibbslearn.qbp import (
     verify_fourier_pair,
 )
 
-from conftest import dense_basis, raises_before_allocating, random_chain_model
+from conftest import chain_basis, dense_basis, raises_before_allocating, random_chain_model
 
 
 def test_filter_kernel_validation():
@@ -183,8 +186,9 @@ def hessian_models(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(hessian_models(), st.floats(0.1, 3.0))
-def test_hessian_kernel_matches_dense_oracle(model, beta):
+@given(hessian_models(), st.floats(0.1, 3.0), st.sampled_from([1, 2, 3, 4, 32]))
+def test_hessian_kernel_matches_dense_oracle(model, beta, slab_rows):
+    # slabs of 1-4 rows split the n <= 4 spectra into several slabs, some ragged
     # entry (j, k) = (beta^2/2) Re Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, from dense matrices
     dense = dense_basis(model.basis)
     spectral = diagonalize(np.tensordot(model.mu, dense, axes=1))
@@ -194,13 +198,16 @@ def test_hessian_kernel_matches_dense_oracle(model, beta):
     anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
-    report = _hessian_core(model.basis, model.mu, beta)
+    with mock.patch.object(qbp, "SLAB_ROWS", slab_rows):
+        report = _hessian_core(model.basis, model.mu, beta)
     np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
+    assert np.array_equal(report.matrix, report.matrix.T)
     assert abs(report.min_eigenvalue - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
 def test_hessian_kernel_peak_memory_within_its_count():
-    # from n = 7 on, dense matrices outweigh numpy's fixed ufunc buffers
+    # from n = 7 on, dense matrices outweigh numpy's fixed ufunc buffers;
+    # one slab of energy rows is alive at a time, never the m-stack
     model = random_chain_model(7, seed=3)
     basis_stack(model.basis)  # the cached table is not the kernel's
     _hessian_core(model.basis, model.mu, 1.3)
@@ -211,7 +218,16 @@ def test_hessian_kernel_peak_memory_within_its_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert model.basis.m * matrix_bytes < peak <= hessian_matrices(model.basis.m) * matrix_bytes
+    assert peak <= hessian_matrices(model.basis.m, 7) * matrix_bytes
+    assert peak < model.basis.m * matrix_bytes
+
+
+def test_hessian_reuses_a_given_eigensystem():
+    model = random_chain_model(6, seed=4)
+    spectral = diagonalize(assemble_hamiltonian(model))
+    own = _hessian_core(model.basis, model.mu, 0.9)
+    reused = _hessian_core(model.basis, model.mu, 0.9, spectral)
+    np.testing.assert_array_equal(reused.matrix, own.matrix)
 
 
 def test_hessian_symmetric_and_positive():
@@ -236,9 +252,16 @@ def test_hessian_report_round_trip():
 
 
 def test_hessian_budget_refuses_before_allocating():
-    # open n=14 chain: the stack alone is 683 GB, the Hessian tensors triple it
-    model = random_chain_model(14, seed=1)
+    # open n=20 chain: 6 matrices of 17.6 TB each
+    model = random_chain_model(20, seed=1)
     raises_before_allocating(lambda: hessian_logZ(model, 1.0))
+
+
+def test_hessian_budget_admits_a_12_site_chain():
+    # 7 matrices of 268 MB: 1.9 GB, where the m-stack needed 37.6 GB
+    basis = chain_basis(12)
+    assert hessian_matrices(basis.m, 12) == 7
+    check_dense_budget(hessian_matrices(basis.m, 12), 12)
 
 
 def test_quasilocal_direction_shape_check():
