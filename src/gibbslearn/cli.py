@@ -10,7 +10,9 @@ version, per-trial seeds, output names).  Feeding a manifest back through
 --config replays the run: CSV outputs are byte-identical because all
 randomness flows from recorded seeds and wall-clock data is quarantined in
 JSON sidecars.  Exit code 0 means every asserted check of that command
-passed.
+passed, 1 that the solver did not converge or a check failed, and 2 that the
+command could not run: `main` prints every CLIError and ValueError as
+`error: ...`.
 """
 
 from __future__ import annotations
@@ -28,21 +30,7 @@ import numpy as np
 
 from . import __version__
 from .gibbs import diagonalize, gibbs, marginals
-from .lab import (
-    CheckReport,
-    DirectionVector,
-    akl_concentration_check,
-    delta_gamma,
-    embed_on_sites,
-    global_to_local_check,
-    infinite_temp_variance_check,
-    lieb_robinson_decay,
-    local_unitary_probe,
-    local_variance_floor,
-    lower_bound_family,
-    strong_convexity_probe,
-    verify_sum_bounds,
-)
+from .lab import SUITES
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -52,10 +40,11 @@ from .lattice import (
     check_dense_budget,
     enumerate_basis,
     load_model,
+    random_chain,
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
-from .qbp import FilterKernel, hessian_logZ, hessian_matrices, quasilocal_W, verify_fourier_pair
+from .qbp import hessian_logZ, hessian_matrices
 from .reporting import (
     THREAD_VARS,
     is_manifest,
@@ -69,7 +58,7 @@ from .solver import SolverConfig, alpha_along_segment, error_bound, solve
 
 
 class CLIError(Exception):
-    """User-facing configuration or usage problem; exits with code 2."""
+    """User-facing configuration or usage problem; exits with code 2, as a ValueError does."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,14 +126,6 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
     return LatticeSpec(dimension=dim, side_lengths=tuple(sides), periodic=periodic)
 
 
-def _check_budget(basis: OperatorBasis, n_matrices: int) -> None:
-    """Fail before any dense allocation when a command cannot fit in memory."""
-    try:
-        check_dense_budget(n_matrices, basis.lattice.n_sites)
-    except ValueError as exc:
-        raise CLIError(str(exc))
-
-
 def _learn_matrices(basis: OperatorBasis) -> int:
     """Dense matrices one learn holds at once: a Hessian of the Newton polish
     or the alpha segment, plus the eigenvectors at both ends of the segment."""
@@ -160,10 +141,7 @@ def _solver_config(raw: dict | None) -> SolverConfig:
     unknown = sorted(set(raw) - known)
     if unknown:
         raise CLIError(f"unknown solver config fields: {', '.join(unknown)}")
-    try:
-        return SolverConfig(**raw)
-    except ValueError as exc:
-        raise CLIError(f"bad solver config: {exc}")
+    return SolverConfig(**raw)
 
 
 DELTA_FAIL_FIELD = (False, lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)")
@@ -273,17 +251,10 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         raise CLIError(f"unknown scheme {scheme!r}, expected one of {SCHEMES}")
     delta_fail = float(config.get("delta_fail", DEFAULT_DELTA_FAIL))
     cfg = _solver_config(config.get("solver"))
-    try:
-        model = load_model(config["model"])
-    except FileNotFoundError:
-        raise CLIError(f"model file not found: {config['model']}")
-    _check_budget(model.basis, _learn_matrices(model.basis))
+    model = _read_model(config["model"])
+    check_dense_budget(_learn_matrices(model.basis), model.n_sites)
     beta = float(config["beta"])
-
-    try:
-        run = _learn_once(model, beta, config["N"], scheme, delta_fail, seed, cfg)
-    except ValueError as exc:  # numpy.linalg.LinAlgError included
-        raise CLIError(str(exc))
+    run = _learn_once(model, beta, config["N"], scheme, delta_fail, seed, cfg)
 
     estimates = run["estimates"]
     write_csv(
@@ -347,15 +318,13 @@ def _trial_worker(payload: dict) -> dict:
     beta = payload["beta"]
     n_copies = payload["N"]
     try:
-        lattice = LatticeSpec(dimension=1, side_lengths=(n,))
-        basis = enumerate_basis(lattice, payload["kappa"])
         rng = np.random.default_rng(payload["seed"])
         if payload["mu"] is None:
-            mu = rng.uniform(-1.0, 1.0, basis.m)
+            model = random_chain(n, payload["kappa"], rng)
         else:
-            mu = np.asarray(payload["mu"], dtype=float)
+            basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), payload["kappa"])
+            model = HamiltonianModel(basis=basis, mu=payload["mu"])
         measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
-        model = HamiltonianModel(basis=basis, mu=mu)
         run = _learn_once(
             model,
             beta,
@@ -368,7 +337,7 @@ def _trial_worker(payload: dict) -> dict:
         row = (
             trial,
             n,
-            basis.m,
+            model.basis.m,
             beta,
             n_copies,
             run["delta_max"],
@@ -475,7 +444,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
         # every worker runs one learn at a time
-        _check_budget(basis, _learn_matrices(basis) * workers)
+        check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
 
     if workers > 1:
         with _trial_pool(workers) as pool:
@@ -546,248 +515,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# lab suites
-
-
-def _bundled_chain(n: int, kappa: int, seed: int, scale: float = 1.0) -> HamiltonianModel:
-    lattice = LatticeSpec(dimension=1, side_lengths=(n,))
-    basis = enumerate_basis(lattice, kappa)
-    mu = np.random.default_rng(seed).uniform(-1.0, 1.0, basis.m) * scale
-    return HamiltonianModel(basis=basis, mu=mu)
-
-
-def _ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
-    """Sparse chain: nearest-neighbour ZZ plus on-site X, nothing else."""
-    lattice = LatticeSpec(dimension=1, side_lengths=(n,))
-    basis = enumerate_basis(lattice, 2)
-    mu = np.zeros(basis.m)
-    for i, op in enumerate(basis.ops):
-        if op.letters == "ZZ":
-            mu[i] = coupling
-        elif op.letters == "X":
-            mu[i] = field
-    return HamiltonianModel(basis=basis, mu=mu)
-
-
-def _suite_strong_convexity(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.2, 1.0, 3.0])
-    trials = int(config.get("trials", 10))
-    reports = []
-    for k, (n, inst) in enumerate([(2, 0), (2, 1), (3, 0), (3, 1)]):
-        model = _bundled_chain(n, 2, trial_seed(seed, k))
-        for beta in betas:
-            rep = strong_convexity_probe(model, float(beta), trials, trial_seed(seed, 50 + k))
-            rep.grid.update(n=n, instance=inst)
-            reports.append(rep)
-    return reports
-
-
-def _suite_infinite_temp(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 1.0, 2.0])
-    n_dirs = int(config.get("directions", 3))
-    reports = []
-    for k, n in enumerate((2, 3)):
-        model = _bundled_chain(n, 2, trial_seed(seed, k))
-        rng = np.random.default_rng(trial_seed(seed, 100 + k))
-        for beta in betas:
-            beta = float(beta)
-            v = None
-            for _ in range(n_dirs):
-                v = DirectionVector.random(model.basis.m, rng).v
-                rep = infinite_temp_variance_check(model, beta, v)
-                rep.grid.update(n=n)
-                reports.append(rep)
-            W_t = quasilocal_W(v, model, beta)
-            rep = global_to_local_check(W_t, tuple(range(n)), n)
-            rep.grid.update(n=n, beta=beta)
-            reports.append(rep)
-            rep = local_variance_floor(v, model, beta)
-            rep.grid.update(n=n)
-            reports.append(rep)
-    return reports
-
-
-def _suite_akl(config: dict, seed: int) -> list[CheckReport]:
-    fractions = config.get("window_fractions", [0.15, 0.25, 0.35])
-    instances = [("dense", _bundled_chain(3, 2, trial_seed(seed, k), 0.5)) for k in range(3)]
-    instances += [("sparse", _ising_chain(n, 0.4, 0.3)) for n in (4, 5)]
-    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    reports = []
-    for tag, model in instances:
-        energies = diagonalize(assemble_hamiltonian(model)).energies
-        width = float(energies[-1] - energies[0])
-        X = (model.basis.lattice.n_sites // 2,)
-        for frac in fractions:
-            x = float(energies[0] + frac * width)
-            y = float(energies[-1] - frac * width)
-            if y <= x:
-                continue
-            rep = akl_concentration_check(model, sigma_x, X, x, y)
-            rep.grid.update(instance=tag)
-            reports.append(rep)
-    return reports
-
-
-def _suite_delta_gamma(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 2.0])
-    model = _bundled_chain(3, 2, trial_seed(seed, 0), 0.7)
-    spectral = diagonalize(assemble_hamiltonian(model))
-    z = np.diag([1.0, -1.0])
-    x = np.array([[0.0, 1.0], [1.0, 0.0]])
-    observables = {
-        "Z0": embed_on_sites(z, (0,), 3),
-        "X1": embed_on_sites(x, (1,), 3),
-        "Z0Z1": embed_on_sites(np.kron(z, z), (0, 1), 3),
-    }
-    reports = []
-    for beta in betas:
-        ensemble = gibbs(spectral, float(beta))
-        for name, A in observables.items():
-            top = 1.1 * float(np.max(np.abs(np.linalg.eigvalsh(A))))
-            rows = []
-            min_slack = math.inf
-            ok = True
-            for gamma in np.linspace(0.0, top, 12):
-                try:
-                    sc = delta_gamma(A, ensemble, float(gamma))
-                except AssertionError as exc:
-                    rows.append((name, float(beta), float(gamma), math.nan, math.nan, math.nan))
-                    ok = False
-                    continue
-                rows.append(
-                    (name, float(beta), float(gamma), sc.delta_gamma, sc.mean_square, sc.slack)
-                )
-                min_slack = min(min_slack, sc.slack)
-            reports.append(
-                CheckReport(
-                    check="delta-gamma",
-                    passed=ok and min_slack >= -1e-10,
-                    min_slack=min_slack,
-                    header=("observable", "beta", "gamma", "delta_gamma", "mean_square", "slack"),
-                    rows=rows,
-                    grid={"observable": name, "beta": float(beta)},
-                )
-            )
-    return reports
-
-
-def _suite_local_unitary(config: dict, seed: int) -> list[CheckReport]:
-    trials = int(config.get("trials", 6))
-    model = _bundled_chain(3, 2, trial_seed(seed, 0), 0.7)
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), float(config.get("beta", 1.0)))
-    z = np.diag([1.0, -1.0])
-    observables = {
-        "Z0": embed_on_sites(z, (0,), 3),
-        "Z1Z2": embed_on_sites(np.kron(z, z), (1, 2), 3),
-    }
-    reports = []
-    for k, (name, A) in enumerate(observables.items()):
-        for X in ((0,), (1,)):
-            rep = local_unitary_probe(A, ensemble, X, 3, trials, trial_seed(seed, 10 + k))
-            rep.grid.update(observable=name)
-            reports.append(rep)
-    return reports
-
-
-def _suite_lr_decay(config: dict, seed: int) -> list[CheckReport]:
-    times = config.get("times", [0.25, 0.75])
-    reports = []
-    for n in (5, 6):
-        model = _ising_chain(n, 0.5, 0.4)
-        targets = [
-            op
-            for op in model.basis.ops
-            if op.support == (n // 2,) and op.letters in ("Z", "X")
-        ]
-        for t in times:
-            for op in targets:
-                profile = lieb_robinson_decay(op, model, float(t), range(0, n))
-                rows = [
-                    (float(t), op.letters, op.support[0], r, norm)
-                    for r, norm in zip(profile.radii, profile.norms)
-                ]
-                passed = profile.nonincreasing and profile.final_norm <= 1e-10
-                reports.append(
-                    CheckReport(
-                        check="lr-decay",
-                        passed=passed,
-                        min_slack=1e-10 - profile.final_norm,
-                        header=("t", "letters", "site", "radius", "truncation_norm"),
-                        rows=rows,
-                        grid={
-                            "n": n,
-                            "t": float(t),
-                            "decay_rate": profile.a2,
-                            "prefactor": profile.a1,
-                        },
-                    )
-                )
-    return reports
-
-
-def _suite_sum_bounds(config: dict, seed: int) -> list[CheckReport]:
-    return [verify_sum_bounds(config.get("points"))]
-
-
-def _suite_lower_bound(config: dict, seed: int) -> list[CheckReport]:
-    rng = np.random.default_rng(trial_seed(seed, 0))
-    reports = []
-    for m in config.get("sizes", [1, 2, 4, 8]):
-        for beta in config.get("betas", [0.5, 1.0]):
-            for eps in config.get("epsilons", [0.1, 0.5]):
-                mu_zero = np.zeros(m)
-                raw = np.abs(rng.standard_normal(m))
-                norm = float(np.linalg.norm(raw))
-                mu_edge = raw * (10.0 * eps / norm) if norm else mu_zero
-                for mu in (mu_zero, mu_edge):
-                    reports.append(lower_bound_family(m, float(beta), float(eps), mu))
-    return reports
-
-
-def _suite_fourier(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 1.0, 2.0])
-    omegas = np.asarray(
-        config.get(
-            "omegas",
-            np.concatenate([np.linspace(-8.0, 8.0, 33), [1e-9, 1e-6, 1e-3]]),
-        ),
-        dtype=float,
-    )
-    reports = []
-    for beta in betas:
-        pair = verify_fourier_pair(FilterKernel(float(beta)), omegas)
-        rows = [
-            (float(beta), w, nu, ex, abs(nu - ex))
-            for w, nu, ex in zip(pair.omegas, pair.numeric, pair.exact)
-        ]
-        reports.append(
-            CheckReport(
-                check="fourier",
-                passed=pair.max_abs_error < 1e-4,
-                min_slack=1e-4 - pair.max_abs_error,
-                header=("beta", "omega", "numeric", "exact", "abs_error"),
-                rows=rows,
-                grid={
-                    "beta": float(beta),
-                    "max_abs_error": pair.max_abs_error,
-                    "quad_error_estimate": pair.quad_error_estimate,
-                },
-            )
-        )
-    return reports
-
-
-SUITES = {
-    "strong-convexity": _suite_strong_convexity,
-    "infinite-temp": _suite_infinite_temp,
-    "akl": _suite_akl,
-    "delta-gamma": _suite_delta_gamma,
-    "local-unitary": _suite_local_unitary,
-    "lr-decay": _suite_lr_decay,
-    "sum-bounds": _suite_sum_bounds,
-    "lower-bound": _suite_lower_bound,
-    "fourier": _suite_fourier,
-}
+# lab
 
 
 def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
@@ -834,16 +562,19 @@ def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, fl
         },
     )
     _fail_fields(command, offenders)
+    return _read_model(config["model"]), float(config["beta"])
+
+
+def _read_model(path: str) -> HamiltonianModel:
     try:
-        model = load_model(config["model"])
+        return load_model(path)
     except FileNotFoundError:
-        raise CLIError(f"model file not found: {config['model']}")
-    return model, float(config["beta"])
+        raise CLIError(f"model file not found: {path}")
 
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "hessian")
-    _check_budget(model.basis, hessian_matrices(model.basis.m, model.n_sites))
+    check_dense_budget(hessian_matrices(model.basis.m, model.n_sites), model.n_sites)
     report = hessian_logZ(model, beta)
     rows = [
         (j, k, report.matrix[j, k])
@@ -868,7 +599,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
-    _check_budget(model.basis, 2)  # H and rho
+    check_dense_budget(2, model.n_sites)  # H and rho
     ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(
@@ -946,7 +677,7 @@ def main(argv=None) -> int:
         if args.command == "hessian":
             return cmd_hessian(config, seed, args.out)
         return cmd_marginals(config, seed, args.out)
-    except CLIError as exc:
+    except (CLIError, ValueError) as exc:  # numpy.linalg.LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

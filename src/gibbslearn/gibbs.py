@@ -45,9 +45,6 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return self.energies.shape[0]
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.energies) @ self.vectors.conj().T
-
 
 @dataclass(frozen=True, eq=False)
 class GibbsEnsemble:

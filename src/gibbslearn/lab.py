@@ -10,7 +10,9 @@ the product family used for the copy-count lower bound.
 Checks with explicit constants assert; checks whose constants are only known
 to exist record measured curves and a calibrated floor instead.  Every check
 returns a CheckReport (rows for CSV, a JSON-ready summary) rather than
-raising, so sweeps can tabulate failures.
+raising, so sweeps can tabulate failures.  Only this module builds reports:
+`SUITES`, at the end, fixes the instances, grids and pass tolerances that
+`gibbslearn lab <suite>` runs.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ from .lattice import (
     LocalBasisOp,
     assemble_hamiltonian,
     basis_stack,
+    enumerate_basis,
+    random_chain,
     to_dense,
 )
-from .qbp import gap_filter, hessian_logZ, quasilocal_W
+from .qbp import FilterKernel, _hessian_core, gap_filter, quasilocal_W, verify_fourier_pair
+from .reporting import trial_seed
 
 __all__ = [
+    "SUITES",
     "CheckReport",
-    "DirectionVector",
-    "LocalReduction",
     "SpectralConcentration",
     "QuasiLocalProfile",
+    "ising_chain",
+    "random_direction",
     "partial_trace",
     "embed_on_sites",
     "strong_convexity_probe",
@@ -53,6 +59,7 @@ __all__ = [
 ]
 
 SERIES_TAIL_TOL = 1e-12
+R_MIN = 0.01  # calibrated floor on the infinite-temperature variance ratio
 
 
 @dataclass(eq=False)
@@ -75,29 +82,10 @@ class CheckReport:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DirectionVector:
-    """A direction in coefficient space, optionally of unit Euclidean norm."""
-
-    v: np.ndarray
-    normalized: bool = False
-
-    def __post_init__(self) -> None:
-        vec = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "v", vec)
-        if self.normalized:
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-9:
-                raise ValueError(f"direction marked normalized has norm {norm}")
-
-    @staticmethod
-    def random(m: int, rng: np.random.Generator) -> "DirectionVector":
-        v = rng.standard_normal(m)
-        return DirectionVector(v / np.linalg.norm(v), normalized=True)
-
-
-def _as_direction(v) -> np.ndarray:
-    return v.v if isinstance(v, DirectionVector) else np.asarray(v, dtype=float)
+def random_direction(m: int, rng: np.random.Generator) -> np.ndarray:
+    """A unit vector in coefficient space: m standard normals, normalized."""
+    v = rng.standard_normal(m)
+    return v / np.linalg.norm(v)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +146,7 @@ def strong_convexity_probe(
     spectral = diagonalize(assemble_hamiltonian(model))
     ensemble = gibbs(spectral, beta)
     table = basis_stack(model.basis)
-    hess = hessian_logZ(model, beta).matrix
+    hess = _hessian_core(model.basis, model.mu, beta, spectral).matrix
 
     filt = gap_filter(spectral, beta)
     r = ensemble.weights
@@ -169,7 +157,7 @@ def strong_convexity_probe(
     min_slack = math.inf
     min_qm = math.inf
     for trial in range(trials):
-        v = DirectionVector.random(m, rng).v
+        v = random_direction(m, rng)
         q = float(v @ hess @ v)
         W = table.combine(v)
         B = V.conj().T @ W @ V
@@ -190,16 +178,14 @@ def strong_convexity_probe(
     )
 
 
-def infinite_temp_variance_check(
-    model: HamiltonianModel, beta: float, v, r_min: float = 0.01
-) -> CheckReport:
+def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> CheckReport:
     """Variance of W~_v in the maximally mixed state against its envelope.
 
     The reference shape is sum(v^2) / (beta log m + 1)^2; the hidden constant
-    is calibrated as the floor `r_min` on the ratio rather than asserted.
+    is calibrated as the floor R_MIN on the ratio rather than asserted.
     """
     beta = float(beta)
-    vec = _as_direction(v)
+    vec = np.asarray(v, dtype=float)
     m = model.basis.m
     dim = 2**model.n_sites
     W_t = quasilocal_W(vec, model, beta)
@@ -210,11 +196,11 @@ def infinite_temp_variance_check(
     ratio = var / envelope if envelope > 0 else math.inf
     return CheckReport(
         check="infinite-temp",
-        passed=ratio >= r_min,
-        min_slack=ratio - r_min,
+        passed=ratio >= R_MIN,
+        min_slack=ratio - R_MIN,
         header=("beta", "variance", "envelope", "ratio"),
         rows=[(beta, var, envelope, ratio)],
-        grid={"beta": beta, "m": m, "r_min": r_min},
+        grid={"beta": beta, "m": m, "r_min": R_MIN},
     )
 
 
@@ -222,28 +208,17 @@ def infinite_temp_variance_check(
 # Local reductions.
 
 
-@dataclass(frozen=True, eq=False)
-class LocalReduction:
-    """O minus its site-i partial trace re-tensored with identity/2."""
+def local_reduce(O: np.ndarray, i: int, n: int) -> np.ndarray:
+    """O minus its site-i partial trace re-tensored with identity/2.
 
-    source: np.ndarray
-    site: int
-    reduced: np.ndarray
-
-
-def local_reduce(O: np.ndarray, i: int, n: int | None = None) -> LocalReduction:
-    """Keep exactly the Pauli components of O that act nontrivially on site i."""
-    dim = O.shape[0]
-    if n is None:
-        n = int(round(math.log2(dim)))
-    if 2**n != dim:
-        raise ValueError(f"operator dimension {dim} is not a power of two")
+    Keeps exactly the Pauli components of O that act nontrivially on site i.
+    """
+    if O.shape != (2**n, 2**n):
+        raise ValueError(f"operator shape {O.shape} does not match n={n} sites")
     if not 0 <= i < n:
         raise ValueError(f"site {i} out of range for n={n}")
     keep = tuple(s for s in range(n) if s != i)
-    traced = partial_trace(O, keep, n)
-    reduced = O - embed_on_sites(traced / 2.0, keep, n)
-    return LocalReduction(source=O, site=i, reduced=reduced)
+    return O - embed_on_sites(partial_trace(O, keep, n) / 2.0, keep, n)
 
 
 def global_to_local_check(O: np.ndarray, Z: tuple[int, ...], n: int) -> CheckReport:
@@ -258,7 +233,7 @@ def global_to_local_check(O: np.ndarray, Z: tuple[int, ...], n: int) -> CheckRep
     total = float(np.real(np.vdot(O, O)))
     norms = []
     for i in Z:
-        red = local_reduce(O, i, n).reduced
+        red = local_reduce(O, i, n)
         norms.append(float(np.real(np.vdot(red, red))))
     sum_norms = float(sum(norms))
     max_norm = max(norms) if norms else 0.0
@@ -332,7 +307,6 @@ class SpectralConcentration:
 
     A: np.ndarray
     gamma: float
-    projector: np.ndarray
     delta_gamma: float
     mean_square: float  # <A^2> for the centered operator
 
@@ -360,7 +334,7 @@ def delta_gamma(A: np.ndarray, ensemble: GibbsEnsemble, gamma: float) -> Spectra
     d_gamma = min(max(d_gamma, 0.0), 1.0)
     mean_square = float(np.real(np.trace(A_c @ A_c @ rho)))
     out = SpectralConcentration(
-        A=A_c, gamma=float(gamma), projector=P, delta_gamma=d_gamma, mean_square=mean_square
+        A=A_c, gamma=float(gamma), delta_gamma=d_gamma, mean_square=mean_square
     )
     assert out.slack >= -1e-10, f"variance bound violated: {out.slack}"
     return out
@@ -373,15 +347,14 @@ def local_unitary_probe(
     n: int,
     trials: int,
     seed,
-    gammas=None,
 ) -> CheckReport:
     """Scatter of outside-window norms under random local unitaries.
 
     Records ||Q_gamma U_X sqrt(rho)||_F^2 and ||A Q_gamma U_X sqrt(rho)||_F^2
-    along a gamma sweep.  The claimed suppression constants are unknown, so
-    only the constant-free tail fact is asserted: at the largest gamma with
-    delta_gamma < 1e-8, both norms fall below 1e-6 (the window then swallows
-    the whole spectrum and Q_gamma is numerically empty).
+    along 22 gammas from 0 to 1.05 ||A||.  The claimed suppression constants
+    are unknown, so only the constant-free tail fact is asserted: at the
+    largest gamma with delta_gamma < 1e-8, both norms fall below 1e-6 (the
+    window then swallows the whole spectrum and Q_gamma is numerically empty).
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
@@ -391,8 +364,7 @@ def local_unitary_probe(
     A_c = A - shift * np.eye(dim, dtype=A.dtype)
     evals, U_A = np.linalg.eigh(A_c)
     norm_A = float(np.max(np.abs(evals)))
-    if gammas is None:
-        gammas = np.linspace(0.0, 1.05 * norm_A, 22)
+    gammas = np.linspace(0.0, 1.05 * norm_A, 22)
     sqrt_rho = (ensemble.spectral.vectors * np.sqrt(ensemble.weights)) @ (
         ensemble.spectral.vectors.conj().T
     )
@@ -445,7 +417,7 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
     positivity is asserted since the prefactor is an unspecified constant.
     """
     beta = float(beta)
-    vec = _as_direction(v)
+    vec = np.asarray(v, dtype=float)
     lattice = model.basis.lattice
     n = lattice.n_sites
     dim = 2**n
@@ -453,7 +425,7 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
     rows = []
     best = 0.0
     for i in range(n):
-        red = local_reduce(W_t, i, n).reduced
+        red = local_reduce(W_t, i, n)
         val = float(np.real(np.vdot(red, red))) / dim
         rows.append((i, val))
         best = max(best, val)
@@ -482,7 +454,6 @@ class QuasiLocalProfile:
     norms: list[float]
     a1: float
     a2: float
-    zeta: float
 
     @property
     def nonincreasing(self) -> bool:
@@ -547,13 +518,7 @@ def lieb_robinson_decay(
         a1, a2 = float(np.exp(intercept)), float(max(-slope, 0.0))
     else:
         a1, a2 = (norms[0] if norms else 0.0), 0.0
-    return QuasiLocalProfile(
-        radii=list(radii),
-        norms=norms,
-        a1=a1,
-        a2=a2,
-        zeta=float(max(norms)) if norms else 0.0,
-    )
+    return QuasiLocalProfile(radii=list(radii), norms=norms, a1=a1, a2=a2)
 
 
 # ---------------------------------------------------------------------------
@@ -691,3 +656,241 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
         rows=[(m, beta, epsilon, closed, envelope, agreement)],
         grid={"m": m, "beta": beta, "epsilon": epsilon},
     )
+
+
+# ---------------------------------------------------------------------------
+# Suites: the instances, grids and pass tolerances behind `gibbslearn lab`.
+# Each takes (config, master seed) and returns its reports in output order.
+
+
+def ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
+    """Sparse open chain: nearest-neighbour ZZ plus on-site X, nothing else."""
+    basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), 2)
+    mu = np.zeros(basis.m)
+    for i, op in enumerate(basis.ops):
+        if op.letters == "ZZ":
+            mu[i] = coupling
+        elif op.letters == "X":
+            mu[i] = field
+    return HamiltonianModel(basis=basis, mu=mu)
+
+
+def _suite_strong_convexity(config: dict, seed: int) -> list[CheckReport]:
+    betas = config.get("betas", [0.2, 1.0, 3.0])
+    trials = int(config.get("trials", 10))
+    reports = []
+    for k, (n, inst) in enumerate([(2, 0), (2, 1), (3, 0), (3, 1)]):
+        model = random_chain(n, 2, trial_seed(seed, k))
+        for beta in betas:
+            rep = strong_convexity_probe(model, float(beta), trials, trial_seed(seed, 50 + k))
+            rep.grid.update(n=n, instance=inst)
+            reports.append(rep)
+    return reports
+
+
+def _suite_infinite_temp(config: dict, seed: int) -> list[CheckReport]:
+    betas = config.get("betas", [0.5, 1.0, 2.0])
+    n_dirs = int(config.get("directions", 3))
+    reports = []
+    for k, n in enumerate((2, 3)):
+        model = random_chain(n, 2, trial_seed(seed, k))
+        rng = np.random.default_rng(trial_seed(seed, 100 + k))
+        for beta in betas:
+            beta = float(beta)
+            v = None
+            for _ in range(n_dirs):
+                v = random_direction(model.basis.m, rng)
+                rep = infinite_temp_variance_check(model, beta, v)
+                rep.grid.update(n=n)
+                reports.append(rep)
+            W_t = quasilocal_W(v, model, beta)
+            rep = global_to_local_check(W_t, tuple(range(n)), n)
+            rep.grid.update(n=n, beta=beta)
+            reports.append(rep)
+            rep = local_variance_floor(v, model, beta)
+            rep.grid.update(n=n)
+            reports.append(rep)
+    return reports
+
+
+def _suite_akl(config: dict, seed: int) -> list[CheckReport]:
+    fractions = config.get("window_fractions", [0.15, 0.25, 0.35])
+    instances = [("dense", random_chain(3, 2, trial_seed(seed, k), 0.5)) for k in range(3)]
+    instances += [("sparse", ising_chain(n, 0.4, 0.3)) for n in (4, 5)]
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    reports = []
+    for tag, model in instances:
+        energies = diagonalize(assemble_hamiltonian(model)).energies
+        width = float(energies[-1] - energies[0])
+        X = (model.basis.lattice.n_sites // 2,)
+        for frac in fractions:
+            x = float(energies[0] + frac * width)
+            y = float(energies[-1] - frac * width)
+            if y <= x:
+                continue
+            rep = akl_concentration_check(model, sigma_x, X, x, y)
+            rep.grid.update(instance=tag)
+            reports.append(rep)
+    return reports
+
+
+def _suite_delta_gamma(config: dict, seed: int) -> list[CheckReport]:
+    betas = config.get("betas", [0.5, 2.0])
+    model = random_chain(3, 2, trial_seed(seed, 0), 0.7)
+    spectral = diagonalize(assemble_hamiltonian(model))
+    z = np.diag([1.0, -1.0])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    observables = {
+        "Z0": embed_on_sites(z, (0,), 3),
+        "X1": embed_on_sites(x, (1,), 3),
+        "Z0Z1": embed_on_sites(np.kron(z, z), (0, 1), 3),
+    }
+    reports = []
+    for beta in betas:
+        ensemble = gibbs(spectral, float(beta))
+        for name, A in observables.items():
+            top = 1.1 * float(np.max(np.abs(np.linalg.eigvalsh(A))))
+            rows = []
+            min_slack = math.inf
+            ok = True
+            for gamma in np.linspace(0.0, top, 12):
+                try:
+                    sc = delta_gamma(A, ensemble, float(gamma))
+                except AssertionError as exc:
+                    rows.append((name, float(beta), float(gamma), math.nan, math.nan, math.nan))
+                    ok = False
+                    continue
+                rows.append(
+                    (name, float(beta), float(gamma), sc.delta_gamma, sc.mean_square, sc.slack)
+                )
+                min_slack = min(min_slack, sc.slack)
+            reports.append(
+                CheckReport(
+                    check="delta-gamma",
+                    passed=ok and min_slack >= -1e-10,
+                    min_slack=min_slack,
+                    header=("observable", "beta", "gamma", "delta_gamma", "mean_square", "slack"),
+                    rows=rows,
+                    grid={"observable": name, "beta": float(beta)},
+                )
+            )
+    return reports
+
+
+def _suite_local_unitary(config: dict, seed: int) -> list[CheckReport]:
+    trials = int(config.get("trials", 6))
+    model = random_chain(3, 2, trial_seed(seed, 0), 0.7)
+    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), float(config.get("beta", 1.0)))
+    z = np.diag([1.0, -1.0])
+    observables = {
+        "Z0": embed_on_sites(z, (0,), 3),
+        "Z1Z2": embed_on_sites(np.kron(z, z), (1, 2), 3),
+    }
+    reports = []
+    for k, (name, A) in enumerate(observables.items()):
+        for X in ((0,), (1,)):
+            rep = local_unitary_probe(A, ensemble, X, 3, trials, trial_seed(seed, 10 + k))
+            rep.grid.update(observable=name)
+            reports.append(rep)
+    return reports
+
+
+def _suite_lr_decay(config: dict, seed: int) -> list[CheckReport]:
+    times = config.get("times", [0.25, 0.75])
+    reports = []
+    for n in (5, 6):
+        model = ising_chain(n, 0.5, 0.4)
+        targets = [
+            op
+            for op in model.basis.ops
+            if op.support == (n // 2,) and op.letters in ("Z", "X")
+        ]
+        for t in times:
+            for op in targets:
+                profile = lieb_robinson_decay(op, model, float(t), range(0, n))
+                rows = [
+                    (float(t), op.letters, op.support[0], r, norm)
+                    for r, norm in zip(profile.radii, profile.norms)
+                ]
+                passed = profile.nonincreasing and profile.final_norm <= 1e-10
+                reports.append(
+                    CheckReport(
+                        check="lr-decay",
+                        passed=passed,
+                        min_slack=1e-10 - profile.final_norm,
+                        header=("t", "letters", "site", "radius", "truncation_norm"),
+                        rows=rows,
+                        grid={
+                            "n": n,
+                            "t": float(t),
+                            "decay_rate": profile.a2,
+                            "prefactor": profile.a1,
+                        },
+                    )
+                )
+    return reports
+
+
+def _suite_sum_bounds(config: dict, seed: int) -> list[CheckReport]:
+    return [verify_sum_bounds(config.get("points"))]
+
+
+def _suite_lower_bound(config: dict, seed: int) -> list[CheckReport]:
+    rng = np.random.default_rng(trial_seed(seed, 0))
+    reports = []
+    for m in config.get("sizes", [1, 2, 4, 8]):
+        for beta in config.get("betas", [0.5, 1.0]):
+            for eps in config.get("epsilons", [0.1, 0.5]):
+                mu_zero = np.zeros(m)
+                raw = np.abs(rng.standard_normal(m))
+                norm = float(np.linalg.norm(raw))
+                mu_edge = raw * (10.0 * eps / norm) if norm else mu_zero
+                for mu in (mu_zero, mu_edge):
+                    reports.append(lower_bound_family(m, float(beta), float(eps), mu))
+    return reports
+
+
+def _suite_fourier(config: dict, seed: int) -> list[CheckReport]:
+    betas = config.get("betas", [0.5, 1.0, 2.0])
+    omegas = np.asarray(
+        config.get(
+            "omegas",
+            np.concatenate([np.linspace(-8.0, 8.0, 33), [1e-9, 1e-6, 1e-3]]),
+        ),
+        dtype=float,
+    )
+    reports = []
+    for beta in betas:
+        pair = verify_fourier_pair(FilterKernel(float(beta)), omegas)
+        rows = [
+            (float(beta), w, nu, ex, abs(nu - ex))
+            for w, nu, ex in zip(pair.omegas, pair.numeric, pair.exact)
+        ]
+        reports.append(
+            CheckReport(
+                check="fourier",
+                passed=pair.max_abs_error < 1e-4,
+                min_slack=1e-4 - pair.max_abs_error,
+                header=("beta", "omega", "numeric", "exact", "abs_error"),
+                rows=rows,
+                grid={
+                    "beta": float(beta),
+                    "max_abs_error": pair.max_abs_error,
+                    "quad_error_estimate": pair.quad_error_estimate,
+                },
+            )
+        )
+    return reports
+
+
+SUITES = {
+    "strong-convexity": _suite_strong_convexity,
+    "infinite-temp": _suite_infinite_temp,
+    "akl": _suite_akl,
+    "delta-gamma": _suite_delta_gamma,
+    "local-unitary": _suite_local_unitary,
+    "lr-decay": _suite_lr_decay,
+    "sum-bounds": _suite_sum_bounds,
+    "lower-bound": _suite_lower_bound,
+    "fourier": _suite_fourier,
+}

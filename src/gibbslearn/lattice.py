@@ -23,6 +23,7 @@ __all__ = [
     "OperatorBasis",
     "HamiltonianModel",
     "enumerate_basis",
+    "random_chain",
     "to_dense",
     "assemble_hamiltonian",
     "PauliTable",
@@ -97,16 +98,6 @@ class LatticeSpec:
             coords.append(index % size)
             index //= size
         return tuple(reversed(coords))
-
-    def site_index(self, coords: Sequence[int]) -> int:
-        if len(coords) != self.dimension:
-            raise ValueError(f"expected {self.dimension} coordinates, got {len(coords)}")
-        index = 0
-        for c, size in zip(coords, self.side_lengths):
-            if not 0 <= c < size:
-                raise ValueError(f"coordinate {c} out of range for side {size}")
-            index = index * size + c
-        return index
 
     def distance(self, i: int, j: int) -> int:
         """Manhattan distance between two sites, wrapping axes when periodic."""
@@ -259,6 +250,17 @@ def enumerate_basis(lattice: LatticeSpec, kappa: int) -> OperatorBasis:
         for letters in itertools.product(PAULI_LETTERS, repeat=len(support)):
             ops.append(LocalBasisOp(support, "".join(letters), len(ops)))
     return OperatorBasis(lattice, kappa, tuple(ops))
+
+
+def random_chain(n: int, kappa: int, seed, scale: float = 1.0) -> HamiltonianModel:
+    """Open n-site chain with mu uniform in [-scale, scale].
+
+    `seed` is anything `numpy.random.default_rng` takes; a Generator is drawn
+    from and advanced, so a caller can keep drawing after the coefficients.
+    """
+    basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), kappa)
+    mu = np.random.default_rng(seed).uniform(-1.0, 1.0, basis.m) * scale
+    return HamiltonianModel(basis=basis, mu=mu)
 
 
 def pauli_matrix(letters_by_site: Iterable[str]) -> np.ndarray:

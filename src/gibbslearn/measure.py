@@ -22,7 +22,6 @@ __all__ = [
     "SCHEMES",
     "build_plan",
     "sample_outcomes",
-    "required_delta",
 ]
 
 SCHEMES = ("direct", "grouped", "exact")
@@ -191,13 +190,3 @@ def sample_outcomes(
         delta_fail=delta_fail,
     )
 
-
-def required_delta(epsilon: float, alpha: float, beta: float, m: int) -> float:
-    """Marginal accuracy sufficient for parameter error epsilon: alpha*eps/(2*beta*sqrt(m))."""
-    if alpha <= 0:
-        raise ValueError(
-            f"non-strongly-convex regime: alpha={alpha} must be positive"
-        )
-    if epsilon <= 0 or beta <= 0 or m < 1:
-        raise ValueError("epsilon, beta must be positive and m >= 1")
-    return alpha * epsilon / (2.0 * beta * np.sqrt(m))

@@ -33,7 +33,6 @@ __all__ = [
     "FilterKernel",
     "HessianReport",
     "FourierPairReport",
-    "QuadratureConfig",
     "f_tilde",
     "f_time",
     "gap_filter",
@@ -96,27 +95,14 @@ def f_time(t, kernel) -> np.ndarray | float:
     return out
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Symmetric quadrature layout for the Fourier-pair check.
-
-    The integrand is even, so the integral over [-T, T] is twice the integral
-    over [0, T].  The log singularity at t=0 is excised on (0, eps) and
-    replaced by the analytic integral of the local expansion
-    f(t) ~ (2/(beta*pi)) * (log(2*beta/(pi*t)) + (pi*t/beta)^2 / 12).
-    """
-
-    t_max: float = 40.0
-    step: float = 1e-3
-    eps: float = 1e-2
-    tol: float = 1e-4
-
-    def __post_init__(self) -> None:
-        if not (0 < self.step < self.eps < self.t_max):
-            raise ValueError(
-                f"require 0 < step < eps < t_max, got step={self.step}, "
-                f"eps={self.eps}, t_max={self.t_max}"
-            )
+# Quadrature layout of the Fourier-pair check.  The integrand is even, so the
+# integral over [-T, T] is twice the integral over [0, T].  The log singularity
+# at t = 0 is excised on (0, QUAD_EPS) and replaced by the analytic integral of
+# the local expansion f(t) ~ (2/(beta*pi)) * (log(2*beta/(pi*t)) + (pi*t/beta)^2 / 12).
+QUAD_T_MAX = 40.0
+QUAD_STEP = 1e-3
+QUAD_EPS = 1e-2
+QUAD_TOL = 1e-4
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,46 +128,43 @@ def _near_zero_correction(omegas: np.ndarray, beta: float, eps: float) -> np.nda
     return (2.0 / (beta * np.pi)) * bracket
 
 
-def verify_fourier_pair(
-    kernel, omegas, quad: QuadratureConfig | None = None
-) -> FourierPairReport:
+def verify_fourier_pair(kernel, omegas) -> FourierPairReport:
     """Compare the quadrature transform of f_time against f_tilde on a grid.
 
     Raises if the quadrature's own error estimate (step-halving comparison
-    plus tail and cutoff bounds) exceeds quad.tol -- a failed estimate means
+    plus tail and cutoff bounds) exceeds QUAD_TOL -- a failed estimate means
     the reported errors would be meaningless, not that the pair is wrong.
     """
     beta = _beta_of(kernel)
-    quad = quad or QuadratureConfig()
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
 
-    n_steps = int(np.ceil((quad.t_max - quad.eps) / quad.step))
+    n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))
     n_steps += n_steps % 2  # even count so the half-resolution grid shares endpoints
-    ts = quad.eps + quad.step * np.arange(n_steps + 1)
+    ts = QUAD_EPS + QUAD_STEP * np.arange(n_steps + 1)
     f_ts = f_time(ts, kernel)
 
     phases = np.cos(np.outer(omegas, ts))
     integrand = phases * f_ts
-    body = np.trapezoid(integrand, dx=quad.step, axis=1)
-    correction = _near_zero_correction(omegas, beta, quad.eps)
+    body = np.trapezoid(integrand, dx=QUAD_STEP, axis=1)
+    correction = _near_zero_correction(omegas, beta, QUAD_EPS)
     numeric = 2.0 * (body + correction)
 
     # Error budget: Richardson step-halving difference, exponential tail
     # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
-    coarse = np.trapezoid(integrand[:, ::2], dx=2 * quad.step, axis=1)
+    coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
     richardson = float(np.max(np.abs(body - coarse))) / 3.0
-    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * quad.t_max / beta))
+    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
     cutoff = (
         (2.0 / (beta * np.pi))
         * (np.max(omegas) ** 4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
-        * quad.eps**5
-        * (abs(np.log(quad.eps)) + 2.0)
+        * QUAD_EPS**5
+        * (abs(np.log(QUAD_EPS)) + 2.0)
     )
     estimate = 2.0 * (richardson + tail + cutoff)
-    if estimate > quad.tol:
+    if estimate > QUAD_TOL:
         raise ValueError(
             f"quadrature did not converge: error estimate {estimate:.3e} "
-            f"exceeds tolerance {quad.tol:.0e}"
+            f"exceeds tolerance {QUAD_TOL:.0e}"
         )
 
     exact = f_tilde(omegas, kernel)
@@ -239,20 +222,9 @@ def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
 class HessianReport:
     """Hessian of log Z at a coefficient point, with its extreme eigenvalue."""
 
-    lam: np.ndarray = field(repr=False)
-    beta: float = 0.0
-    matrix: np.ndarray = field(repr=False, default=None)
-    min_eigenvalue: float = 0.0
-
-    def to_dict(self, include_matrix: bool = False) -> dict:
-        payload = {
-            "lambda": [float(x) for x in self.lam],
-            "beta": float(self.beta),
-            "min_eig": float(self.min_eigenvalue),
-        }
-        if include_matrix:
-            payload["matrix"] = [[float(x) for x in row] for row in self.matrix]
-        return payload
+    beta: float
+    matrix: np.ndarray = field(repr=False)
+    min_eigenvalue: float
 
 
 SLAB_ROWS = 32  # energy rows per slab of the Hessian kernel
@@ -293,7 +265,7 @@ def _hessian_core(
     matrix = 0.5 * beta**2 * gram
     matrix -= beta**2 * np.outer(e, e)
     min_eig = float(np.linalg.eigvalsh(matrix)[0]) if matrix.size else 0.0
-    return HessianReport(lam=lam.copy(), beta=float(beta), matrix=matrix, min_eigenvalue=min_eig)
+    return HessianReport(beta=float(beta), matrix=matrix, min_eigenvalue=min_eig)
 
 
 def _slab(table, spectral, r, beta, J: slice) -> tuple[np.ndarray, np.ndarray]:

@@ -57,19 +57,24 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.constraint not in CONSTRAINTS:
             raise ValueError(
-                f"unknown constraint {self.constraint!r}, expected one of {CONSTRAINTS}"
+                f"bad solver config: unknown constraint {self.constraint!r}, "
+                f"expected one of {CONSTRAINTS}"
             )
         kinds = dict(max_iters=Integral, polish_max_iters=Integral, tol_grad=Real, radius=Real)
         for name, kind in kinds.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {kind.__name__.lower()}, got {value!r}")
+                raise ValueError(
+                    f"bad solver config: {name} must be {kind.__name__.lower()}, got {value!r}"
+                )
         if self.max_iters < 0 or self.polish_max_iters < 0:
-            raise ValueError("max_iters and polish_max_iters must be non-negative")
+            raise ValueError(
+                "bad solver config: max_iters and polish_max_iters must be non-negative"
+            )
         if not self.tol_grad > 0:
-            raise ValueError("tol_grad must be positive")
+            raise ValueError("bad solver config: tol_grad must be positive")
         if self.constraint != "none" and not self.radius > 0:
-            raise ValueError("constraint radius must be positive")
+            raise ValueError("bad solver config: constraint radius must be positive")
 
 
 @dataclass(eq=False)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from gibbslearn.lattice import HamiltonianModel, LatticeSpec, enumerate_basis, to_dense
+from gibbslearn.lattice import LatticeSpec, enumerate_basis, random_chain, to_dense
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -17,9 +17,7 @@ def chain_basis(n: int, kappa: int = 2):
 
 
 def random_chain_model(n: int, seed: int, scale: float = 1.0, kappa: int = 2):
-    basis = chain_basis(n, kappa)
-    mu = np.random.default_rng(seed).uniform(-1.0, 1.0, basis.m) * scale
-    return HamiltonianModel(basis=basis, mu=mu)
+    return random_chain(n, kappa, seed, scale)
 
 
 def raises_before_allocating(call):

@@ -20,6 +20,7 @@ from gibbslearn.lab import (
     akl_concentration_check,
     delta_gamma,
     global_to_local_check,
+    ising_chain,
     lieb_robinson_decay,
     lower_bound_family,
     strong_convexity_probe,
@@ -66,17 +67,6 @@ def _log_z_raw(stack: np.ndarray, mu: np.ndarray, beta: float) -> float:
     # probes may step outside the unit coefficient box
     H = np.tensordot(mu, stack, axes=1)
     return float(logsumexp(-beta * np.linalg.eigvalsh(H)))
-
-
-def _ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
-    basis = chain_basis(n)
-    mu = np.zeros(basis.m)
-    for i, op in enumerate(basis.ops):
-        if op.letters == "ZZ":
-            mu[i] = coupling
-        elif op.letters == "X":
-            mu[i] = field
-    return HamiltonianModel(basis=basis, mu=mu)
 
 
 def test_acceptance_01_derivatives_match_finite_differences():
@@ -267,7 +257,7 @@ def test_acceptance_06_filter_pair_quadrature():
 
 
 def test_acceptance_07_energy_block_concentration():
-    model = _ising_chain(6, 0.5, 0.4)
+    model = ising_chain(6, 0.5, 0.4)
     energies = np.linalg.eigvalsh(assemble_hamiltonian(model))
     mid = 0.5 * (energies[0] + energies[-1])
     rng = np.random.default_rng(77)
@@ -353,7 +343,7 @@ def test_acceptance_10_evolved_operators_stay_quasi_local():
     # scale-0.5 dense chain's light cone fills all six sites and the
     # pinching truncation is no longer pointwise monotone in r
     instances = [
-        _ising_chain(6, 0.5, 0.4),
+        ising_chain(6, 0.5, 0.4),
         random_chain_model(6, seed=0, scale=0.2),
         random_chain_model(6, seed=1, scale=0.2),
     ]

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gibbslearn import cli, qbp, solver
-from gibbslearn.cli import SUITES, _trial_pool, main
+from gibbslearn.cli import _trial_pool, main
+from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
 from gibbslearn.reporting import THREAD_VARS
@@ -455,6 +456,26 @@ def test_lab_sum_bounds_suite(tmp_path, capsys):
     assert manifest["config"]["suite"] == "sum-bounds"
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
+    out = tmp_path / "lab_out"
+    assert main(["lab", suite, "--out", str(out)]) == 0
+    assert json.loads((out / f"{suite}_suite.json").read_text())["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "suite, config, message",
+    [
+        ("fourier", {"omegas": [50.0]}, "quadrature did not converge"),
+        ("strong-convexity", {"betas": ["x"]}, "could not convert string to float"),
+    ],
+)
+def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
+    cfg = write_config(tmp_path, "lab.json", config)
+    assert main(["lab", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_lab_unknown_suite_lists_options(tmp_path, capsys):
     assert main(["lab", "astrology", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -517,6 +538,19 @@ def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["learn", "hessian", "marginals"])
+def test_malformed_model_file_exits_2(tmp_path, capsys, command):
+    payload = json.loads(run_gen(tmp_path, n=2).read_text())
+    del payload["kappa"]
+    model = tmp_path / "no_kappa.json"
+    model.write_text(json.dumps(payload))
+    cfg = learn_config(tmp_path, model)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "error: model payload missing field: kappa" in capsys.readouterr().err
     assert not any(out.iterdir())
 
 

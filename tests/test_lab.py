@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gibbslearn import lab, qbp
 from gibbslearn.gibbs import gibbs_state
 from gibbslearn.lab import (
     CheckReport,
-    DirectionVector,
     akl_concentration_check,
     delta_gamma,
     embed_on_sites,
@@ -18,6 +18,7 @@ from gibbslearn.lab import (
     local_variance_floor,
     lower_bound_family,
     partial_trace,
+    random_direction,
     strong_convexity_probe,
     verify_sum_bounds,
 )
@@ -104,12 +105,11 @@ def test_partial_trace_rejects_bad_subsets():
 # direction vectors and report plumbing
 
 
-def test_direction_vector_validation():
-    DirectionVector(np.array([3.0, 4.0]))  # unnormalized is fine by default
-    with pytest.raises(ValueError, match="norm"):
-        DirectionVector(np.array([3.0, 4.0]), normalized=True)
-    v = DirectionVector.random(12, np.random.default_rng(0))
-    assert np.linalg.norm(v.v) == pytest.approx(1.0, abs=1e-12)
+def test_random_direction_is_a_normalized_gaussian_draw():
+    v = random_direction(12, np.random.default_rng(0))
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    raw = np.random.default_rng(0).standard_normal(12)
+    np.testing.assert_array_equal(v, raw / np.linalg.norm(raw))
 
 
 def test_check_report_summary():
@@ -136,6 +136,20 @@ def test_strong_convexity_equality_at_zero_coupling():
     )
 
 
+def test_strong_convexity_probe_diagonalizes_once(monkeypatch):
+    # the probe hands its eigensystem of H(mu) to the Hessian kernel
+    calls = []
+
+    def counted(H, original=lab.diagonalize):
+        calls.append(1)
+        return original(H)
+
+    for module in (lab, qbp):
+        monkeypatch.setattr(module, "diagonalize", counted)
+    strong_convexity_probe(random_chain_model(5, seed=2), 1.0, trials=3, seed=0)
+    assert len(calls) == 1
+
+
 def test_strong_convexity_random_instances():
     for seed in (0, 1):
         model = random_chain_model(3, seed=seed)
@@ -156,7 +170,7 @@ def test_infinite_temp_variance_at_zero_coupling():
 
 def test_infinite_temp_variance_random_instance():
     model = random_chain_model(3, seed=19)
-    v = DirectionVector.random(model.basis.m, np.random.default_rng(1))
+    v = random_direction(model.basis.m, np.random.default_rng(1))
     for beta in (0.5, 2.0):
         rep = infinite_temp_variance_check(model, beta, v)
         assert rep.passed
@@ -192,11 +206,9 @@ def test_local_reduce_fixed_points():
         basis.lattice,
     )
     # an operator acting only on site 0 survives reduction at site 0 ...
-    np.testing.assert_allclose(local_reduce(z0, 0).reduced, z0, atol=1e-12)
+    np.testing.assert_allclose(local_reduce(z0, 0, 2), z0, atol=1e-12)
     # ... and vanishes under reduction at site 1
-    np.testing.assert_allclose(
-        local_reduce(z0, 1).reduced, np.zeros((4, 4)), atol=1e-12
-    )
+    np.testing.assert_allclose(local_reduce(z0, 1, 2), np.zeros((4, 4)), atol=1e-12)
 
 
 def test_local_reduce_matches_pauli_expansion():
@@ -204,7 +216,7 @@ def test_local_reduce_matches_pauli_expansion():
     # on site i; cross-check coefficient by coefficient
     basis = chain_basis(2)
     O = random_hermitian(4, 9)
-    red = local_reduce(O, 0).reduced
+    red = local_reduce(O, 0, 2)
     paulis = {"I": np.eye(2), **{c: pauli_matrix(c) for c in "XYZ"}}
     for a, Pa in paulis.items():
         for b, Pb in paulis.items():
@@ -215,10 +227,12 @@ def test_local_reduce_matches_pauli_expansion():
 
 
 def test_local_reduce_validation():
-    with pytest.raises(ValueError):
-        local_reduce(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        local_reduce(np.eye(4), 2)
+    with pytest.raises(ValueError, match="does not match"):
+        local_reduce(np.eye(3), 0, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        local_reduce(np.eye(4), 0, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        local_reduce(np.eye(4), 2, 2)
 
 
 def test_global_to_local_identity_component_invisible():

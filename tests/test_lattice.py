@@ -103,7 +103,9 @@ def test_chain_distance_symmetry(n, a, b) -> None:
 def test_grid_coords_round_trip(rows, cols, raw) -> None:
     lattice = LatticeSpec(dimension=2, side_lengths=(rows, cols))
     site = raw % (rows * cols)
-    assert lattice.site_index(lattice.site_coords(site)) == site
+    row, col = lattice.site_coords(site)  # row-major over (rows, cols)
+    assert 0 <= row < rows and 0 <= col < cols
+    assert row * cols + col == site
 
 
 def test_periodic_wrap_distance():

@@ -10,7 +10,6 @@ from gibbslearn.measure import (
     MeasurementPlan,
     build_plan,
     hoeffding_radius,
-    required_delta,
     sample_outcomes,
 )
 
@@ -147,14 +146,6 @@ def test_hoeffding_radius_values():
     # radius shrinks like 1/sqrt(shots)
     r4 = hoeffding_radius(1, 0.05, [800])
     assert r4[0] == pytest.approx(r[0] / 2, rel=1e-14)
-
-
-def test_required_delta():
-    assert required_delta(0.1, 1.0, 1.0, 25) == pytest.approx(0.01, abs=1e-15)
-    with pytest.raises(ValueError, match="non-strongly-convex"):
-        required_delta(0.1, 0.0, 1.0, 25)
-    with pytest.raises(ValueError):
-        required_delta(-0.1, 1.0, 1.0, 25)
 
 
 def test_estimates_validation_and_serialization():
