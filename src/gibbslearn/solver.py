@@ -1,12 +1,15 @@
 """Maximum-entropy dual solver: projected gradient descent on log Z + beta*<lambda, e_hat>.
 
-The dual objective is convex (its Hessian is the filtered covariance matrix,
-which is PSD), so the constrained minimizer is unique up to degeneracy of the
-marginal map, and with exact marginals it sits at the true coefficient vector.
-There is one method: backtracking projected gradient with Nesterov
-extrapolation and a monotone restart (low-temperature instances are badly
-conditioned), safeguarded so accepted objective values never increase, then
-a damped Newton polish that certifies the gradient tolerance.
+The feasible set is the coefficient box |lambda_l| <= radius (radius 1 is the
+normalisation |mu_l| <= 1 that `HamiltonianModel` enforces).  The dual
+objective is convex (its Hessian is the filtered covariance matrix, which is
+PSD), so the boxed minimizer is unique up to degeneracy of the marginal map,
+and with exact marginals it sits at the true coefficient vector.  There is
+one method: backtracking projected gradient with Nesterov extrapolation and a
+monotone restart (low-temperature instances are badly conditioned),
+safeguarded so accepted objective values never increase, then a damped
+Newton polish on the coordinates off the box that certifies the gradient
+tolerance.
 """
 
 from __future__ import annotations
@@ -23,17 +26,8 @@ from .lattice import OperatorBasis, PauliTable, basis_stack
 from .measure import MarginalEstimates
 from .qbp import _hessian_core
 
-__all__ = [
-    "SolverConfig",
-    "SolverTrace",
-    "objective",
-    "gradient",
-    "solve",
-    "error_bound",
-    "alpha_along_segment",
-]
+__all__ = ["SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_along_segment"]
 
-CONSTRAINTS = ("linf", "l2", "none")
 ETA0 = 1.0  # first backtracking trial step
 ARMIJO_C = 0.5
 SHRINK = 0.5
@@ -46,8 +40,7 @@ ALPHA_POINTS = 11  # Hessians sampled along the alpha segment
 class SolverConfig:
     tol_grad: float = 1e-7  # on the projected-gradient norm
     max_iters: int = 100_000  # first-order iterations
-    constraint: str = "linf"
-    radius: float = 1.0
+    radius: float = 1.0  # half-width of the box |lambda_l| <= radius
     lambda0: np.ndarray | None = None
     # Damped Newton steps after the first-order phase.  Needed at large beta
     # where the dual Hessian spectrum spans ~5 decades and a first-order
@@ -55,11 +48,6 @@ class SolverConfig:
     polish_max_iters: int = 60
 
     def __post_init__(self) -> None:
-        if self.constraint not in CONSTRAINTS:
-            raise ValueError(
-                f"bad solver config: unknown constraint {self.constraint!r}, "
-                f"expected one of {CONSTRAINTS}"
-            )
         kinds = dict(max_iters=Integral, polish_max_iters=Integral, tol_grad=Real, radius=Real)
         for name, kind in kinds.items():
             value = getattr(self, name)
@@ -73,8 +61,8 @@ class SolverConfig:
             )
         if not self.tol_grad > 0:
             raise ValueError("bad solver config: tol_grad must be positive")
-        if self.constraint != "none" and not self.radius > 0:
-            raise ValueError("bad solver config: constraint radius must be positive")
+        if not self.radius > 0:
+            raise ValueError("bad solver config: radius must be positive")
 
 
 @dataclass(eq=False)
@@ -118,15 +106,6 @@ class SolverTrace:
         )
 
 
-def _project(x: np.ndarray, constraint: str, radius: float) -> np.ndarray:
-    if constraint == "linf":
-        return np.clip(x, -radius, radius)
-    if constraint == "l2":
-        norm = float(np.linalg.norm(x))
-        return x if norm <= radius else x * (radius / norm)
-    return x
-
-
 def _e_hat_vector(e_hat, m: int) -> np.ndarray:
     vec = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
     if vec.shape != (m,):
@@ -143,30 +122,18 @@ def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTab
     return obj, grad, spectral
 
 
-def objective(lam, e_hat, beta: float, basis: OperatorBasis) -> float:
-    """Dual objective log Z(lam) + beta * <lam, e_hat>."""
-    lam = np.asarray(lam, dtype=float)
-    target = _e_hat_vector(e_hat, basis.m)
-    return _dual_eval(lam, target, float(beta), basis_stack(basis))[0]
-
-
-def gradient(lam, e_hat, beta: float, basis: OperatorBasis) -> np.ndarray:
-    """Dual gradient: component l is beta * (e_hat_l - e_l(lam))."""
-    lam = np.asarray(lam, dtype=float)
-    target = _e_hat_vector(e_hat, basis.m)
-    return _dual_eval(lam, target, float(beta), basis_stack(basis))[1]
-
-
 def solve(
     e_hat,
     beta: float,
     basis: OperatorBasis,
     cfg: SolverConfig | None = None,
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Minimize the dual objective over the configured constraint set.
+    """Minimize the dual objective over the box |lam_l| <= cfg.radius.
 
-    Returns (mu_hat, trace); trace.converged reports whether the projected
-    gradient dropped below cfg.tol_grad within the iteration budget.
+    Every iterate is a clip onto the box, so a bound coordinate sits exactly
+    at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
+    whether the projected gradient dropped below cfg.tol_grad within the
+    iteration budget.
     """
     cfg = cfg or SolverConfig()
     table = basis_stack(basis)
@@ -174,7 +141,7 @@ def solve(
     target = _e_hat_vector(e_hat, basis.m)
 
     def project(x):
-        return _project(x, cfg.constraint, cfg.radius)
+        return np.clip(x, -cfg.radius, cfg.radius)
 
     started = time.perf_counter()
     trace = SolverTrace()
@@ -278,15 +245,11 @@ def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace):
         pg = _pg_norm(x, gx, project)
         if pg <= cfg.tol_grad:
             return x, fx, gx, sx
-        # coordinates pinned on the box boundary with an outward gradient are
-        # binding: the Newton system is solved on the free block only, or the
-        # clipped step would chase the unconstrained optimum outside the box
-        if cfg.constraint == "linf":
-            binding = ((x >= cfg.radius - 1e-12) & (gx <= 0)) | (
-                (x <= -cfg.radius + 1e-12) & (gx >= 0)
-            )
-        else:
-            binding = np.zeros(x.shape, dtype=bool)
+        # coordinates on the box boundary (exactly, as x is a clip) with an
+        # outward gradient are binding: the Newton system is solved on the
+        # free block only, or the clipped step would chase the unconstrained
+        # optimum outside the box
+        binding = ((x == cfg.radius) & (gx <= 0)) | ((x == -cfg.radius) & (gx >= 0))
         free = np.where(~binding)[0]
         if free.size == 0:
             return x, fx, gx, sx

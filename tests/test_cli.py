@@ -13,7 +13,7 @@ from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
 from gibbslearn.reporting import THREAD_VARS
-from gibbslearn.solver import gradient
+from gibbslearn.solver import _dual_eval
 
 from conftest import BUDGET_MESSAGE
 
@@ -243,11 +243,12 @@ def test_learn_missing_model(tmp_path, capsys):
     assert "model file not found" in capsys.readouterr().err
 
 
-def test_learn_rejects_unknown_solver_field(tmp_path, capsys):
+@pytest.mark.parametrize("field, value", [("step_rule", "fixed"), ("constraint", "l2")])
+def test_learn_rejects_unknown_solver_field(tmp_path, capsys, field, value):
     model_path = run_gen(tmp_path, n=2)
-    cfg = learn_config(tmp_path, model_path, solver={"step_rule": "fixed"})
+    cfg = learn_config(tmp_path, model_path, solver={field: value})
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "unknown solver config fields: step_rule" in capsys.readouterr().err
+    assert f"unknown solver config fields: {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -314,7 +315,7 @@ def test_pg_final_is_the_residual_at_the_returned_point(tmp_path, max_iters):
     model = load_model(model_path)
     e = marginals(basis_stack(model.basis), gibbs_state(assemble_hamiltonian(model), 1.0))
     mu_hat = np.array(result["mu_hat"])
-    g = gradient(mu_hat, e, 1.0, model.basis)
+    g = _dual_eval(mu_hat, e, 1.0, basis_stack(model.basis))[1]
     residual = np.linalg.norm(mu_hat - np.clip(mu_hat - g, -1.0, 1.0))
     assert residual > 0.01
     assert result["pg_final"] == pytest.approx(residual, rel=1e-9)
@@ -324,7 +325,9 @@ def test_learn_unknown_scheme(tmp_path, capsys):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(tmp_path, model_path, scheme="psychic")
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "unknown scheme" in capsys.readouterr().err
+    assert "scheme (expected one of direct, grouped, exact, got 'psychic')" in (
+        capsys.readouterr().err
+    )
 
 
 def sweep_config(tmp_path, **extra):
@@ -433,6 +436,29 @@ def test_sweep_config_validation(tmp_path, capsys):
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "axis" in err and "values" in err and "trials" in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"scheme": "psychic"}, "scheme (expected one of direct, grouped, exact"),
+        ({"kappa": 0}, "kappa (expected int >= 1, got 0)"),
+        ({"n": 0}, "n (expected int >= 1, got 0)"),
+        ({"beta": 0}, "beta (expected float > 0, got 0)"),
+        ({"beta": -1.0}, "beta (expected float > 0, got -1.0)"),
+        ({"values": [1000.7, 2000]}, "values (expected int >= 0 for axis N, got 1000.7)"),
+        ({"axis": "beta", "N": 2000, "values": [1.0, -0.5]}, "for axis beta, got -0.5"),
+        ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
+    ],
+    ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
+         "size-values"],
+)
+def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, message):
+    cfg = sweep_config(tmp_path, **extra)
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_sweep_size_axis_rejects_explicit_mu(tmp_path, capsys):

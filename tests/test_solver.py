@@ -8,14 +8,7 @@ from gibbslearn.gibbs import gibbs_state, marginal, marginals
 from gibbslearn import solver
 from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack
 from gibbslearn.qbp import log_partition
-from gibbslearn.solver import (
-    SolverConfig,
-    alpha_along_segment,
-    error_bound,
-    gradient,
-    objective,
-    solve,
-)
+from gibbslearn.solver import SolverConfig, _dual_eval, alpha_along_segment, error_bound, solve
 from gibbslearn.measure import build_plan, sample_outcomes
 
 from conftest import chain_basis, random_chain_model
@@ -27,15 +20,12 @@ def exact_marginals(model, beta):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="constraint"):
-        SolverConfig(constraint="l1")
     with pytest.raises(ValueError):
         SolverConfig(tol_grad=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(radius=-1.0)
     with pytest.raises(ValueError, match="polish_max_iters"):
         SolverConfig(polish_max_iters=-1)
-    SolverConfig(constraint="none", radius=-5.0)  # radius unused, allowed
+    with pytest.raises(ValueError, match="radius must be positive"):
+        SolverConfig(radius=-5.0)
 
 
 def test_objective_and_gradient_at_origin():
@@ -43,12 +33,9 @@ def test_objective_and_gradient_at_origin():
     e_hat = np.random.default_rng(1).uniform(-0.3, 0.3, basis.m)
     beta = 1.3
     # H(0) = 0 so log Z = n log 2 and all model marginals vanish
-    assert objective(np.zeros(basis.m), e_hat, beta, basis) == pytest.approx(
-        3 * np.log(2), rel=1e-14
-    )
-    np.testing.assert_allclose(
-        gradient(np.zeros(basis.m), e_hat, beta, basis), beta * e_hat, atol=1e-13
-    )
+    obj, grad, _ = _dual_eval(np.zeros(basis.m), e_hat, beta, basis_stack(basis))
+    assert obj == pytest.approx(3 * np.log(2), rel=1e-14)
+    np.testing.assert_allclose(grad, beta * e_hat, atol=1e-13)
 
 
 @settings(max_examples=40, deadline=None)
@@ -63,15 +50,14 @@ def test_dual_eval_matches_independent_oracles(data):
     e_hat = data.draw(unit_box, label="e_hat")
     beta = data.draw(st.floats(0.05, 3.0), label="beta")
     model = HamiltonianModel(basis=basis, mu=lam)
+    obj, grad, _ = _dual_eval(lam, e_hat, beta, basis_stack(basis))
 
     expected = log_partition(model, beta) + beta * float(np.dot(lam, e_hat))
-    assert abs(objective(lam, e_hat, beta, basis) - expected) <= 1e-12
+    assert abs(obj - expected) <= 1e-12
 
     ens = gibbs_state(assemble_hamiltonian(model), beta)
     e = np.array([marginal(op, ens, basis.lattice) for op in basis.ops])
-    np.testing.assert_allclose(
-        gradient(lam, e_hat, beta, basis), beta * (e_hat - e), rtol=0, atol=1e-12
-    )
+    np.testing.assert_allclose(grad, beta * (e_hat - e), rtol=0, atol=1e-12)
 
 
 def test_zero_marginals_solved_instantly():
@@ -150,23 +136,6 @@ def test_wrong_marginal_shape_rejected():
     basis = chain_basis(2)
     with pytest.raises(ValueError, match="shape"):
         solve(np.zeros(basis.m + 2), 1.0, basis)
-
-
-def test_l2_constraint_is_respected():
-    model = random_chain_model(2, seed=8)
-    e = exact_marginals(model, 1.0)
-    radius = 0.25 * float(np.linalg.norm(model.mu))
-    cfg = SolverConfig(constraint="l2", radius=radius)
-    mu_hat, _ = solve(e, 1.0, model.basis, cfg)
-    assert np.linalg.norm(mu_hat) <= radius + 1e-12
-
-
-def test_unconstrained_matches_boxed_interior_solution():
-    model = random_chain_model(2, seed=8, scale=0.4)
-    e = exact_marginals(model, 1.0)
-    inside, _ = solve(e, 1.0, model.basis)
-    free, _ = solve(e, 1.0, model.basis, SolverConfig(constraint="none"))
-    np.testing.assert_allclose(inside, free, atol=1e-6)
 
 
 def test_boundary_optimum_converges():
