@@ -29,13 +29,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .gibbs import diagonalize, gibbs, marginals
+from .gibbs import gibbs, marginals, spectrum
 from .lab import SUITES
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
     OperatorBasis,
-    assemble_hamiltonian,
     basis_stack,
     check_dense_budget,
     enumerate_basis,
@@ -207,7 +206,7 @@ def _learn_once(
 ) -> dict:
     """Measure, fit, and compare against the stored truth; returns raw pieces."""
     basis = model.basis
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
+    ensemble = gibbs(spectrum(model), beta)
     plan = build_plan(basis, scheme, n_copies)
     estimates = sample_outcomes(plan, ensemble, seed=seed, delta_fail=delta_fail)
     mu_hat, trace = solve(estimates.e_hat, beta, basis, cfg)
@@ -577,7 +576,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
     check_dense_budget(2, model.n_sites)  # H and rho
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
+    ensemble = gibbs(spectrum(model), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(
         os.path.join(out, "marginals.csv"),

@@ -2,21 +2,32 @@
 
 Everything downstream (gradients, Hessians, measurement simulation, the lab
 checks) consumes the eigensystem computed here, so this module is the single
-place where dense diagonalization happens.
+place where dense diagonalization happens.  A model becomes an eigensystem
+through `spectrum(model)`, built at most once per model; `diagonalize` is for
+the matrices no model names (the solver's iterates, a caller's H).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .lattice import LocalBasisOp, LatticeSpec, PauliTable, to_dense
+from .lattice import (
+    HamiltonianModel,
+    LocalBasisOp,
+    LatticeSpec,
+    PauliTable,
+    assemble_hamiltonian,
+    to_dense,
+)
 
 __all__ = [
     "SpectralDecomposition",
     "GibbsEnsemble",
     "diagonalize",
+    "spectrum",
     "gibbs",
     "gibbs_state",
     "log_sum_exp",
@@ -72,6 +83,16 @@ def diagonalize(H: np.ndarray) -> SpectralDecomposition:
     """
     energies, vectors = np.linalg.eigh(_square(H))
     return SpectralDecomposition(energies, vectors)
+
+
+@lru_cache(maxsize=1)
+def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
+    """The eigensystem of H(mu), the one way a model becomes an eigensystem.
+
+    Cached: a model is frozen and hashed by identity, so the callers that ask
+    for the same model in a row share one (read-only) diagonalization.
+    """
+    return diagonalize(assemble_hamiltonian(model))
 
 
 def _square(H) -> np.ndarray:

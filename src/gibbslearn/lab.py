@@ -18,26 +18,27 @@ raising, so sweeps can tabulate failures.  Only this module builds reports:
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, diagonalize, gibbs, density_matrix
+from .gibbs import GibbsEnsemble, density_matrix, gibbs, spectrum, variance
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
     LocalBasisOp,
-    assemble_hamiltonian,
     basis_stack,
     enumerate_basis,
     random_chain,
     to_dense,
 )
-from .qbp import FilterKernel, _hessian_core, gap_filter, quasilocal_W, verify_fourier_pair
+from .qbp import FilterKernel, _hessian_core, qbp_transform, quasilocal_W, verify_fourier_pair
 from .reporting import trial_seed
 
 __all__ = [
     "SUITES",
+    "Suite",
     "CheckReport",
     "SpectralConcentration",
     "QuasiLocalProfile",
@@ -123,10 +124,6 @@ def embed_on_sites(M: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
     return T.reshape(2**n, 2**n)
 
 
-def _operator_norm(M: np.ndarray) -> float:
-    return float(np.linalg.norm(M, ord=2))
-
-
 # ---------------------------------------------------------------------------
 # Strong convexity and variance floors.
 
@@ -136,21 +133,17 @@ def strong_convexity_probe(
 ) -> CheckReport:
     """Check v'Hv >= beta^2 Var[W~_v] on random unit directions.
 
-    The quadratic form comes from the assembled Hessian; the variance is
-    computed from the filtered operator itself (squared filter weights), so
+    The quadratic form comes from the slab-Gram Hessian; the variance is the
+    thermal variance of the filtered operator qbp_transform(W_v) itself, so
     the two sides follow genuinely different routes.  Also records the
     smallest q(v)*m seen, the empirical strong-convexity scale.
     """
     beta = float(beta)
     m = model.basis.m
-    spectral = diagonalize(assemble_hamiltonian(model))
+    spectral = spectrum(model)
     ensemble = gibbs(spectral, beta)
     table = basis_stack(model.basis)
     hess = _hessian_core(model.basis, model.mu, beta, spectral).matrix
-
-    filt = gap_filter(spectral, beta)
-    r = ensemble.weights
-    V = spectral.vectors
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -159,11 +152,7 @@ def strong_convexity_probe(
     for trial in range(trials):
         v = random_direction(m, rng)
         q = float(v @ hess @ v)
-        W = table.combine(v)
-        B = V.conj().T @ W @ V
-        mean = float(np.real(np.sum(r * np.diag(B))))
-        second = float(np.real(np.einsum("j,jk,kj->", r, B * filt, B * filt)))
-        var = second - mean**2
+        var = variance(qbp_transform(table.combine(v), spectral, beta), ensemble)
         slack = q - beta**2 * var
         rows.append((trial, q, beta**2 * var, slack))
         min_slack = min(min_slack, slack)
@@ -187,11 +176,7 @@ def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> Che
     beta = float(beta)
     vec = np.asarray(v, dtype=float)
     m = model.basis.m
-    dim = 2**model.n_sites
-    W_t = quasilocal_W(vec, model, beta)
-    mean = float(np.real(np.trace(W_t))) / dim
-    second = float(np.real(np.vdot(W_t, W_t))) / dim  # Tr[W~^2]/D, W~ Hermitian
-    var = second - mean**2
+    var = variance(quasilocal_W(vec, model, beta), gibbs(spectrum(model), 0.0))
     envelope = float(np.dot(vec, vec)) / (beta * math.log(m) + 1.0) ** 2
     ratio = var / envelope if envelope > 0 else math.inf
     return CheckReport(
@@ -265,9 +250,9 @@ def akl_concentration_check(
 ) -> CheckReport:
     """Norm of the high-low energy block of a local operator vs its bound.
 
-    lhs = ||P_{>=y} O_X P_{<=x}||; the bound uses g = max number of
-    Hamiltonian terms (nonzero coefficients) touching any one site, taken
-    from the instance rather than assumed.
+    O_X acts on the sites X.  lhs = ||P_{>=y} O_X P_{<=x}||; the bound uses
+    g = max number of Hamiltonian terms (nonzero coefficients) touching any
+    one site, taken from the instance rather than assumed.
     """
     lattice = model.basis.lattice
     n = lattice.n_sites
@@ -278,14 +263,13 @@ def akl_concentration_check(
             for s in op.support:
                 touching[s] += 1
     g = int(touching.max()) if n else 0
-    spectral = diagonalize(assemble_hamiltonian(model))
+    spectral = spectrum(model)
     low = spectral.energies <= x
     high = spectral.energies >= y
     V = spectral.vectors
-    O_full = embed_on_sites(O_X, tuple(X), n) if O_X.shape[0] != 2**n else O_X
-    block = V[:, high].conj().T @ O_full @ V[:, low]
+    block = V[:, high].conj().T @ embed_on_sites(O_X, tuple(X), n) @ V[:, low]
     lhs = float(np.linalg.norm(block, ord=2)) if block.size else 0.0
-    norm_O = _operator_norm(O_X)
+    norm_O = float(np.linalg.norm(O_X, ord=2))
     bound = norm_O * math.exp(-(y - x - 2.0 * g * len(X)) / (2.0 * g * kappa))
     return CheckReport(
         check="akl",
@@ -305,7 +289,6 @@ def akl_concentration_check(
 class SpectralConcentration:
     """Gibbs weight outside the [-gamma, gamma] eigenvalue window of A."""
 
-    A: np.ndarray
     gamma: float
     delta_gamma: float
     mean_square: float  # <A^2> for the centered operator
@@ -313,6 +296,15 @@ class SpectralConcentration:
     @property
     def slack(self) -> float:
         return self.mean_square - self.gamma**2 * self.delta_gamma
+
+
+def _centered(A: np.ndarray, ensemble: GibbsEnsemble):
+    """(rho, A_c, eigenvalues, eigenvectors) for A_c = A - Tr[A rho]."""
+    rho = density_matrix(ensemble)
+    shift = float(np.real(np.trace(A @ rho)))
+    A_c = A - shift * np.eye(rho.shape[0], dtype=A.dtype)
+    evals, U = np.linalg.eigh(A_c)
+    return rho, A_c, evals, U
 
 
 def delta_gamma(A: np.ndarray, ensemble: GibbsEnsemble, gamma: float) -> SpectralConcentration:
@@ -323,19 +315,13 @@ def delta_gamma(A: np.ndarray, ensemble: GibbsEnsemble, gamma: float) -> Spectra
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    rho = density_matrix(ensemble)
-    dim = rho.shape[0]
-    shift = float(np.real(np.trace(A @ rho)))
-    A_c = A - shift * np.eye(dim, dtype=A.dtype)
-    evals, U = np.linalg.eigh(A_c)
+    rho, A_c, evals, U = _centered(A, ensemble)
     inside = np.abs(evals) <= gamma
-    P = (U[:, inside] * 1.0) @ U[:, inside].conj().T
+    P = U[:, inside] @ U[:, inside].conj().T
     d_gamma = 1.0 - float(np.real(np.trace(P @ rho)))
     d_gamma = min(max(d_gamma, 0.0), 1.0)
     mean_square = float(np.real(np.trace(A_c @ A_c @ rho)))
-    out = SpectralConcentration(
-        A=A_c, gamma=float(gamma), delta_gamma=d_gamma, mean_square=mean_square
-    )
+    out = SpectralConcentration(gamma=float(gamma), delta_gamma=d_gamma, mean_square=mean_square)
     assert out.slack >= -1e-10, f"variance bound violated: {out.slack}"
     return out
 
@@ -358,11 +344,8 @@ def local_unitary_probe(
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
-    rho = density_matrix(ensemble)
+    rho, A_c, evals, U_A = _centered(A, ensemble)
     dim = rho.shape[0]
-    shift = float(np.real(np.trace(A @ rho)))
-    A_c = A - shift * np.eye(dim, dtype=A.dtype)
-    evals, U_A = np.linalg.eigh(A_c)
     norm_A = float(np.max(np.abs(evals)))
     gammas = np.linspace(0.0, 1.05 * norm_A, 22)
     sqrt_rho = (ensemble.spectral.vectors * np.sqrt(ensemble.weights)) @ (
@@ -464,51 +447,34 @@ class QuasiLocalProfile:
         return self.norms[-1] if self.norms else 0.0
 
 
-def _sites_within(lattice: LatticeSpec, center: tuple[float, ...], radius: float):
-    sites = []
-    for j in range(lattice.n_sites):
-        coords = lattice.site_coords(j)
-        dist = 0.0
-        for a, c, size in zip(coords, center, lattice.side_lengths):
-            d = abs(a - c)
-            if lattice.periodic:
-                d = min(d, size - d)
-            dist += d
-        if dist <= radius + 1e-9:
-            sites.append(j)
-    return tuple(sites)
-
-
 def lieb_robinson_decay(
     E: LocalBasisOp, model: HamiltonianModel, t: float, radii
 ) -> QuasiLocalProfile:
-    """Operator-norm error of ball truncations of the evolved basis operator.
+    """Operator-norm error of ball truncations of an evolved one-site basis operator.
 
-    E(t) = exp(-iHt) E exp(iHt) is truncated to balls of growing radius
-    around the center of E's support; the tail outside the ball is replaced
+    E(t) = exp(-iHt) E exp(iHt) is truncated to the balls `LatticeSpec.ball`
+    of growing radius around E's site; the tail outside the ball is replaced
     by the normalized identity.  Fits log(norm) vs radius for the decay rate.
     """
+    if E.weight != 1:
+        raise ValueError(f"expected a one-site basis element, got support {E.support}")
     lattice = model.basis.lattice
     n = lattice.n_sites
-    spectral = diagonalize(assemble_hamiltonian(model))
+    spectral = spectrum(model)
     V = spectral.vectors
     phases = np.exp(-1j * spectral.energies * t)
-    E_dense = to_dense(E, lattice)
-    in_energy = V.conj().T @ E_dense @ V
+    in_energy = V.conj().T @ to_dense(E, lattice) @ V
     E_t = V @ (np.outer(phases, phases.conj()) * in_energy) @ V.conj().T
-
-    coords = [lattice.site_coords(s) for s in E.support]
-    center = tuple(sum(c[d] for c in coords) / len(coords) for d in range(lattice.dimension))
 
     norms = []
     for r in radii:
-        keep = _sites_within(lattice, center, r)
+        keep = lattice.ball(r, E.support[0])
         if len(keep) == n:
             truncated = E_t
         else:
             traced = partial_trace(E_t, keep, n)
             truncated = embed_on_sites(traced / 2 ** (n - len(keep)), keep, n)
-        norms.append(_operator_norm(E_t - truncated))
+        norms.append(float(np.linalg.norm(E_t - truncated, ord=2)))
 
     live = [(r, v) for r, v in zip(radii, norms) if v > 1e-14]
     if len(live) >= 2:
@@ -660,7 +626,8 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # Suites: the instances, grids and pass tolerances behind `gibbslearn lab`.
-# Each takes (config, master seed) and returns its reports in output order.
+# Each builder takes the master seed and the suite's config keys, and returns
+# its reports in output order; `SUITES` declares the keys and their defaults.
 
 
 def ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
@@ -675,9 +642,7 @@ def ising_chain(n: int, coupling: float, field: float) -> HamiltonianModel:
     return HamiltonianModel(basis=basis, mu=mu)
 
 
-def _suite_strong_convexity(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.2, 1.0, 3.0])
-    trials = int(config.get("trials", 10))
+def _suite_strong_convexity(seed: int, betas, trials) -> list[CheckReport]:
     reports = []
     for k, (n, inst) in enumerate([(2, 0), (2, 1), (3, 0), (3, 1)]):
         model = random_chain(n, 2, trial_seed(seed, k))
@@ -688,9 +653,7 @@ def _suite_strong_convexity(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_infinite_temp(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 1.0, 2.0])
-    n_dirs = int(config.get("directions", 3))
+def _suite_infinite_temp(seed: int, betas, directions) -> list[CheckReport]:
     reports = []
     for k, n in enumerate((2, 3)):
         model = random_chain(n, 2, trial_seed(seed, k))
@@ -698,7 +661,7 @@ def _suite_infinite_temp(config: dict, seed: int) -> list[CheckReport]:
         for beta in betas:
             beta = float(beta)
             v = None
-            for _ in range(n_dirs):
+            for _ in range(directions):
                 v = random_direction(model.basis.m, rng)
                 rep = infinite_temp_variance_check(model, beta, v)
                 rep.grid.update(n=n)
@@ -713,17 +676,16 @@ def _suite_infinite_temp(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_akl(config: dict, seed: int) -> list[CheckReport]:
-    fractions = config.get("window_fractions", [0.15, 0.25, 0.35])
+def _suite_akl(seed: int, window_fractions) -> list[CheckReport]:
     instances = [("dense", random_chain(3, 2, trial_seed(seed, k), 0.5)) for k in range(3)]
     instances += [("sparse", ising_chain(n, 0.4, 0.3)) for n in (4, 5)]
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     reports = []
     for tag, model in instances:
-        energies = diagonalize(assemble_hamiltonian(model)).energies
+        energies = spectrum(model).energies
         width = float(energies[-1] - energies[0])
         X = (model.basis.lattice.n_sites // 2,)
-        for frac in fractions:
+        for frac in window_fractions:
             x = float(energies[0] + frac * width)
             y = float(energies[-1] - frac * width)
             if y <= x:
@@ -734,10 +696,8 @@ def _suite_akl(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_delta_gamma(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 2.0])
+def _suite_delta_gamma(seed: int, betas) -> list[CheckReport]:
     model = random_chain(3, 2, trial_seed(seed, 0), 0.7)
-    spectral = diagonalize(assemble_hamiltonian(model))
     z = np.diag([1.0, -1.0])
     x = np.array([[0.0, 1.0], [1.0, 0.0]])
     observables = {
@@ -747,7 +707,7 @@ def _suite_delta_gamma(config: dict, seed: int) -> list[CheckReport]:
     }
     reports = []
     for beta in betas:
-        ensemble = gibbs(spectral, float(beta))
+        ensemble = gibbs(spectrum(model), float(beta))
         for name, A in observables.items():
             top = 1.1 * float(np.max(np.abs(np.linalg.eigvalsh(A))))
             rows = []
@@ -777,10 +737,9 @@ def _suite_delta_gamma(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_local_unitary(config: dict, seed: int) -> list[CheckReport]:
-    trials = int(config.get("trials", 6))
+def _suite_local_unitary(seed: int, trials, beta) -> list[CheckReport]:
     model = random_chain(3, 2, trial_seed(seed, 0), 0.7)
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), float(config.get("beta", 1.0)))
+    ensemble = gibbs(spectrum(model), float(beta))
     z = np.diag([1.0, -1.0])
     observables = {
         "Z0": embed_on_sites(z, (0,), 3),
@@ -795,8 +754,7 @@ def _suite_local_unitary(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_lr_decay(config: dict, seed: int) -> list[CheckReport]:
-    times = config.get("times", [0.25, 0.75])
+def _suite_lr_decay(seed: int, times) -> list[CheckReport]:
     reports = []
     for n in (5, 6):
         model = ising_chain(n, 0.5, 0.4)
@@ -831,16 +789,16 @@ def _suite_lr_decay(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_sum_bounds(config: dict, seed: int) -> list[CheckReport]:
-    return [verify_sum_bounds(config.get("points"))]
+def _suite_sum_bounds(seed: int, points) -> list[CheckReport]:
+    return [verify_sum_bounds(points)]
 
 
-def _suite_lower_bound(config: dict, seed: int) -> list[CheckReport]:
+def _suite_lower_bound(seed: int, sizes, betas, epsilons) -> list[CheckReport]:
     rng = np.random.default_rng(trial_seed(seed, 0))
     reports = []
-    for m in config.get("sizes", [1, 2, 4, 8]):
-        for beta in config.get("betas", [0.5, 1.0]):
-            for eps in config.get("epsilons", [0.1, 0.5]):
+    for m in sizes:
+        for beta in betas:
+            for eps in epsilons:
                 mu_zero = np.zeros(m)
                 raw = np.abs(rng.standard_normal(m))
                 norm = float(np.linalg.norm(raw))
@@ -850,15 +808,8 @@ def _suite_lower_bound(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
-def _suite_fourier(config: dict, seed: int) -> list[CheckReport]:
-    betas = config.get("betas", [0.5, 1.0, 2.0])
-    omegas = np.asarray(
-        config.get(
-            "omegas",
-            np.concatenate([np.linspace(-8.0, 8.0, 33), [1e-9, 1e-6, 1e-3]]),
-        ),
-        dtype=float,
-    )
+def _suite_fourier(seed: int, betas, omegas) -> list[CheckReport]:
+    omegas = np.asarray(omegas, dtype=float)
     reports = []
     for beta in betas:
         pair = verify_fourier_pair(FilterKernel(float(beta)), omegas)
@@ -883,14 +834,83 @@ def _suite_fourier(config: dict, seed: int) -> list[CheckReport]:
     return reports
 
 
+def _finite(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _nonempty_list_of(item):
+    return lambda v: isinstance(v, list) and len(v) >= 1 and all(map(item, v))
+
+
+def _count(v) -> bool:
+    return type(v) is int and v >= 1
+
+
+# The kinds of value a suite key takes, as (predicate, hint).
+GRID = (_nonempty_list_of(_finite), "a nonempty list of finite numbers")
+COUNT = (_count, "an int >= 1")
+SIZES = (_nonempty_list_of(_count), "a nonempty list of ints >= 1")
+NUMBER = (_finite, "a finite number")
+POINTS = (
+    _nonempty_list_of(lambda p: isinstance(p, list) and len(p) == 4 and all(map(_finite, p))),
+    "a nonempty list of [a, b, c, p] lists of finite numbers",
+)
+
+
+@dataclass(frozen=True, eq=False)
+class Suite:
+    """A `gibbslearn lab` suite: its builder and the config keys it reads.
+
+    `keys` maps each key to its (kind, default).  Calling the suite checks the
+    whole config before any check runs: a key it does not read (other than
+    `suite`, which manifests record) or a value not of its key's kind raises
+    a ValueError naming the key.
+    """
+
+    build: Callable[..., list[CheckReport]]
+    keys: dict
+
+    def __call__(self, config: dict, seed: int) -> list[CheckReport]:
+        offenders = [
+            f"{key} (not a key of this suite, which reads {', '.join(self.keys)})"
+            for key in config
+            if key not in self.keys and key != "suite"
+        ]
+        for key, ((check, hint), _) in self.keys.items():
+            if key in config and not check(config[key]):
+                offenders.append(f"{key} (expected {hint}, got {config[key]!r})")
+        if offenders:
+            raise ValueError("invalid lab config: " + "; ".join(offenders))
+        values = {key: config.get(key, default) for key, (_, default) in self.keys.items()}
+        return self.build(seed, **values)
+
+
 SUITES = {
-    "strong-convexity": _suite_strong_convexity,
-    "infinite-temp": _suite_infinite_temp,
-    "akl": _suite_akl,
-    "delta-gamma": _suite_delta_gamma,
-    "local-unitary": _suite_local_unitary,
-    "lr-decay": _suite_lr_decay,
-    "sum-bounds": _suite_sum_bounds,
-    "lower-bound": _suite_lower_bound,
-    "fourier": _suite_fourier,
+    "strong-convexity": Suite(
+        _suite_strong_convexity, {"betas": (GRID, [0.2, 1.0, 3.0]), "trials": (COUNT, 10)}
+    ),
+    "infinite-temp": Suite(
+        _suite_infinite_temp, {"betas": (GRID, [0.5, 1.0, 2.0]), "directions": (COUNT, 3)}
+    ),
+    "akl": Suite(_suite_akl, {"window_fractions": (GRID, [0.15, 0.25, 0.35])}),
+    "delta-gamma": Suite(_suite_delta_gamma, {"betas": (GRID, [0.5, 2.0])}),
+    "local-unitary": Suite(_suite_local_unitary, {"trials": (COUNT, 6), "beta": (NUMBER, 1.0)}),
+    "lr-decay": Suite(_suite_lr_decay, {"times": (GRID, [0.25, 0.75])}),
+    # None: verify_sum_bounds' own 27-point grid
+    "sum-bounds": Suite(_suite_sum_bounds, {"points": (POINTS, None)}),
+    "lower-bound": Suite(
+        _suite_lower_bound,
+        {
+            "sizes": (SIZES, [1, 2, 4, 8]),
+            "betas": (GRID, [0.5, 1.0]),
+            "epsilons": (GRID, [0.1, 0.5]),
+        },
+    ),
+    "fourier": Suite(
+        _suite_fourier,
+        {
+            "betas": (GRID, [0.5, 1.0, 2.0]),
+            "omegas": (GRID, [*np.linspace(-8.0, 8.0, 33), 1e-9, 1e-6, 1e-3]),
+        },
+    ),
 }

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, density_matrix, marginals
+from .gibbs import GibbsEnsemble, density_matrix
 from .lattice import OperatorBasis, basis_stack
 
 __all__ = [
@@ -167,10 +167,11 @@ def sample_outcomes(
     if dim != ensemble.dim:
         raise ValueError(f"plan dimension {dim} does not match state dimension {ensemble.dim}")
     table = basis_stack(plan.basis)
-
-    e_hat = marginals(table, ensemble) if plan.scheme == "exact" else np.zeros(m)
-    shots = np.zeros(m, dtype=np.int64)
     rho = density_matrix(ensemble)
+
+    # the exact marginals read the same rho as the groups
+    e_hat = table.expectations(rho) if plan.scheme == "exact" else np.zeros(m)
+    shots = np.zeros(m, dtype=np.int64)
     substreams = np.random.SeedSequence(seed).spawn(len(plan.groups))
     for group, stream in zip(plan.groups, substreams):
         probs, values = table.group_law(group, rho)

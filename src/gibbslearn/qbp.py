@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import SpectralDecomposition, diagonalize, gibbs, log_sum_exp, marginals
+from .gibbs import SpectralDecomposition, diagonalize, gibbs, log_sum_exp, marginals, spectrum
 from .lattice import (
     HamiltonianModel,
     assemble_hamiltonian,
@@ -214,7 +214,7 @@ def log_partition(model: HamiltonianModel, beta: float) -> float:
 
 def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
     """Gradient of log Z in the coefficients: component l is -beta * Tr[E_l rho]."""
-    ensemble = gibbs(_spectral_of(model), beta)
+    ensemble = gibbs(spectrum(model), beta)
     return -beta * marginals(basis_stack(model.basis), ensemble)
 
 
@@ -295,7 +295,8 @@ def hessian_logZ(model: HamiltonianModel, beta: float) -> HessianReport:
 
     Entry (j, k) is (beta^2/2) Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, which
     in the energy basis reduces to a weighted elementwise product of the two
-    operators' matrix elements.
+    operators' matrix elements.  It does not read `spectrum(model)`: the
+    kernel diagonalizes only once the memory budget has admitted the Hessian.
     """
     return _hessian_core(model.basis, model.mu, float(beta))
 
@@ -306,8 +307,4 @@ def quasilocal_W(v, model: HamiltonianModel, beta: float) -> np.ndarray:
     if v.shape != (model.basis.m,):
         raise ValueError(f"direction has shape {v.shape}, expected ({model.basis.m},)")
     W = basis_stack(model.basis).combine(v)
-    return qbp_transform(W, _spectral_of(model), beta)
-
-
-def _spectral_of(model: HamiltonianModel) -> SpectralDecomposition:
-    return diagonalize(assemble_hamiltonian(model))
+    return qbp_transform(W, spectrum(model), beta)

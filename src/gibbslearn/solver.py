@@ -150,11 +150,20 @@ def solve(
         trace.dual_evals += 1
         return _dual_eval(lam, target, beta, table)
 
+    def slack(lam, f):
+        # the rounding allowance on a rise of f = log Z + beta <lam, e_hat>:
+        # the two terms cancel, so f carries the rounding of |log Z| +
+        # |beta <lam, e_hat>|, which |f| can understate many times over
+        linear = beta * float(np.dot(lam, target))
+        return 4e-16 * max(1.0, abs(f - linear) + abs(linear))
+
     x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
     x = project(x)
     fx, gx, sx = evaluate(x)
-    x, fx, gx, sx = _first_order(x, fx, gx, sx, evaluate, project, cfg, trace)
-    x, fx, gx, sx = _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace)
+    x, fx, gx, sx = _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace)
+    x, fx, gx, sx = _newton_polish(
+        x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, trace
+    )
 
     trace.spectral = sx
     trace.pg_final = _pg_norm(x, gx, project)
@@ -178,7 +187,7 @@ def _pg_norm(x, g, project) -> float:
     return float(np.linalg.norm(x - project(x - g)))
 
 
-def _first_order(x, fx, gx, sx, evaluate, project, cfg, trace):
+def _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace):
     """Backtracking projected gradient with Nesterov extrapolation, down to the polish trigger.
 
     sx, the eigensystem at the accepted iterate x, travels with it.
@@ -198,12 +207,12 @@ def _first_order(x, fx, gx, sx, evaluate, project, cfg, trace):
         # Armijo line search along the projection arc from y.  When y is the
         # last accepted iterate the step must also keep the trace monotone.
         extrapolated = not np.array_equal(y, x)
-        slack = 4e-16 * max(1.0, abs(fy))
+        allowance = slack(y, fy)
         while True:
             cand = project(y - eta * gy)
             f_cand, g_cand, s_cand = evaluate(cand)
             decrease = ARMIJO_C * float(np.dot(gy, y - cand))
-            if f_cand <= fy - decrease + slack and (extrapolated or f_cand <= fx):
+            if f_cand <= fy - decrease + allowance and (extrapolated or f_cand <= fx):
                 break
             eta *= SHRINK
             if eta < 1e-16:
@@ -232,7 +241,7 @@ def _first_order(x, fx, gx, sx, evaluate, project, cfg, trace):
     return x, fx, gx, sx
 
 
-def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace):
+def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, trace):
     """Damped Newton refinement entered once the projected gradient is small.
 
     Each step solves H(x) d = g exactly and backtracks along the projection
@@ -263,11 +272,11 @@ def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, cfg, trace):
             return x, fx, gx, sx
         s = 1.0
         accepted = False
-        slack = 4e-16 * max(1.0, abs(fx))
+        allowance = slack(x, fx)
         for _ in range(40):
             cand = project(x - s * d)
             f_cand, g_cand, s_cand = evaluate(cand)
-            if f_cand <= fx + slack and _pg_norm(cand, g_cand, project) < pg:
+            if f_cand <= fx + allowance and _pg_norm(cand, g_cand, project) < pg:
                 accepted = True
                 break
             s *= 0.5

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from gibbslearn import cli, qbp, solver
+from gibbslearn import cli, gibbs, qbp, solver
 from gibbslearn.cli import _trial_pool, main
 from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
@@ -174,11 +174,11 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # polish and the ends of the alpha segment reuse those eigensystems
     calls = []
 
-    def counted(H, original=cli.diagonalize):
+    def counted(H, original=gibbs.diagonalize):
         calls.append(1)
         return original(H)
 
-    for module in (cli, qbp, solver):
+    for module in (gibbs, qbp, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     model = load_model(run_gen(tmp_path, n=3))
     cfg = solver.SolverConfig(tol_grad=1e-12)
@@ -186,6 +186,17 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     trace = run["trace"]
     assert "polish" in trace.phases
     assert len(calls) == trace.dual_evals + 1 + (solver.ALPHA_POINTS - 2)
+
+
+def test_polish_accepts_a_newton_step_within_the_rounding_of_log_z(tmp_path):
+    # f = log Z + beta <lam, e_hat> with log Z = 7.32 and beta <lam, e_hat> = -6.52:
+    # the exact Newton step raises f by 2.7e-15 of rounding, beyond 4e-16 * |f|
+    model_path = run_gen(tmp_path, n=4, seed=1)
+    cfg = learn_config(tmp_path, model_path, N=100_000, solver={"tol_grad": 1e-9})
+    out = tmp_path / "learn_out"
+    assert main(["learn", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["converged"] and result["pg_final"] < 1e-13
 
 
 def test_learn_exact_scheme_flag_wins(tmp_path):
@@ -493,7 +504,26 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
     "suite, config, message",
     [
         ("fourier", {"omegas": [50.0]}, "quadrature did not converge"),
-        ("strong-convexity", {"betas": ["x"]}, "could not convert string to float"),
+        ("strong-convexity", {"betas": ["x"]}, "invalid lab config: betas"),
+        # each of these ran, checked nothing or died with a traceback before
+        # the suites declared their keys
+        (
+            "strong-convexity",
+            {"betas": 1.0},
+            "betas (expected a nonempty list of finite numbers, got 1.0)",
+        ),
+        ("akl", {"window_fractions": 0.2}, "window_fractions (expected a nonempty list"),
+        (
+            "strong-convexity",
+            {"betas": []},
+            "betas (expected a nonempty list of finite numbers, got [])",
+        ),
+        ("strong-convexity", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
+        ("local-unitary", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
+        ("lower-bound", {"sizes": [0]}, "sizes (expected a nonempty list of ints >= 1"),
+        ("strong-convexity", {"beta": [1.0]}, "beta (not a key of this suite"),
+        ("lr-decay", {"times": "0.5"}, "times (expected a nonempty list of finite numbers"),
+        ("fourier", {"omegas": []}, "omegas (expected a nonempty list of finite numbers"),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

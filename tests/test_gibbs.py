@@ -12,9 +12,10 @@ from gibbslearn.gibbs import (
     log_sum_exp,
     marginal,
     marginals,
+    spectrum,
     variance,
 )
-from gibbslearn.lattice import assemble_hamiltonian, basis_stack, pauli_matrix
+from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack, pauli_matrix
 
 from conftest import random_chain_model
 
@@ -95,6 +96,19 @@ def test_spectral_reconstruction():
     V = spec.vectors
     np.testing.assert_allclose((V * spec.energies) @ V.conj().T, H, atol=1e-12)
     assert np.all(np.diff(spec.energies) >= 0)
+
+
+def test_spectrum_is_built_once_per_model():
+    model = random_chain_model(3, seed=4)
+    first = spectrum(model)
+    assert spectrum(model) is first
+    # hashed by identity: an equal mu in a distinct model is a distinct model
+    twin = HamiltonianModel(model.basis, model.mu)
+    assert spectrum(twin) is not first
+    reference = diagonalize(assemble_hamiltonian(model))
+    for spec in (first, spectrum(twin)):
+        np.testing.assert_array_equal(spec.energies, reference.energies)
+        np.testing.assert_array_equal(spec.vectors, reference.vectors)
 
 
 @settings(max_examples=25, deadline=None)

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gibbslearn import lab, qbp
+from gibbslearn import gibbs, qbp
 from gibbslearn.gibbs import gibbs_state
 from gibbslearn.lab import (
+    SUITES,
     CheckReport,
     akl_concentration_check,
     delta_gamma,
@@ -140,14 +141,43 @@ def test_strong_convexity_probe_diagonalizes_once(monkeypatch):
     # the probe hands its eigensystem of H(mu) to the Hessian kernel
     calls = []
 
-    def counted(H, original=lab.diagonalize):
+    def counted(H, original=gibbs.diagonalize):
         calls.append(1)
         return original(H)
 
-    for module in (lab, qbp):
+    for module in (gibbs, qbp):
         monkeypatch.setattr(module, "diagonalize", counted)
     strong_convexity_probe(random_chain_model(5, seed=2), 1.0, trials=3, seed=0)
     assert len(calls) == 1
+
+
+# gibbs.diagonalize calls per default suite: one per model, however many
+# reports read it (15 over the nine suites)
+SUITE_DIAGONALIZATIONS = {
+    "strong-convexity": 4,
+    "infinite-temp": 2,
+    "akl": 5,
+    "delta-gamma": 1,
+    "local-unitary": 1,
+    "lr-decay": 2,
+    "sum-bounds": 0,
+    "lower-bound": 0,
+    "fourier": 0,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_suite_diagonalizes_each_model_once(monkeypatch, suite):
+    calls = []
+
+    def counted(H, original=gibbs.diagonalize):
+        calls.append(1)
+        return original(H)
+
+    for module in (gibbs, qbp):
+        monkeypatch.setattr(module, "diagonalize", counted)
+    SUITES[suite]({}, 0)
+    assert len(calls) == SUITE_DIAGONALIZATIONS[suite]
 
 
 def test_strong_convexity_random_instances():
@@ -375,6 +405,13 @@ def test_lieb_robinson_profile_decays():
     assert profile.final_norm < 1e-10
     assert profile.norms[0] > profile.final_norm
     assert profile.a1 >= 0 and profile.a2 >= 0
+
+
+def test_lieb_robinson_takes_a_one_site_element():
+    model = random_chain_model(4, seed=3, scale=0.5)
+    E = next(op for op in model.basis.ops if op.support == (1, 2))
+    with pytest.raises(ValueError, match="one-site"):
+        lieb_robinson_decay(E, model, 0.5, range(4))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 import tracemalloc
 from unittest import mock
 
@@ -7,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp
+from gibbslearn.cli import main
 from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn.lattice import (
     HamiltonianModel,
@@ -17,6 +21,7 @@ from gibbslearn.lattice import (
     check_dense_budget,
     enumerate_basis,
     pauli_matrix,
+    save_model,
 )
 from gibbslearn.qbp import (
     FilterKernel,
@@ -236,6 +241,29 @@ def test_hessian_budget_refuses_before_allocating():
     # open n=20 chain: 6 matrices of 17.6 TB each
     model = random_chain_model(20, seed=1)
     raises_before_allocating(lambda: hessian_logZ(model, 1.0))
+
+
+def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
+    # 4 MiB of memory: one n = 7 matrix (256 KiB) fits, the Hessian's 24 do not
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    model = random_chain_model(7, seed=1)
+    save_model(model, tmp_path / "model.json")
+    cfg = tmp_path / "hessian.json"
+    cfg.write_text(json.dumps({"model": str(tmp_path / "model.json"), "beta": 1.0}))
+    calls = []
+
+    def counted(H, original=gibbs_module.diagonalize):
+        calls.append(1)
+        return original(H)
+
+    for module in (gibbs_module, qbp):
+        monkeypatch.setattr(module, "diagonalize", counted)
+    monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    check_dense_budget(1, 7)
+    with pytest.raises(ValueError, match="memory budget exceeded"):
+        hessian_logZ(model, 1.0)
+    assert main(["hessian", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert calls == []
 
 
 def test_hessian_budget_admits_a_12_site_chain():

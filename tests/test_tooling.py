@@ -4,7 +4,8 @@ The benchmark's tracer wraps package functions by (module, attribute) name: a
 name it wraps that the package no longer has would break `perfbench/run.py
 --trace 1` only when someone traces, so the whole table is pinned. The
 README's `solver` key table must list exactly the fields `SolverConfig`
-takes, so that it cannot advertise an option the code drops.
+takes, and its `lab` table exactly the suites and the keys each declares, so
+that neither can advertise an option the code drops.
 """
 
 import dataclasses
@@ -12,6 +13,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from gibbslearn.lab import SUITES
 from gibbslearn.solver import SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -31,13 +33,28 @@ def test_every_traced_attribute_resolves():
     assert missing == []
 
 
-def test_readme_solver_table_lists_the_config_fields():
+def _readme_table(anchor: str, header: str) -> list[list[str]]:
+    """Cells, backticks stripped, of the first table after `anchor` whose header starts so."""
     text = (ROOT / "README.md").read_text()
-    after = text[text.index("`solver` (an object with any of") :].splitlines()
-    start = next(i for i, line in enumerate(after) if line.startswith("| key |"))
+    after = text[text.index(anchor) :].splitlines()
+    start = next(i for i, line in enumerate(after) if line.startswith(header))
     rows = []
     for line in after[start + 2 :]:  # past the header and its rule
         if not line.startswith("|"):
             break
-        rows.append(line.split("|")[1].strip().strip("`"))
-    assert sorted(rows) == sorted(f.name for f in dataclasses.fields(SolverConfig))
+        rows.append([cell.strip().strip("`") for cell in line.split("|")[1:-1]])
+    return rows
+
+
+def test_readme_solver_table_lists_the_config_fields():
+    rows = _readme_table("`solver` (an object with any of", "| key |")
+    fields = sorted(f.name for f in dataclasses.fields(SolverConfig))
+    assert sorted(row[0] for row in rows) == fields
+
+
+def test_readme_lab_table_lists_each_suite_with_its_keys():
+    rows = _readme_table("### lab", "| suite | key |")
+    listed = {}
+    for suite, key, *_ in rows:
+        listed.setdefault(suite, []).append(key)
+    assert listed == {name: list(suite.keys) for name, suite in SUITES.items()}
