@@ -84,15 +84,15 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
 
 
 SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the field it sweeps
-POSITIVE_INT = (lambda v: isinstance(v, int) and v >= 1, "int >= 1")
+POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "int >= 1")  # not bool
 # Every config key a command checks, as (predicate, hint): commands that read
 # the same key share its check.
 FIELDS = {
     "model": (lambda v: isinstance(v, str), "path to a model JSON"),
     "kappa": POSITIVE_INT,
     "n": POSITIVE_INT,
-    "beta": (lambda v: isinstance(v, (int, float)) and v > 0, "float > 0"),
-    "N": (lambda v: isinstance(v, int) and v >= 0, "int >= 0"),
+    "beta": (lambda v: type(v) in (int, float) and v > 0, "float > 0"),
+    "N": (lambda v: type(v) is int and v >= 0, "int >= 0"),
     "scheme": (lambda v: v in SCHEMES, f"one of {', '.join(SCHEMES)}"),
     "delta_fail": (lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)"),
     "axis": (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}"),

@@ -846,14 +846,23 @@ def _count(v) -> bool:
     return type(v) is int and v >= 1
 
 
+def _series_point(v) -> bool:
+    # c = 0 or p = 0 divides by zero, and a negative a or b raises a negative
+    # base to a fractional power
+    if not (isinstance(v, list) and len(v) == 4 and all(map(_finite, v))):
+        return False
+    a, b, c, p = v
+    return a >= 0 and b >= 0 and c > 0 and p > 0
+
+
 # The kinds of value a suite key takes, as (predicate, hint).
 GRID = (_nonempty_list_of(_finite), "a nonempty list of finite numbers")
 COUNT = (_count, "an int >= 1")
 SIZES = (_nonempty_list_of(_count), "a nonempty list of ints >= 1")
 NUMBER = (_finite, "a finite number")
 POINTS = (
-    _nonempty_list_of(lambda p: isinstance(p, list) and len(p) == 4 and all(map(_finite, p))),
-    "a nonempty list of [a, b, c, p] lists of finite numbers",
+    _nonempty_list_of(_series_point),
+    "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0",
 )
 
 

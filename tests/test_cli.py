@@ -100,6 +100,33 @@ def test_gen_config_offenders_are_listed(tmp_path, capsys):
     assert "kappa" in err and "beta" in err
 
 
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"kappa": True}, "kappa (expected int >= 1, got True)"),
+        ({"beta": True}, "beta (expected float > 0, got True)"),
+        (
+            {"lattice": {"dimension": True, "side_lengths": [2]}},
+            "lattice.dimension (expected int >= 1, got True)",
+        ),
+    ],
+    ids=["kappa", "beta", "dimension"],
+)
+def test_gen_rejects_a_bool_for_a_number(tmp_path, capsys, extra, message):
+    # JSON true is a Python int: "kappa": true once exited 0 and reached model.json
+    cfg = write_config(tmp_path, "bool.json", gen_config(n=2, **extra))
+    out = tmp_path / "o"
+    assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
+def test_learn_rejects_a_bool_shot_count(tmp_path, capsys):
+    cfg = learn_config(tmp_path, run_gen(tmp_path, n=2), N=True)
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "N (expected int >= 0, got True)" in capsys.readouterr().err
+
+
 def test_gen_rejects_out_of_range_mu(tmp_path, capsys):
     payload = gen_config(n=2)
     payload["mu"] = [0.0] * 14 + [1.5]
@@ -460,9 +487,11 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"values": [1000.7, 2000]}, "values (expected int >= 0 for axis N, got 1000.7)"),
         ({"axis": "beta", "N": 2000, "values": [1.0, -0.5]}, "for axis beta, got -0.5"),
         ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
+        ({"trials": True}, "trials (expected int >= 1, got True)"),
+        ({"values": [True, 2000]}, "values (expected int >= 0 for axis N, got True)"),
     ],
     ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
-         "size-values"],
+         "size-values", "trials-bool", "N-values-bool"],
 )
 def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, message):
     cfg = sweep_config(tmp_path, **extra)
@@ -524,6 +553,10 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ("strong-convexity", {"beta": [1.0]}, "beta (not a key of this suite"),
         ("lr-decay", {"times": "0.5"}, "times (expected a nonempty list of finite numbers"),
         ("fourier", {"omegas": []}, "omegas (expected a nonempty list of finite numbers"),
+        # c = 0 died with a ZeroDivisionError traceback
+        ("sum-bounds", {"points": [[1.0, 2, 0.0, 1.0]]}, "invalid lab config: points ("),
+        ("sum-bounds", {"points": [[1.0, 2, 1.0, -1.0]]}, "invalid lab config: points ("),
+        ("sum-bounds", {"points": [[-0.5, 1, 1.0, 0.7]]}, "invalid lab config: points ("),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

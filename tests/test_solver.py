@@ -182,3 +182,46 @@ def test_alpha_positive_on_random_segment():
     alpha = alpha_along_segment(model.basis, model.mu, other.mu, 1.0)
     assert 0 < alpha <= 1.0
 
+
+
+def grouped_estimates(model, beta, seed):
+    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    return sample_outcomes(build_plan(model.basis, "grouped", 100_000), ens, seed=seed)
+
+
+@pytest.mark.parametrize("n, seed, radius", [(3, 2, 1.0), (3, 2, 0.3), (5, 1, 1.0)])
+def test_projected_newton_converges_from_the_hand_over(n, seed, radius):
+    # Newton takes over at pg <= 1.  n = 3: at the unit-box optimum 9 of the 27
+    # coordinates sit on the box, and a Newton phase that binds only
+    # coordinates exactly on the box, and holds them still, stalls at pg
+    # 0.058.  n = 5: a Newton phase without the Armijo rule stalls
+    model = random_chain_model(n, seed=seed)
+    est = grouped_estimates(model, 3.0, seed=seed)
+    mu_hat, trace = solve(est, 3.0, model.basis, SolverConfig(radius=radius))
+    reference, ref_trace = solve(
+        est, 3.0, model.basis, SolverConfig(radius=radius, tol_grad=1e-12, polish_max_iters=200)
+    )
+    assert trace.converged and ref_trace.converged
+    assert np.max(np.abs(mu_hat - reference)) <= 1e-5
+    assert np.max(np.abs(mu_hat)) <= radius
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_solve_takes_few_dual_evaluations(seed):
+    # each evaluation is one 2^n eigh: projected Newton from pg <= 1 takes
+    # 10-14 here, where a first-order phase down to pg 1e-3 took 93-153
+    model = random_chain_model(5, seed=seed)
+    _, trace = solve(grouped_estimates(model, 1.0, seed), 1.0, model.basis)
+    assert trace.converged
+    assert trace.dual_evals <= 40
+
+
+def test_unreachable_tolerance_stops_at_the_float_floor():
+    # below pg ~ 1e-15 no step resolves a decrease in f: the solve must stop
+    # there, not spend evaluations on steps that f and pg cannot tell apart
+    model = random_chain_model(3, seed=0)
+    e = exact_marginals(model, 1.0)
+    _, trace = solve(e, 1.0, model.basis, SolverConfig(tol_grad=1e-17))
+    assert not trace.converged
+    assert trace.pg_final < 1e-14
+    assert trace.dual_evals <= 40

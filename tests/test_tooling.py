@@ -5,16 +5,19 @@ name it wraps that the package no longer has would break `perfbench/run.py
 --trace 1` only when someone traces, so the whole table is pinned. The
 README's `solver` key table must list exactly the fields `SolverConfig`
 takes, and its `lab` table exactly the suites and the keys each declares, so
-that neither can advertise an option the code drops.
+that neither can advertise an option the code drops; its solver paragraph
+must name the projected-gradient norm at which the solver hands over to
+Newton.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 from gibbslearn.lab import SUITES
-from gibbslearn.solver import SolverConfig
+from gibbslearn.solver import POLISH_TRIGGER, SolverConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -50,6 +53,14 @@ def test_readme_solver_table_lists_the_config_fields():
     rows = _readme_table("`solver` (an object with any of", "| key |")
     fields = sorted(f.name for f in dataclasses.fields(SolverConfig))
     assert sorted(row[0] for row in rows) == fields
+
+
+def test_readme_solver_paragraph_states_the_hand_over_norm():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    stated = re.findall(
+        r"hands over to projected Newton once the projected-gradient norm is at most (\S+)", text
+    )
+    assert [float(norm) for norm in stated] == [POLISH_TRIGGER]
 
 
 def test_readme_lab_table_lists_each_suite_with_its_keys():
