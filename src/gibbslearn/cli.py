@@ -53,7 +53,7 @@ from .reporting import (
     write_csv,
     write_json,
 )
-from .solver import SolverConfig, alpha_along_segment, error_bound, solve
+from .solver import SolverConfig, alpha_secant, error_bound, solve
 
 
 class CLIError(Exception):
@@ -142,9 +142,10 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 
 def _learn_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices one learn holds at once: a Hessian of the Newton polish
-    or the alpha segment, plus the eigenvectors at both ends of the segment."""
-    return hessian_matrices(basis.m, basis.lattice.n_sites) + 2
+    """Dense matrices one learn holds at once: a Hessian of the Newton polish,
+    which reads the solver's current eigensystem, plus the eigenvectors at mu
+    that sampling diagonalized and the alpha step reads again."""
+    return hessian_matrices(basis.m, basis.lattice.n_sites) + 1
 
 
 def _solver_config(raw: dict | None) -> SolverConfig:
@@ -214,10 +215,10 @@ def _learn_once(
     m = basis.m
     l2_error = float(np.linalg.norm(mu_hat - model.mu))
     delta_max = float(np.max(estimates.delta)) if m else 0.0
-    # the segment's ends were diagonalized for sampling and by the solver
-    alpha = alpha_along_segment(
-        basis, model.mu, mu_hat, beta, ends=(ensemble.spectral, trace.spectral)
-    )
+    # the dual gradient at mu, beta * (e_hat - e(mu)), from the ensemble sampling
+    # built; the solver's last gradient is the one at mu_hat
+    grad_mu = beta * (estimates.e_hat - marginals(basis_stack(basis), ensemble))
+    alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
     # fold the solver residual into an effective marginal error so the bound
     # stays meaningful when measurement noise is zero (exact scheme)
     effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
@@ -265,7 +266,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         "delta_max": run["delta_max"],
         "iterations": len(trace.iterations),
         "converged": bool(trace.converged),
-        "alpha_measured": run["alpha"],
+        "alpha_secant": run["alpha"],
         "bound_value": run["bound"],
         "bound_holds": run["bound_holds"],
         "pg_final": run["pg_final"],
@@ -295,7 +296,7 @@ SWEEP_HEADER = (
     "beta",
     "N",
     "delta_observed",
-    "alpha_measured",
+    "alpha_secant",
     "l2_error",
     "bound_value",
     "bound_holds",

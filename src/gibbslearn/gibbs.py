@@ -9,8 +9,8 @@ the matrices no model names (the solver's iterates, a caller's H).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -85,14 +85,24 @@ def diagonalize(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(energies, vectors)
 
 
-@lru_cache(maxsize=1)
+# The last model spectrum() built, held weakly, and its eigensystem.
+_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
     """The eigensystem of H(mu), the one way a model becomes an eigensystem.
 
     Cached: a model is frozen and hashed by identity, so the callers that ask
-    for the same model in a row share one (read-only) diagonalization.
+    for the same model in a row share one (read-only) diagonalization.  The
+    cache keeps one entry, keyed weakly, so an eigensystem is dropped when
+    its model dies or before the next model is diagonalized, whichever comes
+    first.
     """
-    return diagonalize(assemble_hamiltonian(model))
+    cached = _SPECTRA.get(model)
+    if cached is None:
+        _SPECTRA.clear()
+        cached = _SPECTRA[model] = diagonalize(assemble_hamiltonian(model))
+    return cached
 
 
 def _square(H) -> np.ndarray:

@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 SERIES_TAIL_TOL = 1e-12
+SERIES_MAX_TERMS = 10_000_000  # per series; the `points` check refuses points that need more
 R_MIN = 0.01  # calibrated floor on the infinite-temperature variance ratio
 
 
@@ -491,17 +492,14 @@ def lieb_robinson_decay(
 # Analytic series bounds.
 
 
-def _sum_until(term, tail_bound, start: int = 0) -> float:
-    """Sum term(j) from `start` until the analytic tail bound drops below tol."""
+def _sum_until(term, tail_bound) -> float:
+    """Sum term(j) from 0 until the analytic tail bound drops below tol."""
     total = 0.0
-    j = start
-    while True:
-        total += term(j)
-        j += 1
+    for j in range(1, SERIES_MAX_TERMS + 1):
+        total += term(j - 1)
         if j > 10 and tail_bound(j) < SERIES_TAIL_TOL:
             return total
-        if j > 10_000_000:
-            raise RuntimeError("series failed to converge within 1e7 terms")
+    raise RuntimeError(f"series failed to converge within {SERIES_MAX_TERMS:,} terms")
 
 
 def _gamma_tail(s: float, z: float) -> float:
@@ -509,6 +507,61 @@ def _gamma_tail(s: float, z: float) -> float:
     from scipy.special import gammaincc, gammaln  # 0.3 s to import; only the lab needs it
 
     return float(np.exp(gammaln(s)) * gammaincc(s, z))
+
+
+def _series(a, b, c, p) -> list[tuple]:
+    """(term, tail bound, closed-form bound) of each of the three sums at one point.
+
+    The tail bound at j bounds the sum of the terms from j on.  Each is
+    non-increasing in j from j = 11 on, wherever it is finite.
+    """
+    mode2 = (b / (c * p)) ** (1.0 / p)  # term peak; integral bound valid beyond
+
+    def tail2(j):
+        if j <= mode2 + 1:
+            return math.inf
+        s = (b + 1.0) / p
+        return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (j - 1.0) ** p)
+
+    def tail3(j):
+        s = 1.0 / p
+        return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (a + j - 1.0) ** p)
+
+    return [
+        (
+            lambda j: math.exp(-c * j),
+            lambda j: math.exp(-c * j) / -math.expm1(-c),
+            math.exp(c) / c,
+        ),
+        (
+            lambda j: j**b * math.exp(-c * j**p) if j > 0 else 0.0,
+            tail2,
+            (2.0 / p) * ((b + 1.0) / (c * p)) ** ((b + 1.0) / p),
+        ),
+        (
+            lambda j: math.exp(-c * (a + j) ** p),
+            tail3,
+            math.exp(-(c / 2.0) * a**p) * (1.0 + (1.0 / p) * (2.0 / (c * p)) ** (1.0 / p)),
+        ),
+    ]
+
+
+def _series_converge(a, b, c, p) -> bool:
+    """Whether verify_sum_bounds can run at (a, b, c, p) within SERIES_MAX_TERMS terms.
+
+    The tail bounds do not increase from j = 11 on, so probing j = 11, 22,
+    44, ... and the cap tells, in a few dozen evaluations, whether each drops
+    below the tolerance in time.  A NaN tail never does, and a point whose
+    tails or bounds overflow is refused.
+    """
+    doublings = int(math.log2(SERIES_MAX_TERMS / 11)) + 1
+    probes = [*(11 * 2**k for k in range(doublings)), SERIES_MAX_TERMS]
+    try:
+        return all(
+            any(tail(j) < SERIES_TAIL_TOL for j in probes) for _, tail, _ in _series(a, b, c, p)
+        )
+    except OverflowError:
+        return False
 
 
 def verify_sum_bounds(points=None) -> CheckReport:
@@ -532,40 +585,12 @@ def verify_sum_bounds(points=None) -> CheckReport:
     min_slack = math.inf
     passed = True
     for a, b, c, p in points:
-        s1 = _sum_until(
-            lambda j: math.exp(-c * j),
-            lambda j: math.exp(-c * j) / (1.0 - math.exp(-c)),
-        )
-        b1 = math.exp(c) / c
-
-        mode2 = (b / (c * p)) ** (1.0 / p)  # term peak; integral bound valid beyond
-
-        def term2(j, b=b, c=c, p=p):
-            return j**b * math.exp(-c * j**p) if j > 0 else 0.0
-
-        def tail2(j, b=b, c=c, p=p, mode2=mode2):
-            if j <= mode2 + 1:
-                return math.inf
-            s = (b + 1.0) / p
-            return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (j - 1.0) ** p)
-
-        s2 = _sum_until(term2, tail2)
-        b2 = (2.0 / p) * ((b + 1.0) / (c * p)) ** ((b + 1.0) / p)
-
-        def term3(j, a=a, c=c, p=p):
-            return math.exp(-c * (a + j) ** p)
-
-        def tail3(j, a=a, c=c, p=p):
-            s = 1.0 / p
-            return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (a + j - 1.0) ** p)
-
-        s3 = _sum_until(term3, tail3)
-        b3 = math.exp(-(c / 2.0) * a**p) * (1.0 + (1.0 / p) * (2.0 / (c * p)) ** (1.0 / p))
-
-        slack = min(b1 - s1, b2 - s2, b3 - s3)
+        sums = [(_sum_until(term, tail), bound) for term, tail, bound in _series(a, b, c, p)]
+        (s1, b1), (s2, b2), (s3, b3) = sums
+        slack = min(bound - total for total, bound in sums)
         rows.append((a, b, c, p, s1, b1, s2, b2, s3, b3, slack))
         min_slack = min(min_slack, slack)
-        passed = passed and (s1 <= b1 and s2 <= b2 and s3 <= b3)
+        passed = passed and all(total <= bound for total, bound in sums)
     return CheckReport(
         check="sum-bounds",
         passed=passed,
@@ -852,7 +877,7 @@ def _series_point(v) -> bool:
     if not (isinstance(v, list) and len(v) == 4 and all(map(_finite, v))):
         return False
     a, b, c, p = v
-    return a >= 0 and b >= 0 and c > 0 and p > 0
+    return a >= 0 and b >= 0 and c > 0 and p > 0 and _series_converge(a, b, c, p)
 
 
 # The kinds of value a suite key takes, as (predicate, hint).
@@ -862,7 +887,8 @@ SIZES = (_nonempty_list_of(_count), "a nonempty list of ints >= 1")
 NUMBER = (_finite, "a finite number")
 POINTS = (
     _nonempty_list_of(_series_point),
-    "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0",
+    "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0, "
+    f"whose three series converge within {SERIES_MAX_TERMS:,} terms",
 )
 
 

@@ -25,12 +25,19 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals
+from .gibbs import diagonalize, gibbs, marginals
 from .lattice import OperatorBasis, PauliTable, basis_stack
 from .measure import MarginalEstimates
 from .qbp import _hessian_core
 
-__all__ = ["SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_along_segment"]
+__all__ = [
+    "SolverConfig",
+    "SolverTrace",
+    "solve",
+    "error_bound",
+    "alpha_secant",
+    "alpha_along_segment",
+]
 
 ETA0 = 1.0  # first backtracking trial step
 ARMIJO_C = 0.5
@@ -77,8 +84,8 @@ class SolverTrace:
     `steps` holds the backtracking step on "first-order" rows and the Newton
     step length on "polish" rows; `evals` counts dual evaluations so far,
     the initial one included.  `pg_final` is the projected-gradient norm at
-    the returned point, and `spectral` the eigensystem of H there, so that
-    callers need not diagonalize it again.
+    the returned point, and `grad_final` the gradient of the dual objective
+    there, beta * (e_hat - e(mu_hat)).
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -91,7 +98,7 @@ class SolverTrace:
     pg_final: float = 0.0
     converged: bool = False
     wall_time: float = 0.0
-    spectral: SpectralDecomposition | None = field(default=None, repr=False)
+    grad_final: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_iterations(self) -> int:
@@ -166,11 +173,11 @@ def solve(
     x = project(x)
     fx, gx, sx = evaluate(x)
     x, fx, gx, sx = _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace)
-    x, fx, gx, sx = _newton_polish(
+    x, fx, gx, _ = _newton_polish(
         x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, trace
     )
 
-    trace.spectral = sx
+    trace.grad_final = gx
     trace.pg_final = _pg_norm(x, gx, project)
     trace.converged = trace.pg_final <= cfg.tol_grad
     trace.wall_time = time.perf_counter() - started
@@ -309,23 +316,29 @@ def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:
     return 2.0 * beta * np.sqrt(m) * delta / alpha
 
 
-def alpha_along_segment(
-    basis: OperatorBasis,
-    a,
-    b,
-    beta: float,
-    ends: tuple[SpectralDecomposition | None, SpectralDecomposition | None] = (None, None),
-) -> float:
-    """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b].
+def alpha_secant(basis: OperatorBasis, a, b, beta: float, grad_a, grad_b) -> float:
+    """Mean curvature of log Z along the segment [a, b]: at least its lambda_min.
 
-    `ends` may hold the eigensystems of H(a) and H(b), which the first and
-    last points then reuse.
+    The dual objective's gradients grad_a and grad_b at the ends differ by
+    the integral of H u over the segment, u = b - a, so
+    <grad_b - grad_a, u> / |u|^2 is the exact mean of u^T H u / |u|^2 there,
+    with no Hessian formed.  When u is zero, or rounding leaves the quotient
+    non-positive, it falls back to the min Hessian eigenvalue at b.
     """
+    u = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
+    uu = float(np.dot(u, u))
+    if uu > 0:
+        alpha = float(np.dot(np.asarray(grad_b) - np.asarray(grad_a), u)) / uu
+        if alpha > 0:
+            return alpha
+    return _hessian_core(basis, b, float(beta)).min_eigenvalue
+
+
+def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
+    """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b]."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    spectra = [ends[0], *[None] * (ALPHA_POINTS - 2), ends[1]]
     lo = np.inf
-    for t, spectral in zip(np.linspace(0.0, 1.0, ALPHA_POINTS), spectra):
-        report = _hessian_core(basis, (1 - t) * a + t * b, float(beta), spectral)
-        lo = min(lo, report.min_eigenvalue)
+    for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
+        lo = min(lo, _hessian_core(basis, (1 - t) * a + t * b, float(beta)).min_eigenvalue)
     return float(lo)

@@ -198,7 +198,7 @@ def test_learn_end_to_end(tmp_path, capsys):
 
 def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # sampling diagonalizes mu and each dual evaluation its point; the Newton
-    # polish and the ends of the alpha segment reuse those eigensystems
+    # polish reuses those eigensystems and the secant alpha needs none
     calls = []
 
     def counted(H, original=gibbs.diagonalize):
@@ -212,7 +212,22 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     run = cli._learn_once(model, 3.0, 1000, "exact", 0.05, 1, cfg)
     trace = run["trace"]
     assert "polish" in trace.phases
-    assert len(calls) == trace.dual_evals + 1 + (solver.ALPHA_POINTS - 2)
+    assert len(calls) == trace.dual_evals + 1
+
+
+def test_learn_from_the_truth_still_bounds_the_error(tmp_path):
+    # exact marginals and lambda0 = mu: the solver returns mu itself, so
+    # u = mu_hat - mu is zero and alpha comes from the Hessian at mu_hat
+    model_path = run_gen(tmp_path, n=3)
+    mu = load_model(model_path).mu
+    cfg = learn_config(tmp_path, model_path, scheme="exact", solver={"lambda0": mu.tolist()})
+    out = tmp_path / "learn_out"
+    assert main(["learn", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert np.array_equal(np.array(result["mu_hat"]), mu)
+    assert result["l2_error"] == 0.0
+    assert np.isfinite(result["alpha_secant"]) and result["alpha_secant"] > 0
+    assert result["bound_holds"] is True
 
 
 def test_polish_accepts_a_newton_step_within_the_rounding_of_log_z(tmp_path):
@@ -557,6 +572,8 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ("sum-bounds", {"points": [[1.0, 2, 0.0, 1.0]]}, "invalid lab config: points ("),
         ("sum-bounds", {"points": [[1.0, 2, 1.0, -1.0]]}, "invalid lab config: points ("),
         ("sum-bounds", {"points": [[-0.5, 1, 1.0, 0.7]]}, "invalid lab config: points ("),
+        # in the domain, but its series need over 1e9 terms
+        ("sum-bounds", {"points": [[1e-3, 0, 1e-3, 0.5]]}, "invalid lab config: points ("),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

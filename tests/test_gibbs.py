@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,19 @@ def test_spectrum_is_built_once_per_model():
     for spec in (first, spectrum(twin)):
         np.testing.assert_array_equal(spec.energies, reference.energies)
         np.testing.assert_array_equal(spec.vectors, reference.vectors)
+
+
+def test_spectrum_dies_with_its_model_and_keeps_one_entry():
+    model = random_chain_model(3, seed=4)
+    eigensystem = weakref.ref(spectrum(model))
+    assert eigensystem() is not None
+    del model
+    assert eigensystem() is None
+    # several live models hold at most the last one's eigensystem
+    first, second = random_chain_model(3, seed=5), random_chain_model(3, seed=6)
+    eigensystem = weakref.ref(spectrum(first))
+    spectrum(second)
+    assert eigensystem() is None
 
 
 @settings(max_examples=25, deadline=None)

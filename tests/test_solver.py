@@ -4,14 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gibbslearn.gibbs import gibbs_state, marginal, marginals
+from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginal, marginals
 from gibbslearn import solver
 from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack
-from gibbslearn.qbp import log_partition
-from gibbslearn.solver import SolverConfig, _dual_eval, alpha_along_segment, error_bound, solve
+from gibbslearn.qbp import _hessian_core, log_partition, qbp_transform
+from gibbslearn.solver import (
+    SolverConfig,
+    _dual_eval,
+    alpha_along_segment,
+    alpha_secant,
+    error_bound,
+    solve,
+)
 from gibbslearn.measure import build_plan, sample_outcomes
 
-from conftest import chain_basis, random_chain_model
+from conftest import chain_basis, dense_basis, random_chain_model
 
 
 def exact_marginals(model, beta):
@@ -184,9 +191,9 @@ def test_alpha_positive_on_random_segment():
 
 
 
-def grouped_estimates(model, beta, seed):
+def grouped_estimates(model, beta, seed, shots=100_000):
     ens = gibbs_state(assemble_hamiltonian(model), beta)
-    return sample_outcomes(build_plan(model.basis, "grouped", 100_000), ens, seed=seed)
+    return sample_outcomes(build_plan(model.basis, "grouped", shots), ens, seed=seed)
 
 
 @pytest.mark.parametrize("n, seed, radius", [(3, 2, 1.0), (3, 2, 0.3), (5, 1, 1.0)])
@@ -204,6 +211,22 @@ def test_projected_newton_converges_from_the_hand_over(n, seed, radius):
     assert trace.converged and ref_trace.converged
     assert np.max(np.abs(mu_hat - reference)) <= 1e-5
     assert np.max(np.abs(mu_hat)) <= radius
+
+
+@pytest.mark.parametrize("beta, shots, seed", [(3.0, 10_000, 7), (2.0, 100_000, 6)])
+def test_newton_binds_the_coordinates_near_the_box(beta, shots, seed):
+    # n = 3, 13 and 5 coordinates end on the box.  Binding within eps of a
+    # bound takes 2 and 1 shortened Newton steps, 26 and 17 evaluations;
+    # binding only the coordinates exactly on the box leaves those just
+    # inside free, their Newton steps are clipped, and the arc backtracks
+    # on 11 and 6 steps, 57 and 34 evaluations
+    model = random_chain_model(3, seed=seed)
+    est = grouped_estimates(model, beta, seed, shots)
+    _, trace = solve(est, beta, model.basis)
+    shortened = [s for s, phase in zip(trace.steps, trace.phases) if phase == "polish" and s < 1]
+    assert trace.converged
+    assert len(shortened) <= 3
+    assert trace.dual_evals <= 40
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -225,3 +248,49 @@ def test_unreachable_tolerance_stops_at_the_float_floor():
     assert not trace.converged
     assert trace.pg_final < 1e-14
     assert trace.dual_evals <= 40
+
+
+def dense_curvature(dense, lam, u, beta):
+    """u^T H(lam) u from dense matrices: (beta^2/2) Re Tr[{W, Phi(W)} rho] - beta^2 <W>^2."""
+    spectral = diagonalize(np.tensordot(lam, dense, axes=1))
+    rho = density_matrix(gibbs(spectral, beta))
+    W = np.tensordot(u, dense, axes=1)
+    phi = qbp_transform(W, spectral, beta)
+    anti = np.trace(W @ phi @ rho) + np.trace(phi @ W @ rho)
+    return 0.5 * beta**2 * anti.real - beta**2 * np.trace(W @ rho).real ** 2
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0, 3.0])
+def test_alpha_secant_is_the_mean_curvature_along_the_segment(beta):
+    # the mean of u^T H u / |u|^2 over the segment from mu to a learned mu_hat,
+    # by 20-point Gauss-Legendre quadrature of the dense oracle
+    model = random_chain_model(3, seed=5)
+    est = grouped_estimates(model, beta, seed=5)
+    mu_hat, trace = solve(est, beta, model.basis)
+    table = basis_stack(model.basis)
+    grad_mu = _dual_eval(model.mu, est.e_hat, beta, table)[1]
+    alpha = alpha_secant(model.basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
+
+    dense = dense_basis(model.basis)
+    u = mu_hat - model.mu
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    ts = 0.5 * (nodes + 1.0)
+    mean = 0.5 * sum(
+        w * dense_curvature(dense, model.mu + t * u, u, beta) for t, w in zip(ts, weights)
+    ) / np.dot(u, u)
+    assert alpha == pytest.approx(mean, rel=1e-8)
+    # the mean is at least the segment's minimum, here sampled at the nodes
+    lam_min = min(_hessian_core(model.basis, model.mu + t * u, beta).min_eigenvalue for t in ts)
+    assert alpha >= lam_min
+
+
+def test_alpha_secant_falls_back_to_the_hessian_at_a_point():
+    model = random_chain_model(2, seed=4)
+    zero = np.zeros(model.basis.m)
+    expected = _hessian_core(model.basis, model.mu, 1.5).min_eigenvalue
+    # u = 0, and a quotient that is not positive
+    assert alpha_secant(model.basis, model.mu, model.mu, 1.5, zero, zero) == expected
+    other = model.mu + 1e-3
+    assert alpha_secant(model.basis, model.mu, other, 1.5, zero, zero) == pytest.approx(
+        _hessian_core(model.basis, other, 1.5).min_eigenvalue, rel=1e-15
+    )

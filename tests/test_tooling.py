@@ -7,15 +7,19 @@ README's `solver` key table must list exactly the fields `SolverConfig`
 takes, and its `lab` table exactly the suites and the keys each declares, so
 that neither can advertise an option the code drops; its solver paragraph
 must name the projected-gradient norm at which the solver hands over to
-Newton.
+Newton.  Its `learn` and `sweep` sections must name every key of
+`result.json` and every column of `sweep.csv`, so that a renamed output
+field cannot drift from its documentation.
 """
 
 import dataclasses
 import importlib
 import importlib.util
+import json
 import re
 from pathlib import Path
 
+from gibbslearn.cli import SWEEP_HEADER, main
 from gibbslearn.lab import SUITES
 from gibbslearn.solver import POLISH_TRIGGER, SolverConfig
 
@@ -69,3 +73,27 @@ def test_readme_lab_table_lists_each_suite_with_its_keys():
     for suite, key, *_ in rows:
         listed.setdefault(suite, []).append(key)
     assert listed == {name: list(suite.keys) for name, suite in SUITES.items()}
+
+
+def _readme_section_names(heading: str) -> set[str]:
+    """The backticked names in the prose of the README section `### heading`."""
+    text = (ROOT / "README.md").read_text()
+    start = text.index(f"\n### {heading}\n")
+    prose = re.sub(r"```.*?```", "", text[start : text.find("\n#", start + 1)], flags=re.S)
+    return set(re.findall(r"`([^`]+)`", prose))
+
+
+def test_readme_names_every_result_key_of_learn(tmp_path):
+    gen = tmp_path / "gen.json"
+    lattice = {"dimension": 1, "side_lengths": [2]}
+    gen.write_text(json.dumps({"lattice": lattice, "kappa": 1, "beta": 1.0}))
+    assert main(["gen", "--config", str(gen), "--out", str(tmp_path)]) == 0
+    learn = tmp_path / "learn.json"
+    learn.write_text(json.dumps({"model": str(tmp_path / "model.json"), "N": 100, "beta": 1.0}))
+    assert main(["learn", "--config", str(learn), "--out", str(tmp_path)]) == 0
+    keys = json.loads((tmp_path / "result.json").read_text())
+    assert sorted(set(keys) - _readme_section_names("learn")) == []
+
+
+def test_readme_names_every_sweep_column():
+    assert sorted(set(SWEEP_HEADER) - _readme_section_names("sweep")) == []
