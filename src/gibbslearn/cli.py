@@ -19,18 +19,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
 
 from . import __version__
 from .gibbs import gibbs, marginals, spectrum
-from .lab import SUITES
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -356,6 +353,9 @@ def _trial_pool(workers: int):
     the environment while the pool spawns its processes, so each worker sees
     them before it imports numpy.
     """
+    import multiprocessing  # imported here: a learn, which starts no pool, skips them
+    from concurrent.futures import ProcessPoolExecutor
+
     added = {}
     if not any(var in os.environ for var in THREAD_VARS):
         threads = str(max(1, (os.cpu_count() or 1) // workers))
@@ -505,6 +505,8 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
 
 
 def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
+    from .lab import SUITES  # the lab is imported only by the command that runs it
+
     suite = suite or config.get("suite")
     if suite not in SUITES:
         raise CLIError(
@@ -624,7 +626,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
     p_lab = sub.add_parser("lab", help="run one structural check suite")
-    p_lab.add_argument("suite", nargs="?", help=f"one of: {', '.join(sorted(SUITES))}")
+    p_lab.add_argument("suite", nargs="?", help="the suite to run; without one, lab lists them")
     common(p_lab, config_required=False)
     common(sub.add_parser("hessian", help="dump the exact log-partition Hessian"))
     common(sub.add_parser("marginals", help="dump exact marginals of a stored model"))

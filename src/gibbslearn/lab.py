@@ -502,11 +502,27 @@ def _sum_until(term, tail_bound) -> float:
     raise RuntimeError(f"series failed to converge within {SERIES_MAX_TERMS:,} terms")
 
 
-def _gamma_tail(s: float, z: float) -> float:
-    """Upper incomplete gamma Gamma(s, z), computed stably."""
+def _log_gamma_tail(s: float, z: float) -> float:
+    """log Gamma(s, z), the upper incomplete gamma function, or an upper bound on it.
+
+    Where gammaincc underflows to 0, z lies far above s, and the bound
+    Gamma(s, z) <= z^(s-1) e^(-z) / (1 - r/z), r = max(s - 1, 0) < z, stands
+    in: for t >= z, t^(s-1) <= z^(s-1) e^(r (t-z)/z).  Below that range it
+    reads inf, so a tail never reads 0 where the true tail is large.
+    """
     from scipy.special import gammaincc, gammaln  # 0.3 s to import; only the lab needs it
 
-    return float(np.exp(gammaln(s)) * gammaincc(s, z))
+    q = float(gammaincc(s, z))
+    if q > 0.0:
+        return float(gammaln(s)) + math.log(q)
+    r = max(s - 1.0, 0.0)
+    return (s - 1.0) * math.log(z) - z - math.log1p(-r / z) if z > r else math.inf
+
+
+def _tail(log_scale: float, s: float, z: float) -> float:
+    """exp(log_scale) Gamma(s, z), summed in logs; inf where it overflows."""
+    log_tail = log_scale + _log_gamma_tail(s, z)
+    return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
 
 def _series(a, b, c, p) -> list[tuple]:
@@ -517,15 +533,15 @@ def _series(a, b, c, p) -> list[tuple]:
     """
     mode2 = (b / (c * p)) ** (1.0 / p)  # term peak; integral bound valid beyond
 
-    def tail2(j):
+    def tail2(j):  # (1/p) c^(-s) Gamma(s, c (j - 1)^p), s = (b + 1)/p
         if j <= mode2 + 1:
             return math.inf
         s = (b + 1.0) / p
-        return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (j - 1.0) ** p)
+        return _tail(-math.log(p) - s * math.log(c), s, c * (j - 1.0) ** p)
 
-    def tail3(j):
+    def tail3(j):  # (1/p) c^(-s) Gamma(s, c (a + j - 1)^p), s = 1/p
         s = 1.0 / p
-        return (1.0 / p) * c ** (-s) * _gamma_tail(s, c * (a + j - 1.0) ** p)
+        return _tail(-math.log(p) - s * math.log(c), s, c * (a + j - 1.0) ** p)
 
     return [
         (
@@ -551,8 +567,8 @@ def _series_converge(a, b, c, p) -> bool:
 
     The tail bounds do not increase from j = 11 on, so probing j = 11, 22,
     44, ... and the cap tells, in a few dozen evaluations, whether each drops
-    below the tolerance in time.  A NaN tail never does, and a point whose
-    tails or bounds overflow is refused.
+    below the tolerance in time.  A tail that overflows reads inf and never
+    does, and a point whose bounds overflow is refused.
     """
     doublings = int(math.log2(SERIES_MAX_TERMS / 11)) + 1
     probes = [*(11 * 2**k for k in range(doublings)), SERIES_MAX_TERMS]

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 PAULI_LETTERS = "XYZ"
+CELL_SITES = 3  # sites a cell's z-masks may cover: at most 2^3 parts per product
 
 _PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -304,8 +305,56 @@ class PauliTable:
         masks, owner = np.unique(self._x, return_inverse=True)
         self._rows = self._cols ^ masks[:, None]
         self._select = (owner == np.arange(masks.size)[:, None]).astype(float)
-        arrays = (self._x, self._z, self._cols, self._phases, self._rows, self._select)
+        self._cells = self._pack_cells(owner)
+        self._parts = max((len(cell[2]) for cell in self._cells if cell[2] is not None), default=0)
+        arrays = [self._x, self._z, self._cols, self._phases, self._rows, self._select]
+        arrays += {id(a): a for cell in self._cells for a in cell[1:] if a is not None}.values()
         self.nbytes = sum(a.nbytes for a in arrays)
+
+    def _pack_cells(self, owner: np.ndarray) -> list[tuple]:
+        """Group the elements into the cells that `sandwich` forms with one product each.
+
+        A cell is one x-mask and z-masks whose union S covers at most
+        CELL_SITES sites, packed first-fit in basis order; an element whose
+        own z-mask is larger, or that finds no partner, forms a cell alone.
+        A lone element is (l, columns c ^ x, None, None).  A cell of k
+        elements is (members, gather, order, signs): row s of `order` holds
+        the basis indices c whose bits on S read s, in ascending order,
+        `gather` is order ^ x, and signs[j, s] = i^{#Y} (-1)^{|s & z_j|} with
+        z_j read on S, so that phases[l, c] = signs[j, s] for c in row s.
+        Cells come sorted by S, and cells with the same S share `order`.
+        """
+        by_mask: dict[int, list[list]] = {}  # x-mask index -> its cells as [z-union, members]
+        for l, (mask, z) in enumerate(zip(owner.tolist(), self._z.tolist())):
+            packed = by_mask.setdefault(mask, [])
+            for cell in packed:
+                if (cell[0] | z).bit_count() <= CELL_SITES:
+                    cell[0] |= z
+                    cell[1].append(l)
+                    break
+            else:
+                packed.append([z, [l]])
+        orders: dict[int, np.ndarray] = {}
+        cells = []
+        for union, members in sorted((c for p in by_mask.values() for c in p), key=lambda c: c[0]):
+            x = int(self._x[members[0]])
+            if len(members) == 1:
+                cells.append((members[0], self._cols ^ x, None, None))
+                continue
+            bits = [b for b in range(self.n_sites) if union >> b & 1]
+
+            def on_union(v):  # the bits of v on S, packed into the low |S| bits
+                return sum(((v >> b) & 1) << j for j, b in enumerate(bits))
+
+            if union not in orders:
+                orders[union] = np.argsort(on_union(self._cols), kind="stable").reshape(
+                    2 ** len(bits), -1
+                )
+            order = orders[union]
+            parity = np.bitwise_count(on_union(self._z[members])[:, None] & np.arange(len(order)))
+            signs = self._phases[members, :1] * (-1.0) ** parity
+            cells.append((np.array(members), order ^ x, order, signs))
+        return cells
 
     def combine(self, coeffs) -> np.ndarray:
         """Dense sum_l c_l E_l."""
@@ -319,11 +368,35 @@ class PauliTable:
         return np.einsum("lc,lc->l", self._phases, gathered).real
 
     def sandwich(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """W E_l V for every l, as an (m, rows of W, columns of V) array."""
+        """W E_l V for every l, as an (m, rows of W, columns of V) array.
+
+        Column c of W E_l is phases[l, c] times column c ^ x_l of W.  Within a
+        cell the phases depend on c only through its bits s on S, so one
+        product, split by s into the parts P_s = W[:, C_s ^ x] V[C_s], gives
+        every member as sum_s signs[j, s] P_s.  The parts take at most one
+        2^n x 2^n matrix: where 2^|S| parts of all W's rows would not fit
+        (n <= 7 in the Hessian's slabs), W's rows go in blocks.
+        """
+        dim = self._cols.size
         out = np.empty((self._x.size, W.shape[0], V.shape[1]), dtype=complex)
-        for l, (x, phase) in enumerate(zip(self._x, self._phases)):
-            # column c of W E_l is phases[l, c] times column c ^ x_l of W
-            np.matmul(W[:, self._cols ^ x] * phase, V, out=out[l])
+        scratch = np.empty(min(dim * dim, self._parts * W.shape[0] * V.shape[1]), dtype=complex)
+        order = rows_of_v = None
+        for members, gather, cell_order, signs in self._cells:
+            if cell_order is None:  # a lone element: its phases fold into W's columns
+                np.matmul(W[:, gather] * self._phases[members], V, out=out[members])
+                continue
+            if cell_order is not order:
+                rows_of_v = None  # free the last S's rows before gathering the next
+                order, rows_of_v = cell_order, V[cell_order]
+            parts = len(order)
+            step = max(1, dim * dim // (parts * max(1, V.shape[1])))
+            for lo in range(0, W.shape[0], step):
+                block = W[lo : lo + step]
+                P = scratch[: parts * len(block) * V.shape[1]].reshape(parts, len(block), -1)
+                np.matmul(block[:, gather].transpose(1, 0, 2), rows_of_v, out=P)
+                flat = P.reshape(parts, -1)
+                for l, sign in zip(members, signs):
+                    np.matmul(sign, flat, out=out[l, lo : lo + step].reshape(-1))
         return out
 
     def anticommutation(self) -> np.ndarray:

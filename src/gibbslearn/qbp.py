@@ -18,6 +18,7 @@ only so the Fourier pair can be verified by quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -224,7 +225,11 @@ class HessianReport:
 
     beta: float
     matrix: np.ndarray = field(repr=False)
-    min_eigenvalue: float
+
+    @cached_property
+    def min_eigenvalue(self) -> float:
+        """Least eigenvalue, from one `eigvalsh` on first read: a Newton step never reads it."""
+        return float(np.linalg.eigvalsh(self.matrix)[0]) if self.matrix.size else 0.0
 
 
 SLAB_ROWS = 32  # energy rows per slab of the Hessian kernel
@@ -235,9 +240,10 @@ def hessian_matrices(m: int, n: int) -> int:
 
     Its peak is one slab, A_l[J, lo:] for every l: m * b rows of at most 2^n
     entries, so ceil(m * b / 2^n) matrices with b = min(SLAB_ROWS, 2^n).
-    The constant covers V, the slab's row block and its scratch, the table's
-    index arrays and numpy's buffers; diagonalising H before the first slab
-    exists takes about 4.
+    The constant covers V, the slab's row block, the rows of V that
+    `PauliTable.sandwich` gathers for a cell and its parts (at most one
+    matrix each), the table's index arrays and numpy's buffers; diagonalising
+    H before the first slab exists takes about 4.
     """
     dim = 2**n
     return 5 + -(-m * min(SLAB_ROWS, dim) // dim)
@@ -264,8 +270,7 @@ def _hessian_core(
         e += slab_e
     matrix = 0.5 * beta**2 * gram
     matrix -= beta**2 * np.outer(e, e)
-    min_eig = float(np.linalg.eigvalsh(matrix)[0]) if matrix.size else 0.0
-    return HessianReport(beta=float(beta), matrix=matrix, min_eigenvalue=min_eig)
+    return HessianReport(beta=float(beta), matrix=matrix)
 
 
 def _slab(table, spectral, r, beta, J: slice) -> tuple[np.ndarray, np.ndarray]:

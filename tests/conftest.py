@@ -44,6 +44,15 @@ def small_bases(draw):
     return enumerate_basis(lattice, draw(st.integers(1, min(3, lattice.n_sites))))
 
 
+# bases whose x = 0 group, or whose kappa = 3 z-masks, span more sites than one
+# cell of PauliTable.sandwich covers, so that cells split
+SPLIT_CELL_BASES = {
+    "open-chain5-kappa3": enumerate_basis(LatticeSpec(1, (5,)), 3),
+    "open-chain5-kappa2": enumerate_basis(LatticeSpec(1, (5,)), 2),
+    "periodic-2x2": enumerate_basis(LatticeSpec(2, (2, 2), periodic=True), 2),
+}
+
+
 def dense_basis(basis):
     """The (m, 2^n, 2^n) oracle stack, one `to_dense` matrix per basis element."""
     return np.array([to_dense(op, basis.lattice) for op in basis.ops])

@@ -582,6 +582,15 @@ def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
     assert message in capsys.readouterr().err
 
 
+def test_lab_sum_bounds_runs_a_point_whose_tails_underflow(tmp_path, capsys):
+    # c^(-s) underflows and Gamma(s) overflows at s = 1/p = 200; their product
+    # was NaN, and the points check refused a point whose sums settle at once
+    cfg = write_config(tmp_path, "lab.json", {"points": [[0, 0, 700, 0.005]]})
+    out = tmp_path / "o"
+    assert main(["lab", "sum-bounds", "--config", cfg, "--out", str(out)]) == 0
+    assert json.loads((out / "sum-bounds_suite.json").read_text())["pass"] is True
+
+
 def test_lab_unknown_suite_lists_options(tmp_path, capsys):
     assert main(["lab", "astrology", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
@@ -682,3 +691,14 @@ def test_cli_import_leaves_scipy_special_out():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_the_lab_and_multiprocessing_out():
+    # only `lab` reads the lab, and only a sweep's pool needs multiprocessing
+    code = (
+        "import sys, gibbslearn.cli; "
+        "print(sorted({'gibbslearn.lab', 'multiprocessing'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

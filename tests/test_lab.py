@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslearn import gibbs, qbp
+from gibbslearn import gibbs, lab, qbp
 from gibbslearn.gibbs import gibbs_state
 from gibbslearn.lab import (
     SUITES,
@@ -437,6 +437,23 @@ def test_sum_bounds_known_series_values():
     # shifted geometric sum_{j>=0} e^{-(1+j)}
     assert s3 == pytest.approx(1.0 / (e - 1.0), abs=1e-12)
     assert rep.passed
+
+
+def test_gamma_tail_bound_where_gammaincc_underflows():
+    # at z = 750..800 gammaincc underflows to 0; the stand-in must bound
+    # log Gamma(s, z) from above, closely, and never read -inf
+    from scipy.special import gammaincc
+
+    z = 800.0
+    assert gammaincc(1.0, z) == gammaincc(5.0, z) == gammaincc(0.5, z) == 0.0
+    # Gamma(1, z) = e^-z exactly
+    assert lab._log_gamma_tail(1.0, z) == -z
+    # Gamma(5, z) = 4! e^-z (1 + z + z^2/2 + z^3/6 + z^4/24)
+    exact = math.log(24.0) - z + math.log(sum(z**k / math.factorial(k) for k in range(5)))
+    assert exact <= lab._log_gamma_tail(5.0, z) <= exact + 0.01
+    # Gamma(1/2, z) = sqrt(pi) erfc(sqrt(z)) > 2 e^-z / (sqrt(z) + sqrt(z + 2))
+    lower = math.log(2.0) - z - math.log(math.sqrt(z) + math.sqrt(z + 2.0))
+    assert lower <= lab._log_gamma_tail(0.5, z) <= lower + 0.01
 
 
 def test_lower_bound_family_frozen_points():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn.lattice import (
+    CELL_SITES,
     HamiltonianModel,
     LatticeSpec,
     LocalBasisOp,
@@ -22,6 +23,7 @@ from gibbslearn.lattice import (
 from gibbslearn.lattice import load_model
 
 from conftest import (
+    SPLIT_CELL_BASES,
     chain_basis,
     dense_basis,
     raises_before_allocating,
@@ -186,6 +188,35 @@ def test_pauli_table_matches_dense_oracle(basis, rank, seed):
     for k, l in rng.integers(basis.m, size=(200, 2)):
         anticommutator = dense[k] @ dense[l] + dense[l] @ dense[k]
         assert anti[k, l] == (np.max(np.abs(anticommutator)) < 1e-12)
+
+
+@pytest.mark.parametrize("basis", SPLIT_CELL_BASES.values(), ids=SPLIT_CELL_BASES.keys())
+def test_cells_that_split_partition_the_basis_and_match_the_dense_oracle(basis):
+    n = basis.lattice.n_sites
+    table = basis_stack(basis)
+    words = [op.word(n) for op in basis.ops]
+
+    def sites(l, letters):
+        return frozenset(s for s, letter in enumerate(words[l]) if letter in letters)
+
+    cells = [np.atleast_1d(cell[0]).tolist() for cell in table._cells]
+    assert sorted(l for cell in cells for l in cell) == list(range(basis.m))
+    for cell in cells:
+        assert len({sites(l, "XY") for l in cell}) == 1
+        union = frozenset().union(*(sites(l, "YZ") for l in cell))
+        assert len(union) <= CELL_SITES or len(cell) == 1
+    assert sum(not sites(cell[0], "XY") for cell in cells) > 1  # the x = 0 group splits
+
+    dense = dense_basis(basis)
+    dim = dense.shape[1]
+    V = np.linalg.qr(random_state(dim, dim, np.random.default_rng(7)))[0]
+    # ragged row and column blocks, some of them split into row blocks inside sandwich
+    for lo, hi, left in ((0, dim, 0), (3, 8, 5), (1, dim - 2, dim - 3), (dim - 1, dim, dim - 1)):
+        W = V[:, lo:hi].conj().T
+        right = V[:, left:]
+        np.testing.assert_allclose(
+            table.sandwich(W, right), W @ dense @ right, rtol=0, atol=1e-12
+        )
 
 
 @settings(max_examples=40, deadline=None)

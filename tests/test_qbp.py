@@ -37,7 +37,13 @@ from gibbslearn.qbp import (
     verify_fourier_pair,
 )
 
-from conftest import chain_basis, dense_basis, raises_before_allocating, random_chain_model
+from conftest import (
+    SPLIT_CELL_BASES,
+    chain_basis,
+    dense_basis,
+    raises_before_allocating,
+    random_chain_model,
+)
 
 
 def test_filter_kernel_validation():
@@ -199,6 +205,24 @@ def test_hessian_kernel_matches_dense_oracle(model, beta, slab_rows):
     np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
     assert np.array_equal(report.matrix, report.matrix.T)
     assert abs(report.min_eigenvalue - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
+
+
+@pytest.mark.parametrize("slab_rows", [1, 3, 32])
+@pytest.mark.parametrize("basis", SPLIT_CELL_BASES.values(), ids=SPLIT_CELL_BASES.keys())
+def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_rows):
+    beta = 1.3
+    mu = np.random.default_rng(11).uniform(-1.0, 1.0, basis.m)
+    dense = dense_basis(basis)
+    spectral = diagonalize(np.tensordot(mu, dense, axes=1))
+    rho = density_matrix(gibbs(spectral, beta))
+    phi = np.array([qbp_transform(E, spectral, beta) for E in dense])
+    e = np.einsum("lab,ba->l", dense, rho).real
+    anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)
+    oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
+
+    with mock.patch.object(qbp, "SLAB_ROWS", slab_rows):
+        report = _hessian_core(basis, mu, beta)
+    np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
 
 
 def test_hessian_kernel_peak_memory_within_its_count():

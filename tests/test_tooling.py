@@ -9,7 +9,9 @@ that neither can advertise an option the code drops; its solver paragraph
 must name the projected-gradient norm at which the solver hands over to
 Newton.  Its `learn` and `sweep` sections must name every key of
 `result.json` and every column of `sweep.csv`, so that a renamed output
-field cannot drift from its documentation.
+field cannot drift from its documentation.  Its memory examples must quote
+the matrix counts that `hessian` and `learn` check, so that a changed count
+cannot leave them behind.
 """
 
 import dataclasses
@@ -19,9 +21,12 @@ import json
 import re
 from pathlib import Path
 
-from gibbslearn.cli import SWEEP_HEADER, main
+from gibbslearn.cli import SWEEP_HEADER, _learn_matrices, main
 from gibbslearn.lab import SUITES
+from gibbslearn.qbp import hessian_matrices
 from gibbslearn.solver import POLISH_TRIGGER, SolverConfig
+
+from conftest import chain_basis
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
@@ -97,3 +102,21 @@ def test_readme_names_every_result_key_of_learn(tmp_path):
 
 def test_readme_names_every_sweep_column():
     assert sorted(set(SWEEP_HEADER) - _readme_section_names("sweep")) == []
+
+
+def test_readme_memory_examples_quote_the_counts():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    hessians = re.findall(r"(\d+) matrices at n = (\d+), (\d+) at n = (\d+) and n = (\d+)", text)
+    assert len(hessians) == 1
+    nine, ten, seven, eleven, twelve = map(int, hessians[0])
+    quoted = [(nine, ten), (seven, eleven), (seven, twelve)]
+    assert quoted == [(hessian_matrices(chain_basis(n).m, n), n) for n in (10, 11, 12)]
+
+    refusal = re.findall(
+        r"`learn` on an open n = (\d+) chain stops with error: memory budget exceeded: "
+        r"(\d+) x 4\^(\d+)",
+        text,
+    )
+    assert len(refusal) == 1
+    n, count, exponent = map(int, refusal[0])
+    assert (count, exponent) == (_learn_matrices(chain_basis(n)), n)
