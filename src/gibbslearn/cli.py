@@ -145,6 +145,14 @@ def _learn_matrices(basis: OperatorBasis) -> int:
     return hessian_matrices(basis.m, basis.lattice.n_sites) + 1
 
 
+def _marginals_matrices(basis: OperatorBasis) -> int:
+    """Dense matrices `marginals` holds at once: 4, for H, eigh's copy of it,
+    V and LAPACK's workspace while diagonalizing, then for V, V * w, V^dag and
+    rho while forming rho, plus the basis table that both stages keep."""
+    n = basis.lattice.n_sites
+    return 4 + -(-basis.m // 2**n)
+
+
 def _solver_config(raw: dict | None) -> SolverConfig:
     if raw is None:
         return SolverConfig()
@@ -578,7 +586,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
-    check_dense_budget(2, model.n_sites)  # H and rho
+    check_dense_budget(_marginals_matrices(model.basis), model.n_sites)
     ensemble = gibbs(spectrum(model), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(

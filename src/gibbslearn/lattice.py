@@ -197,10 +197,9 @@ class HamiltonianModel:
                 f"mu has length {mu.shape if mu.ndim != 1 else mu.shape[0]}, "
                 f"basis has m={self.basis.m}"
             )
-        if mu.size and np.max(np.abs(mu)) > 1.0 + 1e-12:
+        if not np.all(np.abs(mu) <= 1.0 + 1e-12):  # NaN fails this too
             raise ValueError(
-                f"max|mu| = {np.max(np.abs(mu)):.6g} exceeds 1; "
-                "coefficients must lie in [-1, 1]"
+                f"max|mu| = {np.max(np.abs(mu)):.6g}; coefficients must lie in [-1, 1]"
             )
         mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)

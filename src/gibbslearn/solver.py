@@ -6,9 +6,9 @@ objective is convex (its Hessian is the filtered covariance matrix, which is
 PSD, and strongly convex on the box by the paper's main theorem), so the
 boxed minimizer is unique up to degeneracy of the marginal map, and with
 exact marginals it sits at the true coefficient vector.  There is one
-method in two phases.  Backtracking projected gradient with Nesterov
-extrapolation and a monotone restart runs until the projected gradient is
-at most POLISH_TRIGGER, which takes a few evaluations from the origin.
+method in two phases.  Backtracking projected gradient from the current
+iterate runs until the projected gradient is at most POLISH_TRIGGER, which
+takes a few evaluations from the origin.
 Projected Newton (Bertsekas 1982) then runs down to the gradient tolerance:
 an eps-active set of coordinates at the box takes gradient steps, the rest a
 Newton step on their Hessian block, with an Armijo rule along the projection
@@ -200,15 +200,12 @@ def _pg_norm(x, g, project) -> float:
 
 
 def _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace):
-    """Backtracking projected gradient with Nesterov extrapolation, down to POLISH_TRIGGER.
+    """Backtracking projected gradient from the current iterate, down to POLISH_TRIGGER.
 
     sx, the eigensystem at the accepted iterate x, travels with it.
     """
     tol = max(cfg.tol_grad, POLISH_TRIGGER)
     eta = ETA0
-    t_momentum = 1.0
-    x_prev = x
-    y, fy, gy = x, fx, gx  # line-search source point
     last_step = 0.0
     for _ in range(cfg.max_iters):
         pg = _pg_norm(x, gx, project)
@@ -216,15 +213,14 @@ def _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace):
         if pg <= tol:
             return x, fx, gx, sx
 
-        # Armijo line search along the projection arc from y.  When y is the
-        # last accepted iterate the step must also keep the trace monotone.
-        extrapolated = not np.array_equal(y, x)
-        allowance = slack(y, fy)
+        # Armijo line search along the projection arc, which must also keep
+        # the trace monotone
+        allowance = slack(x, fx)
         while True:
-            cand = project(y - eta * gy)
+            cand = project(x - eta * gx)
             f_cand, g_cand, s_cand = evaluate(cand)
-            decrease = ARMIJO_C * float(np.dot(gy, y - cand))
-            if f_cand <= fy - decrease + allowance and (extrapolated or f_cand <= fx):
+            decrease = ARMIJO_C * float(np.dot(gx, x - cand))
+            if f_cand <= fx - decrease + allowance and f_cand <= fx:
                 break
             eta *= SHRINK
             if eta < 1e-16:
@@ -232,24 +228,7 @@ def _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace):
                 return x, fx, gx, sx
         last_step = eta
         eta /= SHRINK  # allow the next trial step to grow back
-
-        if extrapolated and f_cand > fx:
-            # extrapolated step overshot: restart momentum from the last
-            # accepted iterate so the objective stays monotone
-            t_momentum = 1.0
-            y, fy, gy = x, fx, gx
-            continue
-
-        x_prev, x = x, cand
-        fx, gx, sx = f_cand, g_cand, s_cand
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        # keep the extrapolation feasible so the line search can succeed
-        y = project(x + ((t_momentum - 1.0) / t_next) * (x - x_prev))
-        t_momentum = t_next
-        if np.array_equal(y, x):
-            fy, gy = fx, gx
-        else:
-            fy, gy, _ = evaluate(y)
+        x, fx, gx, sx = cand, f_cand, g_cand, s_cand
     return x, fx, gx, sx
 
 

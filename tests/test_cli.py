@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,11 +129,15 @@ def test_learn_rejects_a_bool_shot_count(tmp_path, capsys):
 
 
 def test_gen_rejects_out_of_range_mu(tmp_path, capsys):
-    payload = gen_config(n=2)
-    payload["mu"] = [0.0] * 14 + [1.5]
-    cfg = write_config(tmp_path, "bad_mu.json", payload)
-    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "[-1, 1]" in capsys.readouterr().err
+    # NaN compares false against any bound, so it must fail the check too
+    for bad in (1.5, float("nan")):
+        payload = gen_config(n=2)
+        payload["mu"] = [0.0] * 14 + [bad]
+        cfg = write_config(tmp_path, "bad_mu.json", payload)
+        out = tmp_path / "o"
+        assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
+        assert "[-1, 1]" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -640,6 +645,23 @@ def test_marginals_dump_matches_direct_computation(tmp_path):
     np.testing.assert_allclose(got, expected, atol=1e-12)
     meta = json.loads((out / "marginals.json").read_text())
     assert meta["log_Z"] == pytest.approx(ens.log_z, rel=1e-12)
+
+
+def test_marginals_peak_memory_within_its_count(tmp_path):
+    # from n = 7 on, dense matrices outweigh numpy's fixed buffers; forming
+    # rho = (V w) V^dag holds four at once, more than H and rho
+    model_path = run_gen(tmp_path, n=7)
+    cfg = learn_config(tmp_path, model_path)
+    main(["marginals", "--config", cfg, "--out", str(tmp_path / "warm")])
+    tracemalloc.start()
+    try:
+        assert main(["marginals", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = 4**7 * 16
+    assert peak > 2 * matrix_bytes
+    assert peak <= cli._marginals_matrices(load_model(model_path).basis) * matrix_bytes
 
 
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals", "sweep"])

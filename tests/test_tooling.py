@@ -2,7 +2,8 @@
 
 The benchmark's tracer wraps package functions by (module, attribute) name: a
 name it wraps that the package no longer has would break `perfbench/run.py
---trace 1` only when someone traces, so the whole table is pinned. The
+--trace 1` only when someone traces, so the whole table is pinned, and so
+are its describe hooks, which read the results of the calls they wrap. The
 README's `solver` key table must list exactly the fields `SolverConfig`
 takes, and its `lab` table exactly the suites and the keys each declares, so
 that neither can advertise an option the code drops; its solver paragraph
@@ -21,10 +22,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from gibbslearn.cli import SWEEP_HEADER, _learn_matrices, main
 from gibbslearn.lab import SUITES
-from gibbslearn.qbp import hessian_matrices
-from gibbslearn.solver import POLISH_TRIGGER, SolverConfig
+from gibbslearn.lattice import basis_stack
+from gibbslearn.measure import build_plan
+from gibbslearn.qbp import _hessian_core, hessian_matrices
+from gibbslearn.solver import POLISH_TRIGGER, SolverConfig, solve
 
 from conftest import chain_basis
 
@@ -32,10 +37,15 @@ ROOT = Path(__file__).resolve().parents[1]
 TRACER = ROOT / "perfbench" / "tracer.py"
 
 
-def test_every_traced_attribute_resolves():
+def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_attribute_resolves():
+    tracer = _load_tracer()
     assert tracer.WRAPPED
     missing = [
         (module, attr)
@@ -43,6 +53,24 @@ def test_every_traced_attribute_resolves():
         if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert missing == []
+
+
+def test_every_describe_hook_reads_a_real_result():
+    # the hooks read return values (a table's bytes, a plan's groups, a
+    # trace's rows, a basis's size), so each runs on a real call's result
+    tracer = _load_tracer()
+    basis = chain_basis(3)
+    e_hat = np.full(basis.m, 0.1)
+    calls = {
+        "lattice.stack": (basis_stack, (basis,)),
+        "measure.plan": (build_plan, (basis, "grouped", 1000)),
+        "solver.solve": (solve, (e_hat, 1.0, basis)),
+        "qbp.hessian": (_hessian_core, (basis, np.zeros(basis.m), 1.0)),
+    }
+    assert set(calls) == set(tracer.DESCRIBE)
+    for label, (fn, args) in calls.items():
+        info = tracer.DESCRIBE[label](args, fn(*args))
+        assert info and all(type(value) is int for value in info.values()), label
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
