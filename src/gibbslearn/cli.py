@@ -18,6 +18,7 @@ command could not run: `main` prints every CLIError and ValueError as
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -36,7 +37,6 @@ from .lattice import (
     check_dense_budget,
     enumerate_basis,
     load_model,
-    random_chain,
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
@@ -44,11 +44,11 @@ from .qbp import hessian_logZ, hessian_matrices
 from .reporting import (
     THREAD_VARS,
     is_manifest,
-    new_manifest,
     read_json,
     trial_seed,
     write_csv,
     write_json,
+    write_manifest,
 )
 from .solver import SolverConfig, alpha_secant, error_bound, solve
 
@@ -98,8 +98,11 @@ FIELDS = {
 }
 
 
-def _require_fields(config: dict, required: tuple, optional: tuple = ()) -> list[str]:
-    """Check the named fields of config against FIELDS; returns the offender list."""
+def _check_fields(
+    command: str, config: dict, required: tuple = (), optional: tuple = (), extra: tuple = ()
+) -> None:
+    """Check the named fields of config against FIELDS; a CLIError lists every
+    offender, the `extra` ones that the caller found last."""
     bad = []
     for field in required + optional:
         check, hint = FIELDS[field]
@@ -109,19 +112,16 @@ def _require_fields(config: dict, required: tuple, optional: tuple = ()) -> list
             continue
         if not check(config[field]):
             bad.append(f"{field} (expected {hint}, got {config[field]!r})")
-    return bad
-
-
-def _fail_fields(command: str, offenders: list[str]) -> None:
-    if offenders:
-        raise CLIError(f"invalid {command} config: " + "; ".join(offenders))
+    bad += extra
+    if bad:
+        raise CLIError(f"invalid {command} config: " + "; ".join(bad))
 
 
 def _lattice_from_config(config: dict) -> LatticeSpec:
     lat = config.get("lattice")
     offenders = []
     if not isinstance(lat, dict):
-        _fail_fields("gen", ["lattice (missing, expected object)"])
+        _check_fields("gen", config, extra=("lattice (missing, expected object)",))
     dim = lat.get("dimension")
     sides = lat.get("side_lengths")
     positive_int = POSITIVE_INT[0]
@@ -134,23 +134,30 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
     periodic = lat.get("periodic", False)
     if not isinstance(periodic, bool):
         offenders.append(f"lattice.periodic (expected bool, got {periodic!r})")
-    _fail_fields("gen", offenders)
+    _check_fields("gen", config, extra=tuple(offenders))
     return LatticeSpec(dimension=dim, side_lengths=tuple(sides), periodic=periodic)
 
 
 def _learn_matrices(basis: OperatorBasis) -> int:
     """Dense matrices one learn holds at once: a Hessian of the Newton polish,
     which reads the solver's current eigensystem, plus the eigenvectors at mu
-    that sampling diagonalized and the alpha step reads again."""
-    return hessian_matrices(basis.m, basis.lattice.n_sites) + 1
+    that sampling diagonalized and the alpha step reads again, plus, counted
+    in bytes, the basis table and the polish's m x m Newton system.
+
+    Builds the table, which `basis_stack` checks on its own count first.
+    """
+    m, n = basis.m, basis.lattice.n_sites
+    held = basis_stack(basis).nbytes + 8 * m * m
+    return hessian_matrices(m, n) + 1 + -(-held // (16 * 4**n))
 
 
 def _marginals_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices `marginals` holds at once: 4, for H, eigh's copy of it,
-    V and LAPACK's workspace while diagonalizing, then for V, V * w, V^dag and
-    rho while forming rho, plus the basis table that both stages keep."""
+    """Dense matrices `marginals` holds at once: 5, for H, eigh's copy of it,
+    V and LAPACK's complex and real workspaces (zheevd's N^2 and 2N^2) while
+    diagonalizing, then 4 for V, V * w, V^dag and rho while forming rho, plus
+    the basis table that both stages keep."""
     n = basis.lattice.n_sites
-    return 4 + -(-basis.m // 2**n)
+    return 5 + -(-basis.m // 2**n)
 
 
 def _solver_config(raw: dict | None) -> SolverConfig:
@@ -169,10 +176,11 @@ def _instance_mu(config: dict, m: int, rng: np.random.Generator) -> np.ndarray:
     mu_spec = config.get("mu", "random")
     if isinstance(mu_spec, str):
         if not mu_spec.startswith("random"):
-            _fail_fields("gen", [f"mu (expected 'random' or list of {m} floats)"])
+            _check_fields("gen", config, extra=(f"mu (expected 'random' or list of {m} floats)",))
         return rng.uniform(-1.0, 1.0, m)
     if not isinstance(mu_spec, list) or len(mu_spec) != m:
-        _fail_fields("gen", [f"mu (expected 'random' or list of {m} floats, got {mu_spec!r})"])
+        hint = f"mu (expected 'random' or list of {m} floats, got {mu_spec!r})"
+        _check_fields("gen", config, extra=(hint,))
     return np.asarray(mu_spec, dtype=float)
 
 
@@ -181,7 +189,7 @@ def _instance_mu(config: dict, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def cmd_gen(config: dict, seed: int, out: str) -> int:
-    _fail_fields("gen", _require_fields(config, ("kappa", "beta")))
+    _check_fields("gen", config, ("kappa", "beta"))
     lattice = _lattice_from_config(config)
     basis = enumerate_basis(lattice, config["kappa"])
     rng = np.random.default_rng(seed)
@@ -190,9 +198,7 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
 
     model_path = os.path.join(out, "model.json")
     save_model(model, model_path)
-    manifest = new_manifest("gen", config, seed, __version__)
-    manifest["outputs"] = ["model.json"]
-    write_json(os.path.join(out, "gen_manifest.json"), manifest)
+    write_manifest(out, "gen", config, seed, __version__, ["model.json"])
     print(f"m={basis.m} n={lattice.n_sites}")
     return 0
 
@@ -210,7 +216,11 @@ def _learn_once(
     seed: int,
     cfg: SolverConfig,
 ) -> dict:
-    """Measure, fit, and compare against the stored truth; returns raw pieces."""
+    """Measure, fit, and compare against the stored truth.
+
+    Returns the `result.json` record, plus the `estimates` and the solver
+    `trace` that `learn` writes beside it.
+    """
     basis = model.basis
     ensemble = gibbs(spectrum(model), beta)
     plan = build_plan(basis, scheme, n_copies)
@@ -234,60 +244,46 @@ def _learn_once(
         "mu_hat": mu_hat,
         "l2_error": l2_error,
         "delta_max": delta_max,
-        "alpha": alpha,
-        "bound": bound,
+        "iterations": len(trace.iterations),
+        "converged": bool(trace.converged),
+        "alpha_secant": alpha,
+        "bound_value": bound,
         "bound_holds": bool(l2_error <= bound),
         "pg_final": trace.pg_final,
+        "wall_time_s": trace.wall_time,
+        "m": m,
+        "n": basis.lattice.n_sites,
     }
 
 
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
-    scheme = scheme_flag or config.get("scheme", "grouped")
-    offenders = _require_fields(
-        {**config, "scheme": scheme}, ("model", "N", "beta", "scheme"), ("delta_fail",)
-    )
-    _fail_fields("learn", offenders)
+    config = {**config, "scheme": scheme_flag or config.get("scheme", "grouped")}
+    _check_fields("learn", config, ("model", "N", "beta", "scheme"), ("delta_fail",))
     delta_fail = float(config.get("delta_fail", DEFAULT_DELTA_FAIL))
     cfg = _solver_config(config.get("solver"))
     model = _read_model(config["model"])
     check_dense_budget(_learn_matrices(model.basis), model.n_sites)
     beta = float(config["beta"])
-    run = _learn_once(model, beta, config["N"], scheme, delta_fail, seed, cfg)
+    record = _learn_once(model, beta, config["N"], config["scheme"], delta_fail, seed, cfg)
 
-    estimates = run["estimates"]
+    estimates = record.pop("estimates")
     write_csv(
         os.path.join(out, "estimates.csv"), ("l", "e_hat", "delta", "shots"), estimates.csv_rows()
     )
     write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
-    trace = run["trace"]
     write_csv(
         os.path.join(out, "trace.csv"),
         ("iteration", "objective", "grad_norm", "step", "phase", "evals"),
-        trace.csv_rows(),
+        record.pop("trace").csv_rows(),
     )
-    result = {
-        "mu_hat": run["mu_hat"],
-        "l2_error": run["l2_error"],
-        "delta_max": run["delta_max"],
-        "iterations": len(trace.iterations),
-        "converged": bool(trace.converged),
-        "alpha_secant": run["alpha"],
-        "bound_value": run["bound"],
-        "bound_holds": run["bound_holds"],
-        "pg_final": run["pg_final"],
-        "wall_time_s": trace.wall_time,
-        "m": model.basis.m,
-        "n": model.basis.lattice.n_sites,
-    }
-    write_json(os.path.join(out, "result.json"), result)
-    manifest = new_manifest("learn", {**config, "scheme": scheme}, seed, __version__)
-    manifest["outputs"] = ["estimates.csv", "estimates.json", "trace.csv", "result.json"]
-    write_json(os.path.join(out, "learn_manifest.json"), manifest)
+    write_json(os.path.join(out, "result.json"), record)
+    outputs = ["estimates.csv", "estimates.json", "trace.csv", "result.json"]
+    write_manifest(out, "learn", config, seed, __version__, outputs)
     print(
-        f"l2_error={run['l2_error']:.6g} delta_max={run['delta_max']:.6g} "
-        f"iterations={len(trace.iterations)} converged={trace.converged}"
+        f"l2_error={record['l2_error']:.6g} delta_max={record['delta_max']:.6g} "
+        f"iterations={record['iterations']} converged={record['converged']}"
     )
-    return 0 if trace.converged else 1
+    return 0 if record["converged"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -308,45 +304,43 @@ SWEEP_HEADER = (
 )
 
 
-def _trial_worker(payload: dict) -> dict:
-    """One sweep trial; returns its CSV row, runtime, and any error text."""
+def _trial_worker(config: dict, seed: int, trial: int) -> dict:
+    """Sweep trial number `trial`: its row of SWEEP_HEADER fields, runtime and any error text.
+
+    The trial's cell is trial // trials: its value sets the swept field, the
+    config the other two.  Its seed draws the coefficients, unless the config
+    lists them, and then the measurement seed.
+    """
     t0 = time.perf_counter()
-    trial = payload["trial"]
-    n = payload["n"]
-    beta = payload["beta"]
-    n_copies = payload["N"]
+    point = {**config, SWEEP_AXES[config["axis"]]: config["values"][trial // config["trials"]]}
+    row = {
+        **dict.fromkeys(SWEEP_HEADER, math.nan),
+        "trial": trial,
+        "n": int(point["n"]),
+        "m": -1,
+        "beta": float(point["beta"]),
+        "N": int(point["N"]),
+        "bound_holds": False,
+    }
     try:
-        rng = np.random.default_rng(payload["seed"])
-        if payload["mu"] is None:
-            model = random_chain(n, payload["kappa"], rng)
-        else:
-            basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), payload["kappa"])
-            model = HamiltonianModel(basis=basis, mu=payload["mu"])
+        rng = np.random.default_rng(trial_seed(seed, trial))
+        lattice = LatticeSpec(dimension=1, side_lengths=(row["n"],))
+        basis = enumerate_basis(lattice, int(config.get("kappa", 2)))
+        mu = config["mu"] if isinstance(config.get("mu"), list) else rng.uniform(-1.0, 1.0, basis.m)
         measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
-        run = _learn_once(
-            model,
-            beta,
-            n_copies,
-            payload["scheme"],
-            payload["delta_fail"],
+        record = _learn_once(
+            HamiltonianModel(basis=basis, mu=mu),
+            row["beta"],
+            row["N"],
+            config.get("scheme", "grouped"),
+            float(config.get("delta_fail", DEFAULT_DELTA_FAIL)),
             measure_seed,
-            SolverConfig(**payload["solver"]),
+            _solver_config(config.get("solver") or None),
         )
-        row = (
-            trial,
-            n,
-            model.basis.m,
-            beta,
-            n_copies,
-            run["delta_max"],
-            run["alpha"],
-            run["l2_error"],
-            run["bound"],
-            run["bound_holds"],
-        )
+        row.update({field: record[field] for field in SWEEP_HEADER if field in record})
+        row["delta_observed"] = record["delta_max"]
         error = None
     except Exception as exc:  # per-trial failures recorded, sweep continues
-        row = (trial, n, -1, beta, n_copies, math.nan, math.nan, math.nan, math.nan, False)
         error = f"{type(exc).__name__}: {exc}"
     runtime = time.perf_counter() - t0
     return {"trial": trial, "row": row, "runtime": runtime, "error": error}
@@ -378,45 +372,12 @@ def _trial_pool(workers: int):
             os.environ.pop(var, None)
 
 
-def _sweep_payloads(config: dict, seed: int) -> list[dict]:
-    axis = config["axis"]
-    values = config["values"]
-    trials = config["trials"]
-    solver_raw = config.get("solver") or {}
-    _solver_config(solver_raw)  # validate once up front
-    payloads = []
-    trial = 0
-    for value in values:
-        for _ in range(trials):
-            n = int(value) if axis == "size" else int(config["n"])
-            beta = float(value) if axis == "beta" else float(config["beta"])
-            n_copies = int(value) if axis == "N" else int(config["N"])
-            payloads.append(
-                {
-                    "trial": trial,
-                    "seed": trial_seed(seed, trial),
-                    "n": n,
-                    "kappa": int(config.get("kappa", 2)),
-                    "beta": beta,
-                    "N": n_copies,
-                    "scheme": config.get("scheme", "grouped"),
-                    "delta_fail": float(config.get("delta_fail", DEFAULT_DELTA_FAIL)),
-                    "mu": config.get("mu") if isinstance(config.get("mu"), list) else None,
-                    "solver": solver_raw,
-                }
-            )
-            trial += 1
-    return payloads
-
-
 def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     axis = config.get("axis")
     swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
     # the fields the axis does not sweep are required; an unknown axis requires all three
     fixed = tuple(field for field in SWEEP_AXES.values() if field != swept)
-    offenders = _require_fields(
-        config, ("axis", "values", "trials", *fixed), ("kappa", "scheme", "delta_fail")
-    )
+    offenders = []
     if swept and isinstance(config.get("values"), list):
         check, hint = FIELDS[swept]
         offenders += [
@@ -426,39 +387,51 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         ]
     if axis == "size" and isinstance(config.get("mu"), list):
         offenders.append("mu (explicit coefficients cannot span a size sweep)")
-    _fail_fields("sweep", offenders)
-    payloads = _sweep_payloads(config, seed)
-    workers = min(jobs, len(payloads))
+    _check_fields(
+        "sweep",
+        config,
+        ("axis", "values", "trials", *fixed),
+        ("kappa", "scheme", "delta_fail"),
+        tuple(offenders),
+    )
+    _solver_config(config.get("solver") or None)  # validate once up front
+    trials = range(len(config["values"]) * config["trials"])
+    workers = min(jobs, len(trials))
     sizes = config["values"] if axis == "size" else [config["n"]]
     for n in sizes:
         try:
             basis = enumerate_basis(
-                LatticeSpec(dimension=1, side_lengths=(int(n),)), payloads[0]["kappa"]
+                LatticeSpec(dimension=1, side_lengths=(int(n),)), int(config.get("kappa", 2))
             )
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
         # every worker runs one learn at a time
         check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
 
+    worker = functools.partial(_trial_worker, config, seed)
     if workers > 1:
         with _trial_pool(workers) as pool:
-            results = list(pool.map(_trial_worker, payloads))
+            results = list(pool.map(worker, trials))
     else:
-        results = [_trial_worker(p) for p in payloads]
-    write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, [res["row"] for res in results])
+        results = list(map(worker, trials))
+    write_csv(
+        os.path.join(out, "sweep.csv"),
+        SWEEP_HEADER,
+        [[res["row"][field] for field in SWEEP_HEADER] for res in results],
+    )
 
-    trials = config["trials"]
+    per_cell = config["trials"]
     cells = []
     medians = []
     for c, value in enumerate(config["values"]):
         errs = [
-            res["row"][7]
-            for res in results[c * trials : (c + 1) * trials]
+            res["row"]["l2_error"]
+            for res in results[c * per_cell : (c + 1) * per_cell]
             if res["error"] is None
         ]
         median = float(np.median(errs)) if errs else math.nan
         medians.append(median)
-        cells.append((c, value, trials, trials - len(errs), median))
+        cells.append((c, value, per_cell, per_cell - len(errs), median))
     write_csv(
         os.path.join(out, "cells.csv"),
         ("cell", "axis_value", "n_trials", "n_failed", "median_error"),
@@ -476,7 +449,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         {"trial": res["trial"], "error": res["error"]} for res in results if res["error"]
     ]
     violations = [
-        res["trial"] for res in results if res["error"] is None and not res["row"][9]
+        res["trial"] for res in results if res["error"] is None and not res["row"]["bound_holds"]
     ]
     summary = {
         "axis": axis,
@@ -496,10 +469,9 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             "total_s": sum(res["runtime"] for res in results),
         },
     )
-    manifest = new_manifest("sweep", config, seed, __version__)
-    manifest["outputs"] = ["sweep.csv", "cells.csv", "sweep_summary.json"]
-    manifest["trial_seeds"] = [p["seed"] for p in payloads]
-    write_json(os.path.join(out, "sweep_manifest.json"), manifest)
+    outputs = ["sweep.csv", "cells.csv", "sweep_summary.json"]
+    trial_seeds = [trial_seed(seed, trial) for trial in trials]
+    write_manifest(out, "sweep", config, seed, __version__, outputs, trial_seeds)
     slope_txt = "n/a" if slope is None else f"{slope:.3f}"
     print(
         f"trials={len(results)} failures={len(failures)} "
@@ -537,9 +509,8 @@ def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
             "reports": [rep.summary_dict() for rep in reports],
         },
     )
-    manifest = new_manifest("lab", {**config, "suite": suite}, seed, __version__)
-    manifest["outputs"] = outputs + [f"{suite}_suite.json"]
-    write_json(os.path.join(out, "lab_manifest.json"), manifest)
+    outputs.append(f"{suite}_suite.json")
+    write_manifest(out, "lab", {**config, "suite": suite}, seed, __version__, outputs)
     print(f"suite={suite} checks={len(reports)} pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -549,7 +520,7 @@ def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
 
 
 def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, float]:
-    _fail_fields(command, _require_fields(config, ("model", "beta")))
+    _check_fields(command, config, ("model", "beta"))
     return _read_model(config["model"]), float(config["beta"])
 
 
@@ -577,9 +548,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
             "min_eigenvalue": report.min_eigenvalue,
         },
     )
-    manifest = new_manifest("hessian", config, seed, __version__)
-    manifest["outputs"] = ["hessian.csv", "hessian.json"]
-    write_json(os.path.join(out, "hessian_manifest.json"), manifest)
+    write_manifest(out, "hessian", config, seed, __version__, ["hessian.csv", "hessian.json"])
     print(f"m={model.basis.m} min_eigenvalue={report.min_eigenvalue:.6g}")
     return 0
 
@@ -598,9 +567,8 @@ def cmd_marginals(config: dict, seed: int, out: str) -> int:
         os.path.join(out, "marginals.json"),
         {"beta": beta, "m": model.basis.m, "log_Z": ensemble.log_z},
     )
-    manifest = new_manifest("marginals", config, seed, __version__)
-    manifest["outputs"] = ["marginals.csv", "marginals.json"]
-    write_json(os.path.join(out, "marginals_manifest.json"), manifest)
+    outputs = ["marginals.csv", "marginals.json"]
+    write_manifest(out, "marginals", config, seed, __version__, outputs)
     print(f"m={model.basis.m} beta={beta:g}")
     return 0
 

@@ -239,14 +239,18 @@ def hessian_matrices(m: int, n: int) -> int:
     """Dense 2^n x 2^n matrices `_hessian_core` holds at once on n sites.
 
     Its peak is one slab, A_l[J, lo:] for every l: m * b rows of at most 2^n
-    entries, so ceil(m * b / 2^n) matrices with b = min(SLAB_ROWS, 2^n).
-    The constant covers V, the slab's row block, the rows of V that
-    `PauliTable.sandwich` gathers for a cell and its parts (at most one
+    complex entries with b = min(SLAB_ROWS, 2^n), next to three real m x m
+    Gram matrices (the running sum, the last slab's and the new one's).
+    Counted in bytes, they take ceil((16 m b 2^n + 24 m^2) / (16 * 4^n))
+    matrices.  The constant covers V, the slab's row block, the rows of V
+    that `PauliTable.sandwich` gathers for a cell and its parts (at most one
     matrix each), the table's index arrays and numpy's buffers; diagonalising
-    H before the first slab exists takes about 4.
+    H before the first slab exists takes 5 (H, eigh's copy, V and LAPACK's
+    two workspaces).
     """
     dim = 2**n
-    return 5 + -(-m * min(SLAB_ROWS, dim) // dim)
+    held = 16 * m * min(SLAB_ROWS, dim) * dim + 3 * 8 * m * m  # bytes
+    return 5 + -(-held // (16 * dim * dim))
 
 
 def _hessian_core(

@@ -25,7 +25,7 @@ __all__ = [
     "read_json",
     "trial_seed",
     "utc_now",
-    "new_manifest",
+    "write_manifest",
     "is_manifest",
 ]
 
@@ -98,13 +98,15 @@ def _numerical_environment() -> dict:
     }
 
 
-def new_manifest(command: str, config: dict, master_seed: int, version: str) -> dict:
-    """Skeleton manifest; the caller appends output paths and trial seeds.
+def write_manifest(
+    out, command: str, config: dict, master_seed: int, version: str, outputs, trial_seeds=()
+) -> None:
+    """Write the run's manifest to `<command>_manifest.json` in directory out.
 
     Replay reads only `config` and `master_seed`; `environment` records what
     produced the floats, since results move in the last digits with BLAS.
     """
-    return {
+    manifest = {
         MANIFEST_KEY: 1,
         "command": command,
         "config": config,
@@ -112,9 +114,10 @@ def new_manifest(command: str, config: dict, master_seed: int, version: str) -> 
         "tool_version": version,
         "created_utc": utc_now(),
         "environment": _numerical_environment(),
-        "outputs": [],
-        "trial_seeds": [],
+        "outputs": list(outputs),
+        "trial_seeds": list(trial_seeds),
     }
+    write_json(os.path.join(out, f"{command}_manifest.json"), manifest)
 
 
 def is_manifest(obj: dict) -> bool:

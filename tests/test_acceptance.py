@@ -326,7 +326,7 @@ def test_acceptance_09_spectral_window_variance_bound():
         A = M + M.conj().T
         norm = float(np.max(np.abs(np.linalg.eigvalsh(A))))
         for gamma in np.linspace(0.0, 1.05 * norm, 20):
-            out = delta_gamma(A, ens, float(gamma))  # asserts its own bound
+            out = delta_gamma(A, ens, float(gamma))
             min_slack = min(min_slack, out.slack)
             checked += 1
     ok = checked == 400 and min_slack >= -1e-10

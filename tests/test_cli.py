@@ -12,11 +12,18 @@ from gibbslearn import cli, gibbs, qbp, solver
 from gibbslearn.cli import _trial_pool, main
 from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
-from gibbslearn.lattice import assemble_hamiltonian, basis_stack, load_model
+from gibbslearn.lattice import (
+    HamiltonianModel,
+    LatticeSpec,
+    assemble_hamiltonian,
+    basis_stack,
+    enumerate_basis,
+    load_model,
+)
 from gibbslearn.reporting import THREAD_VARS
 from gibbslearn.solver import _dual_eval
 
-from conftest import BUDGET_MESSAGE
+from conftest import BUDGET_MESSAGE, chain_basis
 
 
 def write_config(tmp_path, name, payload):
@@ -662,6 +669,55 @@ def test_marginals_peak_memory_within_its_count(tmp_path):
     matrix_bytes = 4**7 * 16
     assert peak > 2 * matrix_bytes
     assert peak <= cli._marginals_matrices(load_model(model_path).basis) * matrix_bytes
+
+
+@pytest.mark.parametrize(
+    "lattice",
+    [LatticeSpec(2, (2, 3)), LatticeSpec(1, (6,)), LatticeSpec(1, (7,))],
+    ids=["open-2x3", "open-chain6", "open-chain7"],
+)
+def test_learn_peak_memory_within_its_count(lattice):
+    # on small lattices the basis table and the m x m matrices weigh several
+    # matrices; the table is built inside the traced run, so it counts too
+    warm = chain_basis(2)
+    warm_model = HamiltonianModel(basis=warm, mu=np.full(warm.m, 0.3))
+    cli._learn_once(warm_model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
+    basis = enumerate_basis(lattice, 2)
+    basis_stack.cache_clear()
+    model = HamiltonianModel(basis=basis, mu=np.random.default_rng(1).uniform(-1, 1, basis.m))
+    tracemalloc.start()
+    try:
+        cli._learn_once(model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli._learn_matrices(basis) * 4**lattice.n_sites * 16
+
+
+def test_diagonalization_peak_rss_within_the_marginals_count():
+    # tracemalloc cannot see eigh's copy of H or LAPACK's workspaces; the
+    # peak RSS (Linux: kilobytes) of a fresh process can.  Linux carries the
+    # peak RSS of the process that forks across exec, so the probe runs under
+    # a small launcher, not straight under the test process's peak
+    probe = (
+        "import resource\n"
+        "from gibbslearn.gibbs import spectrum\n"
+        "from gibbslearn.lattice import random_chain\n"
+        "model = random_chain(10, 2, 0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "spectrum(model)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    launcher = (
+        "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", launcher, probe], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stderr
+    growth = int(out.stdout) * 1024 / (4**10 * 16)
+    assert 2 < growth <= cli._marginals_matrices(chain_basis(10))
 
 
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals", "sweep"])

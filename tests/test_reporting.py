@@ -8,12 +8,12 @@ from gibbslearn.reporting import (
     csv_body,
     fmt_cell,
     is_manifest,
-    new_manifest,
     read_json,
     trial_seed,
     utc_now,
     write_csv,
     write_json,
+    write_manifest,
 )
 
 
@@ -71,15 +71,15 @@ def test_trial_seed_master_separation():
 
 
 def test_manifest_round_trip(tmp_path):
-    manifest = new_manifest("gen", {"kappa": 2}, 7, "0.1.0")
+    write_manifest(tmp_path, "gen", {"kappa": 2}, 7, "0.1.0", ["model.json"])
+    manifest = read_json(tmp_path / "gen_manifest.json")
     assert is_manifest(manifest)
     assert manifest[MANIFEST_KEY] == 1
     assert manifest["command"] == "gen"
     assert manifest["config"] == {"kappa": 2}
     assert manifest["master_seed"] == 7
-    path = tmp_path / "m.json"
-    write_json(path, manifest)
-    assert is_manifest(read_json(path))
+    assert manifest["outputs"] == ["model.json"]
+    assert manifest["trial_seeds"] == []
     assert not is_manifest({"command": "gen"})
     assert not is_manifest([1, 2])
 
