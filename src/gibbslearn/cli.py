@@ -28,11 +28,12 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .gibbs import gibbs, marginals, spectrum
+from .gibbs import diagonalize, gibbs, marginals, spectrum
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
     OperatorBasis,
+    assemble_hamiltonian,
     basis_stack,
     check_dense_budget,
     enumerate_basis,
@@ -74,7 +75,10 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
             raise CLIError(
                 f"manifest {path} records command {doc.get('command')!r}, not {command!r}"
             )
-        return dict(doc["config"]), int(doc["master_seed"])
+        config, seed = doc.get("config"), doc.get("master_seed")
+        if not isinstance(config, dict) or type(seed) is not int:
+            raise CLIError(f"manifest {path} needs a config object and an int master_seed")
+        return dict(config), seed
     if not isinstance(doc, dict):
         raise CLIError(f"config file {path} must hold a JSON object")
     return doc, cli_seed
@@ -140,15 +144,15 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 def _learn_matrices(basis: OperatorBasis) -> int:
     """Dense matrices one learn holds at once: a Hessian of the Newton polish,
-    which reads the solver's current eigensystem, plus the eigenvectors at mu
-    that sampling diagonalized and the alpha step reads again, plus, counted
-    in bytes, the basis table and the polish's m x m Newton system.
+    which reads the solver's current eigensystem, plus, counted in bytes, the
+    basis table and the polish's m x m Newton system.  No eigensystem at mu
+    lives through the solve: sampling's dies once e(mu) is read.
 
     Builds the table, which `basis_stack` checks on its own count first.
     """
     m, n = basis.m, basis.lattice.n_sites
     held = basis_stack(basis).nbytes + 8 * m * m
-    return hessian_matrices(m, n) + 1 + -(-held // (16 * 4**n))
+    return hessian_matrices(m, n) + -(-held // (16 * 4**n))
 
 
 def _marginals_matrices(basis: OperatorBasis) -> int:
@@ -172,16 +176,22 @@ def _solver_config(raw: dict | None) -> SolverConfig:
     return SolverConfig(**raw)
 
 
-def _instance_mu(config: dict, m: int, rng: np.random.Generator) -> np.ndarray:
-    mu_spec = config.get("mu", "random")
-    if isinstance(mu_spec, str):
-        if not mu_spec.startswith("random"):
-            _check_fields("gen", config, extra=(f"mu (expected 'random' or list of {m} floats)",))
-        return rng.uniform(-1.0, 1.0, m)
-    if not isinstance(mu_spec, list) or len(mu_spec) != m:
-        hint = f"mu (expected 'random' or list of {m} floats, got {mu_spec!r})"
-        _check_fields("gen", config, extra=(hint,))
-    return np.asarray(mu_spec, dtype=float)
+def _instance_model(
+    command: str, config: dict, basis: OperatorBasis, rng: np.random.Generator
+) -> HamiltonianModel:
+    """The model over basis with the config's mu: "random" (the default) draws
+    it uniformly from [-1, 1] with rng, a list of m floats gives it."""
+    mu = config.get("mu", "random")
+    if mu == "random":
+        return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, basis.m))
+    if (
+        not isinstance(mu, list)
+        or len(mu) != basis.m
+        or not all(type(value) in (int, float) for value in mu)  # not bool
+    ):
+        hint = f"mu (expected 'random' or list of {basis.m} floats, got {mu!r})"
+        _check_fields(command, config, extra=(hint,))
+    return HamiltonianModel(basis=basis, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +202,7 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
     _check_fields("gen", config, ("kappa", "beta"))
     lattice = _lattice_from_config(config)
     basis = enumerate_basis(lattice, config["kappa"])
-    rng = np.random.default_rng(seed)
-    mu = _instance_mu(config, basis.m, rng)
-    model = HamiltonianModel(basis=basis, mu=mu)
+    model = _instance_model("gen", config, basis, np.random.default_rng(seed))
 
     model_path = os.path.join(out, "model.json")
     save_model(model, model_path)
@@ -222,17 +230,21 @@ def _learn_once(
     `trace` that `learn` writes beside it.
     """
     basis = model.basis
-    ensemble = gibbs(spectrum(model), beta)
+    # diagonalized here, not through the `spectrum` cache, so that the
+    # eigensystem at mu dies with the ensemble once e(mu) is read
+    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
     plan = build_plan(basis, scheme, n_copies)
     estimates = sample_outcomes(plan, ensemble, seed=seed, delta_fail=delta_fail)
+    e_mu = marginals(basis_stack(basis), ensemble)
+    del ensemble
     mu_hat, trace = solve(estimates.e_hat, beta, basis, cfg)
 
     m = basis.m
     l2_error = float(np.linalg.norm(mu_hat - model.mu))
     delta_max = float(np.max(estimates.delta)) if m else 0.0
-    # the dual gradient at mu, beta * (e_hat - e(mu)), from the ensemble sampling
-    # built; the solver's last gradient is the one at mu_hat
-    grad_mu = beta * (estimates.e_hat - marginals(basis_stack(basis), ensemble))
+    # the dual gradient at mu, beta * (e_hat - e(mu)); the solver's last
+    # gradient is the one at mu_hat
+    grad_mu = beta * (estimates.e_hat - e_mu)
     alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
     # fold the solver residual into an effective marginal error so the bound
     # stays meaningful when measurement noise is zero (exact scheme)
@@ -326,10 +338,10 @@ def _trial_worker(config: dict, seed: int, trial: int) -> dict:
         rng = np.random.default_rng(trial_seed(seed, trial))
         lattice = LatticeSpec(dimension=1, side_lengths=(row["n"],))
         basis = enumerate_basis(lattice, int(config.get("kappa", 2)))
-        mu = config["mu"] if isinstance(config.get("mu"), list) else rng.uniform(-1.0, 1.0, basis.m)
+        model = _instance_model("sweep", config, basis, rng)
         measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
         record = _learn_once(
-            HamiltonianModel(basis=basis, mu=mu),
+            model,
             row["beta"],
             row["N"],
             config.get("scheme", "grouped"),
@@ -407,6 +419,8 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             continue  # the trials of this size fail and are recorded as such
         # every worker runs one learn at a time
         check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
+        if "mu" in config:  # the rule every trial applies, once before any runs
+            _instance_model("sweep", config, basis, np.random.default_rng(seed))
 
     worker = functools.partial(_trial_worker, config, seed)
     if workers > 1:

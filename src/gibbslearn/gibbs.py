@@ -2,9 +2,10 @@
 
 Everything downstream (gradients, Hessians, measurement simulation, the lab
 checks) consumes the eigensystem computed here, so this module is the single
-place where dense diagonalization happens.  A model becomes an eigensystem
-through `spectrum(model)`, built at most once per model; `diagonalize` is for
-the matrices no model names (the solver's iterates, a caller's H).
+place where dense diagonalization happens.  `spectrum(model)` builds a
+model's eigensystem once for the callers that share it; `diagonalize` is for
+the matrices no model names (the solver's iterates, a caller's H) and for a
+caller that must let its eigensystem go early (`learn`, before its solve).
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ _SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
-    """The eigensystem of H(mu), the one way a model becomes an eigensystem.
+    """The eigensystem of H(mu), shared by the callers that ask for one model.
 
     Cached: a model is frozen and hashed by identity, so the callers that ask
     for the same model in a row share one (read-only) diagonalization.  The

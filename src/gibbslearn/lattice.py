@@ -130,7 +130,6 @@ class LocalBasisOp:
 
     support: tuple[int, ...]
     letters: str
-    index: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "support", tuple(int(s) for s in self.support))
@@ -165,14 +164,6 @@ class OperatorBasis:
     lattice: LatticeSpec
     kappa: int
     ops: tuple[LocalBasisOp, ...]
-
-    def __post_init__(self) -> None:
-        for pos, op in enumerate(self.ops):
-            if op.index != pos:
-                raise ValueError(
-                    f"op at position {pos} carries index {op.index}; "
-                    "indices must match enumeration order"
-                )
 
     @property
     def m(self) -> int:
@@ -248,7 +239,7 @@ def enumerate_basis(lattice: LatticeSpec, kappa: int) -> OperatorBasis:
     ops: list[LocalBasisOp] = []
     for support in supports:
         for letters in itertools.product(PAULI_LETTERS, repeat=len(support)):
-            ops.append(LocalBasisOp(support, "".join(letters), len(ops)))
+            ops.append(LocalBasisOp(support, "".join(letters)))
     return OperatorBasis(lattice, kappa, tuple(ops))
 
 
@@ -481,19 +472,26 @@ def model_to_dict(model: HamiltonianModel) -> dict:
 
 
 def model_from_dict(payload: dict) -> HamiltonianModel:
+    """The model of a `model_to_dict` payload; ValueError names what is malformed."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"model payload must be a JSON object, got {type(payload).__name__}")
     try:
         lat_raw = payload["lattice"]
+        if not isinstance(lat_raw, dict):
+            raise ValueError(f"model field lattice must be a JSON object, got {lat_raw!r}")
         lattice = LatticeSpec(
             dimension=int(lat_raw["dims"]),
             side_lengths=tuple(int(s) for s in lat_raw["sides"]),
             periodic=bool(lat_raw.get("periodic", False)),
         )
         kappa = int(payload["kappa"])
-        mu = payload["mu"]
+        mu = np.asarray(payload["mu"], dtype=float)
     except KeyError as exc:
         raise ValueError(f"model payload missing field: {exc.args[0]}") from exc
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise ValueError(f"malformed model payload: {exc}") from exc
     basis = enumerate_basis(lattice, kappa)
-    return HamiltonianModel(basis, np.asarray(mu, dtype=float))
+    return HamiltonianModel(basis, mu)
 
 
 def save_model(model: HamiltonianModel, path) -> None:

@@ -8,12 +8,13 @@ boxed minimizer is unique up to degeneracy of the marginal map, and with
 exact marginals it sits at the true coefficient vector.  There is one
 method in two phases.  Backtracking projected gradient from the current
 iterate runs until the projected gradient is at most POLISH_TRIGGER, which
-takes a few evaluations from the origin.
-Projected Newton (Bertsekas 1982) then runs down to the gradient tolerance:
-an eps-active set of coordinates at the box takes gradient steps, the rest a
-Newton step on their Hessian block, with an Armijo rule along the projection
-arc.  Every dual evaluation is one diagonalization, and Newton needs about a
-dozen where the first-order phase alone needs over a hundred.
+takes a few evaluations from the origin.  Projected Newton (Bertsekas 1982)
+then runs down to the gradient tolerance: an eps-active set of coordinates
+at the box takes gradient steps, the rest a Newton step on their Hessian
+block, with an Armijo rule along the projection arc.  Every dual evaluation
+is one diagonalization, and Newton needs about a dozen where the first-order
+phase alone needs over a hundred.  Both phases move one `_Iterate`, which
+keeps the eigensystem at its point only until the Newton Hessian reads it.
 """
 
 from __future__ import annotations
@@ -31,12 +32,7 @@ from .measure import MarginalEstimates
 from .qbp import _hessian_core
 
 __all__ = [
-    "SolverConfig",
-    "SolverTrace",
-    "solve",
-    "error_bound",
-    "alpha_secant",
-    "alpha_along_segment",
+    "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant", "alpha_along_segment"
 ]
 
 ETA0 = 1.0  # first backtracking trial step
@@ -118,13 +114,6 @@ class SolverTrace:
         )
 
 
-def _e_hat_vector(e_hat, m: int) -> np.ndarray:
-    vec = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
-    if vec.shape != (m,):
-        raise ValueError(f"marginal vector has shape {vec.shape}, expected ({m},)")
-    return vec
-
-
 def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTable):
     """(objective, gradient, eigensystem of H(lam)) from one diagonalization."""
     spectral = diagonalize(table.combine(lam))
@@ -134,11 +123,48 @@ def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTab
     return obj, grad, spectral
 
 
+class _Iterate:
+    """The solve's one owner of its point x, f(x), g = grad f(x) and `spectral`,
+    the eigensystem of H(x), which lives until the Newton Hessian at x reads it.
+    `trial` evaluates a candidate, dropping the last one before it diagonalizes,
+    and `accept` moves to it.
+    """
+
+    def __init__(self, e_hat, beta: float, basis: OperatorBasis, cfg: SolverConfig):
+        self.basis, self.table, self.beta = basis, basis_stack(basis), beta
+        target = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
+        if target.shape != (basis.m,):
+            raise ValueError(f"marginal vector has shape {target.shape}, expected ({basis.m},)")
+        self.target, self.radius, self.trace = target, cfg.radius, SolverTrace()
+        x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
+        self.trial(self.project(x))
+        self.accept()
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(x, -self.radius, self.radius)
+
+    def pg(self, x: np.ndarray, g: np.ndarray) -> float:
+        return float(np.linalg.norm(x - self.project(x - g)))
+
+    def slack(self) -> float:
+        # the rounding allowance on a rise of f = log Z + beta <x, e_hat>: the two
+        # terms cancel, so f carries rounding that |f| can understate many times over
+        linear = self.beta * float(np.dot(self.x, self.target))
+        return 4e-16 * max(1.0, abs(self.f - linear) + abs(linear))
+
+    def trial(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
+        self.trace.dual_evals += 1
+        self.candidate = None
+        f, g, spectral = _dual_eval(lam, self.target, self.beta, self.table)
+        self.candidate = (lam, f, g, spectral)
+        return f, g
+
+    def accept(self) -> None:
+        self.x, self.f, self.g, self.spectral = self.candidate
+
+
 def solve(
-    e_hat,
-    beta: float,
-    basis: OperatorBasis,
-    cfg: SolverConfig | None = None,
+    e_hat, beta: float, basis: OperatorBasis, cfg: SolverConfig | None = None
 ) -> tuple[np.ndarray, SolverTrace]:
     """Minimize the dual objective over the box |lam_l| <= cfg.radius.
 
@@ -148,40 +174,16 @@ def solve(
     iteration budget.
     """
     cfg = cfg or SolverConfig()
-    table = basis_stack(basis)
-    beta = float(beta)
-    target = _e_hat_vector(e_hat, basis.m)
-
-    def project(x):
-        return np.clip(x, -cfg.radius, cfg.radius)
-
     started = time.perf_counter()
-    trace = SolverTrace()
-
-    def evaluate(lam):
-        trace.dual_evals += 1
-        return _dual_eval(lam, target, beta, table)
-
-    def slack(lam, f):
-        # the rounding allowance on a rise of f = log Z + beta <lam, e_hat>:
-        # the two terms cancel, so f carries the rounding of |log Z| +
-        # |beta <lam, e_hat>|, which |f| can understate many times over
-        linear = beta * float(np.dot(lam, target))
-        return 4e-16 * max(1.0, abs(f - linear) + abs(linear))
-
-    x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
-    x = project(x)
-    fx, gx, sx = evaluate(x)
-    x, fx, gx, sx = _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace)
-    x, fx, gx, _ = _newton_polish(
-        x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, trace
-    )
-
-    trace.grad_final = gx
-    trace.pg_final = _pg_norm(x, gx, project)
+    it = _Iterate(e_hat, float(beta), basis, cfg)
+    _first_order(it, cfg)
+    _newton_polish(it, cfg)
+    trace = it.trace
+    trace.grad_final = it.g
+    trace.pg_final = it.pg(it.x, it.g)
     trace.converged = trace.pg_final <= cfg.tol_grad
     trace.wall_time = time.perf_counter() - started
-    return x, trace
+    return it.x, trace
 
 
 def _start_point(lambda0, m: int) -> np.ndarray:
@@ -195,44 +197,36 @@ def _start_point(lambda0, m: int) -> np.ndarray:
     return x.astype(float)
 
 
-def _pg_norm(x, g, project) -> float:
-    return float(np.linalg.norm(x - project(x - g)))
-
-
-def _first_order(x, fx, gx, sx, evaluate, project, slack, cfg, trace):
-    """Backtracking projected gradient from the current iterate, down to POLISH_TRIGGER.
-
-    sx, the eigensystem at the accepted iterate x, travels with it.
-    """
+def _first_order(it: _Iterate, cfg: SolverConfig) -> None:
+    """Backtracking projected gradient from the current iterate, down to POLISH_TRIGGER."""
     tol = max(cfg.tol_grad, POLISH_TRIGGER)
     eta = ETA0
     last_step = 0.0
     for _ in range(cfg.max_iters):
-        pg = _pg_norm(x, gx, project)
-        trace.record(fx, pg, last_step, "first-order")
+        pg = it.pg(it.x, it.g)
+        it.trace.record(it.f, pg, last_step, "first-order")
         if pg <= tol:
-            return x, fx, gx, sx
+            return
 
         # Armijo line search along the projection arc, which must also keep
         # the trace monotone
-        allowance = slack(x, fx)
+        allowance = it.slack()
         while True:
-            cand = project(x - eta * gx)
-            f_cand, g_cand, s_cand = evaluate(cand)
-            decrease = ARMIJO_C * float(np.dot(gx, x - cand))
-            if f_cand <= fx - decrease + allowance and f_cand <= fx:
+            cand = it.project(it.x - eta * it.g)
+            f_cand, _ = it.trial(cand)
+            decrease = ARMIJO_C * float(np.dot(it.g, it.x - cand))
+            if f_cand <= it.f - decrease + allowance and f_cand <= it.f:
                 break
             eta *= SHRINK
             if eta < 1e-16:
                 # no representable step makes progress; stop here
-                return x, fx, gx, sx
+                return
         last_step = eta
         eta /= SHRINK  # allow the next trial step to grow back
-        x, fx, gx, sx = cand, f_cand, g_cand, s_cand
-    return x, fx, gx, sx
+        it.accept()
 
 
-def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, trace):
+def _newton_polish(it: _Iterate, cfg: SolverConfig) -> None:
     """Projected Newton (Bertsekas, SIAM J. Control Optim. 20, 1982) from the hand-over.
 
     A coordinate within eps = min(0.1 * radius, pg) of a bound whose gradient
@@ -246,42 +240,44 @@ def _newton_polish(x, fx, gx, sx, evaluate, basis, beta, project, slack, cfg, tr
     several decades.
     """
     for _ in range(cfg.polish_max_iters):
-        pg = _pg_norm(x, gx, project)
+        x, g = it.x, it.g
+        pg = it.pg(x, g)
         if pg <= cfg.tol_grad:
-            return x, fx, gx, sx
+            return
         eps = min(0.1 * cfg.radius, pg)
-        binding = ((x >= cfg.radius - eps) & (gx < 0)) | ((x <= eps - cfg.radius) & (gx > 0))
+        binding = ((x >= cfg.radius - eps) & (g < 0)) | ((x <= eps - cfg.radius) & (g > 0))
         free = np.flatnonzero(~binding)
-        d = gx.copy()
+        d = g.copy()
         if free.size:
-            H = _hessian_core(basis, x, beta, sx).matrix[np.ix_(free, free)]
+            H = _hessian_core(it.basis, x, it.beta, it.spectral).matrix[np.ix_(free, free)]
+            it.spectral = None  # the Hessian was its last reader
             try:
-                d[free] = np.linalg.solve(H + 1e-14 * np.eye(free.size), gx[free])
+                d[free] = np.linalg.solve(H + 1e-14 * np.eye(free.size), g[free])
             except np.linalg.LinAlgError:
-                return x, fx, gx, sx
+                return
+            del H  # nor does the next step's Hessian read this one
         if not np.all(np.isfinite(d)):
-            return x, fx, gx, sx
+            return
         s = 1.0
-        allowance = slack(x, fx)
+        allowance = it.slack()
         for _ in range(40):
-            cand = project(x - s * d)
+            cand = it.project(x - s * d)
             if np.array_equal(cand, x):
                 # below float resolution, or clipped back onto the box: no step left
-                return x, fx, gx, sx
-            f_cand, g_cand, s_cand = evaluate(cand)
-            decrease = fx - f_cand
+                return
+            f_cand, g_cand = it.trial(cand)
+            decrease = it.f - f_cand
             # a decrease within the rounding of f is noise: there only a
             # falling gradient norm tells progress from a wander
-            if decrease > allowance and decrease >= NEWTON_ARMIJO_C * float(np.dot(gx, x - cand)):
+            if decrease > allowance and decrease >= NEWTON_ARMIJO_C * float(np.dot(g, x - cand)):
                 break
-            if decrease >= -allowance and _pg_norm(cand, g_cand, project) < pg:
+            if decrease >= -allowance and it.pg(cand, g_cand) < pg:
                 break
             s *= 0.5
         else:
-            return x, fx, gx, sx
-        x, fx, gx, sx = cand, f_cand, g_cand, s_cand
-        trace.record(fx, _pg_norm(x, gx, project), s, "polish")
-    return x, fx, gx, sx
+            return
+        it.accept()
+        it.trace.record(it.f, it.pg(it.x, it.g), s, "polish")
 
 
 def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:

@@ -136,14 +136,18 @@ def test_learn_rejects_a_bool_shot_count(tmp_path, capsys):
 
 
 def test_gen_rejects_out_of_range_mu(tmp_path, capsys):
-    # NaN compares false against any bound, so it must fail the check too
-    for bad in (1.5, float("nan")):
-        payload = gen_config(n=2)
-        payload["mu"] = [0.0] * 14 + [bad]
-        cfg = write_config(tmp_path, "bad_mu.json", payload)
+    # NaN compares false against any bound, so it must fail the check too;
+    # "random" is the one string mu takes
+    for bad, message in [
+        ([0.0] * 14 + [1.5], "[-1, 1]"),
+        ([0.0] * 14 + [float("nan")], "[-1, 1]"),
+        ("randomly", "mu (expected 'random' or list of 15 floats, got 'randomly')"),
+        ([0.0] * 14 + [True], "mu (expected 'random' or list of 15 floats, got [0.0,"),
+    ]:
+        cfg = write_config(tmp_path, "bad_mu.json", gen_config(n=2, mu=bad))
         out = tmp_path / "o"
         assert main(["gen", "--config", cfg, "--out", str(out)]) == 2
-        assert "[-1, 1]" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not (out / "model.json").exists()
 
 
@@ -157,6 +161,18 @@ def test_manifest_command_mismatch(tmp_path, capsys):
     manifest = str(model.parent / "gen_manifest.json")
     assert main(["learn", "--config", manifest, "--out", str(tmp_path / "o")]) == 2
     assert "records command" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change", [{"config": None}, {"master_seed": None}, {"config": [1, 2]}, {"master_seed": "1"}]
+)
+def test_malformed_manifest_exits_2(tmp_path, capsys, change):
+    manifest = json.loads((run_gen(tmp_path, n=2).parent / "gen_manifest.json").read_text())
+    manifest.update(change)
+    manifest = {key: value for key, value in manifest.items() if value is not None}
+    cfg = write_config(tmp_path, "manifest.json", manifest)
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "needs a config object and an int master_seed" in capsys.readouterr().err
 
 
 def learn_config(tmp_path, model, **extra):
@@ -217,7 +233,7 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
         calls.append(1)
         return original(H)
 
-    for module in (gibbs, qbp, solver):
+    for module in (cli, gibbs, qbp, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     model = load_model(run_gen(tmp_path, n=3))
     cfg = solver.SolverConfig(tol_grad=1e-12)
@@ -516,9 +532,15 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
         ({"trials": True}, "trials (expected int >= 1, got True)"),
         ({"values": [True, 2000]}, "values (expected int >= 0 for axis N, got True)"),
+        ({"mu": 5}, "mu (expected 'random' or list of 15 floats, got 5)"),
+        ({"mu": "randomly"}, "mu (expected 'random' or list of 15 floats, got 'randomly')"),
+        ({"mu": [0.5, 0.5]}, "mu (expected 'random' or list of 15 floats, got [0.5, 0.5])"),
+        ({"mu": [0.0] * 14 + [1.5]}, "coefficients must lie in [-1, 1]"),
+        ({"axis": "size", "N": 2000, "values": [2, 3], "mu": 5}, "list of 15 floats, got 5)"),
     ],
     ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
-         "size-values", "trials-bool", "N-values-bool"],
+         "size-values", "trials-bool", "N-values-bool", "mu-number", "mu-string",
+         "mu-length", "mu-range", "size-mu-number"],
 )
 def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, message):
     cfg = sweep_config(tmp_path, **extra)
@@ -737,14 +759,19 @@ def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals"])
 def test_malformed_model_file_exits_2(tmp_path, capsys, command):
     payload = json.loads(run_gen(tmp_path, n=2).read_text())
-    del payload["kappa"]
-    model = tmp_path / "no_kappa.json"
-    model.write_text(json.dumps(payload))
-    cfg = learn_config(tmp_path, model)
-    out = tmp_path / "o"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert "error: model payload missing field: kappa" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    no_kappa = {key: value for key, value in payload.items() if key != "kappa"}
+    for damaged, message in [
+        (no_kappa, "model payload missing field: kappa"),
+        ([], "model payload must be a JSON object, got list"),
+        ({**payload, "lattice": []}, "model field lattice must be a JSON object, got []"),
+    ]:
+        model = tmp_path / "damaged.json"
+        model.write_text(json.dumps(damaged))
+        cfg = learn_config(tmp_path, model)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(out.iterdir())
 
 
 def test_seed_range_validated(tmp_path, capsys):

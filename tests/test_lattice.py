@@ -10,7 +10,6 @@ from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
     LocalBasisOp,
-    OperatorBasis,
     assemble_hamiltonian,
     basis_stack,
     enumerate_basis,
@@ -66,23 +65,13 @@ def test_supports_sorted_and_within_range():
                 assert basis.lattice.distance(a, b) <= basis.kappa - 1
 
 
-def test_basis_rejects_misnumbered_ops():
-    basis = chain_basis(2, kappa=1)
-    shuffled = [
-        LocalBasisOp(support=op.support, letters=op.letters, index=op.index + 1)
-        for op in basis.ops
-    ]
-    with pytest.raises(ValueError):
-        OperatorBasis(lattice=basis.lattice, kappa=1, ops=tuple(shuffled))
-
-
 def test_local_op_validation():
     with pytest.raises(ValueError):
-        LocalBasisOp(support=(1, 0), letters="XZ", index=0)
+        LocalBasisOp(support=(1, 0), letters="XZ")
     with pytest.raises(ValueError):
-        LocalBasisOp(support=(0,), letters="Q", index=0)
+        LocalBasisOp(support=(0,), letters="Q")
     with pytest.raises(ValueError):
-        LocalBasisOp(support=(0, 1), letters="X", index=0)
+        LocalBasisOp(support=(0, 1), letters="X")
 
 
 def test_enumerate_basis_kappa_bounds():

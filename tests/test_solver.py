@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,13 @@ from hypothesis.extra import numpy as hnp
 
 from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginal, marginals
 from gibbslearn import solver
-from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack
+from gibbslearn.lattice import (
+    HamiltonianModel,
+    LatticeSpec,
+    assemble_hamiltonian,
+    basis_stack,
+    enumerate_basis,
+)
 from gibbslearn.qbp import _hessian_core, log_partition, qbp_transform
 from gibbslearn.solver import (
     SolverConfig,
@@ -280,6 +289,40 @@ def test_unreachable_tolerance_stops_at_the_float_floor():
     assert not trace.converged
     assert trace.pg_final < 1e-14
     assert trace.dual_evals <= 40
+
+
+def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
+    # each Newton Hessian is the last reader of the eigensystem at its point:
+    # that must be gone before the next dual evaluation diagonalizes, and the
+    # hand-over's and the last step's m x m Newton system before the next
+    # Hessian, so the traced memory at Hessian entry stays flat.  On the open
+    # 2x3 lattice the eigenvectors weigh one 2^6 x 2^6 matrix and the m x m
+    # system 0.8 of one, so the bound is half a matrix
+    basis = enumerate_basis(LatticeSpec(2, (2, 3)), 2)
+    model = HamiltonianModel(basis=basis, mu=np.random.default_rng(1).uniform(-1, 1, basis.m))
+    estimates = grouped_estimates(model, 1.0, seed=1)
+    basis_stack(basis)
+    entries, read = [], []
+    hessian, dual_eval = solver._hessian_core, solver._dual_eval
+
+    def traced_hessian(basis, lam, beta, spectral):
+        entries.append(tracemalloc.get_traced_memory()[0])
+        read.append(weakref.ref(spectral))
+        return hessian(basis, lam, beta, spectral)
+
+    def traced_eval(*args):
+        assert all(ref() is None for ref in read)
+        return dual_eval(*args)
+
+    monkeypatch.setattr(solver, "_hessian_core", traced_hessian)
+    monkeypatch.setattr(solver, "_dual_eval", traced_eval)
+    tracemalloc.start()
+    try:
+        solve(estimates, 1.0, basis)
+    finally:
+        tracemalloc.stop()
+    assert len(entries) >= 3
+    assert max(entries) - entries[0] < 0.5 * 4**6 * 16
 
 
 def dense_curvature(dense, lam, u, beta):
