@@ -143,10 +143,10 @@ def _lattice_from_config(config: dict) -> LatticeSpec:
 
 
 def _learn_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices one learn holds at once: a Hessian of the Newton polish,
+    """Dense matrices one learn holds at once: a projected Newton Hessian,
     which reads the solver's current eigensystem, plus, counted in bytes, the
-    basis table and the polish's m x m Newton system.  No eigensystem at mu
-    lives through the solve: sampling's dies once e(mu) is read.
+    basis table and the m x m Newton system.  No eigensystem at mu lives
+    through the solve: sampling's dies once e(mu) is read.
 
     Builds the table, which `basis_stack` checks on its own count first.
     """
@@ -268,6 +268,9 @@ def _learn_once(
     }
 
 
+TRACE_HEADER = ("iteration", "objective", "grad_norm", "step", "evals")
+
+
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
     config = {**config, "scheme": scheme_flag or config.get("scheme", "grouped")}
     _check_fields("learn", config, ("model", "N", "beta", "scheme"), ("delta_fail",))
@@ -283,11 +286,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
         os.path.join(out, "estimates.csv"), ("l", "e_hat", "delta", "shots"), estimates.csv_rows()
     )
     write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
-    write_csv(
-        os.path.join(out, "trace.csv"),
-        ("iteration", "objective", "grad_norm", "step", "phase", "evals"),
-        record.pop("trace").csv_rows(),
-    )
+    write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, record.pop("trace").csv_rows())
     write_json(os.path.join(out, "result.json"), record)
     outputs = ["estimates.csv", "estimates.json", "trace.csv", "result.json"]
     write_manifest(out, "learn", config, seed, __version__, outputs)
@@ -389,6 +388,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
     # the fields the axis does not sweep are required; an unknown axis requires all three
     fixed = tuple(field for field in SWEEP_AXES.values() if field != swept)
+    cfg = _solver_config(config.get("solver") or None)  # validate once up front
     offenders = []
     if swept and isinstance(config.get("values"), list):
         check, hint = FIELDS[swept]
@@ -397,8 +397,12 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             for value in config["values"]
             if not check(value)
         ]
-    if axis == "size" and isinstance(config.get("mu"), list):
-        offenders.append("mu (explicit coefficients cannot span a size sweep)")
+    if axis == "size":
+        offenders += [
+            f"{name} (explicit coefficients cannot span a size sweep)"
+            for name, value in (("mu", config.get("mu")), ("solver.lambda0", cfg.lambda0))
+            if isinstance(value, list)
+        ]
     _check_fields(
         "sweep",
         config,
@@ -406,7 +410,6 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         ("kappa", "scheme", "delta_fail"),
         tuple(offenders),
     )
-    _solver_config(config.get("solver") or None)  # validate once up front
     trials = range(len(config["values"]) * config["trials"])
     workers = min(jobs, len(trials))
     sizes = config["values"] if axis == "size" else [config["n"]]
@@ -419,8 +422,10 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             continue  # the trials of this size fail and are recorded as such
         # every worker runs one learn at a time
         check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
-        if "mu" in config:  # the rule every trial applies, once before any runs
+        # the rules every trial applies, once before any runs
+        if "mu" in config:
             _instance_model("sweep", config, basis, np.random.default_rng(seed))
+        cfg.start_point(basis.m)
 
     worker = functools.partial(_trial_worker, config, seed)
     if workers > 1:

@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import (
-    HamiltonianModel,
-    LocalBasisOp,
-    LatticeSpec,
-    PauliTable,
-    assemble_hamiltonian,
-    to_dense,
-)
+from .lattice import HamiltonianModel, PauliTable, assemble_hamiltonian
 
 __all__ = [
     "SpectralDecomposition",
@@ -33,7 +26,6 @@ __all__ = [
     "gibbs_state",
     "log_sum_exp",
     "density_matrix",
-    "marginal",
     "marginals",
     "variance",
 ]
@@ -167,36 +159,15 @@ def density_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
     return (V * ensemble.weights) @ V.conj().T
 
 
-def _as_matrix(E, lattice: LatticeSpec | None) -> np.ndarray:
-    if isinstance(E, LocalBasisOp):
-        if lattice is None:
-            raise ValueError("a LocalBasisOp needs the lattice to be densified")
-        return to_dense(E, lattice)
-    return np.asarray(E)
-
-
-def marginal(E, ensemble: GibbsEnsemble, lattice: LatticeSpec | None = None) -> float:
-    """Tr[E rho] as the weighted sum of eigenbasis diagonal elements."""
-    mat = _as_matrix(E, lattice)
-    V = ensemble.spectral.vectors
-    if mat.shape != (ensemble.dim, ensemble.dim):
-        raise ValueError(
-            f"operator shape {mat.shape} does not match state dimension {ensemble.dim}"
-        )
-    diag = np.einsum("aj,ab,bj->j", V.conj(), mat, V)
-    return float(np.real(np.dot(ensemble.weights, diag)))
-
-
 def marginals(stack: PauliTable, ensemble: GibbsEnsemble) -> np.ndarray:
     """Tr[E_l rho] for every element of a basis table (`lattice.basis_stack`)."""
     return stack.expectations(density_matrix(ensemble))
 
 
-def variance(O, ensemble: GibbsEnsemble, lattice: LatticeSpec | None = None) -> float:
-    """Var_rho[O] = Tr[O^2 rho] - Tr[O rho]^2, clamped to 0 below 1e-10 noise."""
-    mat = _as_matrix(O, lattice)
+def variance(O: np.ndarray, ensemble: GibbsEnsemble) -> float:
+    """Var_rho[O] = Tr[O^2 rho] - Tr[O rho]^2 of a matrix O, clamped to 0 below 1e-10 noise."""
     V = ensemble.spectral.vectors
-    A = V.conj().T @ mat @ V  # energy basis
+    A = V.conj().T @ O @ V  # energy basis
     mean = float(np.real(np.dot(ensemble.weights, np.diagonal(A))))
     second = float(np.real(np.dot(ensemble.weights, np.einsum("jk,kj->j", A, A))))
     var = second - mean * mean

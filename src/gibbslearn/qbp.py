@@ -22,13 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .gibbs import SpectralDecomposition, diagonalize, gibbs, log_sum_exp, marginals, spectrum
-from .lattice import (
-    HamiltonianModel,
-    assemble_hamiltonian,
-    basis_stack,
-    check_dense_budget,
-)
+from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals, spectrum
+from .lattice import HamiltonianModel, basis_stack, check_dense_budget
 
 __all__ = [
     "FilterKernel",
@@ -43,7 +38,6 @@ __all__ = [
     "grad_logZ",
     "hessian_logZ",
     "quasilocal_W",
-    "log_partition",
 ]
 
 
@@ -205,12 +199,6 @@ def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -
     A = V.conj().T @ O @ V
     out = V @ (A * gap_filter(spectral, beta)) @ V.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def log_partition(model: HamiltonianModel, beta: float) -> float:
-    """log Z at H(mu); cheap standalone evaluation for finite-difference oracles."""
-    energies = np.linalg.eigvalsh(assemble_hamiltonian(model))
-    return log_sum_exp(-beta * energies)
 
 
 def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:

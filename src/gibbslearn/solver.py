@@ -5,16 +5,16 @@ normalisation |mu_l| <= 1 that `HamiltonianModel` enforces).  The dual
 objective is convex (its Hessian is the filtered covariance matrix, which is
 PSD, and strongly convex on the box by the paper's main theorem), so the
 boxed minimizer is unique up to degeneracy of the marginal map, and with
-exact marginals it sits at the true coefficient vector.  There is one
-method in two phases.  Backtracking projected gradient from the current
-iterate runs until the projected gradient is at most POLISH_TRIGGER, which
-takes a few evaluations from the origin.  Projected Newton (Bertsekas 1982)
-then runs down to the gradient tolerance: an eps-active set of coordinates
-at the box takes gradient steps, the rest a Newton step on their Hessian
-block, with an Armijo rule along the projection arc.  Every dual evaluation
-is one diagonalization, and Newton needs about a dozen where the first-order
-phase alone needs over a hundred.  Both phases move one `_Iterate`, which
-keeps the eigensystem at its point only until the Newton Hessian reads it.
+exact marginals it sits at the true coefficient vector.  The method is
+projected Newton (Bertsekas 1982) from the start point down to the gradient
+tolerance: an eps-active set of coordinates at the box takes gradient steps,
+the rest a Newton step on their Hessian block, with an Armijo rule along the
+projection arc.  At the origin the Hessian of log Z is exactly beta^2 I (the
+Pauli strings are orthonormal and every marginal is 0 there), so the first
+step from the default start builds no Hessian.  Every dual evaluation is one
+diagonalization, and a solve takes about a dozen.  The loop moves one
+`_Iterate`, which keeps the eigensystem at its point only until the Newton
+Hessian reads it.
 """
 
 from __future__ import annotations
@@ -35,11 +35,6 @@ __all__ = [
     "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant", "alpha_along_segment"
 ]
 
-ETA0 = 1.0  # first backtracking trial step
-ARMIJO_C = 0.5
-SHRINK = 0.5
-# projected Newton takes over once the projected gradient is this small
-POLISH_TRIGGER = 1.0
 NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along the Newton projection arc
 ALPHA_POINTS = 11  # Hessians sampled along the alpha segment
 
@@ -47,48 +42,56 @@ ALPHA_POINTS = 11  # Hessians sampled along the alpha segment
 @dataclass(frozen=True)
 class SolverConfig:
     tol_grad: float = 1e-7  # on the projected-gradient norm
-    max_iters: int = 100_000  # first-order iterations
     radius: float = 1.0  # half-width of the box |lambda_l| <= radius
     lambda0: np.ndarray | None = None
-    # Projected Newton steps after the hand-over.  Large beta needs them: the
-    # dual Hessian spectrum spans ~5 decades there and a first-order method
-    # cannot certify tight gradient norms in float64.
-    polish_max_iters: int = 60
+    polish_max_iters: int = 60  # projected Newton steps
 
     def __post_init__(self) -> None:
-        kinds = dict(max_iters=Integral, polish_max_iters=Integral, tol_grad=Real, radius=Real)
+        kinds = dict(polish_max_iters=Integral, tol_grad=Real, radius=Real)
         for name, kind in kinds.items():
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(
                     f"bad solver config: {name} must be {kind.__name__.lower()}, got {value!r}"
                 )
-        if self.max_iters < 0 or self.polish_max_iters < 0:
-            raise ValueError(
-                "bad solver config: max_iters and polish_max_iters must be non-negative"
-            )
+        if self.polish_max_iters < 0:
+            raise ValueError("bad solver config: polish_max_iters must be non-negative")
         if not self.tol_grad > 0:
             raise ValueError("bad solver config: tol_grad must be positive")
         if not self.radius > 0:
             raise ValueError("bad solver config: radius must be positive")
+
+    def start_point(self, m: int) -> np.ndarray:
+        """lambda0 as a fresh float vector, zeros if unset; ValueError unless m finite reals."""
+        if self.lambda0 is None:
+            return np.zeros(m)
+        try:
+            x = np.asarray(self.lambda0)
+        except ValueError:  # ragged nesting
+            x = None
+        if x is None or x.shape != (m,) or x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
+            raise ValueError(
+                f"lambda0 must be m = {m} finite reals, got {reprlib.repr(self.lambda0)}"
+            )
+        return x.astype(float)
 
 
 @dataclass(eq=False)
 class SolverTrace:
     """Per-iteration record of the descent, plus the outcome summary.
 
-    `steps` holds the backtracking step on "first-order" rows and the Newton
-    step length on "polish" rows; `evals` counts dual evaluations so far,
-    the initial one included.  `pg_final` is the projected-gradient norm at
-    the returned point, and `grad_final` the gradient of the dual objective
-    there, beta * (e_hat - e(mu_hat)).
+    Row 0 is the start point and row k the point after Newton step k;
+    `steps` holds the step length along the projection arc, 0 on row 0, and
+    `evals` counts dual evaluations so far, the initial one included.
+    `pg_final` is the projected-gradient norm at the returned point, and
+    `grad_final` the gradient of the dual objective there,
+    beta * (e_hat - e(mu_hat)).
     """
 
     iterations: list[int] = field(default_factory=list)
     objectives: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     steps: list[float] = field(default_factory=list)
-    phases: list[str] = field(default_factory=list)
     evals: list[int] = field(default_factory=list)
     dual_evals: int = 0
     pg_final: float = 0.0
@@ -100,18 +103,15 @@ class SolverTrace:
     def n_iterations(self) -> int:
         return len(self.iterations)
 
-    def record(self, objective: float, grad_norm: float, step: float, phase: str) -> None:
+    def record(self, objective: float, grad_norm: float, step: float) -> None:
         self.iterations.append(self.n_iterations)
         self.objectives.append(objective)
         self.grad_norms.append(grad_norm)
         self.steps.append(step)
-        self.phases.append(phase)
         self.evals.append(self.dual_evals)
 
     def csv_rows(self):
-        yield from zip(
-            self.iterations, self.objectives, self.grad_norms, self.steps, self.phases, self.evals
-        )
+        yield from zip(self.iterations, self.objectives, self.grad_norms, self.steps, self.evals)
 
 
 def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTable):
@@ -136,9 +136,9 @@ class _Iterate:
         if target.shape != (basis.m,):
             raise ValueError(f"marginal vector has shape {target.shape}, expected ({basis.m},)")
         self.target, self.radius, self.trace = target, cfg.radius, SolverTrace()
-        x = np.zeros(basis.m) if cfg.lambda0 is None else _start_point(cfg.lambda0, basis.m)
-        self.trial(self.project(x))
+        self.trial(self.project(cfg.start_point(basis.m)))
         self.accept()
+        self.trace.record(self.f, self.pg(self.x, self.g), 0.0)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, -self.radius, self.radius)
@@ -170,14 +170,13 @@ def solve(
 
     Every iterate is a clip onto the box, so a bound coordinate sits exactly
     at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
-    whether the projected gradient dropped below cfg.tol_grad within the
-    iteration budget.
+    whether the projected gradient dropped below cfg.tol_grad within
+    cfg.polish_max_iters Newton steps.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
     it = _Iterate(e_hat, float(beta), basis, cfg)
-    _first_order(it, cfg)
-    _newton_polish(it, cfg)
+    _projected_newton(it, cfg)
     trace = it.trace
     trace.grad_final = it.g
     trace.pg_final = it.pg(it.x, it.g)
@@ -186,48 +185,8 @@ def solve(
     return it.x, trace
 
 
-def _start_point(lambda0, m: int) -> np.ndarray:
-    """cfg.lambda0 as a fresh float vector; ValueError unless it is m finite reals."""
-    try:
-        x = np.asarray(lambda0)
-    except ValueError:  # ragged nesting
-        x = None
-    if x is None or x.shape != (m,) or x.dtype.kind not in "iuf" or not np.all(np.isfinite(x)):
-        raise ValueError(f"lambda0 must be m = {m} finite reals, got {reprlib.repr(lambda0)}")
-    return x.astype(float)
-
-
-def _first_order(it: _Iterate, cfg: SolverConfig) -> None:
-    """Backtracking projected gradient from the current iterate, down to POLISH_TRIGGER."""
-    tol = max(cfg.tol_grad, POLISH_TRIGGER)
-    eta = ETA0
-    last_step = 0.0
-    for _ in range(cfg.max_iters):
-        pg = it.pg(it.x, it.g)
-        it.trace.record(it.f, pg, last_step, "first-order")
-        if pg <= tol:
-            return
-
-        # Armijo line search along the projection arc, which must also keep
-        # the trace monotone
-        allowance = it.slack()
-        while True:
-            cand = it.project(it.x - eta * it.g)
-            f_cand, _ = it.trial(cand)
-            decrease = ARMIJO_C * float(np.dot(it.g, it.x - cand))
-            if f_cand <= it.f - decrease + allowance and f_cand <= it.f:
-                break
-            eta *= SHRINK
-            if eta < 1e-16:
-                # no representable step makes progress; stop here
-                return
-        last_step = eta
-        eta /= SHRINK  # allow the next trial step to grow back
-        it.accept()
-
-
-def _newton_polish(it: _Iterate, cfg: SolverConfig) -> None:
-    """Projected Newton (Bertsekas, SIAM J. Control Optim. 20, 1982) from the hand-over.
+def _projected_newton(it: _Iterate, cfg: SolverConfig) -> None:
+    """Projected Newton (Bertsekas, SIAM J. Control Optim. 20, 1982) from the current iterate.
 
     A coordinate within eps = min(0.1 * radius, pg) of a bound whose gradient
     points out of the box is binding and takes the plain gradient step; the
@@ -236,8 +195,8 @@ def _newton_polish(it: _Iterate, cfg: SolverConfig) -> None:
     than the rounding of f, or, near the float floor where f resolves none,
     until the gradient norm drops while f stays within rounding.  Quadratic
     local convergence reaches gradient norms near the 1e-14 evaluation floor,
-    which a first-order method cannot certify when the Hessian spectrum spans
-    several decades.
+    which a first-order method cannot certify at large beta, where the
+    Hessian spectrum spans several decades.
     """
     for _ in range(cfg.polish_max_iters):
         x, g = it.x, it.g
@@ -249,8 +208,11 @@ def _newton_polish(it: _Iterate, cfg: SolverConfig) -> None:
         free = np.flatnonzero(~binding)
         d = g.copy()
         if free.size:
-            H = _hessian_core(it.basis, x, it.beta, it.spectral).matrix[np.ix_(free, free)]
-            it.spectral = None  # the Hessian was its last reader
+            if x.any():
+                H = _hessian_core(it.basis, x, it.beta, it.spectral).matrix[np.ix_(free, free)]
+            else:  # the exact Hessian of log Z at the origin
+                H = it.beta**2 * np.eye(free.size)
+            it.spectral = None  # no later Hessian reads it
             try:
                 d[free] = np.linalg.solve(H + 1e-14 * np.eye(free.size), g[free])
             except np.linalg.LinAlgError:
@@ -277,7 +239,7 @@ def _newton_polish(it: _Iterate, cfg: SolverConfig) -> None:
         else:
             return
         it.accept()
-        it.trace.record(it.f, it.pg(it.x, it.g), s, "polish")
+        it.trace.record(it.f, it.pg(it.x, it.g), s)
 
 
 def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from gibbslearn.lattice import LatticeSpec, enumerate_basis, random_chain, to_dense
 
@@ -56,6 +57,19 @@ SPLIT_CELL_BASES = {
 def dense_basis(basis):
     """The (m, 2^n, 2^n) oracle stack, one `to_dense` matrix per basis element."""
     return np.array([to_dense(op, basis.lattice) for op in basis.ops])
+
+
+def dense_log_partition(model, beta: float) -> float:
+    """log Z of H(mu) summed from the oracle stack, from its eigvalsh spectrum."""
+    H = np.tensordot(model.mu, dense_basis(model.basis), axes=1)
+    return float(logsumexp(-beta * np.linalg.eigvalsh(H)))
+
+
+def dense_marginal(E: np.ndarray, ensemble) -> float:
+    """Tr[E rho] of a dense matrix E, with rho summed from the ensemble's eigenpairs."""
+    V = ensemble.spectral.vectors
+    rho = (V * ensemble.weights) @ V.conj().T
+    return float(np.trace(E @ rho).real)
 
 
 def random_state(dim: int, rank: int, rng) -> np.ndarray:

@@ -204,12 +204,11 @@ def test_learn_end_to_end(tmp_path, capsys):
     assert meta["seed"] == 3
 
     trace_lines = (out / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iteration,objective,grad_norm,step,phase,evals"
+    assert trace_lines[0] == "iteration,objective,grad_norm,step,evals"
     assert len(trace_lines) == result["iterations"] + 1
-    phases = [line.split(",")[4] for line in trace_lines[1:]]
-    assert set(phases) <= {"first-order", "polish"}
-    assert phases[0] == "first-order"
-    assert trace_lines[1].split(",")[5] == "1"
+    # row 0 is the start point: no step, one evaluation
+    start = trace_lines[1].split(",")
+    assert float(start[3]) == 0.0 and start[4] == "1"
 
     # the learned coefficients, whose distance to the truth is l2_error
     model = load_model(model_path)
@@ -226,7 +225,7 @@ def test_learn_end_to_end(tmp_path, capsys):
 
 def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # sampling diagonalizes mu and each dual evaluation its point; the Newton
-    # polish reuses those eigensystems and the secant alpha needs none
+    # Hessians reuse those eigensystems and the secant alpha needs none
     calls = []
 
     def counted(H, original=gibbs.diagonalize):
@@ -239,7 +238,7 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     cfg = solver.SolverConfig(tol_grad=1e-12)
     run = cli._learn_once(model, 3.0, 1000, "exact", 0.05, 1, cfg)
     trace = run["trace"]
-    assert "polish" in trace.phases
+    assert trace.n_iterations > 2  # Newton steps from points other than the origin
     assert len(calls) == trace.dual_evals + 1
 
 
@@ -324,7 +323,9 @@ def test_learn_missing_model(tmp_path, capsys):
     assert "model file not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("field, value", [("step_rule", "fixed"), ("constraint", "l2")])
+@pytest.mark.parametrize(
+    "field, value", [("step_rule", "fixed"), ("constraint", "l2"), ("max_iters", 100)]
+)
 def test_learn_rejects_unknown_solver_field(tmp_path, capsys, field, value):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(tmp_path, model_path, solver={field: value})
@@ -335,9 +336,9 @@ def test_learn_rejects_unknown_solver_field(tmp_path, capsys, field, value):
 @pytest.mark.parametrize(
     "solver, field",
     [
-        ({"max_iters": 1.5}, "max_iters"),
-        ({"max_iters": -3}, "max_iters"),
-        ({"max_iters": True}, "max_iters"),
+        ({"polish_max_iters": 1.5}, "polish_max_iters"),
+        ({"polish_max_iters": -3}, "polish_max_iters"),
+        ({"polish_max_iters": True}, "polish_max_iters"),
         ({"polish_max_iters": "5"}, "polish_max_iters"),
         ({"tol_grad": "x"}, "tol_grad"),
         ({"radius": None}, "radius"),
@@ -380,19 +381,16 @@ def test_delta_fail_must_be_a_probability(tmp_path, capsys, command, delta_fail)
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("max_iters", [0, 2])
-def test_pg_final_is_the_residual_at_the_returned_point(tmp_path, max_iters):
+@pytest.mark.parametrize("steps", [0, 2])
+def test_pg_final_is_the_residual_at_the_returned_point(tmp_path, steps):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(
-        tmp_path,
-        model_path,
-        scheme="exact",
-        solver={"max_iters": max_iters, "polish_max_iters": 0},
+        tmp_path, model_path, scheme="exact", solver={"polish_max_iters": steps}
     )
     out = tmp_path / "o"
     assert main(["learn", "--config", cfg, "--out", str(out)]) == 1  # not converged
     result = json.loads((out / "result.json").read_text())
-    assert result["iterations"] == max_iters
+    assert result["iterations"] == steps + 1  # the start row and one per step
     model = load_model(model_path)
     e = marginals(basis_stack(model.basis), gibbs_state(assemble_hamiltonian(model), 1.0))
     mu_hat = np.array(result["mu_hat"])
@@ -537,10 +535,15 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"mu": [0.5, 0.5]}, "mu (expected 'random' or list of 15 floats, got [0.5, 0.5])"),
         ({"mu": [0.0] * 14 + [1.5]}, "coefficients must lie in [-1, 1]"),
         ({"axis": "size", "N": 2000, "values": [2, 3], "mu": 5}, "list of 15 floats, got 5)"),
+        ({"solver": {"lambda0": [0.1, 0.2]}}, "lambda0 must be m = 15 finite reals"),
+        (
+            {"axis": "size", "N": 2000, "values": [2, 3], "solver": {"lambda0": [0.1] * 15}},
+            "solver.lambda0 (explicit coefficients cannot span a size sweep)",
+        ),
     ],
     ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
          "size-values", "trials-bool", "N-values-bool", "mu-number", "mu-string",
-         "mu-length", "mu-range", "size-mu-number"],
+         "mu-length", "mu-range", "size-mu-number", "lambda0-length", "size-lambda0-list"],
 )
 def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, message):
     cfg = sweep_config(tmp_path, **extra)
@@ -790,12 +793,20 @@ def test_console_entry_point():
     assert "gibbslearn" in out.stdout
 
 
-def test_cli_import_leaves_scipy_special_out():
-    # scipy.special costs about 0.3 s per process; only the lab's series check needs it
-    code = "import sys, gibbslearn.cli; print('scipy.special' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+def test_cli_import_leaves_scipy_special_out(tmp_path):
+    # a learn imports none of scipy's numerical modules: scipy.special costs
+    # about 0.3 s per process, scipy.linalg with scipy.optimize about 0.5 s,
+    # more than a whole n = 7 learn, and only the lab's series check needs one
+    cfg = learn_config(tmp_path, run_gen(tmp_path, n=2))
+    code = (
+        "import sys, gibbslearn.cli; code = gibbslearn.cli.main(sys.argv[1:]); "
+        "scipy = {'scipy.linalg', 'scipy.optimize', 'scipy.special'}; "
+        "print(code, sorted(scipy & set(sys.modules)))"
+    )
+    learn = ["learn", "--config", cfg, "--out", str(tmp_path / "o")]
+    out = subprocess.run([sys.executable, "-c", code, *learn], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 def test_cli_import_leaves_the_lab_and_multiprocessing_out():

@@ -12,14 +12,13 @@ from gibbslearn.gibbs import (
     gibbs,
     gibbs_state,
     log_sum_exp,
-    marginal,
     marginals,
     spectrum,
     variance,
 )
 from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack, pauli_matrix
 
-from conftest import random_chain_model
+from conftest import dense_basis, dense_marginal, random_chain_model
 
 Z = pauli_matrix("Z")
 X = pauli_matrix("X")
@@ -59,10 +58,10 @@ def test_single_qubit_partition_function():
 
 def test_single_qubit_marginal_is_minus_tanh():
     ens = gibbs_state(Z, 1.0)
-    assert marginal(Z, ens) == pytest.approx(-np.tanh(1.0), abs=1e-14)
-    assert marginal(Z, ens) == pytest.approx(-0.7615941559557649, abs=1e-15)
+    assert dense_marginal(Z, ens) == pytest.approx(-np.tanh(1.0), abs=1e-14)
+    assert dense_marginal(Z, ens) == pytest.approx(-0.7615941559557649, abs=1e-15)
     # X has no diagonal part in the Z eigenbasis
-    assert marginal(X, ens) == pytest.approx(0.0, abs=1e-14)
+    assert dense_marginal(X, ens) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_beta_zero_is_maximally_mixed():
@@ -149,18 +148,9 @@ def test_marginals_stack_matches_loop():
     ens = gibbs_state(assemble_hamiltonian(model), 0.7)
     stack = basis_stack(basis)
     vec = marginals(stack, ens)
-    for op, value in zip(basis.ops, vec):
-        assert value == pytest.approx(
-            marginal(op, ens, basis.lattice), abs=1e-12
-        )
+    for E, value in zip(dense_basis(basis), vec):
+        assert value == pytest.approx(dense_marginal(E, ens), abs=1e-12)
     assert np.all(np.abs(vec) <= 1 + 1e-12)
-
-
-def test_marginal_local_op_needs_lattice():
-    model = random_chain_model(2, seed=0)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
-    with pytest.raises(ValueError):
-        marginal(model.basis.ops[0], ens)
 
 
 def test_variance_identity_is_zero():
@@ -174,10 +164,8 @@ def test_variance_maximally_mixed_pauli():
     # at beta=0 every pauli string has mean 0 and second moment 1
     model = random_chain_model(2, seed=4)
     ens = gibbs_state(assemble_hamiltonian(model), 0.0)
-    for op in model.basis.ops:
-        assert variance(op, ens, model.basis.lattice) == pytest.approx(
-            1.0, abs=1e-12
-        )
+    for E in dense_basis(model.basis):
+        assert variance(E, ens) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variance_large_beta_ground_state():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginal, marginals
+from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn import solver
 from gibbslearn.lattice import (
     HamiltonianModel,
@@ -16,7 +16,7 @@ from gibbslearn.lattice import (
     basis_stack,
     enumerate_basis,
 )
-from gibbslearn.qbp import _hessian_core, log_partition, qbp_transform
+from gibbslearn.qbp import _hessian_core, qbp_transform
 from gibbslearn.solver import (
     SolverConfig,
     _dual_eval,
@@ -27,7 +27,13 @@ from gibbslearn.solver import (
 )
 from gibbslearn.measure import build_plan, sample_outcomes
 
-from conftest import chain_basis, dense_basis, random_chain_model
+from conftest import (
+    chain_basis,
+    dense_basis,
+    dense_log_partition,
+    dense_marginal,
+    random_chain_model,
+)
 
 
 def exact_marginals(model, beta):
@@ -58,7 +64,8 @@ def test_objective_and_gradient_at_origin():
 @given(data=st.data())
 def test_dual_eval_matches_independent_oracles(data):
     # objective = log Z + beta <lam, e_hat> and gradient = beta (e_hat - e),
-    # against an eigvalsh log Z and per-operator dense marginals
+    # against an eigvalsh log Z and per-operator marginals, both of H(lam)
+    # summed from the dense oracle stack
     n = data.draw(st.integers(1, 4), label="n")
     basis = chain_basis(n, kappa=min(n, 2))
     unit_box = hnp.arrays(float, basis.m, elements=st.floats(-1.0, 1.0))
@@ -68,11 +75,12 @@ def test_dual_eval_matches_independent_oracles(data):
     model = HamiltonianModel(basis=basis, mu=lam)
     obj, grad, _ = _dual_eval(lam, e_hat, beta, basis_stack(basis))
 
-    expected = log_partition(model, beta) + beta * float(np.dot(lam, e_hat))
+    expected = dense_log_partition(model, beta) + beta * float(np.dot(lam, e_hat))
     assert abs(obj - expected) <= 1e-12
 
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
-    e = np.array([marginal(op, ens, basis.lattice) for op in basis.ops])
+    dense = dense_basis(basis)
+    ens = gibbs_state(np.tensordot(lam, dense, axes=1), beta)
+    e = np.array([dense_marginal(E, ens) for E in dense])
     np.testing.assert_allclose(grad, beta * (e_hat - e), rtol=0, atol=1e-12)
 
 
@@ -113,11 +121,12 @@ def test_trace_bookkeeping():
     assert trace.wall_time > 0
     rows = list(trace.csv_rows())
     assert len(rows) == trace.n_iterations
-    assert all(len(row) == 6 for row in rows)
+    assert all(len(row) == 5 for row in rows)
 
 
 def test_trace_phases_and_eval_counts(monkeypatch):
-    # beta=3 needs the Newton polish after the first-order phase
+    # row 0 is the start point, its one evaluation and no step; every later
+    # row is an accepted Newton step of length at most 1, one evaluation or more
     model = random_chain_model(2, seed=14)
     e = exact_marginals(model, 3.0)
     calls = []
@@ -126,17 +135,38 @@ def test_trace_phases_and_eval_counts(monkeypatch):
         solver, "_dual_eval", lambda *args: calls.append(1) or dual_eval(*args)
     )
     _, trace = solve(e, 3.0, model.basis, SolverConfig(tol_grad=1e-12))
-    n_first = trace.phases.count("first-order")
-    assert n_first >= 1
-    assert trace.phases == ["first-order"] * n_first + ["polish"] * (
-        trace.n_iterations - n_first
-    )
-    assert "polish" in trace.phases
-    assert trace.evals[0] == 1  # the initial evaluation
+    assert trace.n_iterations > 2
+    assert (trace.steps[0], trace.evals[0]) == (0.0, 1)
+    assert all(0 < step <= 1 for step in trace.steps[1:])
     assert np.all(np.diff(trace.evals) >= 1)
-    # the polish certifies convergence on its last row, after its last evaluation
+    # the last row certifies convergence, after the last evaluation
     assert trace.converged
     assert trace.evals[-1] == trace.dual_evals == len(calls)
+
+
+def test_no_hessian_is_built_at_the_origin(monkeypatch):
+    # the Hessian of log Z at lambda = 0 is beta^2 I, so the first Newton step
+    # from the default start needs no kernel call; any other start builds its own
+    model = random_chain_model(2, seed=14)
+    e = exact_marginals(model, 1.0)
+    points = []
+    hessian = solver._hessian_core
+
+    def traced_hessian(basis, lam, beta, spectral):
+        points.append(lam.copy())
+        return hessian(basis, lam, beta, spectral)
+
+    monkeypatch.setattr(solver, "_hessian_core", traced_hessian)
+    _, trace = solve(e, 1.0, model.basis)
+    assert trace.converged and trace.n_iterations > 2
+    assert len(points) == trace.n_iterations - 2  # none at row 0, none at the last row
+    assert all(lam.any() for lam in points)
+
+    points.clear()
+    lambda0 = np.full(model.basis.m, 0.2)
+    _, trace = solve(e, 1.0, model.basis, SolverConfig(lambda0=lambda0))
+    assert trace.converged
+    np.testing.assert_array_equal(points[0], lambda0)
 
 
 def test_solver_accepts_estimates_object():
@@ -199,7 +229,6 @@ def test_alpha_positive_on_random_segment():
     assert 0 < alpha <= 1.0
 
 
-
 def grouped_estimates(model, beta, seed, shots=100_000):
     ens = gibbs_state(assemble_hamiltonian(model), beta)
     return sample_outcomes(build_plan(model.basis, "grouped", shots), ens, seed=seed)
@@ -207,10 +236,10 @@ def grouped_estimates(model, beta, seed, shots=100_000):
 
 @pytest.mark.parametrize("n, seed, radius", [(3, 2, 1.0), (3, 2, 0.3), (5, 1, 1.0)])
 def test_projected_newton_converges_from_the_hand_over(n, seed, radius):
-    # Newton takes over at pg <= 1.  n = 3: at the unit-box optimum 9 of the 27
-    # coordinates sit on the box, and a Newton phase that binds only
-    # coordinates exactly on the box, and holds them still, stalls at pg
-    # 0.058.  n = 5: a Newton phase without the Armijo rule stalls
+    # projected Newton from the origin against a tight-tolerance reference.
+    # n = 3: at the unit-box optimum 9 of the 27 coordinates sit on the box,
+    # and a Newton step that binds only the coordinates exactly on the box,
+    # and holds them still, stalls.  n = 5: Newton without the Armijo rule stalls
     model = random_chain_model(n, seed=seed)
     est = grouped_estimates(model, 3.0, seed=seed)
     mu_hat, trace = solve(est, 3.0, model.basis, SolverConfig(radius=radius))
@@ -232,7 +261,7 @@ def test_newton_binds_the_coordinates_near_the_box(beta, shots, seed):
     model = random_chain_model(3, seed=seed)
     est = grouped_estimates(model, beta, seed, shots)
     _, trace = solve(est, beta, model.basis)
-    shortened = [s for s, phase in zip(trace.steps, trace.phases) if phase == "polish" and s < 1]
+    shortened = [s for s in trace.steps[1:] if s < 1]
     assert trace.converged
     assert len(shortened) <= 3
     assert trace.dual_evals <= 40
@@ -256,28 +285,24 @@ FEW_EVALUATIONS = {1.0: 40, 2.0: 50, 3.0: 90}
     ],
 )
 def test_solve_takes_few_dual_evaluations(seed, beta):
-    # each evaluation is one 2^n eigh: projected Newton from pg <= 1 takes
-    # 10-14 at beta = 1, where a first-order phase down to pg 1e-3 took
-    # 93-153.  Over these seeds the most measured was 14 evaluations at
-    # beta = 1, 42 at beta = 2 and 77 at beta = 3, and 23 Newton rows
+    # each evaluation is one 2^n eigh: where projected Newton from the origin
+    # takes about a dozen at beta = 1, a first-order method down to pg 1e-3
+    # took 93-153
     trace = grouped_chain_solve(seed, beta)
     assert trace.converged
     assert trace.dual_evals <= FEW_EVALUATIONS[beta]
-    assert trace.phases.count("polish") <= 25
+    assert trace.n_iterations - 1 <= 25  # Newton rows, after the start row
 
 
 @pytest.mark.parametrize("beta", list(FEW_EVALUATIONS))
-def test_first_order_evaluates_only_its_backtracking_trials(beta):
-    # each first-order step searches from the accepted iterate alone: row k
-    # tries start, start * SHRINK, ... down to its step, one evaluation each,
-    # where start is ETA0 on the first step and the last step / SHRINK after
+def test_newton_rows_evaluate_only_their_backtracking_trials(beta):
+    # each Newton step searches from the accepted iterate alone: row k tries
+    # the steps 1, 1/2, ... down to its step, one evaluation each
     for seed in range(6):
         trace = grouped_chain_solve(seed, beta)
-        start = solver.ETA0
-        for k in range(1, trace.phases.count("first-order")):
-            trials = 1 + np.log2(start / trace.steps[k])
+        for k in range(1, trace.n_iterations):
+            trials = 1 + np.log2(1 / trace.steps[k])
             assert trace.evals[k] - trace.evals[k - 1] == trials
-            start = trace.steps[k] / solver.SHRINK
 
 
 def test_unreachable_tolerance_stops_at_the_float_floor():
@@ -294,8 +319,8 @@ def test_unreachable_tolerance_stops_at_the_float_floor():
 def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
     # each Newton Hessian is the last reader of the eigensystem at its point:
     # that must be gone before the next dual evaluation diagonalizes, and the
-    # hand-over's and the last step's m x m Newton system before the next
-    # Hessian, so the traced memory at Hessian entry stays flat.  On the open
+    # last step's m x m Newton system before the next Hessian, so the traced
+    # memory at Hessian entry stays flat.  On the open
     # 2x3 lattice the eigenvectors weigh one 2^6 x 2^6 matrix and the m x m
     # system 0.8 of one, so the bound is half a matrix
     basis = enumerate_basis(LatticeSpec(2, (2, 3)), 2)

@@ -5,12 +5,11 @@ name it wraps that the package no longer has would break `perfbench/run.py
 --trace 1` only when someone traces, so the whole table is pinned, and so
 are its describe hooks, which read the results of the calls they wrap. The
 README's `solver` key table must list exactly the fields `SolverConfig`
-takes, and its `lab` table exactly the suites and the keys each declares, so
-that neither can advertise an option the code drops; its solver paragraph
-must name the projected-gradient norm at which the solver hands over to
-Newton.  Its `learn` and `sweep` sections must name every key of
-`result.json` and every column of `sweep.csv`, so that a renamed output
-field cannot drift from its documentation.  Its memory examples must quote
+takes, with their defaults, and its `lab` table exactly the suites and the
+keys each declares, so that neither can advertise an option the code drops.
+Its `learn` and `sweep` sections must name every key of `result.json`, the
+columns of `trace.csv` in order and every column of `sweep.csv`, so that a
+renamed output field cannot drift from its documentation.  Its memory examples must quote
 the matrix counts that `hessian` and `learn` check, so that a changed count
 cannot leave them behind.
 """
@@ -24,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from gibbslearn.cli import SWEEP_HEADER, _learn_matrices, main
+from gibbslearn.cli import SWEEP_HEADER, TRACE_HEADER, _learn_matrices, main
 from gibbslearn.lab import SUITES
 from gibbslearn.lattice import basis_stack
 from gibbslearn.measure import build_plan
 from gibbslearn.qbp import _hessian_core, hessian_matrices
-from gibbslearn.solver import POLISH_TRIGGER, SolverConfig, solve
+from gibbslearn.solver import SolverConfig, solve
 
 from conftest import chain_basis
 
@@ -88,16 +87,9 @@ def _readme_table(anchor: str, header: str) -> list[list[str]]:
 
 def test_readme_solver_table_lists_the_config_fields():
     rows = _readme_table("`solver` (an object with any of", "| key |")
-    fields = sorted(f.name for f in dataclasses.fields(SolverConfig))
-    assert sorted(row[0] for row in rows) == fields
-
-
-def test_readme_solver_paragraph_states_the_hand_over_norm():
-    text = " ".join((ROOT / "README.md").read_text().split())
-    stated = re.findall(
-        r"hands over to projected Newton once the projected-gradient norm is at most (\S+)", text
-    )
-    assert [float(norm) for norm in stated] == [POLISH_TRIGGER]
+    # each field with its default; the default start, lambda0 = None, is the origin
+    stated = {key: None if default == "zeros" else float(default) for key, default, *_ in rows}
+    assert stated == {f.name: f.default for f in dataclasses.fields(SolverConfig)}
 
 
 def test_readme_lab_table_lists_each_suite_with_its_keys():
@@ -126,6 +118,13 @@ def test_readme_names_every_result_key_of_learn(tmp_path):
     assert main(["learn", "--config", str(learn), "--out", str(tmp_path)]) == 0
     keys = json.loads((tmp_path / "result.json").read_text())
     assert sorted(set(keys) - _readme_section_names("learn")) == []
+
+
+def test_readme_lists_the_trace_columns_in_order():
+    text = " ".join((ROOT / "README.md").read_text().split())
+    listed = re.findall(r"`trace\.csv` \(one row per [^:]*: ([^)]*)\)", text)
+    assert len(listed) == 1
+    assert tuple(re.findall(r"`([^`]+)`", listed[0])) == TRACE_HEADER
 
 
 def test_readme_names_every_sweep_column():
