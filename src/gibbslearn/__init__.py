@@ -18,12 +18,12 @@ else lives in its module, organised bottom-up:
 - :mod:`gibbslearn.cli`: the ``gibbslearn`` command line entry point.
 """
 
+__version__ = "0.1.0"  # set before the imports: reporting reads it
+
 from .gibbs import gibbs_state
 from .lattice import HamiltonianModel, LatticeSpec, assemble_hamiltonian, enumerate_basis
 from .measure import build_plan, sample_outcomes
 from .solver import solve
-
-__version__ = "0.1.0"
 
 __all__ = [
     "HamiltonianModel",

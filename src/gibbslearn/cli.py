@@ -18,6 +18,7 @@ command could not run: `main` prints every CLIError and ValueError as
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -30,6 +31,7 @@ import numpy as np
 from . import __version__
 from .gibbs import diagonalize, gibbs, marginals, spectrum
 from .lattice import (
+    LATTICE_KEYS,
     HamiltonianModel,
     LatticeSpec,
     OperatorBasis,
@@ -43,8 +45,14 @@ from .lattice import (
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
 from .qbp import hessian_logZ, hessian_matrices
 from .reporting import (
+    ANY,
+    FLOATS,
+    POSITIVE_INT,
+    REQUIRED,
     THREAD_VARS,
+    check_config,
     is_manifest,
+    nonempty_list_of,
     read_json,
     trial_seed,
     write_csv,
@@ -84,62 +92,45 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
     return doc, cli_seed
 
 
-SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the field it sweeps
-POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "int >= 1")  # not bool
-# Every config key a command checks, as (predicate, hint): commands that read
-# the same key share its check.
-FIELDS = {
-    "model": (lambda v: isinstance(v, str), "path to a model JSON"),
-    "kappa": POSITIVE_INT,
-    "n": POSITIVE_INT,
-    "beta": (lambda v: type(v) in (int, float) and v > 0, "float > 0"),
-    "N": (lambda v: type(v) is int and v >= 0, "int >= 0"),
-    "scheme": (lambda v: v in SCHEMES, f"one of {', '.join(SCHEMES)}"),
-    "delta_fail": (lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)"),
-    "axis": (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}"),
-    "values": (lambda v: isinstance(v, list) and len(v) >= 1, "nonempty list"),
-    "trials": POSITIVE_INT,
+# Every config key a command reads, as (kind, default): see `check_config`.
+# Commands that read the same key share its kind and default.
+MODEL = (lambda v: isinstance(v, str), "path to a model JSON")
+BETA = (lambda v: type(v) in (int, float) and v > 0, "float > 0")
+SHOTS = (lambda v: type(v) is int and v >= 0, "int >= 0")
+PROBABILITY = (lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)")
+SOLVER_KEYS = {field.name: (ANY, field.default) for field in dataclasses.fields(SolverConfig)}
+MEASURE_KEYS = {
+    "scheme": ((lambda v: v in SCHEMES, f"one of {', '.join(SCHEMES)}"), "grouped"),
+    "delta_fail": (PROBABILITY, DEFAULT_DELTA_FAIL),
+    "solver": (SOLVER_KEYS, {}),
 }
-
-
-def _check_fields(
-    command: str, config: dict, required: tuple = (), optional: tuple = (), extra: tuple = ()
-) -> None:
-    """Check the named fields of config against FIELDS; a CLIError lists every
-    offender, the `extra` ones that the caller found last."""
-    bad = []
-    for field in required + optional:
-        check, hint = FIELDS[field]
-        if field not in config:
-            if field in required:
-                bad.append(f"{field} (missing, expected {hint})")
-            continue
-        if not check(config[field]):
-            bad.append(f"{field} (expected {hint}, got {config[field]!r})")
-    bad += extra
-    if bad:
-        raise CLIError(f"invalid {command} config: " + "; ".join(bad))
-
-
-def _lattice_from_config(config: dict) -> LatticeSpec:
-    lat = config.get("lattice")
-    offenders = []
-    if not isinstance(lat, dict):
-        _check_fields("gen", config, extra=("lattice (missing, expected object)",))
-    dim = lat.get("dimension")
-    sides = lat.get("side_lengths")
-    positive_int = POSITIVE_INT[0]
-    if not positive_int(dim):
-        offenders.append(f"lattice.dimension (expected int >= 1, got {dim!r})")
-    if not isinstance(sides, list) or not sides or not all(map(positive_int, sides)):
-        offenders.append(f"lattice.side_lengths (expected list of ints >= 1, got {sides!r})")
-    elif positive_int(dim) and len(sides) != dim:
-        offenders.append("lattice.side_lengths (length must equal lattice.dimension)")
-    periodic = lat.get("periodic", False)
-    if not isinstance(periodic, bool):
-        offenders.append(f"lattice.periodic (expected bool, got {periodic!r})")
-    _check_fields("gen", config, extra=tuple(offenders))
-    return LatticeSpec(dimension=dim, side_lengths=tuple(sides), periodic=periodic)
+GEN_KEYS = {
+    "lattice": (LATTICE_KEYS, REQUIRED),
+    "kappa": (POSITIVE_INT, REQUIRED),
+    "beta": (BETA, REQUIRED),
+    "mu": (ANY, "random"),
+}
+LEARN_KEYS = {
+    "model": (MODEL, REQUIRED),
+    "N": (SHOTS, REQUIRED),
+    "beta": (BETA, REQUIRED),
+    **MEASURE_KEYS,
+}
+SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the key it sweeps
+AXIS = (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}")
+SWEEP_KEYS = {
+    "axis": (AXIS, REQUIRED),
+    "values": ((nonempty_list_of(ANY[0]), "nonempty list"), REQUIRED),
+    "trials": (POSITIVE_INT, REQUIRED),
+    # each is required unless the axis sweeps it
+    "n": (POSITIVE_INT, REQUIRED),
+    "beta": (BETA, REQUIRED),
+    "N": (SHOTS, REQUIRED),
+    "kappa": (POSITIVE_INT, 2),
+    "mu": (ANY, "random"),
+    **MEASURE_KEYS,
+}
+DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (BETA, REQUIRED)}  # hessian, marginals
 
 
 def _learn_matrices(basis: OperatorBasis) -> int:
@@ -164,34 +155,16 @@ def _marginals_matrices(basis: OperatorBasis) -> int:
     return 5 + -(-basis.m // 2**n)
 
 
-def _solver_config(raw: dict | None) -> SolverConfig:
-    if raw is None:
-        return SolverConfig()
-    if not isinstance(raw, dict):
-        raise CLIError(f"solver config must be an object, got {raw!r}")
-    known = set(SolverConfig.__dataclass_fields__)
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise CLIError(f"unknown solver config fields: {', '.join(unknown)}")
-    return SolverConfig(**raw)
-
-
 def _instance_model(
-    command: str, config: dict, basis: OperatorBasis, rng: np.random.Generator
+    where: str, mu, basis: OperatorBasis, rng: np.random.Generator
 ) -> HamiltonianModel:
-    """The model over basis with the config's mu: "random" (the default) draws
-    it uniformly from [-1, 1] with rng, a list of m floats gives it."""
-    mu = config.get("mu", "random")
-    if mu == "random":
-        return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, basis.m))
-    if (
-        not isinstance(mu, list)
-        or len(mu) != basis.m
-        or not all(type(value) in (int, float) for value in mu)  # not bool
-    ):
-        hint = f"mu (expected 'random' or list of {basis.m} floats, got {mu!r})"
-        _check_fields(command, config, extra=(hint,))
-    return HamiltonianModel(basis=basis, mu=mu)
+    """The model over basis with coefficients mu: "random" draws them
+    uniformly from [-1, 1] with rng, a list of m floats gives them."""
+    m = basis.m
+    hint = f"'random' or list of {m} floats"
+    kind = (lambda v: v == "random" or (FLOATS[0](v) and len(v) == m), hint)
+    check_config(where, {"mu": mu}, {"mu": (kind, REQUIRED)})
+    return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, m) if mu == "random" else mu)
 
 
 # ---------------------------------------------------------------------------
@@ -199,15 +172,13 @@ def _instance_model(
 
 
 def cmd_gen(config: dict, seed: int, out: str) -> int:
-    _check_fields("gen", config, ("kappa", "beta"))
-    lattice = _lattice_from_config(config)
-    basis = enumerate_basis(lattice, config["kappa"])
-    model = _instance_model("gen", config, basis, np.random.default_rng(seed))
+    params = check_config("gen config", config, GEN_KEYS)
+    basis = enumerate_basis(LatticeSpec(**params["lattice"]), params["kappa"])
+    model = _instance_model("gen config", params["mu"], basis, np.random.default_rng(seed))
 
-    model_path = os.path.join(out, "model.json")
-    save_model(model, model_path)
-    write_manifest(out, "gen", config, seed, __version__, ["model.json"])
-    print(f"m={basis.m} n={lattice.n_sites}")
+    save_model(model, os.path.join(out, "model.json"))
+    write_manifest(out, "gen", config, seed, ["model.json"])
+    print(f"m={basis.m} n={model.n_sites}")
     return 0
 
 
@@ -272,14 +243,14 @@ TRACE_HEADER = ("iteration", "objective", "grad_norm", "step", "evals")
 
 
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
-    config = {**config, "scheme": scheme_flag or config.get("scheme", "grouped")}
-    _check_fields("learn", config, ("model", "N", "beta", "scheme"), ("delta_fail",))
-    delta_fail = float(config.get("delta_fail", DEFAULT_DELTA_FAIL))
-    cfg = _solver_config(config.get("solver"))
-    model = _read_model(config["model"])
+    if scheme_flag:  # recorded, so that replay is faithful
+        config = {**config, "scheme": scheme_flag}
+    params = check_config("learn config", config, LEARN_KEYS)
+    cfg = SolverConfig(**params["solver"])
+    model = _read_model(params["model"])
     check_dense_budget(_learn_matrices(model.basis), model.n_sites)
-    beta = float(config["beta"])
-    record = _learn_once(model, beta, config["N"], config["scheme"], delta_fail, seed, cfg)
+    beta, delta_fail = float(params["beta"]), float(params["delta_fail"])
+    record = _learn_once(model, beta, params["N"], params["scheme"], delta_fail, seed, cfg)
 
     estimates = record.pop("estimates")
     write_csv(
@@ -289,7 +260,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
     write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, record.pop("trace").csv_rows())
     write_json(os.path.join(out, "result.json"), record)
     outputs = ["estimates.csv", "estimates.json", "trace.csv", "result.json"]
-    write_manifest(out, "learn", config, seed, __version__, outputs)
+    write_manifest(out, "learn", config, seed, outputs)
     print(
         f"l2_error={record['l2_error']:.6g} delta_max={record['delta_max']:.6g} "
         f"iterations={record['iterations']} converged={record['converged']}"
@@ -315,39 +286,31 @@ SWEEP_HEADER = (
 )
 
 
-def _trial_worker(config: dict, seed: int, trial: int) -> dict:
+def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dict:
     """Sweep trial number `trial`: its row of SWEEP_HEADER fields, runtime and any error text.
 
-    The trial's cell is trial // trials: its value sets the swept field, the
-    config the other two.  Its seed draws the coefficients, unless the config
-    lists them, and then the measurement seed.
+    The trial's cell is trial // trials: its value sets the swept key, the
+    checked config `params` the other two.  Its seed draws the coefficients,
+    unless the config lists them, and then the measurement seed.
     """
     t0 = time.perf_counter()
-    point = {**config, SWEEP_AXES[config["axis"]]: config["values"][trial // config["trials"]]}
+    point = {**params, SWEEP_AXES[params["axis"]]: params["values"][trial // params["trials"]]}
     row = {
         **dict.fromkeys(SWEEP_HEADER, math.nan),
         "trial": trial,
-        "n": int(point["n"]),
+        "n": point["n"],
         "m": -1,
         "beta": float(point["beta"]),
-        "N": int(point["N"]),
+        "N": point["N"],
         "bound_holds": False,
     }
     try:
         rng = np.random.default_rng(trial_seed(seed, trial))
-        lattice = LatticeSpec(dimension=1, side_lengths=(row["n"],))
-        basis = enumerate_basis(lattice, int(config.get("kappa", 2)))
-        model = _instance_model("sweep", config, basis, rng)
+        basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(row["n"],)), params["kappa"])
+        model = _instance_model("sweep config", params["mu"], basis, rng)
         measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
-        record = _learn_once(
-            model,
-            row["beta"],
-            row["N"],
-            config.get("scheme", "grouped"),
-            float(config.get("delta_fail", DEFAULT_DELTA_FAIL)),
-            measure_seed,
-            _solver_config(config.get("solver") or None),
-        )
+        scheme, delta_fail = params["scheme"], float(params["delta_fail"])
+        record = _learn_once(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
         row.update({field: record[field] for field in SWEEP_HEADER if field in record})
         row["delta_observed"] = record["delta_max"]
         error = None
@@ -386,48 +349,40 @@ def _trial_pool(workers: int):
 def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     axis = config.get("axis")
     swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
-    # the fields the axis does not sweep are required; an unknown axis requires all three
-    fixed = tuple(field for field in SWEEP_AXES.values() if field != swept)
-    cfg = _solver_config(config.get("solver") or None)  # validate once up front
-    offenders = []
-    if swept and isinstance(config.get("values"), list):
-        check, hint = FIELDS[swept]
-        offenders += [
-            f"values (expected {hint} for axis {axis}, got {value!r})"
-            for value in config["values"]
-            if not check(value)
-        ]
+    keys, offenders = SWEEP_KEYS, []
+    if swept:
+        kind = SWEEP_KEYS[swept][0]
+        keys = {**SWEEP_KEYS, swept: (kind, None)}  # the values give it
+        if isinstance(config.get("values"), list):
+            offenders += [
+                f"values (expected {kind[1]} for axis {axis}, got {value!r})"
+                for value in config["values"]
+                if not kind[0](value)
+            ]
     if axis == "size":
+        solver = config.get("solver")
+        lambda0 = solver.get("lambda0") if isinstance(solver, dict) else None
         offenders += [
             f"{name} (explicit coefficients cannot span a size sweep)"
-            for name, value in (("mu", config.get("mu")), ("solver.lambda0", cfg.lambda0))
+            for name, value in (("mu", config.get("mu")), ("solver.lambda0", lambda0))
             if isinstance(value, list)
         ]
-    _check_fields(
-        "sweep",
-        config,
-        ("axis", "values", "trials", *fixed),
-        ("kappa", "scheme", "delta_fail"),
-        tuple(offenders),
-    )
-    trials = range(len(config["values"]) * config["trials"])
+    params = check_config("sweep config", config, keys, offenders)
+    cfg = SolverConfig(**params["solver"])
+    trials = range(len(params["values"]) * params["trials"])
     workers = min(jobs, len(trials))
-    sizes = config["values"] if axis == "size" else [config["n"]]
-    for n in sizes:
+    for n in params["values"] if axis == "size" else [params["n"]]:
         try:
-            basis = enumerate_basis(
-                LatticeSpec(dimension=1, side_lengths=(int(n),)), int(config.get("kappa", 2))
-            )
+            basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), params["kappa"])
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
         # every worker runs one learn at a time
         check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
         # the rules every trial applies, once before any runs
-        if "mu" in config:
-            _instance_model("sweep", config, basis, np.random.default_rng(seed))
+        _instance_model("sweep config", params["mu"], basis, np.random.default_rng(seed))
         cfg.start_point(basis.m)
 
-    worker = functools.partial(_trial_worker, config, seed)
+    worker = functools.partial(_trial_worker, params, cfg, seed)
     if workers > 1:
         with _trial_pool(workers) as pool:
             results = list(pool.map(worker, trials))
@@ -439,10 +394,10 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         [[res["row"][field] for field in SWEEP_HEADER] for res in results],
     )
 
-    per_cell = config["trials"]
+    per_cell = params["trials"]
     cells = []
     medians = []
-    for c, value in enumerate(config["values"]):
+    for c, value in enumerate(params["values"]):
         errs = [
             res["row"]["l2_error"]
             for res in results[c * per_cell : (c + 1) * per_cell]
@@ -459,7 +414,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
 
     slope = None
     if axis == "N":
-        live = [(v, m_) for v, m_ in zip(config["values"], medians) if m_ > 0]
+        live = [(v, m_) for v, m_ in zip(params["values"], medians) if m_ > 0]
         if len(live) >= 2:
             slope = float(
                 np.polyfit(np.log([v for v, _ in live]), np.log([m_ for _, m_ in live]), 1)[0]
@@ -472,7 +427,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     ]
     summary = {
         "axis": axis,
-        "values": config["values"],
+        "values": params["values"],
         "median_errors": medians,
         "slope_log_error_vs_log_N": slope,
         "n_trials": len(results),
@@ -490,7 +445,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     )
     outputs = ["sweep.csv", "cells.csv", "sweep_summary.json"]
     trial_seeds = [trial_seed(seed, trial) for trial in trials]
-    write_manifest(out, "sweep", config, seed, __version__, outputs, trial_seeds)
+    write_manifest(out, "sweep", config, seed, outputs, trial_seeds)
     slope_txt = "n/a" if slope is None else f"{slope:.3f}"
     print(
         f"trials={len(results)} failures={len(failures)} "
@@ -529,7 +484,7 @@ def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
         },
     )
     outputs.append(f"{suite}_suite.json")
-    write_manifest(out, "lab", {**config, "suite": suite}, seed, __version__, outputs)
+    write_manifest(out, "lab", {**config, "suite": suite}, seed, outputs)
     print(f"suite={suite} checks={len(reports)} pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -539,8 +494,8 @@ def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
 
 
 def _load_model_config(config: dict, command: str) -> tuple[HamiltonianModel, float]:
-    _check_fields(command, config, ("model", "beta"))
-    return _read_model(config["model"]), float(config["beta"])
+    params = check_config(f"{command} config", config, DUMP_KEYS)
+    return _read_model(params["model"]), float(params["beta"])
 
 
 def _read_model(path: str) -> HamiltonianModel:
@@ -567,7 +522,7 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
             "min_eigenvalue": report.min_eigenvalue,
         },
     )
-    write_manifest(out, "hessian", config, seed, __version__, ["hessian.csv", "hessian.json"])
+    write_manifest(out, "hessian", config, seed, ["hessian.csv", "hessian.json"])
     print(f"m={model.basis.m} min_eigenvalue={report.min_eigenvalue:.6g}")
     return 0
 
@@ -587,7 +542,7 @@ def cmd_marginals(config: dict, seed: int, out: str) -> int:
         {"beta": beta, "m": model.basis.m, "log_Z": ensemble.log_z},
     )
     outputs = ["marginals.csv", "marginals.json"]
-    write_manifest(out, "marginals", config, seed, __version__, outputs)
+    write_manifest(out, "marginals", config, seed, outputs)
     print(f"m={model.basis.m} beta={beta:g}")
     return 0
 

@@ -34,7 +34,7 @@ from .lattice import (
     to_dense,
 )
 from .qbp import FilterKernel, _hessian_core, qbp_transform, quasilocal_W, verify_fourier_pair
-from .reporting import trial_seed
+from .reporting import POSITIVE_INT, check_config, nonempty_list_of, trial_seed
 
 __all__ = [
     "SUITES",
@@ -871,14 +871,6 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _nonempty_list_of(item):
-    return lambda v: isinstance(v, list) and len(v) >= 1 and all(map(item, v))
-
-
-def _count(v) -> bool:
-    return type(v) is int and v >= 1
-
-
 def _series_point(v) -> bool:
     # c = 0 or p = 0 divides by zero, and a negative a or b raises a negative
     # base to a fractional power
@@ -889,12 +881,12 @@ def _series_point(v) -> bool:
 
 
 # The kinds of value a suite key takes, as (predicate, hint).
-GRID = (_nonempty_list_of(_finite), "a nonempty list of finite numbers")
-COUNT = (_count, "an int >= 1")
-SIZES = (_nonempty_list_of(_count), "a nonempty list of ints >= 1")
+GRID = (nonempty_list_of(_finite), "a nonempty list of finite numbers")
+COUNT = (POSITIVE_INT[0], "an int >= 1")
+SIZES = (nonempty_list_of(POSITIVE_INT[0]), "a nonempty list of ints >= 1")
 NUMBER = (_finite, "a finite number")
 POINTS = (
-    _nonempty_list_of(_series_point),
+    nonempty_list_of(_series_point),
     "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0, "
     f"whose three series converge within {SERIES_MAX_TERMS:,} terms",
 )
@@ -904,28 +896,17 @@ POINTS = (
 class Suite:
     """A `gibbslearn lab` suite: its builder and the config keys it reads.
 
-    `keys` maps each key to its (kind, default).  Calling the suite checks the
-    whole config before any check runs: a key it does not read (other than
-    `suite`, which manifests record) or a value not of its key's kind raises
-    a ValueError naming the key.
+    `keys` maps each key to its (kind, default), as `check_config` reads
+    them.  Calling the suite checks the whole config, `suite` aside (manifests
+    record it), before any check runs.
     """
 
     build: Callable[..., list[CheckReport]]
     keys: dict
 
     def __call__(self, config: dict, seed: int) -> list[CheckReport]:
-        offenders = [
-            f"{key} (not a key of this suite, which reads {', '.join(self.keys)})"
-            for key in config
-            if key not in self.keys and key != "suite"
-        ]
-        for key, ((check, hint), _) in self.keys.items():
-            if key in config and not check(config[key]):
-                offenders.append(f"{key} (expected {hint}, got {config[key]!r})")
-        if offenders:
-            raise ValueError("invalid lab config: " + "; ".join(offenders))
-        values = {key: config.get(key, default) for key, (_, default) in self.keys.items()}
-        return self.build(seed, **values)
+        config = {key: value for key, value in config.items() if key != "suite"}
+        return self.build(seed, **check_config("lab config", config, self.keys))
 
 
 SUITES = {

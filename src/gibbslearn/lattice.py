@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from .reporting import FLOATS, POSITIVE_INT, REQUIRED, check_config, nonempty_list_of
 
 __all__ = [
     "LatticeSpec",
@@ -30,6 +32,7 @@ __all__ = [
     "basis_stack",
     "check_dense_budget",
     "pauli_matrix",
+    "LATTICE_KEYS",
     "model_to_dict",
     "model_from_dict",
     "save_model",
@@ -455,17 +458,26 @@ def assemble_hamiltonian(model: HamiltonianModel) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip: {lattice: {dims, sides, periodic}, kappa, mu: [float]}
+# JSON round trip: {lattice: LATTICE_KEYS, kappa, mu: [float]}
 # ---------------------------------------------------------------------------
+
+# The lattice object of model.json and of gen's config: LatticeSpec's fields.
+LATTICE_KEYS = {
+    "dimension": (POSITIVE_INT, REQUIRED),
+    "side_lengths": ((nonempty_list_of(POSITIVE_INT[0]), "list of ints >= 1"), REQUIRED),
+    "periodic": ((lambda v: isinstance(v, bool), "bool"), False),
+}
+MODEL_KEYS = {
+    "lattice": (LATTICE_KEYS, REQUIRED),
+    "kappa": (POSITIVE_INT, REQUIRED),
+    "mu": (FLOATS, REQUIRED),
+}
+
 
 def model_to_dict(model: HamiltonianModel) -> dict:
     lat = model.basis.lattice
     return {
-        "lattice": {
-            "dims": lat.dimension,
-            "sides": list(lat.side_lengths),
-            "periodic": lat.periodic,
-        },
+        "lattice": {**asdict(lat), "side_lengths": list(lat.side_lengths)},
         "kappa": model.basis.kappa,
         "mu": [float(x) for x in model.mu],
     }
@@ -473,25 +485,9 @@ def model_to_dict(model: HamiltonianModel) -> dict:
 
 def model_from_dict(payload: dict) -> HamiltonianModel:
     """The model of a `model_to_dict` payload; ValueError names what is malformed."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"model payload must be a JSON object, got {type(payload).__name__}")
-    try:
-        lat_raw = payload["lattice"]
-        if not isinstance(lat_raw, dict):
-            raise ValueError(f"model field lattice must be a JSON object, got {lat_raw!r}")
-        lattice = LatticeSpec(
-            dimension=int(lat_raw["dims"]),
-            side_lengths=tuple(int(s) for s in lat_raw["sides"]),
-            periodic=bool(lat_raw.get("periodic", False)),
-        )
-        kappa = int(payload["kappa"])
-        mu = np.asarray(payload["mu"], dtype=float)
-    except KeyError as exc:
-        raise ValueError(f"model payload missing field: {exc.args[0]}") from exc
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise ValueError(f"malformed model payload: {exc}") from exc
-    basis = enumerate_basis(lattice, kappa)
-    return HamiltonianModel(basis, mu)
+    values = check_config("model file", payload, MODEL_KEYS)
+    basis = enumerate_basis(LatticeSpec(**values["lattice"]), values["kappa"])
+    return HamiltonianModel(basis, values["mu"])
 
 
 def save_model(model: HamiltonianModel, path) -> None:

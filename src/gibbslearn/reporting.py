@@ -1,4 +1,4 @@
-"""Artifact plumbing shared by the command-line tools.
+"""Config checks and artifact plumbing shared by the command-line tools.
 
 CSV output is deterministic by construction: comma-separated, one header
 row, LF line endings, floats printed at 12 significant digits.  Replaying a
@@ -17,7 +17,10 @@ from datetime import datetime, timezone
 import numpy as np
 import scipy
 
+from . import __version__
+
 __all__ = [
+    "check_config",
     "fmt_cell",
     "csv_body",
     "write_csv",
@@ -31,6 +34,57 @@ __all__ = [
 
 MANIFEST_KEY = "gibbslearn_manifest"
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+REQUIRED = object()  # the default of a key that must be given
+ANY = (lambda v: True, "any value")  # for a value that its consumer checks
+OBJECT = (lambda v: isinstance(v, dict), "object")  # the kind of a nested key table
+POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "int >= 1")  # not bool
+
+
+def nonempty_list_of(item):
+    """The predicate of a nonempty list whose every entry passes `item`."""
+    return lambda v: isinstance(v, list) and len(v) >= 1 and all(map(item, v))
+
+
+FLOATS = (nonempty_list_of(lambda x: type(x) in (int, float)), "list of floats")  # not bool
+
+
+def check_config(where: str, config, keys: dict, extra=()) -> dict:
+    """config's values for `keys`, with the defaults of absent keys filled in.
+
+    `keys` maps each key to (kind, default).  A kind is a (predicate, hint)
+    pair, or the key table of a nested object, whose keys are named
+    `outer.inner`; the default is REQUIRED for a key that must be given.  One
+    ValueError lists every offender: an unknown key, a missing required key,
+    a value of the wrong kind, then the caller's `extra` ones.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"invalid {where}: expected a JSON object, got {type(config).__name__}")
+    bad = []
+    values = _read(config, keys, "", bad)
+    bad += extra
+    if bad:
+        raise ValueError(f"invalid {where}: " + "; ".join(bad))
+    return values
+
+
+def _read(config: dict, keys: dict, prefix: str, bad: list) -> dict:
+    """config's values for keys, defaults filled in; appends each offender to bad."""
+    names = ", ".join(keys)
+    bad += [f"{prefix}{k} (unknown, expected one of {names})" for k in config if k not in keys]
+    values = {}
+    for key, (kind, default) in keys.items():
+        name, value = prefix + key, config.get(key, default)
+        check, hint = OBJECT if isinstance(kind, dict) else kind
+        if key not in config:
+            if default is REQUIRED:
+                bad.append(f"{name} (missing, expected {hint})")
+        elif not check(value):
+            bad.append(f"{name} (expected {hint}, got {value!r})")
+        elif isinstance(kind, dict):
+            value = _read(value, kind, name + ".", bad)
+        values[key] = value
+    return values
 
 
 def fmt_cell(value) -> str:
@@ -99,7 +153,7 @@ def _numerical_environment() -> dict:
 
 
 def write_manifest(
-    out, command: str, config: dict, master_seed: int, version: str, outputs, trial_seeds=()
+    out, command: str, config: dict, master_seed: int, outputs, trial_seeds=()
 ) -> None:
     """Write the run's manifest to `<command>_manifest.json` in directory out.
 
@@ -111,7 +165,7 @@ def write_manifest(
         "command": command,
         "config": config,
         "master_seed": int(master_seed),
-        "tool_version": version,
+        "tool_version": __version__,
         "created_utc": utc_now(),
         "environment": _numerical_environment(),
         "outputs": list(outputs),

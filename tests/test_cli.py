@@ -181,6 +181,13 @@ def learn_config(tmp_path, model, **extra):
     return write_config(tmp_path, "learn.json", payload)
 
 
+def model_config(tmp_path, command, model):
+    """A config of `command` (learn, hessian or marginals) that reads `model`."""
+    if command == "learn":
+        return learn_config(tmp_path, model)
+    return write_config(tmp_path, "dump.json", {"model": str(model), "beta": 1.0})
+
+
 def test_learn_end_to_end(tmp_path, capsys):
     model_path = run_gen(tmp_path, n=3)
     cfg = learn_config(tmp_path, model_path)
@@ -330,7 +337,9 @@ def test_learn_rejects_unknown_solver_field(tmp_path, capsys, field, value):
     model_path = run_gen(tmp_path, n=2)
     cfg = learn_config(tmp_path, model_path, solver={field: value})
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert f"unknown solver config fields: {field}" in capsys.readouterr().err
+    assert f"invalid learn config: solver.{field} (unknown, expected one of" in (
+        capsys.readouterr().err
+    )
 
 
 @pytest.mark.parametrize(
@@ -602,7 +611,7 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ("strong-convexity", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
         ("local-unitary", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
         ("lower-bound", {"sizes": [0]}, "sizes (expected a nonempty list of ints >= 1"),
-        ("strong-convexity", {"beta": [1.0]}, "beta (not a key of this suite"),
+        ("strong-convexity", {"beta": [1.0]}, "beta (unknown, expected one of betas, trials)"),
         ("lr-decay", {"times": "0.5"}, "times (expected a nonempty list of finite numbers"),
         ("fourier", {"omegas": []}, "omegas (expected a nonempty list of finite numbers"),
         # c = 0 died with a ZeroDivisionError traceback
@@ -683,7 +692,7 @@ def test_marginals_peak_memory_within_its_count(tmp_path):
     # from n = 7 on, dense matrices outweigh numpy's fixed buffers; forming
     # rho = (V w) V^dag holds four at once, more than H and rho
     model_path = run_gen(tmp_path, n=7)
-    cfg = learn_config(tmp_path, model_path)
+    cfg = model_config(tmp_path, "marginals", model_path)
     main(["marginals", "--config", cfg, "--out", str(tmp_path / "warm")])
     tracemalloc.start()
     try:
@@ -752,7 +761,7 @@ def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
     if command == "sweep":
         cfg = sweep_config(tmp_path, axis="size", values=[3, 20], beta=1.0, N=2000)
     else:
-        cfg = learn_config(tmp_path, run_gen(tmp_path, n=20))
+        cfg = model_config(tmp_path, command, run_gen(tmp_path, n=20))
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
@@ -763,18 +772,94 @@ def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
 def test_malformed_model_file_exits_2(tmp_path, capsys, command):
     payload = json.loads(run_gen(tmp_path, n=2).read_text())
     no_kappa = {key: value for key, value in payload.items() if key != "kappa"}
+    lattice = payload["lattice"]
     for damaged, message in [
-        (no_kappa, "model payload missing field: kappa"),
-        ([], "model payload must be a JSON object, got list"),
-        ({**payload, "lattice": []}, "model field lattice must be a JSON object, got []"),
+        (no_kappa, "kappa (missing, expected int >= 1)"),
+        ([], "expected a JSON object, got list"),
+        ({**payload, "lattice": []}, "lattice (expected object, got [])"),
+        # each of these was read as some other model, or failed on mu's length
+        ({**payload, "lattice": {**lattice, "periodic": "no"}}, "lattice.periodic (expected bool"),
+        ({**payload, "kappa": 2.9}, "kappa (expected int >= 1, got 2.9)"),
+        ({**payload, "lattice": {**lattice, "dimension": 1.7}}, "lattice.dimension (expected int"),
+        # the spelling model.json had before it shared gen's lattice object
+        (
+            {**payload, "lattice": {"dims": 1, "sides": [2], "periodic": False}},
+            "lattice.dims (unknown, expected one of dimension, side_lengths, periodic)",
+        ),
+        (
+            {**payload, "lattice": {"dims": 1, "sides": [2], "periodic": False}},
+            "lattice.dimension (missing, expected int >= 1)",
+        ),
     ]:
         model = tmp_path / "damaged.json"
         model.write_text(json.dumps(damaged))
-        cfg = learn_config(tmp_path, model)
+        cfg = model_config(tmp_path, command, model)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: invalid model file: " in (err := capsys.readouterr().err)
+        assert message in err
         assert not any(out.iterdir())
+
+
+def test_gen_manifest_replay_rewrites_a_model_in_the_old_spelling(tmp_path, capsys):
+    first = run_gen(tmp_path, n=2)
+    payload = json.loads(first.read_text())
+    lattice = payload["lattice"]
+    old = {**payload, "lattice": {"dims": 1, "sides": lattice["side_lengths"], "periodic": False}}
+    first.write_text(json.dumps(old))
+    cfg = model_config(tmp_path, "hessian", first)
+    assert main(["hessian", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "lattice.dimension" in capsys.readouterr().err
+    replay = tmp_path / "replay"
+    manifest = str(first.parent / "gen_manifest.json")
+    assert main(["gen", "--config", manifest, "--out", str(replay)]) == 0
+    assert json.loads((replay / "model.json").read_text())["mu"] == payload["mu"]
+
+
+SWEEP = {"axis": "N", "values": [2000], "trials": 1, "n": 2, "beta": 1.0}
+
+
+@pytest.mark.parametrize(
+    "command, config, key",
+    [
+        ("gen", {**gen_config(n=2), "kapa": 2}, "kapa"),
+        (
+            "gen",
+            gen_config(n=2, lattice={"dimension": 1, "side_length": [2]}),
+            "lattice.side_length",
+        ),
+        ("learn", {"N": 100, "beta": 1.0, "shceme": "exact"}, "shceme"),
+        ("learn", {"N": 100, "beta": 1.0, "delta-fail": 0.5}, "delta-fail"),
+        ("learn", {"N": 100, "beta": 1.0, "solver": {"tol": 1e-9}}, "solver.tol"),
+        ("sweep", {**SWEEP, "trial": 2}, "trial"),
+        ("sweep", {**SWEEP, "solver": {"radius": 0.5, "lamda0": None}}, "solver.lamda0"),
+        ("hessian", {"beta": 1.0, "N": 100}, "N"),
+        ("marginals", {"beta": 1.0, "scheme": "exact"}, "scheme"),
+        ("lab", {"betas": [1.0], "beta": 1.0}, "beta"),
+    ],
+    ids=["gen", "gen-lattice", "learn-scheme", "learn-delta-fail", "learn-solver", "sweep",
+         "sweep-solver", "hessian", "marginals", "lab"],
+)
+def test_every_command_rejects_a_key_it_does_not_read(tmp_path, capsys, command, config, key):
+    # each of these once ran with the key ignored and recorded it in the manifest
+    if command in ("learn", "hessian", "marginals"):
+        config = {**config, "model": str(run_gen(tmp_path, n=2))}
+    cfg = write_config(tmp_path, "typo.json", config)
+    out = tmp_path / "o"
+    argv = [command, "--config", cfg, "--out", str(out)]
+    if command == "lab":
+        argv.insert(1, "fourier")
+    assert main(argv) == 2
+    assert f"{key} (unknown, expected one of" in capsys.readouterr().err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("axis, key", [("N", "N"), ("beta", "beta"), ("size", "n")])
+def test_sweep_accepts_the_key_its_axis_sweeps(tmp_path, axis, key):
+    values = {"N": [2000], "beta": [1.0], "size": [2]}[axis]
+    config = {**SWEEP, "axis": axis, "values": values, "N": 2000, key: values[0]}
+    cfg = write_config(tmp_path, "sweep.json", config)
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 def test_seed_range_validated(tmp_path, capsys):

@@ -266,7 +266,7 @@ def test_model_from_dict_missing_field():
         HamiltonianModel(basis=chain_basis(2), mu=np.zeros(15))
     )
     payload.pop("kappa")
-    with pytest.raises(ValueError, match="missing field"):
+    with pytest.raises(ValueError, match=r"kappa \(missing, expected int >= 1\)"):
         model_from_dict(payload)
 
 

@@ -3,8 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from gibbslearn import __version__
 from gibbslearn.reporting import (
     MANIFEST_KEY,
+    POSITIVE_INT,
+    REQUIRED,
+    check_config,
     csv_body,
     fmt_cell,
     is_manifest,
@@ -71,13 +75,14 @@ def test_trial_seed_master_separation():
 
 
 def test_manifest_round_trip(tmp_path):
-    write_manifest(tmp_path, "gen", {"kappa": 2}, 7, "0.1.0", ["model.json"])
+    write_manifest(tmp_path, "gen", {"kappa": 2}, 7, ["model.json"])
     manifest = read_json(tmp_path / "gen_manifest.json")
     assert is_manifest(manifest)
     assert manifest[MANIFEST_KEY] == 1
     assert manifest["command"] == "gen"
     assert manifest["config"] == {"kappa": 2}
     assert manifest["master_seed"] == 7
+    assert manifest["tool_version"] == __version__
     assert manifest["outputs"] == ["model.json"]
     assert manifest["trial_seeds"] == []
     assert not is_manifest({"command": "gen"})
@@ -88,3 +93,40 @@ def test_utc_now_shape():
     stamp = utc_now()
     assert stamp.endswith("+00:00") or stamp.endswith("Z")
     assert "T" in stamp
+
+
+KEYS = {
+    "size": (POSITIVE_INT, REQUIRED),
+    "count": (POSITIVE_INT, 3),
+    "box": (
+        {"side": (POSITIVE_INT, REQUIRED), "open": ((lambda v: type(v) is bool, "bool"), True)},
+        {},
+    ),
+}
+
+
+def test_check_config_fills_in_the_defaults():
+    assert check_config("toy config", {"size": 2}, KEYS) == {"size": 2, "count": 3, "box": {}}
+    given = {"size": 2, "box": {"side": 4}}
+    assert check_config("toy config", given, KEYS) == {
+        "size": 2,
+        "count": 3,
+        "box": {"side": 4, "open": True},
+    }
+    assert given == {"size": 2, "box": {"side": 4}}  # what a manifest records
+
+
+def test_check_config_lists_every_offender_in_one_error():
+    config = {"count": 0, "colour": "red", "box": {"open": "no", "sid": 1}}
+    with pytest.raises(ValueError) as info:
+        check_config("toy config", config, KEYS, extra=["size (too large)"])
+    assert str(info.value) == (
+        "invalid toy config: colour (unknown, expected one of size, count, box); "
+        "size (missing, expected int >= 1); count (expected int >= 1, got 0); "
+        "box.sid (unknown, expected one of side, open); box.side (missing, expected int >= 1); "
+        "box.open (expected bool, got 'no'); size (too large)"
+    )
+    with pytest.raises(ValueError, match=r"box \(expected object, got 5\)"):
+        check_config("toy config", {"size": 1, "box": 5}, KEYS)
+    with pytest.raises(ValueError, match="invalid toy config: expected a JSON object, got list"):
+        check_config("toy config", [], KEYS)

@@ -7,6 +7,8 @@ are its describe hooks, which read the results of the calls they wrap. The
 README's `solver` key table must list exactly the fields `SolverConfig`
 takes, with their defaults, and its `lab` table exactly the suites and the
 keys each declares, so that neither can advertise an option the code drops.
+Likewise the key list of `gen`, `learn`, `sweep` and `hessian`/`marginals`
+must be exactly the key table that the command checks its config against.
 Its `learn` and `sweep` sections must name every key of `result.json`, the
 columns of `trace.csv` in order and every column of `sweep.csv`, so that a
 renamed output field cannot drift from its documentation.  Its memory examples must quote
@@ -23,9 +25,20 @@ from pathlib import Path
 
 import numpy as np
 
-from gibbslearn.cli import SWEEP_HEADER, TRACE_HEADER, _learn_matrices, main
+import pytest
+
+from gibbslearn.cli import (
+    DUMP_KEYS,
+    GEN_KEYS,
+    LEARN_KEYS,
+    SWEEP_HEADER,
+    SWEEP_KEYS,
+    TRACE_HEADER,
+    _learn_matrices,
+    main,
+)
 from gibbslearn.lab import SUITES
-from gibbslearn.lattice import basis_stack
+from gibbslearn.lattice import LATTICE_KEYS, basis_stack
 from gibbslearn.measure import build_plan
 from gibbslearn.qbp import _hessian_core, hessian_matrices
 from gibbslearn.solver import SolverConfig, solve
@@ -100,12 +113,32 @@ def test_readme_lab_table_lists_each_suite_with_its_keys():
     assert listed == {name: list(suite.keys) for name, suite in SUITES.items()}
 
 
-def _readme_section_names(heading: str) -> set[str]:
-    """The backticked names in the prose of the README section `### heading`."""
+def _readme_section(heading: str) -> str:
+    """The prose of the README section `### heading`, code blocks removed."""
     text = (ROOT / "README.md").read_text()
     start = text.index(f"\n### {heading}\n")
-    prose = re.sub(r"```.*?```", "", text[start : text.find("\n#", start + 1)], flags=re.S)
-    return set(re.findall(r"`([^`]+)`", prose))
+    return re.sub(r"```.*?```", "", text[start : text.find("\n#", start + 1)], flags=re.S)
+
+
+def _readme_section_names(heading: str) -> set[str]:
+    """The backticked names in the prose of the README section `### heading`."""
+    return set(re.findall(r"`([^`]+)`", _readme_section(heading)))
+
+
+@pytest.mark.parametrize(
+    "heading, label, table",
+    [
+        ("gen", "Keys", GEN_KEYS),
+        ("gen", "`lattice` keys", LATTICE_KEYS),
+        ("learn", "Keys", LEARN_KEYS),
+        ("sweep", "Keys", SWEEP_KEYS),
+        ("hessian, marginals", "Keys", DUMP_KEYS),
+    ],
+)
+def test_readme_lists_each_command_keys(heading, label, table):
+    listed = re.findall(rf"^{label}: (.*)\.$", _readme_section(heading), flags=re.M)
+    assert len(listed) == 1
+    assert re.findall(r"`([^`]+)`", listed[0]) == list(table)
 
 
 def test_readme_names_every_result_key_of_learn(tmp_path):
