@@ -95,10 +95,12 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
 # Every config key a command reads, as (kind, default): see `check_config`.
 # Commands that read the same key share its kind and default.
 MODEL = (lambda v: isinstance(v, str), "path to a model JSON")
-BETA = (lambda v: type(v) in (int, float) and v > 0, "float > 0")
-SHOTS = (lambda v: type(v) is int and v >= 0, "int >= 0")
+POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "float > 0")  # not bool
+COUNT = (lambda v: type(v) is int and v >= 0, "int >= 0")
 PROBABILITY = (lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)")
-SOLVER_KEYS = {field.name: (ANY, field.default) for field in dataclasses.fields(SolverConfig)}
+# SolverConfig's fields; lambda0's length needs the basis, so `start_point` checks it
+SOLVER_KINDS = {"tol_grad": POSITIVE, "radius": POSITIVE, "lambda0": ANY, "polish_max_iters": COUNT}
+SOLVER_KEYS = {f.name: (SOLVER_KINDS[f.name], f.default) for f in dataclasses.fields(SolverConfig)}
 MEASURE_KEYS = {
     "scheme": ((lambda v: v in SCHEMES, f"one of {', '.join(SCHEMES)}"), "grouped"),
     "delta_fail": (PROBABILITY, DEFAULT_DELTA_FAIL),
@@ -107,13 +109,13 @@ MEASURE_KEYS = {
 GEN_KEYS = {
     "lattice": (LATTICE_KEYS, REQUIRED),
     "kappa": (POSITIVE_INT, REQUIRED),
-    "beta": (BETA, REQUIRED),
+    "beta": (POSITIVE, REQUIRED),
     "mu": (ANY, "random"),
 }
 LEARN_KEYS = {
     "model": (MODEL, REQUIRED),
-    "N": (SHOTS, REQUIRED),
-    "beta": (BETA, REQUIRED),
+    "N": (COUNT, REQUIRED),
+    "beta": (POSITIVE, REQUIRED),
     **MEASURE_KEYS,
 }
 SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the key it sweeps
@@ -124,20 +126,20 @@ SWEEP_KEYS = {
     "trials": (POSITIVE_INT, REQUIRED),
     # each is required unless the axis sweeps it
     "n": (POSITIVE_INT, REQUIRED),
-    "beta": (BETA, REQUIRED),
-    "N": (SHOTS, REQUIRED),
+    "beta": (POSITIVE, REQUIRED),
+    "N": (COUNT, REQUIRED),
     "kappa": (POSITIVE_INT, 2),
     "mu": (ANY, "random"),
     **MEASURE_KEYS,
 }
-DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (BETA, REQUIRED)}  # hessian, marginals
+DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessian, marginals
 
 
 def _learn_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices one learn holds at once: a projected Newton Hessian,
-    which reads the solver's current eigensystem, plus, counted in bytes, the
-    basis table and the m x m Newton system.  No eigensystem at mu lives
-    through the solve: sampling's dies once e(mu) is read.
+    """Dense matrices one learn holds at once: a Newton Hessian, which reads
+    the solver's current eigensystem, plus, counted in bytes, the basis table
+    and the solver's m x m Newton model.  No eigensystem at mu lives through
+    the solve: sampling's dies once e(mu) is read.
 
     Builds the table, which `basis_stack` checks on its own count first.
     """
@@ -234,6 +236,8 @@ def _learn_once(
         "bound_holds": bool(l2_error <= bound),
         "pg_final": trace.pg_final,
         "wall_time_s": trace.wall_time,
+        "dual_evals": trace.dual_evals,
+        "hessians": trace.hessians,
         "m": m,
         "n": basis.lattice.n_sites,
     }

@@ -483,9 +483,9 @@ def model_to_dict(model: HamiltonianModel) -> dict:
     }
 
 
-def model_from_dict(payload: dict) -> HamiltonianModel:
-    """The model of a `model_to_dict` payload; ValueError names what is malformed."""
-    values = check_config("model file", payload, MODEL_KEYS)
+def model_from_dict(payload: dict, where: str = "model file") -> HamiltonianModel:
+    """The model of a `model_to_dict` payload; ValueError names `where` and what is malformed."""
+    values = check_config(where, payload, MODEL_KEYS)
     basis = enumerate_basis(LatticeSpec(**values["lattice"]), values["kappa"])
     return HamiltonianModel(basis, values["mu"])
 
@@ -497,5 +497,10 @@ def save_model(model: HamiltonianModel, path) -> None:
 
 
 def load_model(path) -> HamiltonianModel:
+    """The model stored at path; the ValueError of a malformed file names it."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            payload = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid model file {path}: not JSON ({exc})") from None
+    return model_from_dict(payload, f"model file {path}")

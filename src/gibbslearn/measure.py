@@ -46,6 +46,10 @@ class MeasurementPlan:
             if self.groups or self.shots_per_group or self.n_total:
                 raise ValueError("an exact plan must be empty")
             return
+        if self.shots_per_group < 1:
+            raise ValueError(
+                f"{self.n_total} copies cannot give each of {len(self.groups)} groups one shot"
+            )
         seen: set[int] = set()
         for group in self.groups:
             for idx in group:
@@ -92,12 +96,7 @@ def build_plan(basis: OperatorBasis, scheme: str, n_copies: int) -> MeasurementP
         groups = tuple((k,) for k in range(basis.m))
     else:
         groups = _greedy_groups(basis)
-    shots = n_copies // len(groups)
-    if shots < 1:
-        raise ValueError(
-            f"{n_copies} copies cannot give each of {len(groups)} groups one shot"
-        )
-    return MeasurementPlan(basis, scheme, groups, shots, n_copies)
+    return MeasurementPlan(basis, scheme, groups, n_copies // len(groups), n_copies)
 
 
 @dataclass(frozen=True, eq=False)

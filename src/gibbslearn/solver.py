@@ -6,15 +6,20 @@ objective is convex (its Hessian is the filtered covariance matrix, which is
 PSD, and strongly convex on the box by the paper's main theorem), so the
 boxed minimizer is unique up to degeneracy of the marginal map, and with
 exact marginals it sits at the true coefficient vector.  The method is
-projected Newton (Bertsekas 1982) from the start point down to the gradient
-tolerance: an eps-active set of coordinates at the box takes gradient steps,
-the rest a Newton step on their Hessian block, with an Armijo rule along the
-projection arc.  At the origin the Hessian of log Z is exactly beta^2 I (the
-Pauli strings are orthonormal and every marginal is 0 there), so the first
-step from the default start builds no Hessian.  Every dual evaluation is one
-diagonalization, and a solve takes about a dozen.  The loop moves one
-`_Iterate`, which keeps the eigensystem at its point only until the Newton
-Hessian reads it.
+Newton steps on a kept quadratic model from the start point down to the
+gradient tolerance.  Each step goes to the exact minimiser of the model over
+the box (`_box_qp`, projected Newton on the model in m x m work) and
+backtracks along the segment to it.  The model matrix B starts as the exact
+Hessian -- at the origin that is beta^2 I, since the Pauli strings are
+orthonormal and every marginal is 0 there, so the default start builds no
+Hessian -- and takes a BFGS update from each accepted step.  An exact
+Hessian replaces it after a step that backtracked, cut the projected
+gradient by less than REFRESH_RATIO or failed the curvature condition, and
+within ENDGAME * tol_grad of convergence.  Every dual evaluation is one
+diagonalization; on open n = 7 chains at beta = 1 a solve takes 10-11 and
+builds 4-5 Hessians, each worth several diagonalizations.  The loop moves
+one `_Iterate`, which keeps the eigensystem at its point only until a
+Hessian reads it or the step finds none due.
 """
 
 from __future__ import annotations
@@ -35,7 +40,10 @@ __all__ = [
     "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant", "alpha_along_segment"
 ]
 
-NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along the Newton projection arc
+NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along a Newton step, of f and of the box QP's model
+REFRESH_RATIO = 4.0  # a step that cuts pg by less than this is followed by an exact Hessian
+ENDGAME = 100.0  # below ENDGAME * tol_grad every Newton step is on an exact Hessian
+QP_MAX_STEPS = 100  # projected Newton steps of one box QP
 ALPHA_POINTS = 11  # Hessians sampled along the alpha segment
 
 
@@ -44,7 +52,7 @@ class SolverConfig:
     tol_grad: float = 1e-7  # on the projected-gradient norm
     radius: float = 1.0  # half-width of the box |lambda_l| <= radius
     lambda0: np.ndarray | None = None
-    polish_max_iters: int = 60  # projected Newton steps
+    polish_max_iters: int = 60  # Newton steps
 
     def __post_init__(self) -> None:
         kinds = dict(polish_max_iters=Integral, tol_grad=Real, radius=Real)
@@ -82,7 +90,8 @@ class SolverTrace:
 
     Row 0 is the start point and row k the point after Newton step k;
     `steps` holds the step length along the projection arc, 0 on row 0, and
-    `evals` counts dual evaluations so far, the initial one included.
+    `evals` counts dual evaluations so far, the initial one included, and
+    `hessians` the exact Hessians the solve built.
     `pg_final` is the projected-gradient norm at the returned point, and
     `grad_final` the gradient of the dual objective there,
     beta * (e_hat - e(mu_hat)).
@@ -94,6 +103,7 @@ class SolverTrace:
     steps: list[float] = field(default_factory=list)
     evals: list[int] = field(default_factory=list)
     dual_evals: int = 0
+    hessians: int = 0
     pg_final: float = 0.0
     converged: bool = False
     wall_time: float = 0.0
@@ -125,9 +135,10 @@ def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTab
 
 class _Iterate:
     """The solve's one owner of its point x, f(x), g = grad f(x) and `spectral`,
-    the eigensystem of H(x), which lives until the Newton Hessian at x reads it.
-    `trial` evaluates a candidate, dropping the last one before it diagonalizes,
-    and `accept` moves to it.
+    the eigensystem of H(x), which lives until the Newton Hessian at x reads
+    it or the solver drops it.  `trial` evaluates a candidate, dropping the
+    last one before it diagonalizes, `accept` moves to it, and `hessian`
+    builds the Hessian at x.
     """
 
     def __init__(self, e_hat, beta: float, basis: OperatorBasis, cfg: SolverConfig):
@@ -161,6 +172,14 @@ class _Iterate:
 
     def accept(self) -> None:
         self.x, self.f, self.g, self.spectral = self.candidate
+        self.candidate = None
+
+    def hessian(self) -> np.ndarray:
+        """The Hessian of f at x, from the eigensystem at x, which it consumes."""
+        self.trace.hessians += 1
+        H = _hessian_core(self.basis, self.x, self.beta, self.spectral).matrix
+        self.spectral = None
+        return H
 
 
 def solve(
@@ -186,46 +205,43 @@ def solve(
 
 
 def _projected_newton(it: _Iterate, cfg: SolverConfig) -> None:
-    """Projected Newton (Bertsekas, SIAM J. Control Optim. 20, 1982) from the current iterate.
+    """Newton steps on a kept quadratic model from the current iterate.
 
-    A coordinate within eps = min(0.1 * radius, pg) of a bound whose gradient
-    points out of the box is binding and takes the plain gradient step; the
-    free block takes the Newton step H_ff d_f = g_f.  The step backtracks along
-    the projection arc until it makes an Armijo sufficient decrease larger
-    than the rounding of f, or, near the float floor where f resolves none,
-    until the gradient norm drops while f stays within rounding.  Quadratic
-    local convergence reaches gradient norms near the 1e-14 evaluation floor,
-    which a first-order method cannot certify at large beta, where the
-    Hessian spectrum spans several decades.
+    Each step is the exact minimiser z of the model g.(z - x) + (z - x).B(z - x)/2
+    over the box (`_box_qp`; Lin and More, SIAM J. Optim. 9, 1999).  It
+    backtracks along x + s (z - x) until it makes an Armijo sufficient
+    decrease larger than the rounding of f, or, near the float floor where f
+    resolves none, until the gradient norm drops while f stays within
+    rounding.  B starts as the exact Hessian, beta^2 I at the origin, and
+    takes the BFGS update of each accepted step's pair (Delta x, Delta g); an
+    exact Hessian replaces it after a step that backtracked, cut pg by less
+    than REFRESH_RATIO or broke the curvature condition, and at every point
+    with pg below ENDGAME * tol_grad, so that the step that certifies
+    convergence is exact Newton and converges quadratically (Doikov, Chayti
+    and Jaggi, ICML 2023, keep a Hessian between refreshes).
     """
+    refresh = bool(it.x.any())
+    B = None if refresh else it.beta**2 * np.eye(it.x.size)
+    pg = it.pg(it.x, it.g)
     for _ in range(cfg.polish_max_iters):
-        x, g = it.x, it.g
-        pg = it.pg(x, g)
         if pg <= cfg.tol_grad:
             return
-        eps = min(0.1 * cfg.radius, pg)
-        binding = ((x >= cfg.radius - eps) & (g < 0)) | ((x <= eps - cfg.radius) & (g > 0))
-        free = np.flatnonzero(~binding)
-        d = g.copy()
-        if free.size:
-            if x.any():
-                H = _hessian_core(it.basis, x, it.beta, it.spectral).matrix[np.ix_(free, free)]
-            else:  # the exact Hessian of log Z at the origin
-                H = it.beta**2 * np.eye(free.size)
-            it.spectral = None  # no later Hessian reads it
-            try:
-                d[free] = np.linalg.solve(H + 1e-14 * np.eye(free.size), g[free])
-            except np.linalg.LinAlgError:
-                return
-            del H  # nor does the next step's Hessian read this one
-        if not np.all(np.isfinite(d)):
+        if refresh:
+            B = None  # the old model goes before the kernel's peak
+            B = it.hessian()
+        x, g = it.x, it.g
+        try:
+            z = _box_qp(B, g, x, cfg.radius)
+        except np.linalg.LinAlgError:
+            return
+        if not np.all(np.isfinite(z)):
             return
         s = 1.0
         allowance = it.slack()
         for _ in range(40):
-            cand = it.project(x - s * d)
+            cand = it.project((1 - s) * x + s * z)  # z itself at s = 1
             if np.array_equal(cand, x):
-                # below float resolution, or clipped back onto the box: no step left
+                # below float resolution: no step left
                 return
             f_cand, g_cand = it.trial(cand)
             decrease = it.f - f_cand
@@ -239,7 +255,62 @@ def _projected_newton(it: _Iterate, cfg: SolverConfig) -> None:
         else:
             return
         it.accept()
-        it.trace.record(it.f, it.pg(it.x, it.g), s)
+        last, pg = pg, it.pg(it.x, it.g)
+        it.trace.record(it.f, pg, s)
+        step, dg = it.x - x, it.g - g
+        curvature = float(np.dot(step, dg))
+        refresh = (
+            s < 1 or pg > last / REFRESH_RATIO or curvature <= 0 or pg <= ENDGAME * cfg.tol_grad
+        )
+        if not refresh:
+            it.spectral = None  # no Hessian reads it
+            Bs = B @ step
+            B += np.outer(dg, dg / curvature) - np.outer(Bs, Bs / float(np.dot(step, Bs)))
+
+
+def _box_qp(B: np.ndarray, g: np.ndarray, x: np.ndarray, radius) -> np.ndarray:
+    """The minimiser z of g.(z - x) + (z - x).B(z - x)/2 over the box |z| <= radius.
+
+    B must be positive definite and x inside the box.  Projected Newton on
+    the quadratic itself: a coordinate on a bound whose model gradient
+    points out of the box is held there, and the rest move to the exact
+    minimiser of their block, backtracking along the projection arc with an
+    Armijo rule on the model when that point leaves the box.  The minimiser
+    is reached when a step that left the box untouched leaves the held set
+    as it was: the free gradient is then zero and every held coordinate's
+    multiplier has the sign of its bound.  Raises LinAlgError on a singular
+    free block.
+    """
+    z = x.copy()
+    held = inside = None
+    for _ in range(QP_MAX_STEPS):
+        r = g + B @ (z - x)
+        was = held
+        held = ((z <= -radius) & (r > 0)) | ((z >= radius) & (r < 0))
+        if inside and np.array_equal(held, was):
+            break
+        free = np.flatnonzero(~held)
+        target = z.copy()
+        # the free block's minimiser solved whole, not as a step from z, so
+        # that the final point carries the rounding of one solve
+        rhs = g[free] + B[free] @ np.where(held, z - x, 0.0)
+        target[free] = x[free] - np.linalg.solve(B[np.ix_(free, free)], rhs)
+        inside = np.all(np.abs(target) <= radius)
+        if inside:
+            z = target
+            continue
+        p, t = target - z, 1.0
+        for _ in range(60):
+            trial = np.clip(z + t * p, -radius, radius)
+            step = trial - z
+            slope = float(np.dot(r, step))
+            if slope < 0 and slope + 0.5 * float(step @ B @ step) <= NEWTON_ARMIJO_C * slope:
+                break
+            t *= 0.5
+        else:
+            break  # no descent left within rounding
+        z = trial
+    return z
 
 
 def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:

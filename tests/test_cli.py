@@ -359,7 +359,23 @@ def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, fie
     out = tmp_path / "o"
     assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "bad solver config" in err and field in err
+    assert f"invalid learn config: solver.{field} (expected" in err
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["learn", "sweep"])
+def test_a_bad_solver_block_names_every_offender(tmp_path, capsys, command):
+    model_path = run_gen(tmp_path, n=2)
+    solver_block = {"tol_grad": "x", "radius": None}
+    if command == "learn":
+        cfg = learn_config(tmp_path, model_path, solver=solver_block)
+    else:
+        cfg = sweep_config(tmp_path, solver=solver_block)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.tol_grad (expected float > 0, got 'x')" in err
+    assert "solver.radius (expected float > 0, got None)" in err
     assert not any(out.iterdir())
 
 
@@ -796,9 +812,13 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command):
         cfg = model_config(tmp_path, command, model)
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert f"error: invalid model file: " in (err := capsys.readouterr().err)
+        assert f"error: invalid model file {model}: " in (err := capsys.readouterr().err)
         assert message in err
         assert not any(out.iterdir())
+    model.write_text("not json")
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert f"error: invalid model file {model}: not JSON" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_gen_manifest_replay_rewrites_a_model_in_the_old_spelling(tmp_path, capsys):

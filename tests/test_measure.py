@@ -59,8 +59,10 @@ def test_exact_plan_consumes_nothing():
 
 def test_build_plan_rejects_unknown_scheme_and_starvation():
     basis = chain_basis(2)
-    with pytest.raises(ValueError, match="unknown scheme"):
-        build_plan(basis, "fancy", 100)
+    # the scheme is checked first, also when the copies could not feed its groups
+    for copies in (100, 1):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            build_plan(basis, "fancy", copies)
     with pytest.raises(ValueError, match="one shot"):
         build_plan(basis, "direct", basis.m - 1)
 

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import weakref
 
@@ -144,29 +145,118 @@ def test_trace_phases_and_eval_counts(monkeypatch):
     assert trace.evals[-1] == trace.dual_evals == len(calls)
 
 
-def test_no_hessian_is_built_at_the_origin(monkeypatch):
-    # the Hessian of log Z at lambda = 0 is beta^2 I, so the first Newton step
-    # from the default start needs no kernel call; any other start builds its own
-    model = random_chain_model(2, seed=14)
-    e = exact_marginals(model, 1.0)
-    points = []
-    hessian = solver._hessian_core
+@pytest.fixture
+def hessian_points(monkeypatch):
+    """(points, accepted): where each solver Hessian is built, and each iterate
+    the solve accepts, its start point first; a Hessian must be built at the
+    iterate just accepted."""
+    points, accepted = [], []
+    hessian, accept = solver._hessian_core, solver._Iterate.accept
 
     def traced_hessian(basis, lam, beta, spectral):
         points.append(lam.copy())
+        np.testing.assert_array_equal(lam, accepted[-1])
         return hessian(basis, lam, beta, spectral)
 
+    def traced_accept(it):
+        accept(it)
+        accepted.append(it.x.copy())
+
     monkeypatch.setattr(solver, "_hessian_core", traced_hessian)
+    monkeypatch.setattr(solver._Iterate, "accept", traced_accept)
+    return points, accepted
+
+
+def test_no_hessian_is_built_at_the_origin(hessian_points):
+    # the Hessian of log Z at lambda = 0 is beta^2 I, so the first Newton model
+    # from the default start needs no kernel call; any other start builds its
+    # own.  The kept model saves some: one per Newton step took 6 here
+    points, accepted = hessian_points
+    model = random_chain_model(2, seed=14)
+    e = exact_marginals(model, 1.0)
     _, trace = solve(e, 1.0, model.basis)
     assert trace.converged and trace.n_iterations > 2
-    assert len(points) == trace.n_iterations - 2  # none at row 0, none at the last row
+    assert 0 < len(points) == trace.hessians < trace.n_iterations - 2
     assert all(lam.any() for lam in points)
 
     points.clear()
+    accepted.clear()
     lambda0 = np.full(model.basis.m, 0.2)
     _, trace = solve(e, 1.0, model.basis, SolverConfig(lambda0=lambda0))
-    assert trace.converged
+    assert trace.converged and len(points) == trace.hessians
     np.testing.assert_array_equal(points[0], lambda0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_step_that_converges_is_exact_newton(hessian_points, n):
+    # every iterate within ENDGAME * tol_grad of convergence builds its
+    # Hessian, so the last step converges quadratically; on the BFGS model
+    # alone these solves stopped at pg 4e-9 to 9e-8, and exact n = 2 learns
+    # at an l2 error of up to 1.9e-6
+    points, accepted = hessian_points
+    cfg = SolverConfig()
+    for seed in range(4):
+        points.clear()
+        accepted.clear()
+        model = random_chain_model(n, seed=seed)
+        _, trace = solve(exact_marginals(model, 1.0), 1.0, model.basis, cfg)
+        assert trace.converged
+        near = [
+            x for x, pg in zip(accepted, trace.grad_norms)
+            if cfg.tol_grad < pg <= solver.ENDGAME * cfg.tol_grad
+        ]
+        assert near
+        assert all(any(np.array_equal(x, p) for p in points) for x in near)
+
+
+def spd_matrices(m):
+    """Random A A^T + c I: positive definite, condition number at most (m + c) / c."""
+    entries = hnp.arrays(float, (m, m), elements=st.floats(-1.0, 1.0))
+    return st.tuples(entries, st.floats(0.1, 2.0)).map(lambda ac: ac[0] @ ac[0].T + ac[1] * np.eye(m))
+
+
+def box_qp_by_enumeration(B, g, x, radius):
+    """The box QP's minimiser from every assignment of free, lower and upper to the coordinates:
+    the face minimiser that lies in the box and meets the sign conditions of its multipliers."""
+    m = g.size
+    scale = 1e-12 * (np.abs(g).max() + np.abs(B).max() * radius + 1.0)
+    best, best_q = None, np.inf
+    for sides in itertools.product((0, -1, 1), repeat=m):
+        sides = np.array(sides)
+        free = sides == 0
+        z = np.where(free, x, sides * radius)
+        z[free] = x[free] - np.linalg.solve(
+            B[np.ix_(free, free)], g[free] + B[free] @ np.where(free, 0.0, z - x)
+        )
+        r = g + B @ (z - x)
+        inside = np.all(np.abs(z[free]) <= radius * (1 + 1e-12))
+        if inside and np.all(sides * r <= scale):
+            q = float(g @ (z - x) + 0.5 * (z - x) @ B @ (z - x))
+            if q < best_q:
+                best, best_q = z, q
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_box_qp_matches_the_enumeration_of_active_sets(data):
+    m = data.draw(st.integers(1, 6), label="m")
+    B = data.draw(spd_matrices(m), label="B")
+    g = data.draw(hnp.arrays(float, m, elements=st.floats(-5.0, 5.0)), label="g")
+    radius = data.draw(st.floats(0.05, 2.0), label="radius")
+    # x anywhere in the box, on its faces too: the QP's box in d = z - x holds 0
+    where = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([-1.0, 1.0]))
+    x = radius * data.draw(hnp.arrays(float, m, elements=where), label="x")
+    z = solver._box_qp(B, g, x, radius)
+    expected = box_qp_by_enumeration(B, g, x, radius)
+    assert np.all(np.abs(z) <= radius)
+    assert np.linalg.norm(z - expected) <= 1e-12 * max(np.linalg.norm(expected - x), 1.0)
+
+    # a box that binds nothing: the plain Newton step
+    newton = np.linalg.solve(B, -g)
+    wide = 2.0 * np.abs(newton).max() + 1.0
+    z = solver._box_qp(B, g, np.zeros(m), wide)
+    assert np.linalg.norm(z - newton) <= 1e-12 * max(np.linalg.norm(newton), 1e-300)
 
 
 def test_solver_accepts_estimates_object():
@@ -272,8 +362,9 @@ def grouped_chain_solve(seed, beta):
     return solve(grouped_estimates(model, beta, seed), beta, model.basis)[1]
 
 
-# evaluation bound per beta; the beta = 1 cases keep their seed-only ids
-FEW_EVALUATIONS = {1.0: 40, 2.0: 50, 3.0: 90}
+# evaluation and Hessian bounds per beta; the beta = 1 cases keep their seed-only ids
+FEW_EVALUATIONS = {1.0: 40, 2.0: 50, 3.0: 90, 4.0: 30}
+FEW_HESSIANS = {1.0: 6, 2.0: 8, 3.0: 10, 4.0: 12}
 
 
 @pytest.mark.parametrize(
@@ -287,10 +378,13 @@ FEW_EVALUATIONS = {1.0: 40, 2.0: 50, 3.0: 90}
 def test_solve_takes_few_dual_evaluations(seed, beta):
     # each evaluation is one 2^n eigh: where projected Newton from the origin
     # takes about a dozen at beta = 1, a first-order method down to pg 1e-3
-    # took 93-153
+    # took 93-153.  A Hessian costs several evaluations: one per Newton step
+    # took 6-9 at beta = 1 and 12-25 at beta = 4, and an active set bound
+    # within eps of the box took up to 65 evaluations at beta = 4
     trace = grouped_chain_solve(seed, beta)
     assert trace.converged
     assert trace.dual_evals <= FEW_EVALUATIONS[beta]
+    assert trace.hessians <= FEW_HESSIANS[beta]
     assert trace.n_iterations - 1 <= 25  # Newton rows, after the start row
 
 
@@ -307,13 +401,15 @@ def test_newton_rows_evaluate_only_their_backtracking_trials(beta):
 
 def test_unreachable_tolerance_stops_at_the_float_floor():
     # below pg ~ 1e-15 no step resolves a decrease in f: the solve must stop
-    # there, not spend evaluations on steps that f and pg cannot tell apart
+    # there, not spend evaluations on steps that f and pg cannot tell apart,
+    # nor Hessians on them (one per Newton step took 14)
     model = random_chain_model(3, seed=0)
     e = exact_marginals(model, 1.0)
     _, trace = solve(e, 1.0, model.basis, SolverConfig(tol_grad=1e-17))
     assert not trace.converged
     assert trace.pg_final < 1e-14
     assert trace.dual_evals <= 40
+    assert trace.hessians <= 8
 
 
 def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
