@@ -18,7 +18,6 @@ command could not run: `main` prints every CLIError and ValueError as
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -46,7 +45,9 @@ from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
 from .qbp import hessian_logZ, hessian_matrices
 from .reporting import (
     ANY,
+    COUNT,
     FLOATS,
+    POSITIVE,
     POSITIVE_INT,
     REQUIRED,
     THREAD_VARS,
@@ -59,7 +60,7 @@ from .reporting import (
     write_json,
     write_manifest,
 )
-from .solver import SolverConfig, alpha_secant, error_bound, solve
+from .solver import SOLVER_KEYS, SolverConfig, alpha_secant, error_bound, solve
 
 
 class CLIError(Exception):
@@ -95,12 +96,7 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
 # Every config key a command reads, as (kind, default): see `check_config`.
 # Commands that read the same key share its kind and default.
 MODEL = (lambda v: isinstance(v, str), "path to a model JSON")
-POSITIVE = (lambda v: type(v) in (int, float) and v > 0, "float > 0")  # not bool
-COUNT = (lambda v: type(v) is int and v >= 0, "int >= 0")
 PROBABILITY = (lambda v: type(v) in (int, float) and 0 < v < 1, "number in (0, 1)")
-# SolverConfig's fields; lambda0's length needs the basis, so `start_point` checks it
-SOLVER_KINDS = {"tol_grad": POSITIVE, "radius": POSITIVE, "lambda0": ANY, "polish_max_iters": COUNT}
-SOLVER_KEYS = {f.name: (SOLVER_KINDS[f.name], f.default) for f in dataclasses.fields(SolverConfig)}
 MEASURE_KEYS = {
     "scheme": ((lambda v: v in SCHEMES, f"one of {', '.join(SCHEMES)}"), "grouped"),
     "delta_fail": (PROBABILITY, DEFAULT_DELTA_FAIL),

@@ -884,7 +884,8 @@ def _series_point(v) -> bool:
 GRID = (nonempty_list_of(_finite), "a nonempty list of finite numbers")
 COUNT = (POSITIVE_INT[0], "an int >= 1")
 SIZES = (nonempty_list_of(POSITIVE_INT[0]), "a nonempty list of ints >= 1")
-NUMBER = (_finite, "a finite number")
+BETA = (lambda v: _finite(v) and v >= 0, "a finite number >= 0")
+BETAS = (nonempty_list_of(BETA[0]), "a nonempty list of finite numbers >= 0")
 POINTS = (
     nonempty_list_of(_series_point),
     "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0, "
@@ -911,14 +912,14 @@ class Suite:
 
 SUITES = {
     "strong-convexity": Suite(
-        _suite_strong_convexity, {"betas": (GRID, [0.2, 1.0, 3.0]), "trials": (COUNT, 10)}
+        _suite_strong_convexity, {"betas": (BETAS, [0.2, 1.0, 3.0]), "trials": (COUNT, 10)}
     ),
     "infinite-temp": Suite(
-        _suite_infinite_temp, {"betas": (GRID, [0.5, 1.0, 2.0]), "directions": (COUNT, 3)}
+        _suite_infinite_temp, {"betas": (BETAS, [0.5, 1.0, 2.0]), "directions": (COUNT, 3)}
     ),
     "akl": Suite(_suite_akl, {"window_fractions": (GRID, [0.15, 0.25, 0.35])}),
-    "delta-gamma": Suite(_suite_delta_gamma, {"betas": (GRID, [0.5, 2.0])}),
-    "local-unitary": Suite(_suite_local_unitary, {"trials": (COUNT, 6), "beta": (NUMBER, 1.0)}),
+    "delta-gamma": Suite(_suite_delta_gamma, {"betas": (BETAS, [0.5, 2.0])}),
+    "local-unitary": Suite(_suite_local_unitary, {"trials": (COUNT, 6), "beta": (BETA, 1.0)}),
     "lr-decay": Suite(_suite_lr_decay, {"times": (GRID, [0.25, 0.75])}),
     # None: verify_sum_bounds' own 27-point grid
     "sum-bounds": Suite(_suite_sum_bounds, {"points": (POINTS, None)}),
@@ -926,14 +927,20 @@ SUITES = {
         _suite_lower_bound,
         {
             "sizes": (SIZES, [1, 2, 4, 8]),
-            "betas": (GRID, [0.5, 1.0]),
+            "betas": (BETAS, [0.5, 1.0]),
             "epsilons": (GRID, [0.1, 0.5]),
         },
     ),
     "fourier": Suite(
         _suite_fourier,
         {
-            "betas": (GRID, [0.5, 1.0, 2.0]),
+            "betas": (  # FilterKernel takes beta > 0 only
+                (
+                    nonempty_list_of(lambda v: _finite(v) and v > 0),
+                    "a nonempty list of finite numbers > 0",
+                ),
+                [0.5, 1.0, 2.0],
+            ),
             "omegas": (GRID, [*np.linspace(-8.0, 8.0, 33), 1e-9, 1e-6, 1e-3]),
         },
     ),

@@ -177,10 +177,13 @@ def verify_fourier_pair(kernel, omegas) -> FourierPairReport:
 def gap_filter(
     spectral: SpectralDecomposition, beta: float, rows=slice(None), cols=slice(None)
 ) -> np.ndarray:
-    """Matrix f_tilde(E_j - E_k) over energies j in `rows`, k in `cols`; all ones at beta = 0."""
+    """Matrix f_tilde(E_j - E_k) over energies j in `rows`, k in `cols`; all ones at beta = 0.
+
+    Any other beta goes to FilterKernel, which refuses a negative or NaN one.
+    """
     energies = spectral.energies
     gaps = energies[rows, None] - energies[None, cols]
-    return f_tilde(gaps, FilterKernel(beta)) if beta > 0 else np.ones_like(gaps)
+    return np.ones_like(gaps) if beta == 0 else f_tilde(gaps, FilterKernel(beta))
 
 
 def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -> np.ndarray:

@@ -13,6 +13,7 @@ import json
 import os
 import platform
 from datetime import datetime, timezone
+from numbers import Integral, Real
 
 import numpy as np
 import scipy
@@ -39,6 +40,9 @@ REQUIRED = object()  # the default of a key that must be given
 ANY = (lambda v: True, "any value")  # for a value that its consumer checks
 OBJECT = (lambda v: isinstance(v, dict), "object")  # the kind of a nested key table
 POSITIVE_INT = (lambda v: type(v) is int and v >= 1, "int >= 1")  # not bool
+# numpy scalars pass, bool and NaN do not
+POSITIVE = (lambda v: isinstance(v, Real) and not isinstance(v, bool) and v > 0, "float > 0")
+COUNT = (lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0, "int >= 0")
 
 
 def nonempty_list_of(item):

@@ -5,21 +5,10 @@ normalisation |mu_l| <= 1 that `HamiltonianModel` enforces).  The dual
 objective is convex (its Hessian is the filtered covariance matrix, which is
 PSD, and strongly convex on the box by the paper's main theorem), so the
 boxed minimizer is unique up to degeneracy of the marginal map, and with
-exact marginals it sits at the true coefficient vector.  The method is
-Newton steps on a kept quadratic model from the start point down to the
-gradient tolerance.  Each step goes to the exact minimiser of the model over
-the box (`_box_qp`, projected Newton on the model in m x m work) and
-backtracks along the segment to it.  The model matrix B starts as the exact
-Hessian -- at the origin that is beta^2 I, since the Pauli strings are
-orthonormal and every marginal is 0 there, so the default start builds no
-Hessian -- and takes a BFGS update from each accepted step.  An exact
-Hessian replaces it after a step that backtracked, cut the projected
-gradient by less than REFRESH_RATIO or failed the curvature condition, and
-within ENDGAME * tol_grad of convergence.  Every dual evaluation is one
-diagonalization; on open n = 7 chains at beta = 1 a solve takes 10-11 and
-builds 4-5 Hessians, each worth several diagonalizations.  The loop moves
-one `_Iterate`, which keeps the eigensystem at its point only until a
-Hessian reads it or the step finds none due.
+exact marginals it sits at the true coefficient vector.  `solve` runs Newton
+steps on a kept quadratic model; every dual evaluation is one
+diagonalization, and on open n = 7 chains at beta = 1 a solve takes 10-11
+and builds 4-5 Hessians, each worth several diagonalizations.
 """
 
 from __future__ import annotations
@@ -27,7 +16,6 @@ from __future__ import annotations
 import reprlib
 import time
 from dataclasses import dataclass, field
-from numbers import Integral, Real
 
 import numpy as np
 
@@ -35,9 +23,11 @@ from .gibbs import diagonalize, gibbs, marginals
 from .lattice import OperatorBasis, PauliTable, basis_stack
 from .measure import MarginalEstimates
 from .qbp import _hessian_core
+from .reporting import ANY, COUNT, POSITIVE, check_config
 
 __all__ = [
-    "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant", "alpha_along_segment"
+    "SOLVER_KEYS", "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant",
+    "alpha_along_segment",
 ]
 
 NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along a Newton step, of f and of the box QP's model
@@ -55,19 +45,7 @@ class SolverConfig:
     polish_max_iters: int = 60  # Newton steps
 
     def __post_init__(self) -> None:
-        kinds = dict(polish_max_iters=Integral, tol_grad=Real, radius=Real)
-        for name, kind in kinds.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(
-                    f"bad solver config: {name} must be {kind.__name__.lower()}, got {value!r}"
-                )
-        if self.polish_max_iters < 0:
-            raise ValueError("bad solver config: polish_max_iters must be non-negative")
-        if not self.tol_grad > 0:
-            raise ValueError("bad solver config: tol_grad must be positive")
-        if not self.radius > 0:
-            raise ValueError("bad solver config: radius must be positive")
+        check_config("solver config", {key: getattr(self, key) for key in SOLVER_KEYS}, SOLVER_KEYS)
 
     def start_point(self, m: int) -> np.ndarray:
         """lambda0 as a fresh float vector, zeros if unset; ValueError unless m finite reals."""
@@ -82,6 +60,17 @@ class SolverConfig:
                 f"lambda0 must be m = {m} finite reals, got {reprlib.repr(self.lambda0)}"
             )
         return x.astype(float)
+
+
+# SolverConfig's fields as (kind, default): the one rule for each, which
+# `check_config` reads here and in the cli's `solver` block.  lambda0's length
+# needs the basis, so `start_point` checks it
+SOLVER_KEYS = {
+    "tol_grad": (POSITIVE, SolverConfig.tol_grad),
+    "radius": (POSITIVE, SolverConfig.radius),
+    "lambda0": (ANY, SolverConfig.lambda0),
+    "polish_max_iters": (COUNT, SolverConfig.polish_max_iters),
+}
 
 
 @dataclass(eq=False)
@@ -133,81 +122,13 @@ def _dual_eval(lam: np.ndarray, target: np.ndarray, beta: float, table: PauliTab
     return obj, grad, spectral
 
 
-class _Iterate:
-    """The solve's one owner of its point x, f(x), g = grad f(x) and `spectral`,
-    the eigensystem of H(x), which lives until the Newton Hessian at x reads
-    it or the solver drops it.  `trial` evaluates a candidate, dropping the
-    last one before it diagonalizes, `accept` moves to it, and `hessian`
-    builds the Hessian at x.
-    """
-
-    def __init__(self, e_hat, beta: float, basis: OperatorBasis, cfg: SolverConfig):
-        self.basis, self.table, self.beta = basis, basis_stack(basis), beta
-        target = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
-        if target.shape != (basis.m,):
-            raise ValueError(f"marginal vector has shape {target.shape}, expected ({basis.m},)")
-        self.target, self.radius, self.trace = target, cfg.radius, SolverTrace()
-        self.trial(self.project(cfg.start_point(basis.m)))
-        self.accept()
-        self.trace.record(self.f, self.pg(self.x, self.g), 0.0)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, -self.radius, self.radius)
-
-    def pg(self, x: np.ndarray, g: np.ndarray) -> float:
-        return float(np.linalg.norm(x - self.project(x - g)))
-
-    def slack(self) -> float:
-        # the rounding allowance on a rise of f = log Z + beta <x, e_hat>: the two
-        # terms cancel, so f carries rounding that |f| can understate many times over
-        linear = self.beta * float(np.dot(self.x, self.target))
-        return 4e-16 * max(1.0, abs(self.f - linear) + abs(linear))
-
-    def trial(self, lam: np.ndarray) -> tuple[float, np.ndarray]:
-        self.trace.dual_evals += 1
-        self.candidate = None
-        f, g, spectral = _dual_eval(lam, self.target, self.beta, self.table)
-        self.candidate = (lam, f, g, spectral)
-        return f, g
-
-    def accept(self) -> None:
-        self.x, self.f, self.g, self.spectral = self.candidate
-        self.candidate = None
-
-    def hessian(self) -> np.ndarray:
-        """The Hessian of f at x, from the eigensystem at x, which it consumes."""
-        self.trace.hessians += 1
-        H = _hessian_core(self.basis, self.x, self.beta, self.spectral).matrix
-        self.spectral = None
-        return H
-
-
 def solve(
     e_hat, beta: float, basis: OperatorBasis, cfg: SolverConfig | None = None
 ) -> tuple[np.ndarray, SolverTrace]:
-    """Minimize the dual objective over the box |lam_l| <= cfg.radius.
+    """Minimize the dual objective f over the box |lam_l| <= cfg.radius.
 
-    Every iterate is a clip onto the box, so a bound coordinate sits exactly
-    at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
-    whether the projected gradient dropped below cfg.tol_grad within
-    cfg.polish_max_iters Newton steps.
-    """
-    cfg = cfg or SolverConfig()
-    started = time.perf_counter()
-    it = _Iterate(e_hat, float(beta), basis, cfg)
-    _projected_newton(it, cfg)
-    trace = it.trace
-    trace.grad_final = it.g
-    trace.pg_final = it.pg(it.x, it.g)
-    trace.converged = trace.pg_final <= cfg.tol_grad
-    trace.wall_time = time.perf_counter() - started
-    return it.x, trace
-
-
-def _projected_newton(it: _Iterate, cfg: SolverConfig) -> None:
-    """Newton steps on a kept quadratic model from the current iterate.
-
-    Each step is the exact minimiser z of the model g.(z - x) + (z - x).B(z - x)/2
+    Newton steps on a kept quadratic model from the start point.  Each step
+    is the exact minimiser z of the model g.(z - x) + (z - x).B(z - x)/2
     over the box (`_box_qp`; Lin and More, SIAM J. Optim. 9, 1999).  It
     backtracks along x + s (z - x) until it makes an Armijo sufficient
     decrease larger than the rounding of f, or, near the float floor where f
@@ -218,54 +139,87 @@ def _projected_newton(it: _Iterate, cfg: SolverConfig) -> None:
     than REFRESH_RATIO or broke the curvature condition, and at every point
     with pg below ENDGAME * tol_grad, so that the step that certifies
     convergence is exact Newton and converges quadratically (Doikov, Chayti
-    and Jaggi, ICML 2023, keep a Hessian between refreshes).
+    and Jaggi, ICML 2023, keep a Hessian between refreshes).  `spectral`,
+    the eigensystem of H(x), lives until the Hessian at x reads it, or goes
+    at once when none is due there; a failed trial's goes before the next
+    trial diagonalizes, and B before a Hessian is built.
+
+    Every iterate is a clip onto the box, so a bound coordinate sits exactly
+    at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
+    whether the projected gradient dropped below cfg.tol_grad within
+    cfg.polish_max_iters Newton steps.
     """
-    refresh = bool(it.x.any())
-    B = None if refresh else it.beta**2 * np.eye(it.x.size)
-    pg = it.pg(it.x, it.g)
+    cfg = cfg or SolverConfig()
+    started = time.perf_counter()
+    beta, radius, table = float(beta), cfg.radius, basis_stack(basis)
+    target = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
+    if target.shape != (basis.m,):
+        raise ValueError(f"marginal vector has shape {target.shape}, expected ({basis.m},)")
+
+    def pg(x: np.ndarray, g: np.ndarray) -> float:
+        return float(np.linalg.norm(x - np.clip(x - g, -radius, radius)))
+
+    trace = SolverTrace(dual_evals=1)
+    x = np.clip(cfg.start_point(basis.m), -radius, radius)
+    f, g, spectral = _dual_eval(x, target, beta, table)
+    pg_x = pg(x, g)
+    trace.record(f, pg_x, 0.0)
+    refresh, B = bool(x.any()), None
+    if not refresh:
+        spectral, B = None, beta**2 * np.eye(x.size)
     for _ in range(cfg.polish_max_iters):
-        if pg <= cfg.tol_grad:
-            return
+        if pg_x <= cfg.tol_grad:
+            break
         if refresh:
             B = None  # the old model goes before the kernel's peak
-            B = it.hessian()
-        x, g = it.x, it.g
+            trace.hessians += 1
+            B = _hessian_core(basis, x, beta, spectral).matrix
+            spectral = None
         try:
-            z = _box_qp(B, g, x, cfg.radius)
+            z = _box_qp(B, g, x, radius)
         except np.linalg.LinAlgError:
-            return
+            break
         if not np.all(np.isfinite(z)):
-            return
-        s = 1.0
-        allowance = it.slack()
+            break
+        # the rounding allowance on a rise of f = log Z + beta <x, e_hat>: the two
+        # terms cancel, so f carries rounding that |f| can understate many times over
+        linear = beta * float(np.dot(x, target))
+        allowance = 4e-16 * max(1.0, abs(f - linear) + abs(linear))
+        s, found = 1.0, False
         for _ in range(40):
-            cand = it.project((1 - s) * x + s * z)  # z itself at s = 1
+            cand = np.clip((1 - s) * x + s * z, -radius, radius)  # z itself at s = 1
             if np.array_equal(cand, x):
-                # below float resolution: no step left
-                return
-            f_cand, g_cand = it.trial(cand)
-            decrease = it.f - f_cand
+                break  # below float resolution: no step left
+            trace.dual_evals += 1
+            f_cand, g_cand, spectral = _dual_eval(cand, target, beta, table)
+            decrease = f - f_cand
             # a decrease within the rounding of f is noise: there only a
             # falling gradient norm tells progress from a wander
-            if decrease > allowance and decrease >= NEWTON_ARMIJO_C * float(np.dot(g, x - cand)):
-                break
-            if decrease >= -allowance and it.pg(cand, g_cand) < pg:
+            found = (
+                decrease > allowance and decrease >= NEWTON_ARMIJO_C * float(np.dot(g, x - cand))
+            ) or (decrease >= -allowance and pg(cand, g_cand) < pg_x)
+            if found:
                 break
             s *= 0.5
-        else:
-            return
-        it.accept()
-        last, pg = pg, it.pg(it.x, it.g)
-        it.trace.record(it.f, pg, s)
-        step, dg = it.x - x, it.g - g
+            spectral = None  # before the next trial diagonalizes
+        if not found:
+            break
+        step, dg = cand - x, g_cand - g
+        x, f, g = cand, f_cand, g_cand
+        last, pg_x = pg_x, pg(x, g)
+        trace.record(f, pg_x, s)
         curvature = float(np.dot(step, dg))
         refresh = (
-            s < 1 or pg > last / REFRESH_RATIO or curvature <= 0 or pg <= ENDGAME * cfg.tol_grad
+            s < 1 or pg_x > last / REFRESH_RATIO or curvature <= 0 or pg_x <= ENDGAME * cfg.tol_grad
         )
         if not refresh:
-            it.spectral = None  # no Hessian reads it
+            spectral = None  # no Hessian reads it
             Bs = B @ step
             B += np.outer(dg, dg / curvature) - np.outer(Bs, Bs / float(np.dot(step, Bs)))
+    trace.grad_final, trace.pg_final = g, pg_x
+    trace.converged = pg_x <= cfg.tol_grad
+    trace.wall_time = time.perf_counter() - started
+    return x, trace
 
 
 def _box_qp(B: np.ndarray, g: np.ndarray, x: np.ndarray, radius) -> np.ndarray:

@@ -363,6 +363,34 @@ def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, fie
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("tol_grad", 0),
+        ("tol_grad", "x"),
+        ("radius", -5),
+        ("polish_max_iters", -1),
+        ("polish_max_iters", 1.5),
+        ("polish_max_iters", True),
+    ],
+)
+def test_one_rule_for_each_solver_field(tmp_path, capsys, key, value):
+    # the library and the cli refuse the same values, by the one table
+    with pytest.raises(ValueError, match=key):
+        solver.SolverConfig(**{key: value})
+    model_path = run_gen(tmp_path, n=2)
+    cfg = learn_config(tmp_path, model_path, solver={key: value})
+    assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"invalid learn config: solver.{key} (expected" in capsys.readouterr().err
+
+
+def test_solver_config_takes_numpy_scalars():
+    cfg = solver.SolverConfig(
+        tol_grad=np.float64(1e-6), radius=np.float64(0.5), polish_max_iters=np.int64(3)
+    )
+    assert (cfg.tol_grad, cfg.radius, cfg.polish_max_iters) == (1e-6, 0.5, 3)
+
+
 @pytest.mark.parametrize("command", ["learn", "sweep"])
 def test_a_bad_solver_block_names_every_offender(tmp_path, capsys, command):
     model_path = run_gen(tmp_path, n=2)
@@ -580,7 +608,8 @@ def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, mess
 
 def test_sweep_size_axis_rejects_explicit_mu(tmp_path, capsys):
     cfg = sweep_config(tmp_path, axis="size", values=[2, 3], N=4000, mu=[0.1] * 15)
-    del_cfg = json.loads(open(cfg).read())
+    with open(cfg) as fh:
+        del_cfg = json.load(fh)
     del_cfg.pop("n")
     cfg = write_config(tmp_path, "size.json", del_cfg)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -616,13 +645,13 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         (
             "strong-convexity",
             {"betas": 1.0},
-            "betas (expected a nonempty list of finite numbers, got 1.0)",
+            "betas (expected a nonempty list of finite numbers >= 0, got 1.0)",
         ),
         ("akl", {"window_fractions": 0.2}, "window_fractions (expected a nonempty list"),
         (
             "strong-convexity",
             {"betas": []},
-            "betas (expected a nonempty list of finite numbers, got [])",
+            "betas (expected a nonempty list of finite numbers >= 0, got [])",
         ),
         ("strong-convexity", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
         ("local-unitary", {"trials": 0}, "trials (expected an int >= 1, got 0)"),
@@ -636,6 +665,14 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ("sum-bounds", {"points": [[-0.5, 1, 1.0, 0.7]]}, "invalid lab config: points ("),
         # in the domain, but its series need over 1e9 terms
         ("sum-bounds", {"points": [[1e-3, 0, 1e-3, 0.5]]}, "invalid lab config: points ("),
+        # a negative beta ran unfiltered, as beta = 0, and passed
+        (
+            "infinite-temp",
+            {"betas": [-1.0], "directions": 1},
+            "betas (expected a nonempty list of finite numbers >= 0, got [-1.0])",
+        ),
+        ("local-unitary", {"beta": -1.0}, "beta (expected a finite number >= 0, got -1.0)"),
+        ("fourier", {"betas": [0.0]}, "betas (expected a nonempty list of finite numbers > 0"),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

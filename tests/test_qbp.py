@@ -130,6 +130,15 @@ def test_qbp_transform_scales_off_diagonals():
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("beta", [-1.0, float("nan")])
+def test_qbp_transform_refuses_a_beta_that_is_neither_zero_nor_positive(beta):
+    # only beta = 0 passes the operator through unfiltered
+    spec = diagonalize(pauli_matrix("Z"))
+    np.testing.assert_array_equal(qbp_transform(pauli_matrix("X"), spec, 0.0), pauli_matrix("X"))
+    with pytest.raises(ValueError, match="kernel beta"):
+        qbp_transform(pauli_matrix("X"), spec, beta)
+
+
 def test_qbp_transform_preserves_hermiticity():
     model = random_chain_model(3, seed=8)
     spec = diagonalize(assemble_hamiltonian(model))

@@ -47,7 +47,7 @@ def test_config_validation():
         SolverConfig(tol_grad=0.0)
     with pytest.raises(ValueError, match="polish_max_iters"):
         SolverConfig(polish_max_iters=-1)
-    with pytest.raises(ValueError, match="radius must be positive"):
+    with pytest.raises(ValueError, match="radius"):
         SolverConfig(radius=-5.0)
 
 
@@ -125,7 +125,7 @@ def test_trace_bookkeeping():
     assert all(len(row) == 5 for row in rows)
 
 
-def test_trace_phases_and_eval_counts(monkeypatch):
+def test_trace_rows_and_eval_counts(monkeypatch):
     # row 0 is the start point, its one evaluation and no step; every later
     # row is an accepted Newton step of length at most 1, one evaluation or more
     model = random_chain_model(2, seed=14)
@@ -147,42 +147,53 @@ def test_trace_phases_and_eval_counts(monkeypatch):
 
 @pytest.fixture
 def hessian_points(monkeypatch):
-    """(points, accepted): where each solver Hessian is built, and each iterate
-    the solve accepts, its start point first; a Hessian must be built at the
-    iterate just accepted."""
-    points, accepted = [], []
-    hessian, accept = solver._hessian_core, solver._Iterate.accept
+    """solve, as `traced(*args) -> (trace, points, accepted)`: where each of its
+    Hessians is built, and each iterate it accepts, its start point first.
+    Accepted iterate k is the solve's evaluation number trace.evals[k], and a
+    Hessian must be built at the iterate just accepted, from the very
+    eigensystem that its evaluation returned."""
+    evaluated, built = [], []
+    dual_eval, hessian = solver._dual_eval, solver._hessian_core
+
+    def traced_eval(lam, *args):
+        result = dual_eval(lam, *args)
+        evaluated.append((lam.copy(), result[2]))
+        return result
 
     def traced_hessian(basis, lam, beta, spectral):
-        points.append(lam.copy())
-        np.testing.assert_array_equal(lam, accepted[-1])
+        built.append((lam.copy(), spectral, len(evaluated)))
         return hessian(basis, lam, beta, spectral)
 
-    def traced_accept(it):
-        accept(it)
-        accepted.append(it.x.copy())
-
+    monkeypatch.setattr(solver, "_dual_eval", traced_eval)
     monkeypatch.setattr(solver, "_hessian_core", traced_hessian)
-    monkeypatch.setattr(solver._Iterate, "accept", traced_accept)
-    return points, accepted
+
+    def traced(*args):
+        evaluated.clear()
+        built.clear()
+        trace = solve(*args)[1]
+        for lam, spectral, evals in built:
+            assert evals in trace.evals
+            np.testing.assert_array_equal(lam, evaluated[evals - 1][0])
+            assert spectral is evaluated[evals - 1][1]
+        accepted = [evaluated[k - 1][0] for k in trace.evals]
+        return trace, [lam for lam, *_ in built], accepted
+
+    return traced
 
 
 def test_no_hessian_is_built_at_the_origin(hessian_points):
     # the Hessian of log Z at lambda = 0 is beta^2 I, so the first Newton model
     # from the default start needs no kernel call; any other start builds its
     # own.  The kept model saves some: one per Newton step took 6 here
-    points, accepted = hessian_points
     model = random_chain_model(2, seed=14)
     e = exact_marginals(model, 1.0)
-    _, trace = solve(e, 1.0, model.basis)
+    trace, points, _ = hessian_points(e, 1.0, model.basis)
     assert trace.converged and trace.n_iterations > 2
     assert 0 < len(points) == trace.hessians < trace.n_iterations - 2
     assert all(lam.any() for lam in points)
 
-    points.clear()
-    accepted.clear()
     lambda0 = np.full(model.basis.m, 0.2)
-    _, trace = solve(e, 1.0, model.basis, SolverConfig(lambda0=lambda0))
+    trace, points, _ = hessian_points(e, 1.0, model.basis, SolverConfig(lambda0=lambda0))
     assert trace.converged and len(points) == trace.hessians
     np.testing.assert_array_equal(points[0], lambda0)
 
@@ -193,13 +204,10 @@ def test_the_step_that_converges_is_exact_newton(hessian_points, n):
     # Hessian, so the last step converges quadratically; on the BFGS model
     # alone these solves stopped at pg 4e-9 to 9e-8, and exact n = 2 learns
     # at an l2 error of up to 1.9e-6
-    points, accepted = hessian_points
     cfg = SolverConfig()
     for seed in range(4):
-        points.clear()
-        accepted.clear()
         model = random_chain_model(n, seed=seed)
-        _, trace = solve(exact_marginals(model, 1.0), 1.0, model.basis, cfg)
+        trace, points, accepted = hessian_points(exact_marginals(model, 1.0), 1.0, model.basis, cfg)
         assert trace.converged
         near = [
             x for x, pg in zip(accepted, trace.grad_norms)
@@ -325,11 +333,11 @@ def grouped_estimates(model, beta, seed, shots=100_000):
 
 
 @pytest.mark.parametrize("n, seed, radius", [(3, 2, 1.0), (3, 2, 0.3), (5, 1, 1.0)])
-def test_projected_newton_converges_from_the_hand_over(n, seed, radius):
-    # projected Newton from the origin against a tight-tolerance reference.
-    # n = 3: at the unit-box optimum 9 of the 27 coordinates sit on the box,
-    # and a Newton step that binds only the coordinates exactly on the box,
-    # and holds them still, stalls.  n = 5: Newton without the Armijo rule stalls
+def test_solve_matches_a_tight_tolerance_reference(n, seed, radius):
+    # the default solve against one run to tol_grad 1e-12.  n = 3: at the
+    # unit-box optimum 9 of the 27 coordinates sit on the box, and a Newton
+    # step that holds only the coordinates exactly on the box still stalls.
+    # n = 5: Newton without the Armijo rule stalls
     model = random_chain_model(n, seed=seed)
     est = grouped_estimates(model, 3.0, seed=seed)
     mu_hat, trace = solve(est, 3.0, model.basis, SolverConfig(radius=radius))
@@ -343,11 +351,9 @@ def test_projected_newton_converges_from_the_hand_over(n, seed, radius):
 
 @pytest.mark.parametrize("beta, shots, seed", [(3.0, 10_000, 7), (2.0, 100_000, 6)])
 def test_newton_binds_the_coordinates_near_the_box(beta, shots, seed):
-    # n = 3, 13 and 5 coordinates end on the box.  Binding within eps of a
-    # bound takes 2 and 1 shortened Newton steps, 26 and 17 evaluations;
-    # binding only the coordinates exactly on the box leaves those just
-    # inside free, their Newton steps are clipped, and the arc backtracks
-    # on 11 and 6 steps, 57 and 34 evaluations
+    # n = 3, 13 and 5 coordinates end on the box.  Each Newton step goes to
+    # the box QP's minimiser, which holds them there, so the clip leaves it
+    # whole: 0 shortened steps, 12 and 11 evaluations
     model = random_chain_model(3, seed=seed)
     est = grouped_estimates(model, beta, seed, shots)
     _, trace = solve(est, beta, model.basis)
@@ -376,11 +382,9 @@ FEW_HESSIANS = {1.0: 6, 2.0: 8, 3.0: 10, 4.0: 12}
     ],
 )
 def test_solve_takes_few_dual_evaluations(seed, beta):
-    # each evaluation is one 2^n eigh: where projected Newton from the origin
-    # takes about a dozen at beta = 1, a first-order method down to pg 1e-3
-    # took 93-153.  A Hessian costs several evaluations: one per Newton step
-    # took 6-9 at beta = 1 and 12-25 at beta = 4, and an active set bound
-    # within eps of the box took up to 65 evaluations at beta = 4
+    # each evaluation is one 2^n eigh, and a Hessian costs several: these
+    # solves take 10-11 evaluations and 4-5 Hessians at beta = 1, and 14-15
+    # evaluations and 7-10 Hessians at beta = 4
     trace = grouped_chain_solve(seed, beta)
     assert trace.converged
     assert trace.dual_evals <= FEW_EVALUATIONS[beta]

@@ -41,7 +41,7 @@ from gibbslearn.lab import SUITES
 from gibbslearn.lattice import LATTICE_KEYS, basis_stack
 from gibbslearn.measure import build_plan
 from gibbslearn.qbp import _hessian_core, hessian_matrices
-from gibbslearn.solver import SolverConfig, solve
+from gibbslearn.solver import SOLVER_KEYS, SolverConfig, solve
 
 from conftest import chain_basis
 
@@ -103,6 +103,7 @@ def test_readme_solver_table_lists_the_config_fields():
     # each field with its default; the default start, lambda0 = None, is the origin
     stated = {key: None if default == "zeros" else float(default) for key, default, *_ in rows}
     assert stated == {f.name: f.default for f in dataclasses.fields(SolverConfig)}
+    assert stated == {key: default for key, (_, default) in SOLVER_KEYS.items()}
 
 
 def test_readme_lab_table_lists_each_suite_with_its_keys():
