@@ -21,6 +21,7 @@ import argparse
 import functools
 import math
 import os
+import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -184,6 +185,15 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
 # learn
 
 
+def _lap(stages: list, name: str, started: float) -> float:
+    """Append stage `name`, begun at `started`, with its wall seconds and the
+    process's peak RSS so far (Linux counts ru_maxrss in KiB); returns now."""
+    now = time.perf_counter()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    stages.append({"stage": name, "wall_s": now - started, "peak_rss_mb": peak})
+    return now
+
+
 def _learn_once(
     model: HamiltonianModel,
     beta: float,
@@ -195,33 +205,49 @@ def _learn_once(
 ) -> dict:
     """Measure, fit, and compare against the stored truth.
 
-    Returns the `result.json` record, plus the `estimates` and the solver
-    `trace` that `learn` writes beside it.
+    Returns the `result.json` record, plus the `estimates`, the solver
+    `trace` and the `timings` that `learn` writes beside it.
     """
     basis = model.basis
+    stages = []
+    t = time.perf_counter()
     # diagonalized here, not through the `spectrum` cache, so that the
     # eigensystem at mu dies with the ensemble once e(mu) is read
     ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
+    t = _lap(stages, "gibbs", t)
     plan = build_plan(basis, scheme, n_copies)
+    t = _lap(stages, "plan", t)
     estimates = sample_outcomes(plan, ensemble, seed=seed, delta_fail=delta_fail)
     e_mu = marginals(basis_stack(basis), ensemble)
     del ensemble
+    t = _lap(stages, "sample", t)
     mu_hat, trace = solve(estimates.e_hat, beta, basis, cfg)
+    t = _lap(stages, "solve", t)
 
-    m = basis.m
-    l2_error = float(np.linalg.norm(mu_hat - model.mu))
-    delta_max = float(np.max(estimates.delta)) if m else 0.0
     # the dual gradient at mu, beta * (e_hat - e(mu)); the solver's last
     # gradient is the one at mu_hat
     grad_mu = beta * (estimates.e_hat - e_mu)
     alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
+    t = _lap(stages, "alpha", t)
+
+    m = basis.m
+    l2_error = float(np.linalg.norm(mu_hat - model.mu))
+    delta_max = float(np.max(estimates.delta)) if m else 0.0
     # fold the solver residual into an effective marginal error so the bound
     # stays meaningful when measurement noise is zero (exact scheme)
     effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
     bound = error_bound(effective_delta, alpha, beta, m) if alpha > 0 else math.inf
+    _lap(stages, "bound", t)
     return {
         "estimates": estimates,
         "trace": trace,
+        "timings": {
+            "stages": stages,
+            "dual_evals": trace.dual_evals,
+            "hessians": trace.hessians,
+            # the one at mu, then one per dual evaluation
+            "diagonalizations": trace.dual_evals + 1,
+        },
         "mu_hat": mu_hat,
         "l2_error": l2_error,
         "delta_max": delta_max,
@@ -258,8 +284,9 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
     )
     write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
     write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, record.pop("trace").csv_rows())
+    write_json(os.path.join(out, "learn_timings.json"), record.pop("timings"))
     write_json(os.path.join(out, "result.json"), record)
-    outputs = ["estimates.csv", "estimates.json", "trace.csv", "result.json"]
+    outputs = ["estimates.csv", "estimates.json", "trace.csv", "learn_timings.json", "result.json"]
     write_manifest(out, "learn", config, seed, outputs)
     print(
         f"l2_error={record['l2_error']:.6g} delta_max={record['delta_max']:.6g} "

@@ -158,7 +158,8 @@ def sample_outcomes(
 
     Sampling is deterministic given `seed`: each group gets its own substream
     spawned from the master seed, so group order and parallelism cannot change
-    the result.
+    the result.  An exact plan has no groups and spawns no substreams, so it
+    never loads `numpy.random`.
     """
     m, dim = plan.basis.m, 2**plan.basis.lattice.n_sites
     if dim != ensemble.dim:
@@ -169,7 +170,7 @@ def sample_outcomes(
     # the exact marginals read the same rho as the groups
     e_hat = table.expectations(rho) if plan.scheme == "exact" else np.zeros(m)
     shots = np.zeros(m, dtype=np.int64)
-    substreams = np.random.SeedSequence(seed).spawn(len(plan.groups))
+    substreams = np.random.SeedSequence(seed).spawn(len(plan.groups)) if plan.groups else ()
     for group, stream in zip(plan.groups, substreams):
         probs, values = table.group_law(group, rho)
         probs = np.clip(probs, 0.0, None)

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy
 
 from gibbslearn import cli, gibbs, qbp, solver
 from gibbslearn.cli import _trial_pool, main
@@ -112,7 +113,7 @@ def test_gen_config_offenders_are_listed(tmp_path, capsys):
     "extra, message",
     [
         ({"kappa": True}, "kappa (expected int >= 1, got True)"),
-        ({"beta": True}, "beta (expected float > 0, got True)"),
+        ({"beta": True}, "beta (expected finite float > 0, got True)"),
         (
             {"lattice": {"dimension": True, "side_lengths": [2]}},
             "lattice.dimension (expected int >= 1, got True)",
@@ -230,6 +231,27 @@ def test_learn_end_to_end(tmp_path, capsys):
     assert env["cpu_count"] == os.cpu_count()
 
 
+def test_learn_timings_sidecar_reports_each_stage(tmp_path):
+    model_path = run_gen(tmp_path, n=3)
+    cfg = learn_config(tmp_path, model_path)
+    out = tmp_path / "learn_out"
+    assert main(["learn", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+    timings = json.loads((out / "learn_timings.json").read_text())
+    result = json.loads((out / "result.json").read_text())
+    stages = timings["stages"]
+    assert [s["stage"] for s in stages] == ["gibbs", "plan", "sample", "solve", "alpha", "bound"]
+    assert all(s["wall_s"] >= 0 for s in stages)
+    peaks = [s["peak_rss_mb"] for s in stages]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+    assert timings["dual_evals"] == result["dual_evals"] > 0
+    assert timings["hessians"] == result["hessians"]
+    assert timings["diagonalizations"] == result["dual_evals"] + 1
+    # wall-clock data stays in the sidecar, which the manifest lists
+    assert "stages" not in result
+    manifest = json.loads((out / "learn_manifest.json").read_text())
+    assert "learn_timings.json" in manifest["outputs"]
+
+
 def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # sampling diagonalizes mu and each dual evaluation its point; the Newton
     # Hessians reuse those eigensystems and the secant alpha needs none
@@ -247,6 +269,7 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     trace = run["trace"]
     assert trace.n_iterations > 2  # Newton steps from points other than the origin
     assert len(calls) == trace.dual_evals + 1
+    assert run["timings"]["diagonalizations"] == len(calls)
 
 
 def test_learn_from_the_truth_still_bounds_the_error(tmp_path):
@@ -368,7 +391,11 @@ def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, fie
     [
         ("tol_grad", 0),
         ("tol_grad", "x"),
+        # JSON Infinity parses to inf: a tol_grad of inf stopped at the origin
+        # and reported converged=True
+        ("tol_grad", float("inf")),
         ("radius", -5),
+        ("radius", float("inf")),
         ("polish_max_iters", -1),
         ("polish_max_iters", 1.5),
         ("polish_max_iters", True),
@@ -382,6 +409,41 @@ def test_one_rule_for_each_solver_field(tmp_path, capsys, key, value):
     cfg = learn_config(tmp_path, model_path, solver={key: value})
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert f"invalid learn config: solver.{key} (expected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        ("gen", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        ("learn", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        ("hessian", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        ("marginals", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        ("sweep", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        (
+            "sweep",
+            {"axis": "beta", "N": 2000, "values": [1.0, float("inf")]},
+            "values (expected finite float > 0 for axis beta, got inf)",
+        ),
+    ],
+    ids=["gen", "learn", "hessian", "marginals", "sweep", "sweep-values"],
+)
+def test_an_infinite_beta_exits_2_naming_it(tmp_path, capsys, command, extra, message):
+    # JSON Infinity parses to inf, which `beta` took: gen wrote its model, a
+    # sweep recorded failed trials, and the others failed in `gibbs` with an
+    # error that named no key
+    if command == "gen":
+        cfg = write_config(tmp_path, "gen.json", gen_config(n=2, **extra))
+    elif command == "sweep":
+        cfg = sweep_config(tmp_path, **extra)
+    elif command == "learn":
+        cfg = learn_config(tmp_path, run_gen(tmp_path, n=2), **extra)
+    else:
+        dump = {"model": str(run_gen(tmp_path, n=2)), "beta": 1.0, **extra}
+        cfg = write_config(tmp_path, "dump.json", dump)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_solver_config_takes_numpy_scalars():
@@ -402,8 +464,8 @@ def test_a_bad_solver_block_names_every_offender(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "solver.tol_grad (expected float > 0, got 'x')" in err
-    assert "solver.radius (expected float > 0, got None)" in err
+    assert "solver.tol_grad (expected finite float > 0, got 'x')" in err
+    assert "solver.radius (expected finite float > 0, got None)" in err
     assert not any(out.iterdir())
 
 
@@ -576,8 +638,8 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"scheme": "psychic"}, "scheme (expected one of direct, grouped, exact"),
         ({"kappa": 0}, "kappa (expected int >= 1, got 0)"),
         ({"n": 0}, "n (expected int >= 1, got 0)"),
-        ({"beta": 0}, "beta (expected float > 0, got 0)"),
-        ({"beta": -1.0}, "beta (expected float > 0, got -1.0)"),
+        ({"beta": 0}, "beta (expected finite float > 0, got 0)"),
+        ({"beta": -1.0}, "beta (expected finite float > 0, got -1.0)"),
         ({"values": [1000.7, 2000]}, "values (expected int >= 0 for axis N, got 1000.7)"),
         ({"axis": "beta", "N": 2000, "values": [1.0, -0.5]}, "for axis beta, got -0.5"),
         ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
@@ -938,17 +1000,44 @@ def test_console_entry_point():
 def test_cli_import_leaves_scipy_special_out(tmp_path):
     # a learn imports none of scipy's numerical modules: scipy.special costs
     # about 0.3 s per process, scipy.linalg with scipy.optimize about 0.5 s,
-    # more than a whole n = 7 learn, and only the lab's series check needs one
-    cfg = learn_config(tmp_path, run_gen(tmp_path, n=2))
+    # more than a whole n = 7 learn, and only the lab's series check needs one.
+    # No command but lab loads scipy itself (10-15 ms, 1.3 MB), so a manifest
+    # records its version only when the run loaded it; and an exact learn,
+    # hessian and marginals draw nothing, so they leave numpy.random (12 ms,
+    # 6.3 MB with the secrets module it loads) out as well
+    model = run_gen(tmp_path, n=2)
+    learn = ["learn", "--config", learn_config(tmp_path, model)]
+    dump = ["--config", model_config(tmp_path, "hessian", model)]
+    numerical = ["scipy.linalg", "scipy.optimize", "scipy.special"]
+    cases = [
+        ("learn", [*learn, "--scheme", "exact"], ["scipy", "numpy.random", *numerical]),
+        ("learn", learn, ["scipy", *numerical]),
+        ("hessian", ["hessian", *dump], ["scipy", "numpy.random", *numerical]),
+        ("marginals", ["marginals", *dump], ["scipy", "numpy.random", *numerical]),
+    ]
+    # argv: the modules to look for, comma-separated, then the command line
     code = (
-        "import sys, gibbslearn.cli; code = gibbslearn.cli.main(sys.argv[1:]); "
-        "scipy = {'scipy.linalg', 'scipy.optimize', 'scipy.special'}; "
-        "print(code, sorted(scipy & set(sys.modules)))"
+        "import sys, gibbslearn.cli; code = gibbslearn.cli.main(sys.argv[2:]); "
+        "print(code, sorted(set(sys.argv[1].split(',')) & set(sys.modules)))"
     )
-    learn = ["learn", "--config", cfg, "--out", str(tmp_path / "o")]
-    out = subprocess.run([sys.executable, "-c", code, *learn], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "0 []"
+    for i, (command, args, absent) in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        argv = [sys.executable, "-c", code, ",".join(absent), *args, "--out", str(out)]
+        run = subprocess.run(argv, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 []", (args, run.stdout)
+        manifest = json.loads((out / f"{command}_manifest.json").read_text())
+        assert manifest["environment"]["scipy"] is None
+
+    # the series check of `lab sum-bounds` imports scipy.special, and so its
+    # manifest records the version
+    out = tmp_path / "lab"
+    argv = [sys.executable, "-c", code, "scipy.special", "lab", "sum-bounds", "--out", str(out)]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "0 ['scipy.special']"
+    manifest = json.loads((out / "lab_manifest.json").read_text())
+    assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 def test_cli_import_leaves_the_lab_and_multiprocessing_out():
