@@ -135,8 +135,8 @@ DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessia
 def _learn_matrices(basis: OperatorBasis) -> int:
     """Dense matrices one learn holds at once: a Newton Hessian, which reads
     the solver's current eigensystem, plus, counted in bytes, the basis table
-    and the solver's m x m Newton model.  No eigensystem at mu lives through
-    the solve: sampling's dies once e(mu) is read.
+    and the solver's m x m Newton model.  Neither the eigensystem nor the rho
+    at mu lives through the solve: sampling's die once e(mu) is read.
 
     Builds the table, which `basis_stack` checks on its own count first.
     """
@@ -212,7 +212,7 @@ def _learn_once(
     stages = []
     t = time.perf_counter()
     # diagonalized here, not through the `spectrum` cache, so that the
-    # eigensystem at mu dies with the ensemble once e(mu) is read
+    # eigensystem and rho at mu die with the ensemble once e(mu) is read
     ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
     t = _lap(stages, "gibbs", t)
     plan = build_plan(basis, scheme, n_copies)
@@ -314,7 +314,7 @@ SWEEP_HEADER = (
 
 
 def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dict:
-    """Sweep trial number `trial`: its row of SWEEP_HEADER fields, runtime and any error text.
+    """Sweep trial number `trial`: its row of SWEEP_HEADER fields, timings and any error text.
 
     The trial's cell is trial // trials: its value sets the swept key, the
     checked config `params` the other two.  Its seed draws the coefficients,
@@ -331,6 +331,7 @@ def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dic
         "N": point["N"],
         "bound_holds": False,
     }
+    timings = dict.fromkeys(("stages", "dual_evals", "hessians", "diagonalizations"))
     try:
         rng = np.random.default_rng(trial_seed(seed, trial))
         basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(row["n"],)), params["kappa"])
@@ -340,11 +341,12 @@ def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dic
         record = _learn_once(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
         row.update({field: record[field] for field in SWEEP_HEADER if field in record})
         row["delta_observed"] = record["delta_max"]
+        timings = record["timings"]
         error = None
     except Exception as exc:  # per-trial failures recorded, sweep continues
         error = f"{type(exc).__name__}: {exc}"
-    runtime = time.perf_counter() - t0
-    return {"trial": trial, "row": row, "runtime": runtime, "error": error}
+    timings = {"runtime_s": time.perf_counter() - t0, **timings}
+    return {"trial": trial, "row": row, "timings": timings, "error": error}
 
 
 @contextmanager
@@ -466,8 +468,8 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     write_json(
         os.path.join(out, "sweep_timings.json"),
         {
-            "trials": {str(res["trial"]): res["runtime"] for res in results},
-            "total_s": sum(res["runtime"] for res in results),
+            "trials": {str(res["trial"]): res["timings"] for res in results},
+            "total_s": sum(res["timings"]["runtime_s"] for res in results),
         },
     )
     outputs = ["sweep.csv", "cells.csv", "sweep_summary.json"]

@@ -1,17 +1,18 @@
 """Exact thermal states: spectral decomposition, weights, marginals, variances.
 
-Everything downstream (gradients, Hessians, measurement simulation, the lab
-checks) consumes the eigensystem computed here, so this module is the single
-place where dense diagonalization happens.  `spectrum(model)` builds a
-model's eigensystem once for the callers that share it; `diagonalize` is for
-the matrices no model names (the solver's iterates, a caller's H) and for a
-caller that must let its eigensystem go early (`learn`, before its solve).
+Everything downstream consumes the eigensystems and states built here:
+`diagonalize` is the package's one `eigh`, and `GibbsEnsemble.rho` forms a
+dense thermal state, once per ensemble.  `spectrum(model)` builds a model's
+eigensystem once for the callers that share it; `diagonalize` is for the
+matrices no model names (the solver's iterates, a caller's H or observable)
+and for a caller that must let its eigensystem go early (`learn`).
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "gibbs",
     "gibbs_state",
     "log_sum_exp",
-    "density_matrix",
     "marginals",
     "variance",
 ]
@@ -65,6 +65,14 @@ class GibbsEnsemble:
     @property
     def dim(self) -> int:
         return self.spectral.dim
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """Dense rho = sum_j r_j |j><j|, formed on first read and kept, read-only."""
+        V = self.spectral.vectors
+        rho = (V * self.weights) @ V.conj().T
+        rho.flags.writeable = False
+        return rho
 
 
 def diagonalize(H: np.ndarray) -> SpectralDecomposition:
@@ -153,15 +161,9 @@ def gibbs_state(H: np.ndarray, beta: float) -> GibbsEnsemble:
     return gibbs(diagonalize(H), beta)
 
 
-def density_matrix(ensemble: GibbsEnsemble) -> np.ndarray:
-    """Dense rho = sum_j r_j |j><j|."""
-    V = ensemble.spectral.vectors
-    return (V * ensemble.weights) @ V.conj().T
-
-
 def marginals(stack: PauliTable, ensemble: GibbsEnsemble) -> np.ndarray:
     """Tr[E_l rho] for every element of a basis table (`lattice.basis_stack`)."""
-    return stack.expectations(density_matrix(ensemble))
+    return stack.expectations(ensemble.rho)
 
 
 def variance(O: np.ndarray, ensemble: GibbsEnsemble) -> float:

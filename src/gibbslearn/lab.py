@@ -17,13 +17,14 @@ raising, so sweeps can tabulate failures.  Only this module builds reports:
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, density_matrix, gibbs, spectrum, variance
+from .gibbs import GibbsEnsemble, diagonalize, gibbs, spectrum, variance
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -300,28 +301,26 @@ class SpectralConcentration:
 
 
 def _centered(A: np.ndarray, ensemble: GibbsEnsemble):
-    """(rho, A_c, eigenvalues, eigenvectors) for A_c = A - Tr[A rho]."""
-    rho = density_matrix(ensemble)
-    shift = float(np.real(np.trace(A @ rho)))
-    A_c = A - shift * np.eye(rho.shape[0], dtype=A.dtype)
-    evals, U = np.linalg.eigh(A_c)
-    return rho, A_c, evals, U
+    """(shift, eigenvalues, eigenvectors u_i, weights) of A_c = A - shift, shift = Tr[A rho],
+    with weights[i] = <u_i|rho|u_i> = sum_j |<u_i|v_j>|^2 r_j over the ensemble's eigenbasis."""
+    eig = diagonalize(A)
+    overlap = eig.vectors.conj().T @ ensemble.spectral.vectors
+    weights = (overlap.real**2 + overlap.imag**2) @ ensemble.weights
+    shift = float(weights @ eig.energies)
+    return shift, eig.energies - shift, eig.vectors, weights
 
 
 def delta_gamma(A: np.ndarray, ensemble: GibbsEnsemble, gamma: float) -> SpectralConcentration:
     """Weight of the Gibbs state outside A's [-gamma, gamma] eigenvalue window.
 
-    A is centered to Tr[A rho] = 0 first; delta_gamma = 1 - Tr[P_gamma rho]
-    and the variance bound <A^2> >= gamma^2 * delta_gamma follows pointwise.
+    A is centered to Tr[A rho] = 0 first; delta_gamma = Tr[Q_gamma rho], rho's
+    weight outside the window, and <A^2> >= gamma^2 * delta_gamma follows.
     """
     if gamma < 0:
         raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    rho, A_c, evals, U = _centered(A, ensemble)
-    inside = np.abs(evals) <= gamma
-    P = U[:, inside] @ U[:, inside].conj().T
-    d_gamma = 1.0 - float(np.real(np.trace(P @ rho)))
-    d_gamma = min(max(d_gamma, 0.0), 1.0)
-    mean_square = float(np.real(np.trace(A_c @ A_c @ rho)))
+    _, evals, _, weights = _centered(A, ensemble)
+    d_gamma = min(float(weights[np.abs(evals) > gamma].sum()), 1.0)
+    mean_square = float(weights @ evals**2)
     return SpectralConcentration(gamma=float(gamma), delta_gamma=d_gamma, mean_square=mean_square)
 
 
@@ -343,13 +342,13 @@ def local_unitary_probe(
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
-    rho, A_c, evals, U_A = _centered(A, ensemble)
-    dim = rho.shape[0]
+    shift, evals, U_A, weights = _centered(A, ensemble)
+    dim = ensemble.dim
+    A_c = A - shift * np.eye(dim, dtype=A.dtype)
     norm_A = float(np.max(np.abs(evals)))
     gammas = np.linspace(0.0, 1.05 * norm_A, 22)
-    sqrt_rho = (ensemble.spectral.vectors * np.sqrt(ensemble.weights)) @ (
-        ensemble.spectral.vectors.conj().T
-    )
+    V = ensemble.spectral.vectors
+    sqrt_rho = (V * np.sqrt(ensemble.weights)) @ V.conj().T
 
     rng = np.random.default_rng(seed)
     unitaries = [np.eye(dim)]
@@ -362,9 +361,9 @@ def local_unitary_probe(
     rows = []
     tail_values = {}
     for gamma in gammas:
-        inside = np.abs(evals) <= gamma
-        Q = np.eye(dim) - U_A[:, inside] @ U_A[:, inside].conj().T
-        d_gamma = float(np.real(np.trace(Q @ rho)))
+        outside = np.abs(evals) > gamma
+        Q = U_A[:, outside] @ U_A[:, outside].conj().T
+        d_gamma = float(weights[outside].sum())
         for trial, U in enumerate(unitaries):
             M = Q @ U @ sqrt_rho
             q_norm = float(np.real(np.vdot(M, M)))
@@ -490,16 +489,6 @@ def lieb_robinson_decay(
 # Analytic series bounds.
 
 
-def _sum_until(term, tail_bound) -> float:
-    """Sum term(j) from 0 until the analytic tail bound drops below tol."""
-    total = 0.0
-    for j in range(1, SERIES_MAX_TERMS + 1):
-        total += term(j - 1)
-        if j > 10 and tail_bound(j) < SERIES_TAIL_TOL:
-            return total
-    raise RuntimeError(f"series failed to converge within {SERIES_MAX_TERMS:,} terms")
-
-
 def _log_gamma_tail(s: float, z: float) -> float:
     """log Gamma(s, z), the upper incomplete gamma function, or an upper bound on it.
 
@@ -560,22 +549,26 @@ def _series(a, b, c, p) -> list[tuple]:
     ]
 
 
-def _series_converge(a, b, c, p) -> bool:
-    """Whether verify_sum_bounds can run at (a, b, c, p) within SERIES_MAX_TERMS terms.
+def _series_terms(a, b, c, p) -> list[tuple]:
+    """(terms to sum, term, closed-form bound) of each of the three sums at one point.
 
-    The tail bounds do not increase from j = 11 on, so probing j = 11, 22,
-    44, ... and the cap tells, in a few dozen evaluations, whether each drops
-    below the tolerance in time.  A tail that overflows reads inf and never
-    does, and a point whose bounds overflow is refused.
+    A sum runs to the first j >= 11 whose tail bound is below SERIES_TAIL_TOL:
+    the bounds do not increase from j = 11 on (an overflow reads inf), so
+    doubling j from 11, then bisecting, finds it.  A point that needs more
+    than SERIES_MAX_TERMS terms raises a ValueError naming it.
     """
-    doublings = int(math.log2(SERIES_MAX_TERMS / 11)) + 1
-    probes = [*(11 * 2**k for k in range(doublings)), SERIES_MAX_TERMS]
-    try:
-        return all(
-            any(tail(j) < SERIES_TAIL_TOL for j in probes) for _, tail, _ in _series(a, b, c, p)
-        )
-    except OverflowError:
-        return False
+    counts = []
+    for term, tail, bound in _series(a, b, c, p):
+        lo, hi = 11, 11  # the first j >= 11 below the tolerance lies in [lo, hi]
+        while not tail(hi) < SERIES_TAIL_TOL:
+            if hi == SERIES_MAX_TERMS:
+                raise ValueError(
+                    f"sum-bounds point {[a, b, c, p]} needs more than {SERIES_MAX_TERMS:,} terms"
+                )
+            lo, hi = hi + 1, min(2 * hi, SERIES_MAX_TERMS)
+        first = bisect.bisect_left(range(lo, hi), True, key=lambda j: tail(j) < SERIES_TAIL_TOL)
+        counts.append((lo + first, term, bound))
+    return counts
 
 
 def verify_sum_bounds(points=None) -> CheckReport:
@@ -599,7 +592,12 @@ def verify_sum_bounds(points=None) -> CheckReport:
     min_slack = math.inf
     passed = True
     for a, b, c, p in points:
-        sums = [(_sum_until(term, tail), bound) for term, tail, bound in _series(a, b, c, p)]
+        sums = []
+        for count, term, bound in _series_terms(a, b, c, p):
+            total = 0.0
+            for j in range(count):
+                total += term(j)
+            sums.append((total, bound))
         (s1, b1), (s2, b2), (s3, b3) = sums
         slack = min(bound - total for total, bound in sums)
         rows.append((a, b, c, p, s1, b1, s2, b2, s3, b3, slack))
@@ -877,7 +875,10 @@ def _series_point(v) -> bool:
     if not (isinstance(v, list) and len(v) == 4 and all(map(_finite, v))):
         return False
     a, b, c, p = v
-    return a >= 0 and b >= 0 and c > 0 and p > 0 and _series_converge(a, b, c, p)
+    try:  # a point whose bounds overflow, or that needs too many terms, is refused
+        return a >= 0 and b >= 0 and c > 0 and p > 0 and bool(_series_terms(a, b, c, p))
+    except (OverflowError, ValueError):
+        return False
 
 
 # The kinds of value a suite key takes, as (predicate, hint).

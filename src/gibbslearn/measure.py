@@ -4,7 +4,8 @@ A plan partitions the basis into commuting groups; each shot consumes one copy
 of the state and yields a joint outcome for every operator in one group.  At
 desk scale the joint distribution is computed exactly from the Pauli algebra
 (`PauliTable.group_law`), so the simulator is a faithful sampler of the ideal
-projective measurement, not a circuit-level emulation.
+projective measurement, not a circuit-level emulation.  The groups read the
+ensemble's one dense state `GibbsEnsemble.rho`, as `gibbs.marginals` does.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsEnsemble, density_matrix
+from .gibbs import GibbsEnsemble
 from .lattice import OperatorBasis, basis_stack
 
 __all__ = [
@@ -165,9 +166,8 @@ def sample_outcomes(
     if dim != ensemble.dim:
         raise ValueError(f"plan dimension {dim} does not match state dimension {ensemble.dim}")
     table = basis_stack(plan.basis)
-    rho = density_matrix(ensemble)
+    rho = ensemble.rho
 
-    # the exact marginals read the same rho as the groups
     e_hat = table.expectations(rho) if plan.scheme == "exact" else np.zeros(m)
     shots = np.zeros(m, dtype=np.int64)
     substreams = np.random.SeedSequence(seed).spawn(len(plan.groups)) if plan.groups else ()

@@ -52,18 +52,13 @@ class FilterKernel:
             raise ValueError(f"kernel beta must be positive and finite, got {self.beta}")
 
 
-def _beta_of(kernel) -> float:
-    return float(kernel.beta) if isinstance(kernel, FilterKernel) else float(kernel)
-
-
-def f_tilde(omega, kernel) -> np.ndarray | float:
+def f_tilde(omega, kernel: FilterKernel) -> np.ndarray | float:
     """Spectral filter tanh(x)/x at x = beta*omega/2; even, values in (0, 1].
 
     Below |beta*omega| = 1e-6 the two-term series 1 - (beta*omega)^2/12 is used
     to avoid 0/0.
     """
-    beta = _beta_of(kernel)
-    bw = beta * np.asarray(omega, dtype=float)
+    bw = kernel.beta * np.asarray(omega, dtype=float)
     small = np.abs(bw) < 1e-6
     x = np.where(small, 1.0, bw / 2.0)  # dummy 1.0 avoids a 0/0 warning
     out = np.where(small, 1.0 - bw * bw / 12.0, np.tanh(x) / x)
@@ -72,13 +67,13 @@ def f_tilde(omega, kernel) -> np.ndarray | float:
     return out
 
 
-def f_time(t, kernel) -> np.ndarray | float:
+def f_time(t, kernel: FilterKernel) -> np.ndarray | float:
     """Time-domain filter; log-singular (but integrable) at t = 0.
 
     Evaluated as (2/(beta*pi)) * log1p(2/expm1(pi|t|/beta)), which stays finite
     all the way to the overflow range of exp.
     """
-    beta = _beta_of(kernel)
+    beta = kernel.beta
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr == 0.0):
         raise ValueError("kernel singular at origin: f_time is undefined at t=0")
@@ -123,14 +118,14 @@ def _near_zero_correction(omegas: np.ndarray, beta: float, eps: float) -> np.nda
     return (2.0 / (beta * np.pi)) * bracket
 
 
-def verify_fourier_pair(kernel, omegas) -> FourierPairReport:
+def verify_fourier_pair(kernel: FilterKernel, omegas) -> FourierPairReport:
     """Compare the quadrature transform of f_time against f_tilde on a grid.
 
     Raises if the quadrature's own error estimate (step-halving comparison
     plus tail and cutoff bounds) exceeds QUAD_TOL -- a failed estimate means
     the reported errors would be meaningless, not that the pair is wrong.
     """
-    beta = _beta_of(kernel)
+    beta = kernel.beta
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
 
     n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))

@@ -1,3 +1,4 @@
+import functools
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from gibbslearn.gibbs import GibbsEnsemble
 from gibbslearn.lattice import LatticeSpec, enumerate_basis, random_chain, to_dense
 
 ACCEPTANCE_LINES: list[str] = []
@@ -77,6 +79,22 @@ def random_state(dim: int, rank: int, rng) -> np.ndarray:
     G = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = G @ G.conj().T
     return rho / np.trace(rho).real
+
+
+@pytest.fixture
+def rho_formed(monkeypatch):
+    """The ensembles whose dense rho is formed while the test runs, one entry per formation."""
+    formed = []
+    form = GibbsEnsemble.rho.func
+
+    def counted(ensemble):
+        formed.append(ensemble)
+        return form(ensemble)
+
+    rho = functools.cached_property(counted)
+    rho.__set_name__(GibbsEnsemble, "rho")
+    monkeypatch.setattr(GibbsEnsemble, "rho", rho)
+    return formed
 
 
 @pytest.fixture

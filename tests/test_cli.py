@@ -272,6 +272,24 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     assert run["timings"]["diagonalizations"] == len(calls)
 
 
+@pytest.mark.parametrize("scheme", ["grouped", "exact"])
+def test_learn_forms_one_rho_at_mu(tmp_path, monkeypatch, rho_formed, scheme):
+    # the shots and e(mu) share the state at mu; each dual evaluation forms
+    # its own point's rho for the gradient, and nothing else forms one
+    at_mu = []
+
+    def recorded(spectral, beta, original=gibbs.gibbs):
+        at_mu.append(original(spectral, beta))
+        return at_mu[-1]
+
+    monkeypatch.setattr(cli, "gibbs", recorded)
+    model = load_model(run_gen(tmp_path, n=3))
+    run = cli._learn_once(model, 1.0, 10_000, scheme, 0.05, 1, solver.SolverConfig())
+    assert len(at_mu) == 1
+    assert sum(ens is at_mu[0] for ens in rho_formed) == 1
+    assert len(rho_formed) == run["trace"].dual_evals + 1
+
+
 def test_learn_from_the_truth_still_bounds_the_error(tmp_path):
     # exact marginals and lambda0 = mu: the solver returns mu itself, so
     # u = mu_hat - mu is zero and alpha comes from the Hessian at mu_hat
@@ -623,6 +641,26 @@ def test_sweep_records_per_trial_failures(tmp_path, capsys):
     cells = (out / "cells.csv").read_text().splitlines()
     assert cells[1].split(",")[3] == "2"  # n_failed in the starved cell
     assert cells[2].split(",")[3] == "0"
+
+
+def test_sweep_timings_give_each_trial_its_learn_timings(tmp_path):
+    # the trials of the starved cell fail before their learn ends
+    cfg = sweep_config(tmp_path, values=[1, 4000])
+    out = tmp_path / "sweep_out"
+    assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 1
+    trials = json.loads((out / "sweep_timings.json").read_text())["trials"]
+    fields = {"runtime_s", "stages", "dual_evals", "hessians", "diagonalizations"}
+    assert all(set(trial) == fields for trial in trials.values())
+    for key in ("0", "1"):
+        assert trials[key]["runtime_s"] > 0
+        assert [trials[key][f] for f in sorted(fields - {"runtime_s"})] == [None] * 4
+    for key in ("2", "3"):
+        trial = trials[key]
+        stages = [s["stage"] for s in trial["stages"]]
+        assert stages == ["gibbs", "plan", "sample", "solve", "alpha", "bound"]
+        assert trial["runtime_s"] >= sum(s["wall_s"] for s in trial["stages"])
+        assert trial["dual_evals"] > 0 and trial["hessians"] >= 0
+        assert trial["diagonalizations"] == trial["dual_evals"] + 1
 
 
 def test_sweep_config_validation(tmp_path, capsys):

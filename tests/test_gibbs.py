@@ -8,7 +8,6 @@ from scipy.special import logsumexp
 
 from gibbslearn.gibbs import (
     diagonalize,
-    density_matrix,
     gibbs,
     gibbs_state,
     log_sum_exp,
@@ -68,7 +67,7 @@ def test_beta_zero_is_maximally_mixed():
     model = random_chain_model(3, seed=5)
     ens = gibbs_state(assemble_hamiltonian(model), 0.0)
     np.testing.assert_allclose(ens.weights, np.full(8, 1 / 8))
-    np.testing.assert_allclose(density_matrix(ens), np.eye(8) / 8, atol=1e-15)
+    np.testing.assert_allclose(ens.rho, np.eye(8) / 8, atol=1e-15)
 
 
 def test_gibbs_rejects_bad_beta():
@@ -136,7 +135,9 @@ def test_weights_normalized(seed, beta) -> None:
 
 def test_density_matrix_is_a_state():
     model = random_chain_model(3, seed=9)
-    rho = density_matrix(gibbs_state(assemble_hamiltonian(model), 1.3))
+    ens = gibbs_state(assemble_hamiltonian(model), 1.3)
+    rho = ens.rho
+    assert ens.rho is rho and not rho.flags.writeable  # formed once, shared read-only
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(rho).min() > -1e-14

@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -437,6 +439,26 @@ def test_sum_bounds_known_series_values():
     # shifted geometric sum_{j>=0} e^{-(1+j)}
     assert s3 == pytest.approx(1.0 / (e - 1.0), abs=1e-12)
     assert rep.passed
+
+
+def test_series_terms_find_the_first_tail_below_tolerance():
+    # the reference: scan j = 11, 12, ... as the series is summed
+    for a, b, c, p, *_ in verify_sum_bounds().rows:
+        counts = [count for count, _, _ in lab._series_terms(a, b, c, p)]
+        firsts = [
+            next(j for j in itertools.count(11) if tail(j) < lab.SERIES_TAIL_TOL)
+            for _, tail, _ in lab._series(a, b, c, p)
+        ]
+        assert counts == firsts
+
+
+def test_sum_bounds_refuses_a_point_that_needs_too_many_terms():
+    # series 2 at c = 1e-3, p = 0.5 needs about 1.6e9 terms: the tail bound
+    # tells so in a few dozen evaluations, before any of them is summed
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match=r"point \[0.001, 0, 0.001, 0.5\] needs more than"):
+        verify_sum_bounds([(1e-3, 0, 1e-3, 0.5)])
+    assert time.perf_counter() - started < 5.0
 
 
 def test_gamma_tail_bound_where_gammaincc_underflows():

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gibbslearn import gibbs, measure
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import assemble_hamiltonian, basis_stack
 from gibbslearn.measure import (
@@ -92,19 +91,13 @@ def test_exact_scheme_returns_dense_marginals():
 
 
 @pytest.mark.parametrize("scheme", ["exact", "grouped"])
-def test_sampling_builds_rho_once(monkeypatch, scheme):
-    calls = []
-
-    def counted(ensemble, original=measure.density_matrix):
-        calls.append(1)
-        return original(ensemble)
-
-    monkeypatch.setattr(measure, "density_matrix", counted)
-    monkeypatch.setattr(gibbs, "density_matrix", counted)  # what gibbs.marginals reads
+def test_sampling_builds_rho_once(rho_formed, scheme):
+    # the shots and then the exact marginals read one rho of the ensemble
     model = random_chain_model(3, seed=21)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)
     sample_outcomes(build_plan(model.basis, scheme, 10_000), ens, seed=0)
-    assert len(calls) == 1
+    marginals(basis_stack(model.basis), ens)
+    assert rho_formed == [ens]
 
 
 def test_sampling_is_seed_deterministic():

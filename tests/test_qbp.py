@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp
 from gibbslearn.cli import main
-from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginals
+from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -203,7 +203,7 @@ def test_hessian_kernel_matches_dense_oracle(model, beta, slab_rows):
     # entry (j, k) = (beta^2/2) Re Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, from dense matrices
     dense = dense_basis(model.basis)
     spectral = diagonalize(np.tensordot(model.mu, dense, axes=1))
-    rho = density_matrix(gibbs(spectral, beta))
+    rho = gibbs(spectral, beta).rho
     phi = np.array([qbp_transform(E, spectral, beta) for E in dense])
     e = np.einsum("lab,ba->l", dense, rho).real
     anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)
@@ -223,7 +223,7 @@ def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_rows)
     mu = np.random.default_rng(11).uniform(-1.0, 1.0, basis.m)
     dense = dense_basis(basis)
     spectral = diagonalize(np.tensordot(mu, dense, axes=1))
-    rho = density_matrix(gibbs(spectral, beta))
+    rho = gibbs(spectral, beta).rho
     phi = np.array([qbp_transform(E, spectral, beta) for E in dense])
     e = np.einsum("lab,ba->l", dense, rho).real
     anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)

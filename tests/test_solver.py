@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gibbslearn.gibbs import density_matrix, diagonalize, gibbs, gibbs_state, marginals
+from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn import solver
 from gibbslearn.lattice import (
     HamiltonianModel,
@@ -453,7 +453,7 @@ def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
 def dense_curvature(dense, lam, u, beta):
     """u^T H(lam) u from dense matrices: (beta^2/2) Re Tr[{W, Phi(W)} rho] - beta^2 <W>^2."""
     spectral = diagonalize(np.tensordot(lam, dense, axes=1))
-    rho = density_matrix(gibbs(spectral, beta))
+    rho = gibbs(spectral, beta).rho
     W = np.tensordot(u, dense, axes=1)
     phi = qbp_transform(W, spectral, beta)
     anti = np.trace(W @ phi @ rho) + np.trace(phi @ W @ rho)

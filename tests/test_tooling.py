@@ -13,9 +13,11 @@ Its `learn` and `sweep` sections must name every key of `result.json`, the
 columns of `trace.csv` in order and every column of `sweep.csv`, so that a
 renamed output field cannot drift from its documentation.  Its memory examples must quote
 the matrix counts that `hessian` and `learn` check, so that a changed count
-cannot leave them behind.
+cannot leave them behind.  And the package's one `eigh` stays in
+`gibbs.diagonalize`, so that a change of eigensolver has one call site.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
@@ -83,6 +85,26 @@ def test_every_describe_hook_reads_a_real_result():
     for label, (fn, args) in calls.items():
         info = tracer.DESCRIBE[label](args, fn(*args))
         assert info and all(type(value) is int for value in info.values()), label
+
+
+def _eigh_scopes(node, scope=None) -> list:
+    """The enclosing function of each `eigh` that node's tree names or imports."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = node.name
+    field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
+    found = [scope] if field and getattr(node, field) == "eigh" else []
+    for child in ast.iter_child_nodes(node):
+        found += _eigh_scopes(child, scope)
+    return found
+
+
+def test_eigh_is_called_only_in_diagonalize():
+    sites = [
+        (path.name, scope)
+        for path in sorted((ROOT / "src" / "gibbslearn").glob("*.py"))
+        for scope in _eigh_scopes(ast.parse(path.read_text()))
+    ]
+    assert sites == [("gibbs.py", "diagonalize")]
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
