@@ -773,6 +773,23 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ),
         ("local-unitary", {"beta": -1.0}, "beta (expected a finite number >= 0, got -1.0)"),
         ("fourier", {"betas": [0.0]}, "betas (expected a nonempty list of finite numbers > 0"),
+        # these ran no check and passed, or checked empty windows and passed
+        (
+            "akl",
+            {"window_fractions": [0.6, 0.7]},
+            "window_fractions (expected a nonempty list of finite numbers in [0, 0.5), got",
+        ),
+        (
+            "akl",
+            {"window_fractions": [-3.0]},
+            "window_fractions (expected a nonempty list of finite numbers in [0, 0.5), got",
+        ),
+        # this exited 2 without naming the key
+        (
+            "lower-bound",
+            {"epsilons": [-0.1]},
+            "epsilons (expected a nonempty list of finite numbers > 0, got [-0.1])",
+        ),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

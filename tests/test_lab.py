@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbslearn import gibbs, lab, qbp
 from gibbslearn.gibbs import gibbs_state
@@ -180,6 +182,21 @@ def test_each_suite_diagonalizes_each_model_once(monkeypatch, suite):
         monkeypatch.setattr(module, "diagonalize", counted)
     SUITES[suite]({}, 0)
     assert len(calls) == SUITE_DIAGONALIZATIONS[suite]
+
+
+# lab.diagonalize calls per default run: one per observable in delta-gamma,
+# however many gammas and betas read it (72 before), and one per local-unitary report
+@pytest.mark.parametrize("suite, expected", [("delta-gamma", 3), ("local-unitary", 4)])
+def test_window_suites_diagonalize_each_observable_once(monkeypatch, suite, expected):
+    calls = []
+
+    def counted(A, original=lab.diagonalize):
+        calls.append(1)
+        return original(A)
+
+    monkeypatch.setattr(lab, "diagonalize", counted)
+    SUITES[suite]({}, 0)
+    assert len(calls) == expected
 
 
 def test_strong_convexity_random_instances():
@@ -370,13 +387,57 @@ def test_local_unitary_identity_row_matches_delta_gamma():
     model = random_chain_model(2, seed=41)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)
     A = random_hermitian(4, 8)
-    rep = local_unitary_probe(A, ens, (0,), 2, trials=1, seed=0)
-    for gamma, trial, d_gamma, q_norm, _ in rep.rows:
-        if trial == 0:
-            # with U = I, ||Q sqrt(rho)||_F^2 = Tr[Q rho] = delta_gamma
-            assert q_norm == pytest.approx(d_gamma, abs=1e-10)
-            ref = delta_gamma(A, ens, gamma)
-            assert d_gamma == pytest.approx(ref.delta_gamma, abs=1e-10)
+    rep = local_unitary_probe(A, ens, (0,), 2, trials=3, seed=0)
+    identity_rows = [row for row in rep.rows if row[1] == 0]
+    assert len(identity_rows) == 22
+    for gamma, _, d_gamma, q_norm, _ in identity_rows:
+        # with U = I, ||Q sqrt(rho)||_F^2 = Tr[Q rho] = delta_gamma: the same sum of rho's weights
+        assert q_norm == d_gamma
+        assert min(d_gamma, 1.0) == delta_gamma(A, ens, gamma).delta_gamma
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 10_000),
+    st.floats(0.0, 3.0),
+    st.integers(1, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_local_unitary_norms_match_the_dense_oracle(n, seed, beta, size, probe_seed):
+    # the probe sums U rho U^+'s weights on A's eigenvectors; the oracle forms
+    # Q_gamma, sqrt(rho) and each local unitary as d x d matrices
+    rng = np.random.default_rng(seed)
+    dim = 2**n
+    A = random_hermitian(dim, seed) / dim
+    ens = gibbs_state(assemble_hamiltonian(random_chain_model(n, seed=seed)), beta)
+    X = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+    unitaries = [np.eye(dim)]
+
+    def recorded(M, sites, n_sites, original=lab.embed_on_sites):
+        unitaries.append(original(M, sites, n_sites))
+        return unitaries[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lab, "embed_on_sites", recorded)
+        rep = local_unitary_probe(A, ens, X, n, trials=4, seed=probe_seed)
+    assert len(unitaries) == 4
+
+    V = ens.spectral.vectors
+    sqrt_rho = (V * np.sqrt(ens.weights)) @ V.conj().T
+    A_c = A - np.trace(A @ sqrt_rho @ sqrt_rho).real * np.eye(dim)
+    evals, U_A = np.linalg.eigh(A_c)
+    # gamma = ||A_c|| (the grid's 21st point) puts the top eigenvalue on the
+    # window's edge, where rounding picks its side; such rows are left out
+    edge = [np.min(np.abs(np.abs(evals) - row[0])) < 1e-9 for row in rep.rows]
+    assert sum(edge) <= 2 * 4
+    for (gamma, trial, _, q_norm, aq_norm), on_edge in zip(rep.rows, edge):
+        if on_edge:
+            continue
+        outside = U_A[:, np.abs(evals) > gamma]
+        M = outside @ outside.conj().T @ unitaries[trial] @ sqrt_rho
+        assert q_norm == pytest.approx(np.linalg.norm(M) ** 2, abs=1e-12)
+        assert aq_norm == pytest.approx(np.linalg.norm(A_c @ M) ** 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ Its `learn` and `sweep` sections must name every key of `result.json`, the
 columns of `trace.csv` in order and every column of `sweep.csv`, so that a
 renamed output field cannot drift from its documentation.  Its memory examples must quote
 the matrix counts that `hessian` and `learn` check, so that a changed count
-cannot leave them behind.  And the package's one `eigh` stays in
-`gibbs.diagonalize`, so that a change of eigensolver has one call site.
+cannot leave them behind.  And each eigensolver the package calls has one
+call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
+`qbp.HessianReport.min_eigenvalue` on the m x m Hessian, so that a change of
+eigensolver has one place to go and no module diagonalizes on its own.
 """
 
 import ast
@@ -87,12 +89,16 @@ def test_every_describe_hook_reads_a_real_result():
         assert info and all(type(value) is int for value in info.values()), label
 
 
+EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
+
+
 def _eigh_scopes(node, scope=None) -> list:
-    """The enclosing function of each `eigh` that node's tree names or imports."""
+    """(enclosing function, name) of each eigensolver that node's tree names or imports."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
     field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
-    found = [scope] if field and getattr(node, field) == "eigh" else []
+    name = getattr(node, field) if field else None
+    found = [(scope, name)] if name in EIGENSOLVERS else []
     for child in ast.iter_child_nodes(node):
         found += _eigh_scopes(child, scope)
     return found
@@ -100,11 +106,20 @@ def _eigh_scopes(node, scope=None) -> list:
 
 def test_eigh_is_called_only_in_diagonalize():
     sites = [
-        (path.name, scope)
+        (path.name, *site)
         for path in sorted((ROOT / "src" / "gibbslearn").glob("*.py"))
-        for scope in _eigh_scopes(ast.parse(path.read_text()))
+        for site in _eigh_scopes(ast.parse(path.read_text()))
     ]
-    assert sites == [("gibbs.py", "diagonalize")]
+    assert sites == [("gibbs.py", "diagonalize", "eigh"), ("qbp.py", "min_eigenvalue", "eigvalsh")]
+
+
+@pytest.mark.parametrize("solver", EIGENSOLVERS)
+def test_eigh_scopes_catch_every_eigensolver(solver):
+    # each spelling a module could use: a numpy attribute, and a name imported and then called
+    tree = ast.parse(f"def f(A):\n    return np.linalg.{solver}(A)\n")
+    assert _eigh_scopes(tree) == [("f", solver)]
+    tree = ast.parse(f"from numpy.linalg import {solver}\ndef g(A):\n    return {solver}(A)\n")
+    assert _eigh_scopes(tree) == [(None, solver), ("g", solver)]
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
