@@ -136,7 +136,9 @@ def _learn_matrices(basis: OperatorBasis) -> int:
     """Dense matrices one learn holds at once: a Newton Hessian, which reads
     the solver's current eigensystem, plus, counted in bytes, the basis table
     and the solver's m x m Newton model.  Neither the eigensystem nor the rho
-    at mu lives through the solve: sampling's die once e(mu) is read.
+    at mu lives through the solve: sampling's die once e(mu) is read.  The
+    Hessian's slab budget sets most of it: 16 on the open n = 7 chain, 8 at
+    n = 10 and 7 at n = 12.
 
     Builds the table, which `basis_stack` checks on its own count first.
     """
@@ -245,6 +247,7 @@ def _learn_once(
             "stages": stages,
             "dual_evals": trace.dual_evals,
             "hessians": trace.hessians,
+            "hessian_s": trace.hessian_s,
             # the one at mu, then one per dual evaluation
             "diagonalizations": trace.dual_evals + 1,
         },
@@ -331,7 +334,7 @@ def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dic
         "N": point["N"],
         "bound_holds": False,
     }
-    timings = dict.fromkeys(("stages", "dual_evals", "hessians", "diagonalizations"))
+    timings = dict.fromkeys(("stages", "dual_evals", "hessians", "hessian_s", "diagonalizations"))
     try:
         rng = np.random.default_rng(trial_seed(seed, trial))
         basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(row["n"],)), params["kappa"])

@@ -62,6 +62,7 @@ __all__ = [
 SERIES_TAIL_TOL = 1e-12
 SERIES_MAX_TERMS = 10_000_000  # per series; the `points` check refuses points that need more
 R_MIN = 0.01  # calibrated floor on the infinite-temperature variance ratio
+WEIGHT_SUM_TOL = 1e-12  # on |Tr[U rho U^+] - 1| in `local_unitary_probe`
 
 
 @dataclass(eq=False)
@@ -349,9 +350,9 @@ def local_unitary_probe(
     commutes with A_c, so they read sum_outside w_U,i and sum_outside
     lambda_i^2 w_U,i.  Trial 0 takes U = I, so its q_norm2 is the row's
     delta_gamma, bit for bit.  The claimed suppression constants are unknown,
-    so only the constant-free tail fact is asserted: at the largest gamma with
-    delta_gamma < 1e-8, both norms fall below 1e-6 (the window then swallows
-    the whole spectrum and Q_gamma is empty).
+    so only the constant-free fact is asserted: each trial's weights sum to
+    Tr[U rho U^+] = 1 within WEIGHT_SUM_TOL, which fails when U is not
+    unitary; `min_slack` is the tolerance less the worst deviation.
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
@@ -375,12 +376,11 @@ def local_unitary_probe(
         for trial, w in enumerate(trial_weights):
             q_norm, aq_norm = float(w[outside].sum()), float(w[outside] @ evals[outside] ** 2)
             rows.append((float(gamma), trial, d_gamma, q_norm, aq_norm))
-    # the largest gamma with delta_gamma < 1e-8 is the last, whose window holds every eigenvalue
-    worst_tail = max(max(row[3:]) for row in rows[-len(trial_weights) :])
+    worst = max(abs(float(w.sum()) - 1.0) for w in trial_weights)
     return CheckReport(
         check="local-unitary",
-        passed=worst_tail < 1e-6,
-        min_slack=1e-6 - worst_tail,
+        passed=worst <= WEIGHT_SUM_TOL,
+        min_slack=WEIGHT_SUM_TOL - worst,
         header=("gamma", "trial", "delta_gamma", "q_norm2", "aq_norm2"),
         rows=rows,
         grid={"sites": list(X), "trials": trials, "norm_A": norm_A},

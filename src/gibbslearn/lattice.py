@@ -368,7 +368,7 @@ class PauliTable:
         product, split by s into the parts P_s = W[:, C_s ^ x] V[C_s], gives
         every member as sum_s signs[j, s] P_s.  The parts take at most one
         2^n x 2^n matrix: where 2^|S| parts of all W's rows would not fit
-        (n <= 7 in the Hessian's slabs), W's rows go in blocks.
+        (n <= 6 in the Hessian's slabs), W's rows go in blocks.
         """
         dim = self._cols.size
         out = np.empty((self._x.size, W.shape[0], V.shape[1]), dtype=complex)

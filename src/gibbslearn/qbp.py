@@ -218,24 +218,25 @@ class HessianReport:
         return float(np.linalg.eigvalsh(self.matrix)[0]) if self.matrix.size else 0.0
 
 
-SLAB_ROWS = 32  # energy rows per slab of the Hessian kernel
+SLAB_BUDGET = 16  # entries per slab of the Hessian kernel, in full rows of 2^n
 
 
 def hessian_matrices(m: int, n: int) -> int:
     """Dense 2^n x 2^n matrices `_hessian_core` holds at once on n sites.
 
-    Its peak is one slab, A_l[J, lo:] for every l: m * b rows of at most 2^n
-    complex entries with b = min(SLAB_ROWS, 2^n), next to three real m x m
-    Gram matrices (the running sum, the last slab's and the new one's).
-    Counted in bytes, they take ceil((16 m b 2^n + 24 m^2) / (16 * 4^n))
-    matrices.  The constant covers V, the slab's row block, the rows of V
-    that `PauliTable.sandwich` gathers for a cell and its parts (at most one
-    matrix each), the table's index arrays and numpy's buffers; diagonalising
-    H before the first slab exists takes 5 (H, eigh's copy, V and LAPACK's
-    two workspaces).
+    Its peak is one slab, A_l[J, lo:] for every l.  Each slab takes as many
+    rows as keep it within b 2^n complex entries per element, b =
+    min(SLAB_BUDGET, 2^n), so the slabs widen as the columns narrow.  Next to
+    it sit three real m x m Gram matrices (the running sum, the last slab's
+    and the new one's).  Counted in bytes, they take
+    ceil((16 m b 2^n + 24 m^2) / (16 * 4^n)) matrices.  The constant covers
+    V, the slab's row block, the rows of V that `PauliTable.sandwich`
+    gathers for a cell and its parts (at most one matrix each), the table's
+    index arrays and numpy's buffers; diagonalising H before the first slab
+    exists takes 5 (H, eigh's copy, V and LAPACK's two workspaces).
     """
     dim = 2**n
-    held = 16 * m * min(SLAB_ROWS, dim) * dim + 3 * 8 * m * m  # bytes
+    held = 16 * m * min(SLAB_BUDGET, dim) * dim + 3 * 8 * m * m  # bytes
     return 5 + -(-held // (16 * dim * dim))
 
 
@@ -253,11 +254,15 @@ def _hessian_core(
     r = gibbs(spectral, beta).weights
     gram = np.zeros((m, m))
     e = np.zeros(m)
-    # one slab of energy rows alive at a time
-    for lo in range(0, spectral.dim, SLAB_ROWS):
-        slab_gram, slab_e = _slab(table, spectral, r, beta, slice(lo, lo + SLAB_ROWS))
+    # one slab of energy rows alive at a time, of at most SLAB_BUDGET * dim
+    # entries of each A_l[J, lo:]: the rows widen as the columns narrow
+    dim, lo = spectral.dim, 0
+    while lo < dim:
+        hi = lo + max(1, SLAB_BUDGET * dim // (dim - lo))
+        slab_gram, slab_e = _slab(table, spectral, r, beta, slice(lo, hi))
         gram += slab_gram
         e += slab_e
+        lo = hi
     matrix = 0.5 * beta**2 * gram
     matrix -= beta**2 * np.outer(e, e)
     return HessianReport(beta=float(beta), matrix=matrix)

@@ -79,8 +79,9 @@ class SolverTrace:
 
     Row 0 is the start point and row k the point after Newton step k;
     `steps` holds the step length along the projection arc, 0 on row 0, and
-    `evals` counts dual evaluations so far, the initial one included, and
-    `hessians` the exact Hessians the solve built.
+    `evals` counts dual evaluations so far, the initial one included,
+    `hessians` the exact Hessians the solve built, and `hessian_s` the wall
+    seconds it spent building them.
     `pg_final` is the projected-gradient norm at the returned point, and
     `grad_final` the gradient of the dual objective there,
     beta * (e_hat - e(mu_hat)).
@@ -93,6 +94,7 @@ class SolverTrace:
     evals: list[int] = field(default_factory=list)
     dual_evals: int = 0
     hessians: int = 0
+    hessian_s: float = 0.0
     pg_final: float = 0.0
     converged: bool = False
     wall_time: float = 0.0
@@ -173,7 +175,9 @@ def solve(
         if refresh:
             B = None  # the old model goes before the kernel's peak
             trace.hessians += 1
+            built = time.perf_counter()
             B = _hessian_core(basis, x, beta, spectral).matrix
+            trace.hessian_s += time.perf_counter() - built
             spectral = None
         try:
             z = _box_qp(B, g, x, radius)

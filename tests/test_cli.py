@@ -244,10 +244,12 @@ def test_learn_timings_sidecar_reports_each_stage(tmp_path):
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0 and peaks == sorted(peaks)
     assert timings["dual_evals"] == result["dual_evals"] > 0
-    assert timings["hessians"] == result["hessians"]
+    assert timings["hessians"] == result["hessians"] > 0
     assert timings["diagonalizations"] == result["dual_evals"] + 1
+    # the solve's seconds in its Hessians, a part of the solve stage
+    assert 0 < timings["hessian_s"] <= stages[3]["wall_s"]
     # wall-clock data stays in the sidecar, which the manifest lists
-    assert "stages" not in result
+    assert "stages" not in result and "hessian_s" not in result
     manifest = json.loads((out / "learn_manifest.json").read_text())
     assert "learn_timings.json" in manifest["outputs"]
 
@@ -303,6 +305,9 @@ def test_learn_from_the_truth_still_bounds_the_error(tmp_path):
     assert result["l2_error"] == 0.0
     assert np.isfinite(result["alpha_secant"]) and result["alpha_secant"] > 0
     assert result["bound_holds"] is True
+    # the solve stops at its start point, before any Hessian
+    timings = json.loads((out / "learn_timings.json").read_text())
+    assert timings["hessians"] == 0 and timings["hessian_s"] == 0
 
 
 def test_polish_accepts_a_newton_step_within_the_rounding_of_log_z(tmp_path):
@@ -649,11 +654,11 @@ def test_sweep_timings_give_each_trial_its_learn_timings(tmp_path):
     out = tmp_path / "sweep_out"
     assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 1
     trials = json.loads((out / "sweep_timings.json").read_text())["trials"]
-    fields = {"runtime_s", "stages", "dual_evals", "hessians", "diagonalizations"}
+    fields = {"runtime_s", "stages", "dual_evals", "hessians", "hessian_s", "diagonalizations"}
     assert all(set(trial) == fields for trial in trials.values())
     for key in ("0", "1"):
         assert trials[key]["runtime_s"] > 0
-        assert [trials[key][f] for f in sorted(fields - {"runtime_s"})] == [None] * 4
+        assert [trials[key][f] for f in sorted(fields - {"runtime_s"})] == [None] * 5
     for key in ("2", "3"):
         trial = trials[key]
         stages = [s["stage"] for s in trial["stages"]]
@@ -661,6 +666,8 @@ def test_sweep_timings_give_each_trial_its_learn_timings(tmp_path):
         assert trial["runtime_s"] >= sum(s["wall_s"] for s in trial["stages"])
         assert trial["dual_evals"] > 0 and trial["hessians"] >= 0
         assert trial["diagonalizations"] == trial["dual_evals"] + 1
+        assert (trial["hessian_s"] > 0) is (trial["hessians"] > 0)
+        assert trial["hessian_s"] <= trial["stages"][3]["wall_s"]  # the solve's
 
 
 def test_sweep_config_validation(tmp_path, capsys):

@@ -383,6 +383,21 @@ def test_local_unitary_probe_tail():
         local_unitary_probe(A, ens, (0, 1, 2), 3, trials=2, seed=0)
 
 
+def test_local_unitary_probe_fails_a_non_unitary_u(monkeypatch):
+    # U scaled by 1.1 carries Tr[U rho U^+] = 1.21, which the weight sums show
+    model = random_chain_model(3, seed=33)
+    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    A = embed_on_sites(pauli_matrix("Z"), (0,), 3)
+
+    def scaled(M, sites, n, original=lab.embed_on_sites):
+        return 1.1 * original(M, sites, n)
+
+    monkeypatch.setattr(lab, "embed_on_sites", scaled)
+    rep = local_unitary_probe(A, ens, (1,), 3, trials=4, seed=2)
+    assert not rep.passed
+    assert rep.min_slack == pytest.approx(lab.WEIGHT_SUM_TOL - 0.21, abs=1e-12)
+
+
 def test_local_unitary_identity_row_matches_delta_gamma():
     model = random_chain_model(2, seed=41)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)

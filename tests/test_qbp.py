@@ -198,8 +198,9 @@ def hessian_models(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(hessian_models(), st.floats(0.1, 3.0), st.sampled_from([1, 2, 3, 4, 32]))
-def test_hessian_kernel_matches_dense_oracle(model, beta, slab_rows):
-    # slabs of 1-4 rows split the n <= 4 spectra into several slabs, some ragged
+def test_hessian_kernel_matches_dense_oracle(model, beta, slab_budget):
+    # budgets of 1-4 full rows split the n <= 4 spectra into several slabs of
+    # growing height, some ragged
     # entry (j, k) = (beta^2/2) Re Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, from dense matrices
     dense = dense_basis(model.basis)
     spectral = diagonalize(np.tensordot(model.mu, dense, axes=1))
@@ -209,16 +210,16 @@ def test_hessian_kernel_matches_dense_oracle(model, beta, slab_rows):
     anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
-    with mock.patch.object(qbp, "SLAB_ROWS", slab_rows):
+    with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
         report = _hessian_core(model.basis, model.mu, beta)
     np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
     assert np.array_equal(report.matrix, report.matrix.T)
     assert abs(report.min_eigenvalue - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
-@pytest.mark.parametrize("slab_rows", [1, 3, 32])
+@pytest.mark.parametrize("slab_budget", [1, 3, 32])
 @pytest.mark.parametrize("basis", SPLIT_CELL_BASES.values(), ids=SPLIT_CELL_BASES.keys())
-def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_rows):
+def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_budget):
     beta = 1.3
     mu = np.random.default_rng(11).uniform(-1.0, 1.0, basis.m)
     dense = dense_basis(basis)
@@ -229,7 +230,7 @@ def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_rows)
     anti = np.einsum("jab,kba->jk", dense, phi @ rho) + np.einsum("kab,jba->jk", phi, dense @ rho)
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
-    with mock.patch.object(qbp, "SLAB_ROWS", slab_rows):
+    with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
         report = _hessian_core(basis, mu, beta)
     np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
 
@@ -249,6 +250,27 @@ def test_hessian_kernel_peak_memory_within_its_count():
         tracemalloc.stop()
     assert peak <= hessian_matrices(model.basis.m, 7) * matrix_bytes
     assert peak < model.basis.m * matrix_bytes
+
+
+@pytest.mark.parametrize(
+    "lattice", [LatticeSpec(1, (7,)), LatticeSpec(2, (2, 3))], ids=["chain7", "grid2x3"]
+)
+def test_hessian_slabs_tile_the_rows_within_the_entry_budget(lattice):
+    basis = enumerate_basis(lattice, 2)
+    mu = np.random.default_rng(5).uniform(-1.0, 1.0, basis.m)
+    dim = 2**lattice.n_sites
+    shapes = []
+
+    def spied(table, spectral, r, beta, J, original=qbp._slab):
+        shapes.append((J.start, min(J.stop, dim)))
+        return original(table, spectral, r, beta, J)
+
+    with mock.patch.object(qbp, "_slab", spied):
+        _hessian_core(basis, mu, 1.0)
+    starts, stops = zip(*shapes)
+    assert starts == (0, *stops[:-1]) and stops[-1] == dim
+    # rows x columns of each A_l[J, lo:], against a flat budget of full rows
+    assert all(0 < (hi - lo) * (dim - lo) <= qbp.SLAB_BUDGET * dim for lo, hi in shapes)
 
 
 def test_hessian_reuses_a_given_eigensystem():
@@ -277,9 +299,9 @@ def test_hessian_budget_refuses_before_allocating():
 
 
 def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
-    # 4 MiB of memory: one n = 7 matrix (256 KiB) fits, the Hessian's 24 do not
-    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 1024}
+    # one n = 7 matrix (256 KiB, 64 pages) fits, the Hessian's count does not
     model = random_chain_model(7, seed=1)
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64 * (hessian_matrices(model.basis.m, 7) - 1)}
     save_model(model, tmp_path / "model.json")
     cfg = tmp_path / "hessian.json"
     cfg.write_text(json.dumps({"model": str(tmp_path / "model.json"), "beta": 1.0}))
@@ -300,9 +322,9 @@ def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch)
 
 
 def test_hessian_budget_admits_a_12_site_chain():
-    # 7 matrices of 268 MB: 1.9 GB, where the m-stack needed 37.6 GB
+    # 6 matrices of 268 MB: 1.6 GB, where the m-stack needed 37.6 GB
     basis = chain_basis(12)
-    assert hessian_matrices(basis.m, 12) == 7
+    assert hessian_matrices(basis.m, 12) == 6
     check_dense_budget(hessian_matrices(basis.m, 12), 12)
 
 
