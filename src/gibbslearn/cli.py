@@ -132,30 +132,6 @@ SWEEP_KEYS = {
 DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessian, marginals
 
 
-def _learn_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices one learn holds at once: a Newton Hessian, which reads
-    the solver's current eigensystem, plus, counted in bytes, the basis table
-    and the solver's m x m Newton model.  Neither the eigensystem nor the rho
-    at mu lives through the solve: sampling's die once e(mu) is read.  The
-    Hessian's slab budget sets most of it: 16 on the open n = 7 chain, 8 at
-    n = 10 and 7 at n = 12.
-
-    Builds the table, which `basis_stack` checks on its own count first.
-    """
-    m, n = basis.m, basis.lattice.n_sites
-    held = basis_stack(basis).nbytes + 8 * m * m
-    return hessian_matrices(m, n) + -(-held // (16 * 4**n))
-
-
-def _marginals_matrices(basis: OperatorBasis) -> int:
-    """Dense matrices `marginals` holds at once: 5, for H, eigh's copy of it,
-    V and LAPACK's complex and real workspaces (zheevd's N^2 and 2N^2) while
-    diagonalizing, then 4 for V, V * w, V^dag and rho while forming rho, plus
-    the basis table that both stages keep."""
-    n = basis.lattice.n_sites
-    return 5 + -(-basis.m // 2**n)
-
-
 def _instance_model(
     where: str, mu, basis: OperatorBasis, rng: np.random.Generator
 ) -> HamiltonianModel:
@@ -277,7 +253,7 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
     params = check_config("learn config", config, LEARN_KEYS)
     cfg = SolverConfig(**params["solver"])
     model = _read_model(params["model"])
-    check_dense_budget(_learn_matrices(model.basis), model.n_sites)
+    check_dense_budget(hessian_matrices(model.basis), model.n_sites)  # a learn peaks in a Hessian
     beta, delta_fail = float(params["beta"]), float(params["delta_fail"])
     record = _learn_once(model, beta, params["N"], params["scheme"], delta_fail, seed, cfg)
 
@@ -408,8 +384,8 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), params["kappa"])
         except ValueError:
             continue  # the trials of this size fail and are recorded as such
-        # every worker runs one learn at a time
-        check_dense_budget(_learn_matrices(basis) * workers, basis.lattice.n_sites)
+        # every worker runs one learn at a time, whose peak is a Hessian
+        check_dense_budget(hessian_matrices(basis) * workers, basis.lattice.n_sites)
         # the rules every trial applies, once before any runs
         _instance_model("sweep config", params["mu"], basis, np.random.default_rng(seed))
         cfg.start_point(basis.m)
@@ -561,7 +537,6 @@ def cmd_hessian(config: dict, seed: int, out: str) -> int:
 
 def cmd_marginals(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "marginals")
-    check_dense_budget(_marginals_matrices(model.basis), model.n_sites)
     ensemble = gibbs(spectrum(model), beta)
     values = marginals(basis_stack(model.basis), ensemble)
     write_csv(

@@ -16,9 +16,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import HamiltonianModel, PauliTable, assemble_hamiltonian
+from .lattice import HamiltonianModel, PauliTable, basis_stack, check_dense_budget
 
 __all__ = [
+    "DIAGONALIZE_MATRICES",
     "SpectralDecomposition",
     "GibbsEnsemble",
     "diagonalize",
@@ -75,6 +76,11 @@ class GibbsEnsemble:
         return rho
 
 
+# Dense 2^n x 2^n matrices alive while `diagonalize` runs: H, eigh's copy of
+# it, V, and LAPACK's complex and real workspaces (zheevd's N^2 and 2N^2).
+DIAGONALIZE_MATRICES = 5
+
+
 def diagonalize(H: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, the package's one `eigh`.
 
@@ -97,12 +103,15 @@ def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
     for the same model in a row share one (read-only) diagonalization.  The
     cache keeps one entry, keyed weakly, so an eigensystem is dropped when
     its model dies or before the next model is diagonalized, whichever comes
-    first.
+    first.  It checks the memory budget before it assembles H: the table
+    and DIAGONALIZE_MATRICES, which also cover rho's 4 (`GibbsEnsemble.rho`).
     """
     cached = _SPECTRA.get(model)
     if cached is None:
         _SPECTRA.clear()
-        cached = _SPECTRA[model] = diagonalize(assemble_hamiltonian(model))
+        table = basis_stack(model.basis)
+        check_dense_budget(DIAGONALIZE_MATRICES + table.matrices, model.n_sites)
+        cached = _SPECTRA[model] = diagonalize(table.combine(model.mu))
     return cached
 
 

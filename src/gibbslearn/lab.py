@@ -880,7 +880,6 @@ def _series_point(v) -> bool:
 
 # The kinds of value a suite key takes, as (predicate, hint).
 GRID = (nonempty_list_of(_finite), "a nonempty list of finite numbers")
-COUNT = (POSITIVE_INT[0], "an int >= 1")
 SIZES = (nonempty_list_of(POSITIVE_INT[0]), "a nonempty list of ints >= 1")
 BETA = (lambda v: _finite(v) and v >= 0, "a finite number >= 0")
 BETAS = (nonempty_list_of(BETA[0]), "a nonempty list of finite numbers >= 0")
@@ -919,14 +918,16 @@ class Suite:
 
 SUITES = {
     "strong-convexity": Suite(
-        _suite_strong_convexity, {"betas": (BETAS, [0.2, 1.0, 3.0]), "trials": (COUNT, 10)}
+        _suite_strong_convexity, {"betas": (BETAS, [0.2, 1.0, 3.0]), "trials": (POSITIVE_INT, 10)}
     ),
     "infinite-temp": Suite(
-        _suite_infinite_temp, {"betas": (BETAS, [0.5, 1.0, 2.0]), "directions": (COUNT, 3)}
+        _suite_infinite_temp, {"betas": (BETAS, [0.5, 1.0, 2.0]), "directions": (POSITIVE_INT, 3)}
     ),
     "akl": Suite(_suite_akl, {"window_fractions": (FRACTIONS, [0.15, 0.25, 0.35])}),
     "delta-gamma": Suite(_suite_delta_gamma, {"betas": (BETAS, [0.5, 2.0])}),
-    "local-unitary": Suite(_suite_local_unitary, {"trials": (COUNT, 6), "beta": (BETA, 1.0)}),
+    "local-unitary": Suite(
+        _suite_local_unitary, {"trials": (POSITIVE_INT, 6), "beta": (BETA, 1.0)}
+    ),
     "lr-decay": Suite(_suite_lr_decay, {"times": (GRID, [0.25, 0.75])}),
     # None: verify_sum_bounds' own 27-point grid
     "sum-bounds": Suite(_suite_sum_bounds, {"points": (POINTS, None)}),

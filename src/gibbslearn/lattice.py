@@ -303,6 +303,8 @@ class PauliTable:
         arrays = [self._x, self._z, self._cols, self._phases, self._rows, self._select]
         arrays += {id(a): a for cell in self._cells for a in cell[1:] if a is not None}.values()
         self.nbytes = sum(a.nbytes for a in arrays)
+        # the one rounding rule for the table: its bytes in whole dense 2^n x 2^n matrices
+        self.matrices = -(-self.nbytes // (16 * 4**n))
 
     def _pack_cells(self, owner: np.ndarray) -> list[tuple]:
         """Group the elements into the cells that `sandwich` forms with one product each.
@@ -444,7 +446,9 @@ class PauliTable:
 def basis_stack(basis: OperatorBasis) -> PauliTable:
     """The basis as its PauliTable, the package's one operator form.
 
-    Cached: built at most once per basis, then asked by every hot loop.
+    Cached: built at most once per basis, then asked by every hot loop.  Its
+    check is an estimate made before the build; the stages that hold the
+    built table count its own `matrices` (`gibbs.spectrum`, `qbp.hessian_matrices`).
     """
     n = basis.lattice.n_sites
     # the m rows of 2^n phases, plus the dense matrix every table operation reads or writes

@@ -22,8 +22,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .gibbs import SpectralDecomposition, diagonalize, gibbs, marginals, spectrum
-from .lattice import HamiltonianModel, basis_stack, check_dense_budget
+from .gibbs import (
+    DIAGONALIZE_MATRICES,
+    SpectralDecomposition,
+    diagonalize,
+    gibbs,
+    marginals,
+    spectrum,
+)
+from .lattice import HamiltonianModel, OperatorBasis, basis_stack, check_dense_budget
 
 __all__ = [
     "FilterKernel",
@@ -221,23 +228,24 @@ class HessianReport:
 SLAB_BUDGET = 16  # entries per slab of the Hessian kernel, in full rows of 2^n
 
 
-def hessian_matrices(m: int, n: int) -> int:
-    """Dense 2^n x 2^n matrices `_hessian_core` holds at once on n sites.
+def hessian_matrices(basis: OperatorBasis) -> int:
+    """Dense 2^n x 2^n matrices `_hessian_core` holds at once on a basis.
 
     Its peak is one slab, A_l[J, lo:] for every l.  Each slab takes as many
     rows as keep it within b 2^n complex entries per element, b =
     min(SLAB_BUDGET, 2^n), so the slabs widen as the columns narrow.  Next to
     it sit three real m x m Gram matrices (the running sum, the last slab's
     and the new one's).  Counted in bytes, they take
-    ceil((16 m b 2^n + 24 m^2) / (16 * 4^n)) matrices.  The constant covers
+    ceil((16 m b 2^n + 24 m^2) / (16 * 4^n)) matrices.  To these come
+    DIAGONALIZE_MATRICES, for the `eigh` of H before the first slab exists,
+    and the basis table's own `matrices`.  DIAGONALIZE_MATRICES also covers
     V, the slab's row block, the rows of V that `PauliTable.sandwich`
-    gathers for a cell and its parts (at most one matrix each), the table's
-    index arrays and numpy's buffers; diagonalising H before the first slab
-    exists takes 5 (H, eigh's copy, V and LAPACK's two workspaces).
+    gathers for a cell and its parts (at most one matrix each), and numpy's
+    buffers.  Builds the table, which `basis_stack` checks first.
     """
-    dim = 2**n
+    m, dim = basis.m, 2**basis.lattice.n_sites
     held = 16 * m * min(SLAB_BUDGET, dim) * dim + 3 * 8 * m * m  # bytes
-    return 5 + -(-held // (16 * dim * dim))
+    return DIAGONALIZE_MATRICES + -(-held // (16 * dim * dim)) + basis_stack(basis).matrices
 
 
 def _hessian_core(
@@ -246,9 +254,8 @@ def _hessian_core(
     """Hessian of log Z at lam; `spectral`, when given, is the eigensystem of H(lam)."""
     lam = np.asarray(lam, dtype=float)
     m = basis.m
-    n = basis.lattice.n_sites
-    check_dense_budget(hessian_matrices(m, n), n)
     table = basis_stack(basis)
+    check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)
     if spectral is None:
         spectral = diagonalize(table.combine(lam))
     r = gibbs(spectral, beta).weights

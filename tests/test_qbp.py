@@ -238,9 +238,10 @@ def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_budge
 def test_hessian_kernel_peak_memory_within_its_count():
     # from n = 7 on, dense matrices outweigh numpy's fixed ufunc buffers;
     # one slab of energy rows is alive at a time, never the m-stack
+    # and the table the count holds is built inside the traced call
     model = random_chain_model(7, seed=3)
-    basis_stack(model.basis)  # the cached table is not the kernel's
     _hessian_core(model.basis, model.mu, 1.3)
+    basis_stack.cache_clear()
     matrix_bytes = 4**7 * 16
     tracemalloc.start()
     try:
@@ -248,7 +249,7 @@ def test_hessian_kernel_peak_memory_within_its_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= hessian_matrices(model.basis.m, 7) * matrix_bytes
+    assert peak <= hessian_matrices(model.basis) * matrix_bytes
     assert peak < model.basis.m * matrix_bytes
 
 
@@ -293,18 +294,15 @@ def test_hessian_symmetric_and_positive():
 
 
 def test_hessian_budget_refuses_before_allocating():
-    # open n=20 chain: 6 matrices of 17.6 TB each
+    # open n=20 chain: its basis table alone needs 2 matrices of 17.6 TB each
     model = random_chain_model(20, seed=1)
     raises_before_allocating(lambda: hessian_logZ(model, 1.0))
 
 
-def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
-    # one n = 7 matrix (256 KiB, 64 pages) fits, the Hessian's count does not
-    model = random_chain_model(7, seed=1)
-    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64 * (hessian_matrices(model.basis.m, 7) - 1)}
-    save_model(model, tmp_path / "model.json")
-    cfg = tmp_path / "hessian.json"
-    cfg.write_text(json.dumps({"model": str(tmp_path / "model.json"), "beta": 1.0}))
+def _budget_of(monkeypatch, matrices: int) -> list:
+    """Patch physical memory to `matrices` dense n = 7 matrices (256 KiB, 64
+    pages each); returns the list that gets one entry per `diagonalize` call."""
+    sizes = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 64 * matrices}
     calls = []
 
     def counted(H, original=gibbs_module.diagonalize):
@@ -314,18 +312,50 @@ def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch)
     for module in (gibbs_module, qbp):
         monkeypatch.setattr(module, "diagonalize", counted)
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
+    return calls
+
+
+def _model_config(tmp_path, model) -> str:
+    save_model(model, tmp_path / "model.json")
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"model": str(tmp_path / "model.json"), "beta": 1.0}))
+    return str(cfg)
+
+
+def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
+    # one n = 7 matrix fits, the Hessian's 16 do not; the 15 it counted
+    # before it held the basis table let the kernel run
+    model = random_chain_model(7, seed=1)
+    assert hessian_matrices(model.basis) == 16
+    cfg = _model_config(tmp_path, model)
+    calls = _budget_of(monkeypatch, 15)
     check_dense_budget(1, 7)
     with pytest.raises(ValueError, match="memory budget exceeded"):
         hessian_logZ(model, 1.0)
-    assert main(["hessian", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert main(["hessian", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert calls == []
+
+
+def test_spectrum_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
+    # 5 n = 7 matrices hold the basis table's own estimate (2) and eigh's
+    # matrices, but not both beside the built table
+    model = random_chain_model(7, seed=2)
+    cfg = _model_config(tmp_path, model)
+    calls = _budget_of(monkeypatch, gibbs_module.DIAGONALIZE_MATRICES)
+    basis_stack.cache_clear()
+    assert basis_stack(model.basis).matrices == 1
+    for call in (gibbs_module.spectrum, lambda model: grad_logZ(model, 1.0)):
+        with pytest.raises(ValueError, match="memory budget exceeded"):
+            call(model)
+    assert main(["marginals", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert calls == []
 
 
 def test_hessian_budget_admits_a_12_site_chain():
-    # 6 matrices of 268 MB: 1.6 GB, where the m-stack needed 37.6 GB
+    # 7 matrices of 268 MB: 1.9 GB, where the m-stack needed 37.6 GB
     basis = chain_basis(12)
-    assert hessian_matrices(basis.m, 12) == 6
-    check_dense_budget(hessian_matrices(basis.m, 12), 12)
+    assert hessian_matrices(basis) == 7
+    check_dense_budget(hessian_matrices(basis), 12)
 
 
 def test_quasilocal_direction_shape_check():

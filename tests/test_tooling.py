@@ -16,7 +16,10 @@ the matrix counts that `hessian` and `learn` check, so that a changed count
 cannot leave them behind.  And each eigensolver the package calls has one
 call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
 `qbp.HessianReport.min_eigenvalue` on the m x m Hessian, so that a change of
-eigensolver has one place to go and no module diagonalizes on its own.
+eigensolver has one place to go and no module diagonalizes on its own.  The
+memory budget is checked only by the stages that allocate dense matrices and
+by the two commands that check a learn's peak, so that a count is written
+once, where it is allocated.
 """
 
 import ast
@@ -38,7 +41,6 @@ from gibbslearn.cli import (
     SWEEP_HEADER,
     SWEEP_KEYS,
     TRACE_HEADER,
-    _learn_matrices,
     main,
 )
 from gibbslearn.lab import SUITES
@@ -92,24 +94,29 @@ def test_every_describe_hook_reads_a_real_result():
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
 
 
-def _eigh_scopes(node, scope=None) -> list:
-    """(enclosing function, name) of each eigensolver that node's tree names or imports."""
+def _scopes(node, names=EIGENSOLVERS, scope=None) -> list:
+    """(enclosing function, name) of each of `names` that node's tree names or imports."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = node.name
     field = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name"}.get(type(node))
     name = getattr(node, field) if field else None
-    found = [(scope, name)] if name in EIGENSOLVERS else []
+    found = [(scope, name)] if name in names else []
     for child in ast.iter_child_nodes(node):
-        found += _eigh_scopes(child, scope)
+        found += _scopes(child, names, scope)
     return found
 
 
-def test_eigh_is_called_only_in_diagonalize():
-    sites = [
+def _package_scopes(names=EIGENSOLVERS) -> list:
+    """(module file, enclosing function, name) of each of `names` in the package's source."""
+    return [
         (path.name, *site)
         for path in sorted((ROOT / "src" / "gibbslearn").glob("*.py"))
-        for site in _eigh_scopes(ast.parse(path.read_text()))
+        for site in _scopes(ast.parse(path.read_text()), names)
     ]
+
+
+def test_eigh_is_called_only_in_diagonalize():
+    sites = _package_scopes()
     assert sites == [("gibbs.py", "diagonalize", "eigh"), ("qbp.py", "min_eigenvalue", "eigvalsh")]
 
 
@@ -117,9 +124,22 @@ def test_eigh_is_called_only_in_diagonalize():
 def test_eigh_scopes_catch_every_eigensolver(solver):
     # each spelling a module could use: a numpy attribute, and a name imported and then called
     tree = ast.parse(f"def f(A):\n    return np.linalg.{solver}(A)\n")
-    assert _eigh_scopes(tree) == [("f", solver)]
+    assert _scopes(tree) == [("f", solver)]
     tree = ast.parse(f"from numpy.linalg import {solver}\ndef g(A):\n    return {solver}(A)\n")
-    assert _eigh_scopes(tree) == [(None, solver), ("g", solver)]
+    assert _scopes(tree) == [(None, solver), ("g", solver)]
+
+
+def test_dense_budget_is_checked_only_where_dense_matrices_are_allocated():
+    # each count is read by the stage that allocates; scope None is an import
+    sites = [site[:2] for site in _package_scopes({"check_dense_budget"}) if site[1]]
+    assert sites == [
+        ("cli.py", "cmd_learn"),
+        ("cli.py", "cmd_sweep"),
+        ("gibbs.py", "spectrum"),
+        ("lattice.py", "to_dense"),
+        ("lattice.py", "basis_stack"),
+        ("qbp.py", "_hessian_core"),
+    ]
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
@@ -206,9 +226,9 @@ def test_readme_memory_examples_quote_the_counts():
     text = " ".join((ROOT / "README.md").read_text().split())
     hessians = re.findall(r"(\d+) matrices at n = (\d+), (\d+) at n = (\d+) and n = (\d+)", text)
     assert len(hessians) == 1
-    nine, ten, seven, eleven, twelve = map(int, hessians[0])
-    quoted = [(nine, ten), (seven, eleven), (seven, twelve)]
-    assert quoted == [(hessian_matrices(chain_basis(n).m, n), n) for n in (10, 11, 12)]
+    first, ten, second, eleven, twelve = map(int, hessians[0])
+    quoted = [(first, ten), (second, eleven), (second, twelve)]
+    assert quoted == [(hessian_matrices(chain_basis(n)), n) for n in (10, 11, 12)]
 
     refusal = re.findall(
         r"`learn` on an open n = (\d+) chain stops with error: memory budget exceeded: "
@@ -217,4 +237,4 @@ def test_readme_memory_examples_quote_the_counts():
     )
     assert len(refusal) == 1
     n, count, exponent = map(int, refusal[0])
-    assert (count, exponent) == (_learn_matrices(chain_basis(n)), n)
+    assert (count, exponent) == (hessian_matrices(chain_basis(n)), n)
