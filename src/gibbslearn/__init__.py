@@ -12,10 +12,12 @@ else lives in its module, organised bottom-up:
   filtered transform, and exact log-partition derivatives.
 - :mod:`gibbslearn.measure`: measurement planning, outcome sampling, and
   Hoeffding confidence radii.
-- :mod:`gibbslearn.solver`: the max-entropy dual solver and its error bound.
+- :mod:`gibbslearn.solver`: the max-entropy dual solver, its error bound, and
+  `learn`, the whole measure-then-fit pipeline on a model.
 - :mod:`gibbslearn.lab`: structural checks (convexity floors, locality decay,
   partition-function bounds) and `SUITES`, the check suites of ``gibbslearn lab``.
-- :mod:`gibbslearn.cli`: the ``gibbslearn`` command line entry point.
+- :mod:`gibbslearn.cli`: the ``gibbslearn`` command line entry point, which
+  only wires configs to these calls and their results to files.
 """
 
 __version__ = "0.1.0"  # set before the imports: reporting reads it

@@ -1,9 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: wiring from configs to library calls and output files.
 
-Subcommands: `gen` writes model instances, `learn` runs the measure-then-fit
-pipeline end-to-end, `sweep` scans N, beta, or system size with per-trial
-seeds, `lab` dispatches the structural check suites, `hessian` and
-`marginals` dump exact quantities for a stored model.
+Subcommands: `gen` writes model instances, `learn` writes the outputs of one
+`solver.learn`, the measure-then-fit pipeline, `sweep` runs it over N, beta,
+or system size with per-trial seeds, `lab` dispatches the structural check
+suites, `hessian` and `marginals` dump exact quantities for a stored model.
 
 Every run records a manifest JSON (config snapshot, master seed, tool
 version, per-trial seeds, output names).  Feeding a manifest back through
@@ -21,7 +21,6 @@ import argparse
 import functools
 import math
 import os
-import resource
 import sys
 import time
 from contextlib import contextmanager
@@ -29,20 +28,19 @@ from contextlib import contextmanager
 import numpy as np
 
 from . import __version__
-from .gibbs import diagonalize, gibbs, marginals, spectrum
+from .gibbs import gibbs, marginals, spectrum
 from .lattice import (
     LATTICE_KEYS,
     HamiltonianModel,
     LatticeSpec,
     OperatorBasis,
-    assemble_hamiltonian,
     basis_stack,
     check_dense_budget,
     enumerate_basis,
     load_model,
     save_model,
 )
-from .measure import DEFAULT_DELTA_FAIL, SCHEMES, build_plan, sample_outcomes
+from .measure import DEFAULT_DELTA_FAIL, SCHEMES
 from .qbp import hessian_logZ, hessian_matrices
 from .reporting import (
     ANY,
@@ -61,7 +59,7 @@ from .reporting import (
     write_json,
     write_manifest,
 )
-from .solver import SOLVER_KEYS, SolverConfig, alpha_secant, error_bound, solve
+from .solver import SOLVER_KEYS, SolverConfig, learn
 
 
 class CLIError(Exception):
@@ -163,106 +161,20 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
 # learn
 
 
-def _lap(stages: list, name: str, started: float) -> float:
-    """Append stage `name`, begun at `started`, with its wall seconds and the
-    process's peak RSS so far (Linux counts ru_maxrss in KiB); returns now."""
-    now = time.perf_counter()
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    stages.append({"stage": name, "wall_s": now - started, "peak_rss_mb": peak})
-    return now
-
-
-def _learn_once(
-    model: HamiltonianModel,
-    beta: float,
-    n_copies: int,
-    scheme: str,
-    delta_fail: float,
-    seed: int,
-    cfg: SolverConfig,
-) -> dict:
-    """Measure, fit, and compare against the stored truth.
-
-    Returns the `result.json` record, plus the `estimates`, the solver
-    `trace` and the `timings` that `learn` writes beside it.
-    """
-    basis = model.basis
-    stages = []
-    t = time.perf_counter()
-    # diagonalized here, not through the `spectrum` cache, so that the
-    # eigensystem and rho at mu die with the ensemble once e(mu) is read
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
-    t = _lap(stages, "gibbs", t)
-    plan = build_plan(basis, scheme, n_copies)
-    t = _lap(stages, "plan", t)
-    estimates = sample_outcomes(plan, ensemble, seed=seed, delta_fail=delta_fail)
-    e_mu = marginals(basis_stack(basis), ensemble)
-    del ensemble
-    t = _lap(stages, "sample", t)
-    mu_hat, trace = solve(estimates.e_hat, beta, basis, cfg)
-    t = _lap(stages, "solve", t)
-
-    # the dual gradient at mu, beta * (e_hat - e(mu)); the solver's last
-    # gradient is the one at mu_hat
-    grad_mu = beta * (estimates.e_hat - e_mu)
-    alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
-    t = _lap(stages, "alpha", t)
-
-    m = basis.m
-    l2_error = float(np.linalg.norm(mu_hat - model.mu))
-    delta_max = float(np.max(estimates.delta)) if m else 0.0
-    # fold the solver residual into an effective marginal error so the bound
-    # stays meaningful when measurement noise is zero (exact scheme)
-    effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
-    bound = error_bound(effective_delta, alpha, beta, m) if alpha > 0 else math.inf
-    _lap(stages, "bound", t)
-    return {
-        "estimates": estimates,
-        "trace": trace,
-        "timings": {
-            "stages": stages,
-            "dual_evals": trace.dual_evals,
-            "hessians": trace.hessians,
-            "hessian_s": trace.hessian_s,
-            # the one at mu, then one per dual evaluation
-            "diagonalizations": trace.dual_evals + 1,
-        },
-        "mu_hat": mu_hat,
-        "l2_error": l2_error,
-        "delta_max": delta_max,
-        "iterations": len(trace.iterations),
-        "converged": bool(trace.converged),
-        "alpha_secant": alpha,
-        "bound_value": bound,
-        "bound_holds": bool(l2_error <= bound),
-        "pg_final": trace.pg_final,
-        "wall_time_s": trace.wall_time,
-        "dual_evals": trace.dual_evals,
-        "hessians": trace.hessians,
-        "m": m,
-        "n": basis.lattice.n_sites,
-    }
-
-
-TRACE_HEADER = ("iteration", "objective", "grad_norm", "step", "evals")
-
-
 def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
     if scheme_flag:  # recorded, so that replay is faithful
         config = {**config, "scheme": scheme_flag}
     params = check_config("learn config", config, LEARN_KEYS)
     cfg = SolverConfig(**params["solver"])
     model = _read_model(params["model"])
-    check_dense_budget(hessian_matrices(model.basis), model.n_sites)  # a learn peaks in a Hessian
     beta, delta_fail = float(params["beta"]), float(params["delta_fail"])
-    record = _learn_once(model, beta, params["N"], params["scheme"], delta_fail, seed, cfg)
+    record = learn(model, beta, params["N"], params["scheme"], delta_fail, seed, cfg)
 
     estimates = record.pop("estimates")
-    write_csv(
-        os.path.join(out, "estimates.csv"), ("l", "e_hat", "delta", "shots"), estimates.csv_rows()
-    )
+    write_csv(os.path.join(out, "estimates.csv"), estimates.CSV_HEADER, estimates.csv_rows())
     write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
-    write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, record.pop("trace").csv_rows())
+    trace = record.pop("trace")
+    write_csv(os.path.join(out, "trace.csv"), trace.CSV_HEADER, trace.csv_rows())
     write_json(os.path.join(out, "learn_timings.json"), record.pop("timings"))
     write_json(os.path.join(out, "result.json"), record)
     outputs = ["estimates.csv", "estimates.json", "trace.csv", "learn_timings.json", "result.json"]
@@ -317,7 +229,7 @@ def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dic
         model = _instance_model("sweep config", params["mu"], basis, rng)
         measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
         scheme, delta_fail = params["scheme"], float(params["delta_fail"])
-        record = _learn_once(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
+        record = learn(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
         row.update({field: record[field] for field in SWEEP_HEADER if field in record})
         row["delta_observed"] = record["delta_max"]
         timings = record["timings"]

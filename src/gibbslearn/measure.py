@@ -118,6 +118,8 @@ class MarginalEstimates:
     scheme: str = "exact"
     delta_fail: float = DEFAULT_DELTA_FAIL
 
+    CSV_HEADER = ("l", "e_hat", "delta", "shots")  # of `csv_rows`
+
     def __post_init__(self) -> None:
         for arr in (self.e_hat, self.delta, self.shots):
             arr.flags.writeable = False

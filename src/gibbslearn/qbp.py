@@ -27,7 +27,6 @@ from .gibbs import (
     SpectralDecomposition,
     diagonalize,
     gibbs,
-    marginals,
     spectrum,
 )
 from .lattice import HamiltonianModel, OperatorBasis, basis_stack, check_dense_budget
@@ -42,7 +41,6 @@ __all__ = [
     "hessian_matrices",
     "verify_fourier_pair",
     "qbp_transform",
-    "grad_logZ",
     "hessian_logZ",
     "quasilocal_W",
 ]
@@ -204,12 +202,6 @@ def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -
     A = V.conj().T @ O @ V
     out = V @ (A * gap_filter(spectral, beta)) @ V.conj().T
     return 0.5 * (out + out.conj().T)
-
-
-def grad_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
-    """Gradient of log Z in the coefficients: component l is -beta * Tr[E_l rho]."""
-    ensemble = gibbs(spectrum(model), beta)
-    return -beta * marginals(basis_stack(model.basis), ensemble)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,26 +8,37 @@ boxed minimizer is unique up to degeneracy of the marginal map, and with
 exact marginals it sits at the true coefficient vector.  `solve` runs Newton
 steps on a kept quadratic model; every dual evaluation is one
 diagonalization, and on open n = 7 chains at beta = 1 a solve takes 10-11
-and builds 4-5 Hessians, each worth several diagonalizations.
+and builds 4-5 Hessians, each worth several diagonalizations.  `learn` runs
+the whole pipeline on a model: its Gibbs state, the measurement, the solve,
+alpha and the error bound.
 """
 
 from __future__ import annotations
 
+import math
 import reprlib
+import resource
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gibbs import diagonalize, gibbs, marginals
-from .lattice import OperatorBasis, PauliTable, basis_stack
-from .measure import MarginalEstimates
-from .qbp import _hessian_core
+from .lattice import (
+    HamiltonianModel,
+    OperatorBasis,
+    PauliTable,
+    assemble_hamiltonian,
+    basis_stack,
+    check_dense_budget,
+)
+from .measure import MarginalEstimates, build_plan, sample_outcomes
+from .qbp import _hessian_core, hessian_matrices
 from .reporting import ANY, COUNT, POSITIVE, check_config
 
 __all__ = [
     "SOLVER_KEYS", "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant",
-    "alpha_along_segment",
+    "alpha_along_segment", "learn",
 ]
 
 NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along a Newton step, of f and of the box QP's model
@@ -99,6 +110,8 @@ class SolverTrace:
     converged: bool = False
     wall_time: float = 0.0
     grad_final: np.ndarray | None = field(default=None, repr=False)
+
+    CSV_HEADER = ("iteration", "objective", "grad_norm", "step", "evals")  # of `csv_rows`
 
     @property
     def n_iterations(self) -> int:
@@ -308,3 +321,87 @@ def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
     for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
         lo = min(lo, _hessian_core(basis, (1 - t) * a + t * b, float(beta)).min_eigenvalue)
     return float(lo)
+
+
+def _lap(stages: list, name: str, started: float) -> float:
+    """Append stage `name`, begun at `started`, with its wall seconds and the
+    process's peak RSS so far (Linux counts ru_maxrss in KiB); returns now."""
+    now = time.perf_counter()
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    stages.append({"stage": name, "wall_s": now - started, "peak_rss_mb": peak})
+    return now
+
+
+def learn(
+    model: HamiltonianModel,
+    beta: float,
+    n_copies: int,
+    scheme: str,
+    delta_fail: float,
+    seed: int,
+    cfg: SolverConfig,
+) -> dict:
+    """Measure, fit, and compare against the stored truth.
+
+    Refuses before any allocation when the learn's peak, a Hessian, does not
+    fit in memory.  Returns the `result.json` record, plus the `estimates`,
+    the solver `trace` and the `timings` that the `learn` command writes
+    beside it.
+    """
+    basis = model.basis
+    check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)
+    stages = []
+    t = time.perf_counter()
+    # diagonalized here, not through the `spectrum` cache, so that the
+    # eigensystem and rho at mu die with the ensemble once e(mu) is read
+    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
+    t = _lap(stages, "gibbs", t)
+    plan = build_plan(basis, scheme, n_copies)
+    t = _lap(stages, "plan", t)
+    estimates = sample_outcomes(plan, ensemble, seed=seed, delta_fail=delta_fail)
+    e_mu = marginals(basis_stack(basis), ensemble)
+    del ensemble
+    t = _lap(stages, "sample", t)
+    mu_hat, trace = solve(estimates.e_hat, beta, basis, cfg)
+    t = _lap(stages, "solve", t)
+
+    # the dual gradient at mu, beta * (e_hat - e(mu)); the solver's last
+    # gradient is the one at mu_hat
+    grad_mu = beta * (estimates.e_hat - e_mu)
+    alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
+    t = _lap(stages, "alpha", t)
+
+    m = basis.m
+    l2_error = float(np.linalg.norm(mu_hat - model.mu))
+    delta_max = float(np.max(estimates.delta)) if m else 0.0
+    # fold the solver residual into an effective marginal error so the bound
+    # stays meaningful when measurement noise is zero (exact scheme)
+    effective_delta = max(delta_max, trace.pg_final / (2.0 * beta * math.sqrt(m)))
+    bound = error_bound(effective_delta, alpha, beta, m) if alpha > 0 else math.inf
+    _lap(stages, "bound", t)
+    return {
+        "estimates": estimates,
+        "trace": trace,
+        "timings": {
+            "stages": stages,
+            "dual_evals": trace.dual_evals,
+            "hessians": trace.hessians,
+            "hessian_s": trace.hessian_s,
+            # the one at mu, then one per dual evaluation
+            "diagonalizations": trace.dual_evals + 1,
+        },
+        "mu_hat": mu_hat,
+        "l2_error": l2_error,
+        "delta_max": delta_max,
+        "iterations": len(trace.iterations),
+        "converged": bool(trace.converged),
+        "alpha_secant": alpha,
+        "bound_value": bound,
+        "bound_holds": bool(l2_error <= bound),
+        "pg_final": trace.pg_final,
+        "wall_time_s": trace.wall_time,
+        "dual_evals": trace.dual_evals,
+        "hessians": trace.hessians,
+        "m": m,
+        "n": basis.lattice.n_sites,
+    }

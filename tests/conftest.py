@@ -6,8 +6,8 @@ import pytest
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from gibbslearn.gibbs import GibbsEnsemble
-from gibbslearn.lattice import LatticeSpec, enumerate_basis, random_chain, to_dense
+from gibbslearn.gibbs import GibbsEnsemble, gibbs, marginals, spectrum
+from gibbslearn.lattice import LatticeSpec, basis_stack, enumerate_basis, random_chain, to_dense
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -65,6 +65,12 @@ def dense_log_partition(model, beta: float) -> float:
     """log Z of H(mu) summed from the oracle stack, from its eigvalsh spectrum."""
     H = np.tensordot(model.mu, dense_basis(model.basis), axes=1)
     return float(logsumexp(-beta * np.linalg.eigvalsh(H)))
+
+
+def grad_logZ(model, beta: float) -> np.ndarray:
+    """Gradient of log Z in the coefficients: component l is -beta * Tr[E_l rho]."""
+    ensemble = gibbs(spectrum(model), beta)
+    return -beta * marginals(basis_stack(model.basis), ensemble)
 
 
 def dense_marginal(E: np.ndarray, ensemble) -> float:

@@ -36,7 +36,6 @@ from gibbslearn.lattice import (
 from gibbslearn.measure import build_plan, sample_outcomes
 from gibbslearn.qbp import (
     FilterKernel,
-    grad_logZ,
     hessian_logZ,
     verify_fourier_pair,
 )
@@ -48,7 +47,7 @@ from gibbslearn.solver import (
     solve,
 )
 
-from conftest import ACCEPTANCE_LINES, chain_basis, dense_basis, random_chain_model
+from conftest import ACCEPTANCE_LINES, chain_basis, dense_basis, grad_logZ, random_chain_model
 
 BETAS = (0.2, 1.0, 3.0)
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy
 
-from gibbslearn import cli, gibbs, qbp, solver
+from gibbslearn import gibbs, qbp, solver
 from gibbslearn.cli import _trial_pool, main
 from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
@@ -263,11 +263,11 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
         calls.append(1)
         return original(H)
 
-    for module in (cli, gibbs, qbp, solver):
+    for module in (gibbs, qbp, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     model = load_model(run_gen(tmp_path, n=3))
     cfg = solver.SolverConfig(tol_grad=1e-12)
-    run = cli._learn_once(model, 3.0, 1000, "exact", 0.05, 1, cfg)
+    run = solver.learn(model, 3.0, 1000, "exact", 0.05, 1, cfg)
     trace = run["trace"]
     assert trace.n_iterations > 2  # Newton steps from points other than the origin
     assert len(calls) == trace.dual_evals + 1
@@ -278,17 +278,17 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
 def test_learn_forms_one_rho_at_mu(tmp_path, monkeypatch, rho_formed, scheme):
     # the shots and e(mu) share the state at mu; each dual evaluation forms
     # its own point's rho for the gradient, and nothing else forms one
-    at_mu = []
+    ensembles = []
 
     def recorded(spectral, beta, original=gibbs.gibbs):
-        at_mu.append(original(spectral, beta))
-        return at_mu[-1]
+        ensembles.append(original(spectral, beta))
+        return ensembles[-1]
 
-    monkeypatch.setattr(cli, "gibbs", recorded)
+    monkeypatch.setattr(solver, "gibbs", recorded)  # the learn's and the dual evaluations'
     model = load_model(run_gen(tmp_path, n=3))
-    run = cli._learn_once(model, 1.0, 10_000, scheme, 0.05, 1, solver.SolverConfig())
-    assert len(at_mu) == 1
-    assert sum(ens is at_mu[0] for ens in rho_formed) == 1
+    run = solver.learn(model, 1.0, 10_000, scheme, 0.05, 1, solver.SolverConfig())
+    assert len(ensembles) == run["trace"].dual_evals + 1
+    assert sum(ens is ensembles[0] for ens in rho_formed) == 1  # the state at mu
     assert len(rho_formed) == run["trace"].dual_evals + 1
 
 
@@ -893,13 +893,13 @@ def test_learn_peak_memory_within_its_count(lattice):
     # matrices; the table is built inside the traced run, so it counts too
     warm = chain_basis(2)
     warm_model = HamiltonianModel(basis=warm, mu=np.full(warm.m, 0.3))
-    cli._learn_once(warm_model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
+    solver.learn(warm_model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
     basis = enumerate_basis(lattice, 2)
     basis_stack.cache_clear()
     model = HamiltonianModel(basis=basis, mu=np.random.default_rng(1).uniform(-1, 1, basis.m))
     tracemalloc.start()
     try:
-        cli._learn_once(model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
+        solver.learn(model, 1.0, 100_000, "grouped", 0.05, 1, solver.SolverConfig())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn import gibbs as gibbs_module
-from gibbslearn import qbp
+from gibbslearn import qbp, solver
 from gibbslearn.cli import main
 from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
 from gibbslearn.lattice import (
@@ -28,7 +28,6 @@ from gibbslearn.qbp import (
     f_tilde,
     f_time,
     _hessian_core,
-    grad_logZ,
     hessian_logZ,
     hessian_matrices,
     qbp_transform,
@@ -41,6 +40,7 @@ from conftest import (
     chain_basis,
     dense_basis,
     dense_log_partition,
+    grad_logZ,
     raises_before_allocating,
     random_chain_model,
 )
@@ -309,7 +309,7 @@ def _budget_of(monkeypatch, matrices: int) -> list:
         calls.append(1)
         return original(H)
 
-    for module in (gibbs_module, qbp):
+    for module in (gibbs_module, qbp, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     return calls
@@ -333,6 +333,16 @@ def test_hessian_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch)
     with pytest.raises(ValueError, match="memory budget exceeded"):
         hessian_logZ(model, 1.0)
     assert main(["hessian", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert calls == []
+
+
+def test_learn_refusal_comes_before_any_diagonalization(monkeypatch):
+    # a learn peaks in a Hessian, so one matrix short of it refuses the
+    # learn before it diagonalizes at mu
+    model = random_chain_model(7, seed=3)
+    calls = _budget_of(monkeypatch, hessian_matrices(model.basis) - 1)
+    with pytest.raises(ValueError, match="memory budget exceeded"):
+        solver.learn(model, 1.0, 1000, "grouped", 0.05, 1, solver.SolverConfig())
     assert calls == []
 
 

@@ -3,7 +3,9 @@
 The benchmark's tracer wraps package functions by (module, attribute) name: a
 name it wraps that the package no longer has would break `perfbench/run.py
 --trace 1` only when someone traces, so the whole table is pinned, and so
-are its describe hooks, which read the results of the calls they wrap. The
+are its describe hooks, which read the results of the calls they wrap.  A
+traced learn must record a span for every stage, which it does only while
+each stage is called through a module the tracer scans. The
 README's `solver` key table must list exactly the fields `SolverConfig`
 takes, with their defaults, and its `lab` table exactly the suites and the
 keys each declares, so that neither can advertise an option the code drops.
@@ -18,8 +20,9 @@ call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
 `qbp.HessianReport.min_eigenvalue` on the m x m Hessian, so that a change of
 eigensolver has one place to go and no module diagonalizes on its own.  The
 memory budget is checked only by the stages that allocate dense matrices and
-by the two commands that check a learn's peak, so that a count is written
-once, where it is allocated.
+where a learn's peak is checked, in `solver.learn` and `sweep`, so that a
+count is written once, where it is allocated.  The pipeline's steps are
+called from `solver.learn`, never from `cli.py`, which holds only wiring.
 """
 
 import ast
@@ -27,7 +30,10 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,14 +46,13 @@ from gibbslearn.cli import (
     LEARN_KEYS,
     SWEEP_HEADER,
     SWEEP_KEYS,
-    TRACE_HEADER,
     main,
 )
 from gibbslearn.lab import SUITES
 from gibbslearn.lattice import LATTICE_KEYS, basis_stack
 from gibbslearn.measure import build_plan
 from gibbslearn.qbp import _hessian_core, hessian_matrices
-from gibbslearn.solver import SOLVER_KEYS, SolverConfig, solve
+from gibbslearn.solver import SOLVER_KEYS, SolverConfig, SolverTrace, solve
 
 from conftest import chain_basis
 
@@ -89,6 +94,39 @@ def test_every_describe_hook_reads_a_real_result():
     for label, (fn, args) in calls.items():
         info = tracer.DESCRIBE[label](args, fn(*args))
         assert info and all(type(value) is int for value in info.values()), label
+
+
+def test_a_traced_learn_records_every_stage(tmp_path):
+    # the tracer swaps the names of the modules it scans, so a stage called
+    # through a name it misses would vanish from the trace and read 0
+    gen = tmp_path / "gen.json"
+    lattice = {"dimension": 1, "side_lengths": [4]}
+    gen.write_text(json.dumps({"lattice": lattice, "kappa": 2, "beta": 1.0}))
+    assert main(["gen", "--config", str(gen), "--out", str(tmp_path)]) == 0
+    learn = tmp_path / "learn.json"
+    learn.write_text(json.dumps({"model": str(tmp_path / "model.json"), "N": 10_000, "beta": 1.0}))
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, str(TRACER), str(spans), "--", "learn", "--config", str(learn)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [*argv, "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert run.returncode == 0, run.stderr
+    labels = {span[0] for span in json.loads(spans.read_text())}
+    stages = {
+        "lattice.assemble",
+        "gibbs.diagonalize",
+        "gibbs.weights",
+        "gibbs.marginals",
+        "measure.plan",
+        "measure.sample",
+        "solver.solve",
+        "qbp.hessian",
+    }
+    assert sorted(stages - labels) == []
 
 
 EIGENSOLVERS = ("eigh", "eigvalsh", "eig", "eigvals")
@@ -133,13 +171,27 @@ def test_dense_budget_is_checked_only_where_dense_matrices_are_allocated():
     # each count is read by the stage that allocates; scope None is an import
     sites = [site[:2] for site in _package_scopes({"check_dense_budget"}) if site[1]]
     assert sites == [
-        ("cli.py", "cmd_learn"),
         ("cli.py", "cmd_sweep"),
         ("gibbs.py", "spectrum"),
         ("lattice.py", "to_dense"),
         ("lattice.py", "basis_stack"),
         ("qbp.py", "_hessian_core"),
+        ("solver.py", "learn"),
     ]
+
+
+def test_cli_runs_no_step_of_the_pipeline():
+    # `solver.learn` runs the steps; the command line only wires configs and files
+    steps = {
+        "diagonalize",
+        "assemble_hamiltonian",
+        "build_plan",
+        "sample_outcomes",
+        "solve",
+        "alpha_secant",
+        "error_bound",
+    }
+    assert [site for site in _package_scopes(steps) if site[0] == "cli.py"] == []
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
@@ -215,7 +267,7 @@ def test_readme_lists_the_trace_columns_in_order():
     text = " ".join((ROOT / "README.md").read_text().split())
     listed = re.findall(r"`trace\.csv` \(one row per [^:]*: ([^)]*)\)", text)
     assert len(listed) == 1
-    assert tuple(re.findall(r"`([^`]+)`", listed[0])) == TRACE_HEADER
+    assert tuple(re.findall(r"`([^`]+)`", listed[0])) == SolverTrace.CSV_HEADER
 
 
 def test_readme_names_every_sweep_column():
