@@ -12,8 +12,9 @@ else lives in its module, organised bottom-up:
   filtered transform, and exact log-partition derivatives.
 - :mod:`gibbslearn.measure`: measurement planning, outcome sampling, and
   Hoeffding confidence radii.
-- :mod:`gibbslearn.solver`: the max-entropy dual solver, its error bound, and
-  `learn`, the whole measure-then-fit pipeline on a model.
+- :mod:`gibbslearn.solver`: the max-entropy dual solver, its error bound,
+  `learn`, the whole measure-then-fit pipeline on a model, and `sweep`, its
+  seeded trials over N, beta or size.
 - :mod:`gibbslearn.lab`: structural checks (convexity floors, locality decay,
   partition-function bounds) and `SUITES`, the check suites of ``gibbslearn lab``.
 - :mod:`gibbslearn.cli`: the ``gibbslearn`` command line entry point, which

@@ -1,9 +1,10 @@
 """Command-line front end: wiring from configs to library calls and output files.
 
 Subcommands: `gen` writes model instances, `learn` writes the outputs of one
-`solver.learn`, the measure-then-fit pipeline, `sweep` runs it over N, beta,
-or system size with per-trial seeds, `lab` dispatches the structural check
-suites, `hessian` and `marginals` dump exact quantities for a stored model.
+`solver.learn`, the measure-then-fit pipeline, `sweep` those of one
+`solver.sweep`, which runs it over N, beta, or system size with per-trial
+seeds, `lab` dispatches the structural check suites, `hessian` and
+`marginals` dump exact quantities for a stored model.
 
 Every run records a manifest JSON (config snapshot, master seed, tool
 version, per-trial seeds, output names).  Feeding a manifest back through
@@ -18,12 +19,8 @@ command could not run: `main` prints every CLIError and ValueError as
 from __future__ import annotations
 
 import argparse
-import functools
-import math
 import os
 import sys
-import time
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -33,33 +30,29 @@ from .lattice import (
     LATTICE_KEYS,
     HamiltonianModel,
     LatticeSpec,
-    OperatorBasis,
     basis_stack,
-    check_dense_budget,
     enumerate_basis,
+    instance_model,
     load_model,
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES
-from .qbp import hessian_logZ, hessian_matrices
+from .qbp import hessian_logZ
 from .reporting import (
     ANY,
     COUNT,
-    FLOATS,
     POSITIVE,
     POSITIVE_INT,
     REQUIRED,
-    THREAD_VARS,
     check_config,
     is_manifest,
     nonempty_list_of,
     read_json,
-    trial_seed,
     write_csv,
     write_json,
     write_manifest,
 )
-from .solver import SOLVER_KEYS, SolverConfig, learn
+from .solver import CELLS_HEADER, SOLVER_KEYS, SWEEP_AXES, SWEEP_HEADER, SolverConfig, learn, sweep
 
 
 class CLIError(Exception):
@@ -113,7 +106,6 @@ LEARN_KEYS = {
     "beta": (POSITIVE, REQUIRED),
     **MEASURE_KEYS,
 }
-SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the key it sweeps
 AXIS = (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}")
 SWEEP_KEYS = {
     "axis": (AXIS, REQUIRED),
@@ -130,18 +122,6 @@ SWEEP_KEYS = {
 DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessian, marginals
 
 
-def _instance_model(
-    where: str, mu, basis: OperatorBasis, rng: np.random.Generator
-) -> HamiltonianModel:
-    """The model over basis with coefficients mu: "random" draws them
-    uniformly from [-1, 1] with rng, a list of m floats gives them."""
-    m = basis.m
-    hint = f"'random' or list of {m} floats"
-    kind = (lambda v: v == "random" or (FLOATS[0](v) and len(v) == m), hint)
-    check_config(where, {"mu": mu}, {"mu": (kind, REQUIRED)})
-    return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, m) if mu == "random" else mu)
-
-
 # ---------------------------------------------------------------------------
 # gen
 
@@ -149,7 +129,7 @@ def _instance_model(
 def cmd_gen(config: dict, seed: int, out: str) -> int:
     params = check_config("gen config", config, GEN_KEYS)
     basis = enumerate_basis(LatticeSpec(**params["lattice"]), params["kappa"])
-    model = _instance_model("gen config", params["mu"], basis, np.random.default_rng(seed))
+    model = instance_model("gen config", params["mu"], basis, np.random.default_rng(seed))
 
     save_model(model, os.path.join(out, "model.json"))
     write_manifest(out, "gen", config, seed, ["model.json"])
@@ -190,82 +170,6 @@ def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int
 # sweep
 
 
-SWEEP_HEADER = (
-    "trial",
-    "n",
-    "m",
-    "beta",
-    "N",
-    "delta_observed",
-    "alpha_secant",
-    "l2_error",
-    "bound_value",
-    "bound_holds",
-)
-
-
-def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dict:
-    """Sweep trial number `trial`: its row of SWEEP_HEADER fields, timings and any error text.
-
-    The trial's cell is trial // trials: its value sets the swept key, the
-    checked config `params` the other two.  Its seed draws the coefficients,
-    unless the config lists them, and then the measurement seed.
-    """
-    t0 = time.perf_counter()
-    point = {**params, SWEEP_AXES[params["axis"]]: params["values"][trial // params["trials"]]}
-    row = {
-        **dict.fromkeys(SWEEP_HEADER, math.nan),
-        "trial": trial,
-        "n": point["n"],
-        "m": -1,
-        "beta": float(point["beta"]),
-        "N": point["N"],
-        "bound_holds": False,
-    }
-    timings = dict.fromkeys(("stages", "dual_evals", "hessians", "hessian_s", "diagonalizations"))
-    try:
-        rng = np.random.default_rng(trial_seed(seed, trial))
-        basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(row["n"],)), params["kappa"])
-        model = _instance_model("sweep config", params["mu"], basis, rng)
-        measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
-        scheme, delta_fail = params["scheme"], float(params["delta_fail"])
-        record = learn(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
-        row.update({field: record[field] for field in SWEEP_HEADER if field in record})
-        row["delta_observed"] = record["delta_max"]
-        timings = record["timings"]
-        error = None
-    except Exception as exc:  # per-trial failures recorded, sweep continues
-        error = f"{type(exc).__name__}: {exc}"
-    timings = {"runtime_s": time.perf_counter() - t0, **timings}
-    return {"trial": trial, "row": row, "timings": timings, "error": error}
-
-
-@contextmanager
-def _trial_pool(workers: int):
-    """Spawned worker processes that share the cores instead of each claiming all.
-
-    Every worker gets cpu_count // workers BLAS/OpenMP threads, unless the
-    user set one of THREAD_VARS, which then governs.  The variables are in
-    the environment while the pool spawns its processes, so each worker sees
-    them before it imports numpy.
-    """
-    import multiprocessing  # imported here: a learn, which starts no pool, skips them
-    from concurrent.futures import ProcessPoolExecutor
-
-    added = {}
-    if not any(var in os.environ for var in THREAD_VARS):
-        threads = str(max(1, (os.cpu_count() or 1) // workers))
-        added = dict.fromkeys(THREAD_VARS, threads)
-    os.environ.update(added)
-    try:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            yield pool
-    finally:
-        for var in added:
-            os.environ.pop(var, None)
-
-
 def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     axis = config.get("axis")
     swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
@@ -288,88 +192,20 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
             if isinstance(value, list)
         ]
     params = check_config("sweep config", config, keys, offenders)
-    cfg = SolverConfig(**params["solver"])
-    trials = range(len(params["values"]) * params["trials"])
-    workers = min(jobs, len(trials))
-    for n in params["values"] if axis == "size" else [params["n"]]:
-        try:
-            basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), params["kappa"])
-        except ValueError:
-            continue  # the trials of this size fail and are recorded as such
-        # every worker runs one learn at a time, whose peak is a Hessian
-        check_dense_budget(hessian_matrices(basis) * workers, basis.lattice.n_sites)
-        # the rules every trial applies, once before any runs
-        _instance_model("sweep config", params["mu"], basis, np.random.default_rng(seed))
-        cfg.start_point(basis.m)
+    record = sweep(params, SolverConfig(**params["solver"]), seed, jobs)
 
-    worker = functools.partial(_trial_worker, params, cfg, seed)
-    if workers > 1:
-        with _trial_pool(workers) as pool:
-            results = list(pool.map(worker, trials))
-    else:
-        results = list(map(worker, trials))
-    write_csv(
-        os.path.join(out, "sweep.csv"),
-        SWEEP_HEADER,
-        [[res["row"][field] for field in SWEEP_HEADER] for res in results],
-    )
-
-    per_cell = params["trials"]
-    cells = []
-    medians = []
-    for c, value in enumerate(params["values"]):
-        errs = [
-            res["row"]["l2_error"]
-            for res in results[c * per_cell : (c + 1) * per_cell]
-            if res["error"] is None
-        ]
-        median = float(np.median(errs)) if errs else math.nan
-        medians.append(median)
-        cells.append((c, value, per_cell, per_cell - len(errs), median))
-    write_csv(
-        os.path.join(out, "cells.csv"),
-        ("cell", "axis_value", "n_trials", "n_failed", "median_error"),
-        cells,
-    )
-
-    slope = None
-    if axis == "N":
-        live = [(v, m_) for v, m_ in zip(params["values"], medians) if m_ > 0]
-        if len(live) >= 2:
-            slope = float(
-                np.polyfit(np.log([v for v, _ in live]), np.log([m_ for _, m_ in live]), 1)[0]
-            )
-    failures = [
-        {"trial": res["trial"], "error": res["error"]} for res in results if res["error"]
-    ]
-    violations = [
-        res["trial"] for res in results if res["error"] is None and not res["row"]["bound_holds"]
-    ]
-    summary = {
-        "axis": axis,
-        "values": params["values"],
-        "median_errors": medians,
-        "slope_log_error_vs_log_N": slope,
-        "n_trials": len(results),
-        "failures": failures,
-        "bound_violations": violations,
-        "pass": not failures and not violations,
-    }
+    write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, record["rows"])
+    write_csv(os.path.join(out, "cells.csv"), CELLS_HEADER, record["cells"])
+    summary = record["summary"]
     write_json(os.path.join(out, "sweep_summary.json"), summary)
-    write_json(
-        os.path.join(out, "sweep_timings.json"),
-        {
-            "trials": {str(res["trial"]): res["timings"] for res in results},
-            "total_s": sum(res["timings"]["runtime_s"] for res in results),
-        },
-    )
+    write_json(os.path.join(out, "sweep_timings.json"), record["timings"])
     outputs = ["sweep.csv", "cells.csv", "sweep_summary.json"]
-    trial_seeds = [trial_seed(seed, trial) for trial in trials]
-    write_manifest(out, "sweep", config, seed, outputs, trial_seeds)
+    write_manifest(out, "sweep", config, seed, outputs, record["trial_seeds"])
+    slope = summary["slope_log_error_vs_log_N"]
     slope_txt = "n/a" if slope is None else f"{slope:.3f}"
     print(
-        f"trials={len(results)} failures={len(failures)} "
-        f"bound_violations={len(violations)} slope={slope_txt}"
+        f"trials={summary['n_trials']} failures={len(summary['failures'])} "
+        f"bound_violations={len(summary['bound_violations'])} slope={slope_txt}"
     )
     return 0 if summary["pass"] else 1
 

@@ -26,6 +26,7 @@ __all__ = [
     "HamiltonianModel",
     "enumerate_basis",
     "random_chain",
+    "instance_model",
     "to_dense",
     "assemble_hamiltonian",
     "PauliTable",
@@ -255,6 +256,18 @@ def random_chain(n: int, kappa: int, seed, scale: float = 1.0) -> HamiltonianMod
     basis = enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), kappa)
     mu = np.random.default_rng(seed).uniform(-1.0, 1.0, basis.m) * scale
     return HamiltonianModel(basis=basis, mu=mu)
+
+
+def instance_model(
+    where: str, mu, basis: OperatorBasis, rng: np.random.Generator
+) -> HamiltonianModel:
+    """The model over basis with coefficients mu: "random" draws them
+    uniformly from [-1, 1] with rng, a list of m floats gives them."""
+    m = basis.m
+    hint = f"'random' or list of {m} floats"
+    kind = (lambda v: v == "random" or (FLOATS[0](v) and len(v) == m), hint)
+    check_config(where, {"mu": mu}, {"mu": (kind, REQUIRED)})
+    return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, m) if mu == "random" else mu)
 
 
 def pauli_matrix(letters_by_site: Iterable[str]) -> np.ndarray:

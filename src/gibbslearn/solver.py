@@ -10,15 +10,19 @@ steps on a kept quadratic model; every dual evaluation is one
 diagonalization, and on open n = 7 chains at beta = 1 a solve takes 10-11
 and builds 4-5 Hessians, each worth several diagonalizations.  `learn` runs
 the whole pipeline on a model: its Gibbs state, the measurement, the solve,
-alpha and the error bound.
+alpha and the error bound.  `sweep` repeats `learn` over N, beta or system
+size with per-trial seeds, on worker processes, and summarizes the trials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import reprlib
 import resource
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,19 +30,22 @@ import numpy as np
 from .gibbs import diagonalize, gibbs, marginals
 from .lattice import (
     HamiltonianModel,
+    LatticeSpec,
     OperatorBasis,
     PauliTable,
     assemble_hamiltonian,
     basis_stack,
     check_dense_budget,
+    enumerate_basis,
+    instance_model,
 )
 from .measure import MarginalEstimates, build_plan, sample_outcomes
 from .qbp import _hessian_core, hessian_matrices
-from .reporting import ANY, COUNT, POSITIVE, check_config
+from .reporting import ANY, COUNT, POSITIVE, THREAD_VARS, check_config, trial_seed
 
 __all__ = [
     "SOLVER_KEYS", "SolverConfig", "SolverTrace", "solve", "error_bound", "alpha_secant",
-    "alpha_along_segment", "learn",
+    "alpha_along_segment", "learn", "sweep",
 ]
 
 NEWTON_ARMIJO_C = 1e-4  # sufficient decrease along a Newton step, of f and of the box QP's model
@@ -404,4 +411,154 @@ def learn(
         "hessians": trace.hessians,
         "m": m,
         "n": basis.lattice.n_sites,
+    }
+
+
+SWEEP_HEADER = (  # the columns of sweep.csv
+    "trial", "n", "m", "beta", "N", "delta_observed", "alpha_secant", "l2_error", "bound_value",
+    "bound_holds",
+)
+CELLS_HEADER = ("cell", "axis_value", "n_trials", "n_failed", "median_error")  # of cells.csv
+SWEEP_AXES = {"N": "N", "beta": "beta", "size": "n"}  # axis -> the key it sweeps
+
+
+def _sweep_basis(params: dict, n: int) -> OperatorBasis:
+    """The basis of a sweep cell of size n: the open n-site chain, params' kappa."""
+    return enumerate_basis(LatticeSpec(dimension=1, side_lengths=(n,)), params["kappa"])
+
+
+def _trial_worker(params: dict, cfg: SolverConfig, seed: int, trial: int) -> dict:
+    """Sweep trial number `trial`: its row of SWEEP_HEADER fields, timings and any error text.
+
+    The trial's cell is trial // trials: its value sets the swept key, the
+    checked config `params` the other two.  Its seed draws the coefficients,
+    unless the config lists them, and then the measurement seed.
+    """
+    t0 = time.perf_counter()
+    point = {**params, SWEEP_AXES[params["axis"]]: params["values"][trial // params["trials"]]}
+    row = {
+        **dict.fromkeys(SWEEP_HEADER, math.nan),
+        "trial": trial,
+        "n": point["n"],
+        "m": -1,
+        "beta": float(point["beta"]),
+        "N": point["N"],
+        "bound_holds": False,
+    }
+    timings = dict.fromkeys(("stages", "dual_evals", "hessians", "hessian_s", "diagonalizations"))
+    try:
+        rng = np.random.default_rng(trial_seed(seed, trial))
+        model = instance_model("sweep config", params["mu"], _sweep_basis(params, row["n"]), rng)
+        measure_seed = int(rng.integers(2**63))  # decouple shot noise from mu
+        scheme, delta_fail = params["scheme"], float(params["delta_fail"])
+        record = learn(model, row["beta"], row["N"], scheme, delta_fail, measure_seed, cfg)
+        row.update({field: record[field] for field in SWEEP_HEADER if field in record})
+        row["delta_observed"] = record["delta_max"]
+        timings = record["timings"]
+        error = None
+    except Exception as exc:  # per-trial failures recorded, sweep continues
+        error = f"{type(exc).__name__}: {exc}"
+    timings = {"runtime_s": time.perf_counter() - t0, **timings}
+    return {"trial": trial, "row": row, "timings": timings, "error": error}
+
+
+@contextmanager
+def _trial_pool(workers: int):
+    """Spawned worker processes that share the cores instead of each claiming all.
+
+    Every worker gets cpu_count // workers BLAS/OpenMP threads, unless the
+    user set one of THREAD_VARS, which then governs.  The variables are in
+    the environment while the pool spawns its processes, so each worker sees
+    them before it imports numpy.
+    """
+    import multiprocessing  # imported here: a learn, which starts no pool, skips them
+    from concurrent.futures import ProcessPoolExecutor
+
+    added = {}
+    if not any(var in os.environ for var in THREAD_VARS):
+        threads = str(max(1, (os.cpu_count() or 1) // workers))
+        added = dict.fromkeys(THREAD_VARS, threads)
+    os.environ.update(added)
+    try:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            yield pool
+    finally:
+        for var in added:
+            os.environ.pop(var, None)
+
+
+def sweep(params: dict, cfg: SolverConfig, seed: int, jobs: int) -> dict:
+    """Run every trial of the checked sweep config `params` on up to `jobs` processes.
+
+    Refuses before any trial runs when a size's learns, one per worker, do
+    not fit in memory, or when mu or lambda0 does not fit a size's basis.
+    Returns the `rows` of `sweep.csv` and the `cells` of `cells.csv`, the
+    `summary` and `timings` JSON records and the manifest's `trial_seeds`.
+    """
+    axis = params["axis"]
+    trials = range(len(params["values"]) * params["trials"])
+    workers = min(jobs, len(trials))
+    for n in params["values"] if axis == "size" else [params["n"]]:
+        try:
+            basis = _sweep_basis(params, n)
+        except ValueError:
+            continue  # the trials of this size fail and are recorded as such
+        # every worker runs one learn at a time, whose peak is a Hessian
+        check_dense_budget(hessian_matrices(basis) * workers, basis.lattice.n_sites)
+        # the rules every trial applies, once before any runs
+        instance_model("sweep config", params["mu"], basis, np.random.default_rng(seed))
+        cfg.start_point(basis.m)
+
+    worker = functools.partial(_trial_worker, params, cfg, seed)
+    if workers > 1:
+        with _trial_pool(workers) as pool:
+            results = list(pool.map(worker, trials))
+    else:
+        results = list(map(worker, trials))
+
+    per_cell = params["trials"]
+    cells = []
+    medians = []
+    for c, value in enumerate(params["values"]):
+        errs = [
+            res["row"]["l2_error"]
+            for res in results[c * per_cell : (c + 1) * per_cell]
+            if res["error"] is None
+        ]
+        median = float(np.median(errs)) if errs else math.nan
+        medians.append(median)
+        cells.append((c, value, per_cell, per_cell - len(errs), median))
+
+    slope = None
+    if axis == "N":
+        live = [(v, m_) for v, m_ in zip(params["values"], medians) if m_ > 0]
+        if len(live) >= 2:
+            slope = float(
+                np.polyfit(np.log([v for v, _ in live]), np.log([m_ for _, m_ in live]), 1)[0]
+            )
+    failures = [
+        {"trial": res["trial"], "error": res["error"]} for res in results if res["error"]
+    ]
+    violations = [
+        res["trial"] for res in results if res["error"] is None and not res["row"]["bound_holds"]
+    ]
+    return {
+        "rows": [[res["row"][field] for field in SWEEP_HEADER] for res in results],
+        "cells": cells,
+        "summary": {
+            "axis": axis,
+            "values": params["values"],
+            "median_errors": medians,
+            "slope_log_error_vs_log_N": slope,
+            "n_trials": len(results),
+            "failures": failures,
+            "bound_violations": violations,
+            "pass": not failures and not violations,
+        },
+        "timings": {
+            "trials": {str(res["trial"]): res["timings"] for res in results},
+            "total_s": sum(res["timings"]["runtime_s"] for res in results),
+        },
+        "trial_seeds": [trial_seed(seed, trial) for trial in trials],
     }

@@ -10,7 +10,7 @@ import pytest
 import scipy
 
 from gibbslearn import gibbs, qbp, solver
-from gibbslearn.cli import _trial_pool, main
+from gibbslearn.cli import main
 from gibbslearn.lab import SUITES
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lattice import (
@@ -22,7 +22,7 @@ from gibbslearn.lattice import (
     load_model,
 )
 from gibbslearn.reporting import THREAD_VARS
-from gibbslearn.solver import _dual_eval
+from gibbslearn.solver import _dual_eval, _trial_pool
 
 from conftest import BUDGET_MESSAGE, chain_basis
 
@@ -591,7 +591,7 @@ def test_sweep_jobs_do_not_change_bytes(tmp_path):
         )
         == 0
     )
-    for name in ("sweep.csv", "cells.csv"):
+    for name in ("sweep.csv", "cells.csv", "sweep_summary.json"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 

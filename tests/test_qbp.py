@@ -346,6 +346,23 @@ def test_learn_refusal_comes_before_any_diagonalization(monkeypatch):
     assert calls == []
 
 
+def test_sweep_refusal_counts_one_learn_per_worker(monkeypatch):
+    # every worker runs one learn at a time: memory for one n = 7 learn's
+    # Hessian runs a serial sweep, and refuses two trials at once before
+    # either diagonalizes
+    calls = _budget_of(monkeypatch, hessian_matrices(chain_basis(7)))
+    params = {
+        "axis": "N", "values": [1000], "trials": 2, "n": 7, "beta": 1.0, "N": None, "kappa": 2,
+        "mu": "random", "scheme": "grouped", "delta_fail": 0.05, "solver": {},
+    }
+    with pytest.raises(ValueError, match="memory budget exceeded"):
+        solver.sweep(params, solver.SolverConfig(), 0, jobs=2)
+    assert calls == []
+    record = solver.sweep(params, solver.SolverConfig(), 0, jobs=1)
+    assert record["summary"]["failures"] == [] and len(record["rows"]) == 2
+    assert calls
+
+
 def test_spectrum_refusal_comes_before_any_diagonalization(tmp_path, monkeypatch):
     # 5 n = 7 matrices hold the basis table's own estimate (2) and eigh's
     # matrices, but not both beside the built table

@@ -20,9 +20,10 @@ call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
 `qbp.HessianReport.min_eigenvalue` on the m x m Hessian, so that a change of
 eigensolver has one place to go and no module diagonalizes on its own.  The
 memory budget is checked only by the stages that allocate dense matrices and
-where a learn's peak is checked, in `solver.learn` and `sweep`, so that a
-count is written once, where it is allocated.  The pipeline's steps are
-called from `solver.learn`, never from `cli.py`, which holds only wiring.
+where a learn's peak is checked, in `solver.learn` and `solver.sweep`, so
+that a count is written once, where it is allocated.  The pipeline's steps
+are called from `solver.learn` and `solver.sweep`, never from `cli.py`,
+which holds only wiring and no memory count.
 """
 
 import ast
@@ -44,7 +45,6 @@ from gibbslearn.cli import (
     DUMP_KEYS,
     GEN_KEYS,
     LEARN_KEYS,
-    SWEEP_HEADER,
     SWEEP_KEYS,
     main,
 )
@@ -52,7 +52,7 @@ from gibbslearn.lab import SUITES
 from gibbslearn.lattice import LATTICE_KEYS, basis_stack
 from gibbslearn.measure import build_plan
 from gibbslearn.qbp import _hessian_core, hessian_matrices
-from gibbslearn.solver import SOLVER_KEYS, SolverConfig, SolverTrace, solve
+from gibbslearn.solver import SOLVER_KEYS, SWEEP_HEADER, SolverConfig, SolverTrace, solve
 
 from conftest import chain_basis
 
@@ -171,18 +171,21 @@ def test_dense_budget_is_checked_only_where_dense_matrices_are_allocated():
     # each count is read by the stage that allocates; scope None is an import
     sites = [site[:2] for site in _package_scopes({"check_dense_budget"}) if site[1]]
     assert sites == [
-        ("cli.py", "cmd_sweep"),
         ("gibbs.py", "spectrum"),
         ("lattice.py", "to_dense"),
         ("lattice.py", "basis_stack"),
         ("qbp.py", "_hessian_core"),
         ("solver.py", "learn"),
+        ("solver.py", "sweep"),
     ]
 
 
 def test_cli_runs_no_step_of_the_pipeline():
-    # `solver.learn` runs the steps; the command line only wires configs and files
+    # `solver.learn` and `solver.sweep` run the steps and check their memory
+    # counts; the command line only wires configs and files
     steps = {
+        "check_dense_budget",
+        "hessian_matrices",
         "diagonalize",
         "assemble_hamiltonian",
         "build_plan",
