@@ -12,8 +12,7 @@ version, per-trial seeds, output names).  Feeding a manifest back through
 randomness flows from recorded seeds and wall-clock data is quarantined in
 JSON sidecars.  Exit code 0 means every asserted check of that command
 passed, 1 that the solver did not converge or a check failed, and 2 that the
-command could not run: `main` prints every CLIError and ValueError as
-`error: ...`.
+command could not run: `main` prints every ValueError as `error: ...`.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ from .reporting import (
 from .solver import CELLS_HEADER, SOLVER_KEYS, SWEEP_AXES, SWEEP_HEADER, SolverConfig, learn, sweep
 
 
-class CLIError(Exception):
-    """User-facing configuration or usage problem; exits with code 2, as a ValueError does."""
-
-
 # ---------------------------------------------------------------------------
 # Config plumbing.
 
@@ -68,20 +63,20 @@ def _load_config(path: str, command: str, cli_seed: int) -> tuple[dict, int]:
     try:
         doc = read_json(path)
     except FileNotFoundError:
-        raise CLIError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except ValueError as exc:
-        raise CLIError(f"config file {path} is not valid JSON: {exc}")
+        raise ValueError(f"config file {path} is not valid JSON: {exc}")
     if is_manifest(doc):
         if doc.get("command") != command:
-            raise CLIError(
+            raise ValueError(
                 f"manifest {path} records command {doc.get('command')!r}, not {command!r}"
             )
         config, seed = doc.get("config"), doc.get("master_seed")
         if not isinstance(config, dict) or type(seed) is not int:
-            raise CLIError(f"manifest {path} needs a config object and an int master_seed")
+            raise ValueError(f"manifest {path} needs a config object and an int master_seed")
         return dict(config), seed
     if not isinstance(doc, dict):
-        raise CLIError(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return doc, cli_seed
 
 
@@ -199,7 +194,7 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
     summary = record["summary"]
     write_json(os.path.join(out, "sweep_summary.json"), summary)
     write_json(os.path.join(out, "sweep_timings.json"), record["timings"])
-    outputs = ["sweep.csv", "cells.csv", "sweep_summary.json"]
+    outputs = ["sweep.csv", "cells.csv", "sweep_summary.json", "sweep_timings.json"]
     write_manifest(out, "sweep", config, seed, outputs, record["trial_seeds"])
     slope = summary["slope_log_error_vs_log_N"]
     slope_txt = "n/a" if slope is None else f"{slope:.3f}"
@@ -219,7 +214,7 @@ def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
 
     suite = suite or config.get("suite")
     if suite not in SUITES:
-        raise CLIError(
+        raise ValueError(
             f"unknown suite {suite!r}; available suites: {', '.join(sorted(SUITES))}"
         )
     reports = SUITES[suite](config, seed)
@@ -258,7 +253,7 @@ def _read_model(path: str) -> HamiltonianModel:
     try:
         return load_model(path)
     except FileNotFoundError:
-        raise CLIError(f"model file not found: {path}")
+        raise ValueError(f"model file not found: {path}")
 
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
@@ -342,7 +337,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.seed < 0 or args.seed >= 2**64:
-            raise CLIError("--seed must fit in an unsigned 64-bit integer")
+            raise ValueError("--seed must fit in an unsigned 64-bit integer")
         if args.config is not None:
             config, seed = _load_config(args.config, args.command, args.seed)
         else:
@@ -354,14 +349,14 @@ def main(argv=None) -> int:
             return cmd_learn(config, seed, args.out, args.scheme)
         if args.command == "sweep":
             if args.jobs < 1:
-                raise CLIError("--jobs must be at least 1")
+                raise ValueError("--jobs must be at least 1")
             return cmd_sweep(config, seed, args.out, args.jobs)
         if args.command == "lab":
             return cmd_lab(args.suite, config, seed, args.out)
         if args.command == "hessian":
             return cmd_hessian(config, seed, args.out)
         return cmd_marginals(config, seed, args.out)
-    except (CLIError, ValueError) as exc:  # numpy.linalg.LinAlgError is a ValueError
+    except ValueError as exc:  # numpy.linalg.LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

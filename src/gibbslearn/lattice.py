@@ -381,13 +381,12 @@ class PauliTable:
         Column c of W E_l is phases[l, c] times column c ^ x_l of W.  Within a
         cell the phases depend on c only through its bits s on S, so one
         product, split by s into the parts P_s = W[:, C_s ^ x] V[C_s], gives
-        every member as sum_s signs[j, s] P_s.  The parts take at most one
-        2^n x 2^n matrix: where 2^|S| parts of all W's rows would not fit
-        (n <= 6 in the Hessian's slabs), W's rows go in blocks.
+        every member as sum_s signs[j, s] P_s.  The parts hold at most
+        2^CELL_SITES entries per entry of W V: in the Hessian's slabs,
+        128 * 2^n, which is one 2^n x 2^n matrix from n = 7 on.
         """
-        dim = self._cols.size
         out = np.empty((self._x.size, W.shape[0], V.shape[1]), dtype=complex)
-        scratch = np.empty(min(dim * dim, self._parts * W.shape[0] * V.shape[1]), dtype=complex)
+        scratch = np.empty(self._parts * W.shape[0] * V.shape[1], dtype=complex)
         order = rows_of_v = None
         for members, gather, cell_order, signs in self._cells:
             if cell_order is None:  # a lone element: its phases fold into W's columns
@@ -396,15 +395,11 @@ class PauliTable:
             if cell_order is not order:
                 rows_of_v = None  # free the last S's rows before gathering the next
                 order, rows_of_v = cell_order, V[cell_order]
-            parts = len(order)
-            step = max(1, dim * dim // (parts * max(1, V.shape[1])))
-            for lo in range(0, W.shape[0], step):
-                block = W[lo : lo + step]
-                P = scratch[: parts * len(block) * V.shape[1]].reshape(parts, len(block), -1)
-                np.matmul(block[:, gather].transpose(1, 0, 2), rows_of_v, out=P)
-                flat = P.reshape(parts, -1)
-                for l, sign in zip(members, signs):
-                    np.matmul(sign, flat, out=out[l, lo : lo + step].reshape(-1))
+            P = scratch[: len(order) * out[0].size].reshape(len(order), *out.shape[1:])
+            np.matmul(W[:, gather].transpose(1, 0, 2), rows_of_v, out=P)
+            flat = P.reshape(len(order), -1)
+            for l, sign in zip(members, signs):
+                np.matmul(sign, flat, out=out[l].reshape(-1))
         return out
 
     def anticommutation(self) -> np.ndarray:

@@ -232,8 +232,9 @@ def hessian_matrices(basis: OperatorBasis) -> int:
     DIAGONALIZE_MATRICES, for the `eigh` of H before the first slab exists,
     and the basis table's own `matrices`.  DIAGONALIZE_MATRICES also covers
     V, the slab's row block, the rows of V that `PauliTable.sandwich`
-    gathers for a cell and its parts (at most one matrix each), and numpy's
-    buffers.  Builds the table, which `basis_stack` checks first.
+    gathers for a cell (at most one matrix), a cell's parts (at most
+    2^CELL_SITES b 2^n <= 128 * 2^n entries, one matrix from n = 7 on), and
+    numpy's buffers.  Builds the table, which `basis_stack` checks first.
     """
     m, dim = basis.m, 2**basis.lattice.n_sites
     held = 16 * m * min(SLAB_BUDGET, dim) * dim + 3 * 8 * m * m  # bytes

@@ -48,8 +48,10 @@ def small_bases(draw):
 
 
 # bases whose x = 0 group, or whose kappa = 3 z-masks, span more sites than one
-# cell of PauliTable.sandwich covers, so that cells split
+# cell of PauliTable.sandwich covers, so that cells split; at kappa = 4, elements
+# whose own z-mask covers 4 sites take the lone-element path
 SPLIT_CELL_BASES = {
+    "open-chain4-kappa4": enumerate_basis(LatticeSpec(1, (4,)), 4),
     "open-chain5-kappa3": enumerate_basis(LatticeSpec(1, (5,)), 3),
     "open-chain5-kappa2": enumerate_basis(LatticeSpec(1, (5,)), 2),
     "periodic-2x2": enumerate_basis(LatticeSpec(2, (2, 2), periodic=True), 2),

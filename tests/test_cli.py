@@ -648,6 +648,22 @@ def test_sweep_records_per_trial_failures(tmp_path, capsys):
     assert cells[2].split(",")[3] == "0"
 
 
+def test_sweep_records_a_size_its_locality_exceeds(tmp_path):
+    # the basis check of each size skips n = 1, whose trials fail one by one
+    cfg = write_config(
+        tmp_path,
+        "size.json",
+        {"axis": "size", "values": [1, 3], "trials": 2, "beta": 1.0, "N": 40_000, "kappa": 2},
+    )
+    out = tmp_path / "size_out"
+    assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 1
+    failures = json.loads((out / "sweep_summary.json").read_text())["failures"]
+    assert len(failures) == 2
+    assert all("locality exceeds system size" in f["error"] for f in failures)
+    cells = (out / "cells.csv").read_text().splitlines()
+    assert [line.split(",")[3] for line in cells[1:]] == ["2", "0"]  # n_failed per size
+
+
 def test_sweep_timings_give_each_trial_its_learn_timings(tmp_path):
     # the trials of the starved cell fail before their learn ends
     cfg = sweep_config(tmp_path, values=[1, 4000])
@@ -1042,6 +1058,50 @@ def test_sweep_accepts_the_key_its_axis_sweeps(tmp_path, axis, key):
     config = {**SWEEP, "axis": axis, "values": values, "N": 2000, key: values[0]}
     cfg = write_config(tmp_path, "sweep.json", config)
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, text, flags, message",
+    [
+        ("gen", "{not json", [], "is not valid JSON"),
+        ("gen", "[1, 2]", [], "must hold a JSON object"),
+        ("sweep", json.dumps(SWEEP), ["--jobs", "0"], "--jobs must be at least 1"),
+        (
+            "gen",
+            json.dumps(gen_config(lattice={"dimension": 2, "side_lengths": [3]})),
+            [],
+            "expected 2 side lengths, got 1",
+        ),
+    ],
+    ids=["not-json", "json-array", "jobs-zero", "side-lengths"],
+)
+def test_refusals_exit_2_and_write_no_file(tmp_path, capsys, command, text, flags, message):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["gen", "learn", "sweep", "lab", "hessian", "marginals"])
+def test_every_manifest_lists_the_files_its_command_writes(tmp_path, command):
+    model = str(run_gen(tmp_path, n=2))
+    config = {
+        "gen": gen_config(n=2),
+        "learn": {"model": model, "N": 40_000, "beta": 1.0},
+        "sweep": SWEEP,
+        "lab": {"betas": [1.0]},
+        "hessian": {"model": model, "beta": 1.0},
+        "marginals": {"model": model, "beta": 1.0},
+    }[command]
+    cfg = write_config(tmp_path, "config.json", config)
+    out = tmp_path / "o"
+    suite = ["fourier"] if command == "lab" else []
+    assert main([command, *suite, "--config", cfg, "--out", str(out)]) == 0
+    manifest = f"{command}_manifest.json"
+    outputs = json.loads((out / manifest).read_text())["outputs"]
+    assert sorted(outputs) == sorted(set(os.listdir(out)) - {manifest})
 
 
 def test_seed_range_validated(tmp_path, capsys):

@@ -199,7 +199,7 @@ def test_cells_that_split_partition_the_basis_and_match_the_dense_oracle(basis):
     dense = dense_basis(basis)
     dim = dense.shape[1]
     V = np.linalg.qr(random_state(dim, dim, np.random.default_rng(7)))[0]
-    # ragged row and column blocks, some of them split into row blocks inside sandwich
+    # ragged row and column blocks, one of them a single row
     for lo, hi, left in ((0, dim, 0), (3, 8, 5), (1, dim - 2, dim - 3), (dim - 1, dim, dim - 1)):
         W = V[:, lo:hi].conj().T
         right = V[:, left:]
