@@ -12,7 +12,9 @@ version, per-trial seeds, output names).  Feeding a manifest back through
 randomness flows from recorded seeds and wall-clock data is quarantined in
 JSON sidecars.  Exit code 0 means every asserted check of that command
 passed, 1 that the solver did not converge or a check failed, and 2 that the
-command could not run: `main` prints every ValueError as `error: ...`.
+command could not run: `main` prints every ValueError, and every OSError of
+an unwritable --out, as `error: ...`.  --out is created when the first output
+file is written, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -342,7 +344,6 @@ def main(argv=None) -> int:
             config, seed = _load_config(args.config, args.command, args.seed)
         else:
             config, seed = {}, args.seed
-        os.makedirs(args.out, exist_ok=True)
         if args.command == "gen":
             return cmd_gen(config, seed, args.out)
         if args.command == "learn":
@@ -356,7 +357,7 @@ def main(argv=None) -> int:
         if args.command == "hessian":
             return cmd_hessian(config, seed, args.out)
         return cmd_marginals(config, seed, args.out)
-    except ValueError as exc:  # numpy.linalg.LinAlgError is a ValueError
+    except (ValueError, OSError) as exc:  # numpy.linalg.LinAlgError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

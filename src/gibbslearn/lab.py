@@ -3,9 +3,10 @@
 Every operation here verifies one inequality or decay profile numerically:
 strong convexity of the dual objective against the filtered-operator variance,
 variance floors at infinite temperature, local reductions of global operators,
-spectral concentration of local perturbations, the delta_gamma weight-outside-
-window machinery, Lieb-Robinson truncation decay, analytic series bounds, and
-the product family used for the copy-count lower bound.
+spectral concentration of local perturbations, the variance bound on the Gibbs
+weight outside an observable's eigenvalue window, Lieb-Robinson truncation
+decay, analytic series bounds, and the product family used for the copy-count
+lower bound.
 
 Checks with explicit constants assert; checks whose constants are only known
 to exist record measured curves and a calibrated floor instead.  Every check
@@ -40,7 +41,6 @@ __all__ = [
     "SUITES",
     "Suite",
     "CheckReport",
-    "SpectralConcentration",
     "QuasiLocalProfile",
     "ising_chain",
     "random_direction",
@@ -51,7 +51,6 @@ __all__ = [
     "local_reduce",
     "global_to_local_check",
     "akl_concentration_check",
-    "delta_gamma",
     "local_unitary_probe",
     "local_variance_floor",
     "lieb_robinson_decay",
@@ -283,20 +282,7 @@ def akl_concentration_check(
 
 
 # ---------------------------------------------------------------------------
-# delta_gamma machinery and local-unitary probes.
-
-
-@dataclass(frozen=True, eq=False)
-class SpectralConcentration:
-    """Gibbs weight outside the [-gamma, gamma] eigenvalue window of A."""
-
-    gamma: float
-    delta_gamma: float
-    mean_square: float  # <A^2> for the centered operator
-
-    @property
-    def slack(self) -> float:
-        return self.mean_square - self.gamma**2 * self.delta_gamma
+# Outside-window weights and local-unitary probes.
 
 
 def _weights(vectors: np.ndarray, ensemble: GibbsEnsemble, W=None) -> np.ndarray:
@@ -316,24 +302,6 @@ def _centered(eigen: SpectralDecomposition, ensemble: GibbsEnsemble):
     return eigen.energies - float(weights @ eigen.energies), weights
 
 
-def _concentration(evals: np.ndarray, weights: np.ndarray, gamma: float) -> SpectralConcentration:
-    """delta_gamma (clipped to 1) and <A_c^2>, from `_centered`'s eigenvalues and weights."""
-    d_gamma = min(float(weights[np.abs(evals) > gamma].sum()), 1.0)
-    mean_square = float(weights @ evals**2)
-    return SpectralConcentration(gamma=float(gamma), delta_gamma=d_gamma, mean_square=mean_square)
-
-
-def delta_gamma(A: np.ndarray, ensemble: GibbsEnsemble, gamma: float) -> SpectralConcentration:
-    """Weight of the Gibbs state outside A's [-gamma, gamma] eigenvalue window.
-
-    A is centered to Tr[A rho] = 0 first; delta_gamma = Tr[Q_gamma rho], rho's
-    weight outside the window, and <A^2> >= gamma^2 * delta_gamma follows.
-    """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
-    return _concentration(*_centered(diagonalize(A), ensemble), gamma)
-
-
 def local_unitary_probe(
     A: np.ndarray,
     ensemble: GibbsEnsemble,
@@ -349,10 +317,12 @@ def local_unitary_probe(
     of U rho U^+ on A's eigenvectors u_i: Q_gamma = sum_outside |u_i><u_i|
     commutes with A_c, so they read sum_outside w_U,i and sum_outside
     lambda_i^2 w_U,i.  Trial 0 takes U = I, so its q_norm2 is the row's
-    delta_gamma, bit for bit.  The claimed suppression constants are unknown,
-    so only the constant-free fact is asserted: each trial's weights sum to
-    Tr[U rho U^+] = 1 within WEIGHT_SUM_TOL, which fails when U is not
-    unitary; `min_slack` is the tolerance less the worst deviation.
+    delta_gamma bit for bit: the sum that the `delta-gamma` suite reads as
+    its delta_gamma at the same gamma, before its clip to 1.  The claimed
+    suppression constants are unknown, so only the constant-free fact is
+    asserted: each trial's weights sum to Tr[U rho U^+] = 1 within
+    WEIGHT_SUM_TOL, which fails when U is not unitary; `min_slack` is the
+    tolerance less the worst deviation.
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
@@ -746,12 +716,14 @@ def _suite_delta_gamma(seed: int, betas) -> list[CheckReport]:
             top = 1.1 * float(np.max(np.abs(eigen.energies)))
             rows = []
             min_slack = math.inf
+            # <A_c^2> >= gamma^2 delta_gamma, where delta_gamma = Tr[Q_gamma rho] is rho's
+            # weight outside A_c's [-gamma, gamma] eigenvalue window, clipped to 1
+            mean_square = float(weights @ evals**2)
             for gamma in np.linspace(0.0, top, 12):
-                sc = _concentration(evals, weights, float(gamma))
-                rows.append(
-                    (name, float(beta), float(gamma), sc.delta_gamma, sc.mean_square, sc.slack)
-                )
-                min_slack = min(min_slack, sc.slack)
+                d_gamma = min(float(weights[np.abs(evals) > gamma].sum()), 1.0)
+                slack = mean_square - float(gamma) ** 2 * d_gamma
+                rows.append((name, float(beta), float(gamma), d_gamma, mean_square, slack))
+                min_slack = min(min_slack, slack)
             reports.append(
                 CheckReport(
                     check="delta-gamma",

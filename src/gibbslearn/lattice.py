@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .reporting import FLOATS, POSITIVE_INT, REQUIRED, check_config, nonempty_list_of
+from .reporting import FLOATS, POSITIVE_INT, REQUIRED, check_config, nonempty_list_of, write_json
 
 __all__ = [
     "LatticeSpec",
@@ -503,9 +503,7 @@ def model_from_dict(payload: dict, where: str = "model file") -> HamiltonianMode
 
 
 def save_model(model: HamiltonianModel, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(model_to_dict(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, model_to_dict(model))
 
 
 def load_model(path) -> HamiltonianModel:

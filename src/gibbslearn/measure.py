@@ -22,6 +22,7 @@ __all__ = [
     "MarginalEstimates",
     "SCHEMES",
     "build_plan",
+    "hoeffding_radius",
     "sample_outcomes",
 ]
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 
 __all__ = [
+    "nonempty_list_of",
     "check_config",
     "fmt_cell",
     "csv_body",
@@ -112,14 +113,24 @@ def csv_body(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_for_writing(path):
+    """path opened for text, LF line endings kept as written; creates its directory if missing.
+
+    Commands create their output directory here, when there is a file to
+    write, so that a run refused before that leaves no directory behind.
+    """
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_csv(path, header, rows) -> None:
     body = csv_body(header, rows)
-    with open(path, "w", newline="") as fh:  # body already uses LF only
+    with _open_for_writing(path) as fh:  # body already uses LF only
         fh.write(body)
 
 
 def write_json(path, obj) -> None:
-    with open(path, "w", newline="") as fh:
+    with _open_for_writing(path) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
         fh.write("\n")
 

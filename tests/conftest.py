@@ -1,12 +1,14 @@
 import functools
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from gibbslearn.gibbs import GibbsEnsemble, gibbs, marginals, spectrum
+from gibbslearn import lab
+from gibbslearn.gibbs import GibbsEnsemble, diagonalize, gibbs, marginals, spectrum
 from gibbslearn.lattice import LatticeSpec, basis_stack, enumerate_basis, random_chain, to_dense
 
 ACCEPTANCE_LINES: list[str] = []
@@ -80,6 +82,27 @@ def dense_marginal(E: np.ndarray, ensemble) -> float:
     V = ensemble.spectral.vectors
     rho = (V * ensemble.weights) @ V.conj().T
     return float(np.trace(E @ rho).real)
+
+
+class SpectralConcentration(NamedTuple):
+    """rho's weight outside A_c's [-gamma, gamma] eigenvalue window, and <A_c^2>."""
+
+    delta_gamma: float
+    mean_square: float
+    slack: float  # mean_square - gamma^2 delta_gamma, >= 0 for every gamma
+
+
+def delta_gamma(A: np.ndarray, ensemble, gamma: float) -> SpectralConcentration:
+    """The `delta-gamma` suite's numbers for a caller's A at one gamma >= 0.
+
+    A is centered to A_c = A - Tr[A rho] first; delta_gamma = Tr[Q_gamma rho],
+    clipped to 1, is rho's weight outside the window, and <A_c^2> >=
+    gamma^2 delta_gamma follows.  The arithmetic is the suite's, step for step.
+    """
+    evals, weights = lab._centered(diagonalize(A), ensemble)
+    d_gamma = min(float(weights[np.abs(evals) > gamma].sum()), 1.0)
+    mean_square = float(weights @ evals**2)
+    return SpectralConcentration(d_gamma, mean_square, mean_square - float(gamma) ** 2 * d_gamma)
 
 
 def random_state(dim: int, rank: int, rng) -> np.ndarray:

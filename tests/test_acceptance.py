@@ -18,7 +18,6 @@ from gibbslearn.cli import main as cli_main
 from gibbslearn.gibbs import gibbs_state, marginals
 from gibbslearn.lab import (
     akl_concentration_check,
-    delta_gamma,
     global_to_local_check,
     ising_chain,
     lieb_robinson_decay,
@@ -47,7 +46,14 @@ from gibbslearn.solver import (
     solve,
 )
 
-from conftest import ACCEPTANCE_LINES, chain_basis, dense_basis, grad_logZ, random_chain_model
+from conftest import (
+    ACCEPTANCE_LINES,
+    chain_basis,
+    delta_gamma,
+    dense_basis,
+    grad_logZ,
+    random_chain_model,
+)
 
 BETAS = (0.2, 1.0, 3.0)
 

@@ -406,7 +406,7 @@ def test_learn_rejects_wrongly_typed_solver_fields(tmp_path, capsys, solver, fie
     assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"invalid learn config: solver.{field} (expected" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -466,7 +466,7 @@ def test_an_infinite_beta_exits_2_naming_it(tmp_path, capsys, command, extra, me
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_solver_config_takes_numpy_scalars():
@@ -489,7 +489,7 @@ def test_a_bad_solver_block_names_every_offender(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "solver.tol_grad (expected finite float > 0, got 'x')" in err
     assert "solver.radius (expected finite float > 0, got None)" in err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -503,7 +503,7 @@ def test_learn_rejects_a_bad_lambda0(tmp_path, capsys, lambda0):
     out = tmp_path / "o"
     assert main(["learn", "--config", cfg, "--out", str(out)]) == 2
     assert "lambda0 must be m = 15 finite reals" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["learn", "sweep"])
@@ -516,7 +516,7 @@ def test_delta_fail_must_be_a_probability(tmp_path, capsys, command, delta_fail)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert "delta_fail (expected number in (0, 1)" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("steps", [0, 2])
@@ -726,7 +726,7 @@ def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, mess
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_sweep_size_axis_rejects_explicit_mu(tmp_path, capsys):
@@ -959,7 +959,7 @@ def test_memory_budget_blocks_large_instances(tmp_path, capsys, command):
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert re.search(BUDGET_MESSAGE, capsys.readouterr().err)
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["learn", "hessian", "marginals"])
@@ -992,11 +992,11 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command):
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert f"error: invalid model file {model}: " in (err := capsys.readouterr().err)
         assert message in err
-        assert not any(out.iterdir())
+        assert not out.exists()
     model.write_text("not json")
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert f"error: invalid model file {model}: not JSON" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 def test_gen_manifest_replay_rewrites_a_model_in_the_old_spelling(tmp_path, capsys):
@@ -1049,7 +1049,7 @@ def test_every_command_rejects_a_key_it_does_not_read(tmp_path, capsys, command,
         argv.insert(1, "fourier")
     assert main(argv) == 2
     assert f"{key} (unknown, expected one of" in capsys.readouterr().err
-    assert not any(out.iterdir())
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("axis, key", [("N", "N"), ("beta", "beta"), ("size", "n")])
@@ -1081,7 +1081,19 @@ def test_refusals_exit_2_and_write_no_file(tmp_path, capsys, command, text, flag
     out = tmp_path / "o"
     assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
     assert message in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen", "lab"])
+def test_an_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("kept\n")
+    cfg = write_config(tmp_path, "config.json", gen_config(n=2) if command == "gen" else {})
+    suite = ["fourier"] if command == "lab" else []
+    assert main([command, *suite, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert out.read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("command", ["gen", "learn", "sweep", "lab", "hessian", "marginals"])

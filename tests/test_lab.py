@@ -13,7 +13,6 @@ from gibbslearn.lab import (
     SUITES,
     CheckReport,
     akl_concentration_check,
-    delta_gamma,
     embed_on_sites,
     global_to_local_check,
     infinite_temp_variance_check,
@@ -32,8 +31,9 @@ from gibbslearn.lattice import (
     pauli_matrix,
     to_dense,
 )
+from gibbslearn.reporting import trial_seed
 
-from conftest import chain_basis, random_chain_model
+from conftest import chain_basis, delta_gamma, random_chain_model
 
 
 def random_hermitian(dim, seed):
@@ -358,8 +358,6 @@ def test_delta_gamma_edges():
     narrow = delta_gamma(A, ens, 0.0)
     assert 0.0 <= narrow.delta_gamma <= 1.0
     assert narrow.slack >= -1e-10
-    with pytest.raises(ValueError):
-        delta_gamma(A, ens, -0.1)
 
 
 def test_delta_gamma_grid_never_violates():
@@ -370,6 +368,31 @@ def test_delta_gamma_grid_never_violates():
     for gamma in np.linspace(0, 1.1 * norm, 12):
         out = delta_gamma(A, ens, float(gamma))
         assert out.slack >= -1e-10
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_delta_gamma_suite_matches_the_oracle(seed):
+    # the suite sums its window weights in place; every row must be the
+    # conftest oracle's numbers for the same observable, beta and gamma
+    reports = SUITES["delta-gamma"]({}, seed)
+    model = lab.random_chain(3, 2, trial_seed(seed, 0), 0.7)
+    z = np.diag([1.0, -1.0])
+    observables = {
+        "Z0": embed_on_sites(z, (0,), 3),
+        "X1": embed_on_sites(pauli_matrix("X"), (1,), 3),
+        "Z0Z1": embed_on_sites(np.kron(z, z), (0, 1), 3),
+    }
+    assert [(rep.grid["beta"], rep.grid["observable"]) for rep in reports] == [
+        (beta, name) for beta in (0.5, 2.0) for name in observables
+    ]
+    for rep in reports:
+        ens = gibbs.gibbs(gibbs.spectrum(model), rep.grid["beta"])
+        assert len(rep.rows) == 12
+        for name, beta, gamma, *numbers in rep.rows:
+            assert (name, beta) == (rep.grid["observable"], rep.grid["beta"])
+            assert tuple(numbers) == delta_gamma(observables[name], ens, gamma)
+        assert rep.min_slack == min(row[-1] for row in rep.rows)
+        assert rep.passed
 
 
 def test_local_unitary_probe_tail():

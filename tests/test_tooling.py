@@ -23,15 +23,19 @@ memory budget is checked only by the stages that allocate dense matrices and
 where a learn's peak is checked, in `solver.learn` and `solver.sweep`, so
 that a count is written once, where it is allocated.  The pipeline's steps
 are called from `solver.learn` and `solver.sweep`, never from `cli.py`,
-which holds only wiring and no memory count.
+which holds only wiring and no memory count.  Each module's `__all__` lists
+exactly the public functions and classes it defines, so that neither a
+removed name nor a new one leaves it stale.
 """
 
 import ast
 import dataclasses
 import importlib
 import importlib.util
+import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -41,6 +45,7 @@ import numpy as np
 
 import pytest
 
+import gibbslearn
 from gibbslearn.cli import (
     DUMP_KEYS,
     GEN_KEYS,
@@ -195,6 +200,31 @@ def test_cli_runs_no_step_of_the_pipeline():
         "error_bound",
     }
     assert [site for site in _package_scopes(steps) if site[0] == "cli.py"] == []
+
+
+def _is_function_or_class(value) -> bool:
+    value = inspect.unwrap(value)  # an lru_cache'd function counts as the function
+    return inspect.isfunction(value) or inspect.isclass(value)
+
+
+@pytest.mark.parametrize(
+    "name", sorted(m.name for m in pkgutil.iter_modules(gibbslearn.__path__) if m.name != "cli")
+)
+def test_every_module_lists_exactly_its_public_functions_and_classes(name):
+    # `__all__` may also list constants, but it must name every public function
+    # and class the module defines, and only names that resolve
+    module = importlib.import_module(f"gibbslearn.{name}")
+    defined = {
+        key
+        for key, value in vars(module).items()
+        if not key.startswith("_")
+        and _is_function_or_class(value)
+        and value.__module__ == module.__name__
+    }
+    assert len(set(module.__all__)) == len(module.__all__)
+    assert [key for key in module.__all__ if not hasattr(module, key)] == []
+    listed = {key for key in module.__all__ if _is_function_or_class(getattr(module, key))}
+    assert defined == listed
 
 
 def _readme_table(anchor: str, header: str) -> list[list[str]]:
