@@ -13,8 +13,9 @@ randomness flows from recorded seeds and wall-clock data is quarantined in
 JSON sidecars.  Exit code 0 means every asserted check of that command
 passed, 1 that the solver did not converge or a check failed, and 2 that the
 command could not run: `main` prints every ValueError, and every OSError of
-an unwritable --out, as `error: ...`.  --out is created when the first output
-file is written, so a refused run leaves none behind.
+an unwritable --out, as `error: ...`.  An --out that is, or lies below, an
+existing file is refused before the command runs.  --out is created when the
+first output file is written, so a refused run leaves none behind.
 """
 
 from __future__ import annotations
@@ -335,11 +336,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Refuse an --out whose nearest existing ancestor, or itself, is not a directory."""
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ValueError(f"--out {out}: {path} is not a directory")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.seed < 0 or args.seed >= 2**64:
             raise ValueError("--seed must fit in an unsigned 64-bit integer")
+        _check_out(args.out)
         if args.config is not None:
             config, seed = _load_config(args.config, args.command, args.seed)
         else:

@@ -5,8 +5,9 @@ strong convexity of the dual objective against the filtered-operator variance,
 variance floors at infinite temperature, local reductions of global operators,
 spectral concentration of local perturbations, the variance bound on the Gibbs
 weight outside an observable's eigenvalue window, Lieb-Robinson truncation
-decay, analytic series bounds, and the product family used for the copy-count
-lower bound.
+decay, analytic series bounds, the product family used for the copy-count
+lower bound, and the filter pair of `qbp`: the quadrature transform of its
+time-domain form, `f_time`, against the spectral form that a learn runs.
 
 Checks with explicit constants assert; checks whose constants are only known
 to exist record measured curves and a calibrated floor instead.  Every check
@@ -34,14 +35,13 @@ from .lattice import (
     random_chain,
     to_dense,
 )
-from .qbp import FilterKernel, _hessian_core, quasilocal_W, verify_fourier_pair
+from .qbp import FilterKernel, _hessian_core, f_tilde, quasilocal_W
 from .reporting import POSITIVE_INT, check_config, nonempty_list_of, trial_seed
 
 __all__ = [
     "SUITES",
     "Suite",
     "CheckReport",
-    "QuasiLocalProfile",
     "ising_chain",
     "random_direction",
     "partial_trace",
@@ -56,6 +56,8 @@ __all__ = [
     "lieb_robinson_decay",
     "verify_sum_bounds",
     "lower_bound_family",
+    "f_time",
+    "verify_fourier_pair",
 ]
 
 SERIES_TAIL_TOL = 1e-12
@@ -393,35 +395,20 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
 # Lieb-Robinson truncation decay.
 
 
-@dataclass(eq=False)
-class QuasiLocalProfile:
-    """Per-radius truncation norms of a time-evolved local operator."""
-
-    radii: list[int]
-    norms: list[float]
-    a1: float
-    a2: float
-
-    @property
-    def nonincreasing(self) -> bool:
-        return all(b <= a + 1e-12 for a, b in zip(self.norms, self.norms[1:]))
-
-    @property
-    def final_norm(self) -> float:
-        return self.norms[-1] if self.norms else 0.0
-
-
 def lieb_robinson_decay(
     E: LocalBasisOp, model: HamiltonianModel, t: float, radii
-) -> QuasiLocalProfile:
+) -> CheckReport:
     """Operator-norm error of ball truncations of an evolved one-site basis operator.
 
     E(t) = exp(-iHt) E exp(iHt) is truncated to the balls `LatticeSpec.ball`
     of growing radius around E's site; the tail outside the ball is replaced
-    by the normalized identity.  Fits log(norm) vs radius for the decay rate.
+    by the normalized identity.  Passes when the norms do not increase (to
+    1e-12) and the last one is at most 1e-10; fits log(norm) vs radius for
+    the decay rate and prefactor.
     """
     if E.weight != 1:
         raise ValueError(f"expected a one-site basis element, got support {E.support}")
+    t = float(t)
     lattice = model.basis.lattice
     n = lattice.n_sites
     spectral = spectrum(model)
@@ -448,7 +435,16 @@ def lieb_robinson_decay(
         a1, a2 = float(np.exp(intercept)), float(max(-slope, 0.0))
     else:
         a1, a2 = (norms[0] if norms else 0.0), 0.0
-    return QuasiLocalProfile(radii=list(radii), norms=norms, a1=a1, a2=a2)
+    final = norms[-1] if norms else 0.0
+    nonincreasing = all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+    return CheckReport(
+        check="lr-decay",
+        passed=nonincreasing and final <= 1e-10,
+        min_slack=1e-10 - final,
+        header=("t", "letters", "site", "radius", "truncation_norm"),
+        rows=[(t, E.letters, E.support[0], r, norm) for r, norm in zip(radii, norms)],
+        grid={"n": n, "t": t, "decay_rate": a2, "prefactor": a1},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +624,104 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
+# Time/frequency filter pair.
+
+
+def f_time(t, kernel: FilterKernel) -> np.ndarray | float:
+    """Time-domain QBP filter (2/(beta*pi)) * log((e^x+1)/(e^x-1)), x = pi|t|/beta.
+
+    Its Fourier transform is `qbp.f_tilde`.  Log-singular (but integrable) at
+    t = 0, and evaluated as (2/(beta*pi)) * log1p(2/expm1(x)), which stays
+    finite all the way to the overflow range of exp.
+    """
+    beta = kernel.beta
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr == 0.0):
+        raise ValueError("kernel singular at origin: f_time is undefined at t=0")
+    x = np.pi * np.abs(t_arr) / beta
+    with np.errstate(over="ignore"):  # expm1 overflow -> inf -> log1p(0) = 0
+        out = (2.0 / (beta * np.pi)) * np.log1p(2.0 / np.expm1(x))
+    if np.isscalar(t) or np.ndim(t) == 0:
+        return float(out)
+    return out
+
+
+# Quadrature layout of the Fourier-pair check.  The integrand is even, so the
+# integral over [-T, T] is twice the integral over [0, T].  The log singularity
+# at t = 0 is excised on (0, QUAD_EPS) and replaced by the analytic integral of
+# the local expansion f(t) ~ (2/(beta*pi)) * (log(2*beta/(pi*t)) + (pi*t/beta)^2 / 12).
+QUAD_T_MAX = 40.0
+QUAD_STEP = 1e-3
+QUAD_EPS = 1e-2
+QUAD_TOL = 1e-4
+
+
+def _near_zero_correction(omegas: np.ndarray, beta: float, eps: float) -> np.ndarray:
+    """integral_0^eps f(t) cos(omega t) dt from the local log expansion."""
+    L = np.log(2.0 * beta / (np.pi * eps))
+    a2 = np.pi**2 / (12.0 * beta**2)  # t^2 coefficient of the bracket
+    w2 = omegas**2
+    bracket = (
+        eps * (L + 1.0)
+        + a2 * eps**3 / 3.0
+        - (w2 / 2.0) * (eps**3 / 3.0) * (L + 1.0 / 3.0)
+    )
+    return (2.0 / (beta * np.pi)) * bracket
+
+
+def verify_fourier_pair(kernel: FilterKernel, omegas) -> CheckReport:
+    """Compare the quadrature transform of f_time against f_tilde on a grid.
+
+    Passes when the worst error is below 1e-4.  Raises if the quadrature's
+    own error estimate (step-halving comparison plus tail and cutoff bounds)
+    exceeds QUAD_TOL -- a failed estimate means the reported errors would be
+    meaningless, not that the pair is wrong.
+    """
+    beta = float(kernel.beta)
+    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+
+    n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))
+    n_steps += n_steps % 2  # even count so the half-resolution grid shares endpoints
+    ts = QUAD_EPS + QUAD_STEP * np.arange(n_steps + 1)
+    f_ts = f_time(ts, kernel)
+
+    phases = np.cos(np.outer(omegas, ts))
+    integrand = phases * f_ts
+    body = np.trapezoid(integrand, dx=QUAD_STEP, axis=1)
+    correction = _near_zero_correction(omegas, beta, QUAD_EPS)
+    numeric = 2.0 * (body + correction)
+
+    # Error budget: Richardson step-halving difference, exponential tail
+    # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
+    coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
+    richardson = float(np.max(np.abs(body - coarse))) / 3.0
+    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
+    cutoff = (
+        (2.0 / (beta * np.pi))
+        * (np.max(omegas) ** 4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
+        * QUAD_EPS**5
+        * (abs(np.log(QUAD_EPS)) + 2.0)
+    )
+    estimate = 2.0 * (richardson + tail + cutoff)
+    if estimate > QUAD_TOL:
+        raise ValueError(
+            f"quadrature did not converge: error estimate {estimate:.3e} "
+            f"exceeds tolerance {QUAD_TOL:.0e}"
+        )
+
+    exact = f_tilde(omegas, kernel)
+    max_err = float(np.max(np.abs(numeric - exact)))
+    return CheckReport(
+        check="fourier",
+        passed=max_err < 1e-4,
+        min_slack=1e-4 - max_err,
+        header=("beta", "omega", "numeric", "exact", "abs_error"),
+        rows=[(beta, w, nu, ex, abs(nu - ex)) for w, nu, ex in zip(omegas, numeric, exact)],
+        grid={"beta": beta, "max_abs_error": max_err, "quad_error_estimate": estimate},
+    )
+
+
+# ---------------------------------------------------------------------------
 # Suites: the instances, grids and pass tolerances behind `gibbslearn lab`.
 # Each builder takes the master seed and the suite's config keys, and returns
 # its reports in output order; `SUITES` declares the keys and their defaults.
@@ -764,28 +858,7 @@ def _suite_lr_decay(seed: int, times) -> list[CheckReport]:
             if op.support == (n // 2,) and op.letters in ("Z", "X")
         ]
         for t in times:
-            for op in targets:
-                profile = lieb_robinson_decay(op, model, float(t), range(0, n))
-                rows = [
-                    (float(t), op.letters, op.support[0], r, norm)
-                    for r, norm in zip(profile.radii, profile.norms)
-                ]
-                passed = profile.nonincreasing and profile.final_norm <= 1e-10
-                reports.append(
-                    CheckReport(
-                        check="lr-decay",
-                        passed=passed,
-                        min_slack=1e-10 - profile.final_norm,
-                        header=("t", "letters", "site", "radius", "truncation_norm"),
-                        rows=rows,
-                        grid={
-                            "n": n,
-                            "t": float(t),
-                            "decay_rate": profile.a2,
-                            "prefactor": profile.a1,
-                        },
-                    )
-                )
+            reports += [lieb_robinson_decay(op, model, t, range(n)) for op in targets]
     return reports
 
 
@@ -809,29 +882,7 @@ def _suite_lower_bound(seed: int, sizes, betas, epsilons) -> list[CheckReport]:
 
 
 def _suite_fourier(seed: int, betas, omegas) -> list[CheckReport]:
-    omegas = np.asarray(omegas, dtype=float)
-    reports = []
-    for beta in betas:
-        pair = verify_fourier_pair(FilterKernel(float(beta)), omegas)
-        rows = [
-            (float(beta), w, nu, ex, abs(nu - ex))
-            for w, nu, ex in zip(pair.omegas, pair.numeric, pair.exact)
-        ]
-        reports.append(
-            CheckReport(
-                check="fourier",
-                passed=pair.max_abs_error < 1e-4,
-                min_slack=1e-4 - pair.max_abs_error,
-                header=("beta", "omega", "numeric", "exact", "abs_error"),
-                rows=rows,
-                grid={
-                    "beta": float(beta),
-                    "max_abs_error": pair.max_abs_error,
-                    "quad_error_estimate": pair.quad_error_estimate,
-                },
-            )
-        )
-    return reports
+    return [verify_fourier_pair(FilterKernel(float(beta)), omegas) for beta in betas]
 
 
 def _finite(x) -> bool:

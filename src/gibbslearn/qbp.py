@@ -1,9 +1,8 @@
 """Energy-basis filtering transform and exact derivatives of log Z.
 
-The central object is the filter pair
+The central object is the quantum belief propagation filter
 
-    spectral domain:  f_tilde(omega) = tanh(beta*omega/2) / (beta*omega/2)
-    time domain:      f_time(t) = (2/(beta*pi)) * log((e^x+1)/(e^x-1)),  x = pi|t|/beta
+    f_tilde(omega) = tanh(beta*omega/2) / (beta*omega/2)
 
 `qbp_transform` multiplies an operator's energy-basis matrix elements by
 f_tilde of the energy gap.  That one transform yields both the derivative of
@@ -11,8 +10,8 @@ the matrix exponential (hence the Hessian of log Z) and the filtered direction
 operator whose thermal variance lower-bounds the Hessian quadratic form; the
 two uses coincide because f_tilde is even.
 
-All gap arithmetic happens in the energy basis; the time-domain form exists
-only so the Fourier pair can be verified by quadrature.
+All gap arithmetic happens in the energy basis.  The filter's time-domain
+form, and the quadrature that checks the pair, live in `lab`.
 """
 
 from __future__ import annotations
@@ -34,12 +33,9 @@ from .lattice import HamiltonianModel, OperatorBasis, basis_stack, check_dense_b
 __all__ = [
     "FilterKernel",
     "HessianReport",
-    "FourierPairReport",
     "f_tilde",
-    "f_time",
     "gap_filter",
     "hessian_matrices",
-    "verify_fourier_pair",
     "qbp_transform",
     "hessian_logZ",
     "quasilocal_W",
@@ -70,108 +66,6 @@ def f_tilde(omega, kernel: FilterKernel) -> np.ndarray | float:
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out)
     return out
-
-
-def f_time(t, kernel: FilterKernel) -> np.ndarray | float:
-    """Time-domain filter; log-singular (but integrable) at t = 0.
-
-    Evaluated as (2/(beta*pi)) * log1p(2/expm1(pi|t|/beta)), which stays finite
-    all the way to the overflow range of exp.
-    """
-    beta = kernel.beta
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr == 0.0):
-        raise ValueError("kernel singular at origin: f_time is undefined at t=0")
-    x = np.pi * np.abs(t_arr) / beta
-    with np.errstate(over="ignore"):  # expm1 overflow -> inf -> log1p(0) = 0
-        out = (2.0 / (beta * np.pi)) * np.log1p(2.0 / np.expm1(x))
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return float(out)
-    return out
-
-
-# Quadrature layout of the Fourier-pair check.  The integrand is even, so the
-# integral over [-T, T] is twice the integral over [0, T].  The log singularity
-# at t = 0 is excised on (0, QUAD_EPS) and replaced by the analytic integral of
-# the local expansion f(t) ~ (2/(beta*pi)) * (log(2*beta/(pi*t)) + (pi*t/beta)^2 / 12).
-QUAD_T_MAX = 40.0
-QUAD_STEP = 1e-3
-QUAD_EPS = 1e-2
-QUAD_TOL = 1e-4
-
-
-@dataclass(frozen=True, eq=False)
-class FourierPairReport:
-    beta: float
-    omegas: np.ndarray = field(repr=False)
-    numeric: np.ndarray = field(repr=False)
-    exact: np.ndarray = field(repr=False)
-    max_abs_error: float = 0.0
-    quad_error_estimate: float = 0.0
-
-
-def _near_zero_correction(omegas: np.ndarray, beta: float, eps: float) -> np.ndarray:
-    """integral_0^eps f(t) cos(omega t) dt from the local log expansion."""
-    L = np.log(2.0 * beta / (np.pi * eps))
-    a2 = np.pi**2 / (12.0 * beta**2)  # t^2 coefficient of the bracket
-    w2 = omegas**2
-    bracket = (
-        eps * (L + 1.0)
-        + a2 * eps**3 / 3.0
-        - (w2 / 2.0) * (eps**3 / 3.0) * (L + 1.0 / 3.0)
-    )
-    return (2.0 / (beta * np.pi)) * bracket
-
-
-def verify_fourier_pair(kernel: FilterKernel, omegas) -> FourierPairReport:
-    """Compare the quadrature transform of f_time against f_tilde on a grid.
-
-    Raises if the quadrature's own error estimate (step-halving comparison
-    plus tail and cutoff bounds) exceeds QUAD_TOL -- a failed estimate means
-    the reported errors would be meaningless, not that the pair is wrong.
-    """
-    beta = kernel.beta
-    omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
-
-    n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))
-    n_steps += n_steps % 2  # even count so the half-resolution grid shares endpoints
-    ts = QUAD_EPS + QUAD_STEP * np.arange(n_steps + 1)
-    f_ts = f_time(ts, kernel)
-
-    phases = np.cos(np.outer(omegas, ts))
-    integrand = phases * f_ts
-    body = np.trapezoid(integrand, dx=QUAD_STEP, axis=1)
-    correction = _near_zero_correction(omegas, beta, QUAD_EPS)
-    numeric = 2.0 * (body + correction)
-
-    # Error budget: Richardson step-halving difference, exponential tail
-    # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
-    coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
-    richardson = float(np.max(np.abs(body - coarse))) / 3.0
-    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
-    cutoff = (
-        (2.0 / (beta * np.pi))
-        * (np.max(omegas) ** 4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
-        * QUAD_EPS**5
-        * (abs(np.log(QUAD_EPS)) + 2.0)
-    )
-    estimate = 2.0 * (richardson + tail + cutoff)
-    if estimate > QUAD_TOL:
-        raise ValueError(
-            f"quadrature did not converge: error estimate {estimate:.3e} "
-            f"exceeds tolerance {QUAD_TOL:.0e}"
-        )
-
-    exact = f_tilde(omegas, kernel)
-    max_err = float(np.max(np.abs(numeric - exact)))
-    return FourierPairReport(
-        beta=beta,
-        omegas=omegas,
-        numeric=numeric,
-        exact=np.atleast_1d(exact),
-        max_abs_error=max_err,
-        quad_error_estimate=estimate,
-    )
 
 
 def gap_filter(

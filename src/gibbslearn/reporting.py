@@ -1,7 +1,8 @@
 """Config checks and artifact plumbing shared by the command-line tools.
 
 CSV output is deterministic by construction: comma-separated, one header
-row, LF line endings, floats printed at 12 significant digits.  Replaying a
+row, LF line endings, floats printed at 12 significant digits.  JSON output
+is strict: a NaN or infinite float is written as null.  Replaying a
 manifest must reproduce every CSV byte for byte, so anything that varies
 between runs (wall-clock timings, timestamps) is kept out of CSV files and
 lands in JSON sidecars instead.
@@ -130,17 +131,23 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, obj) -> None:
+    """Strict JSON: every NaN or infinite float is written as null."""
     with _open_for_writing(path) as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_strict(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _strict(obj):
+    """obj with numpy values as Python ones, and NaN and infinite floats as None."""
+    if isinstance(obj, dict):
+        return {key: _strict(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(value) for value in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON-serializable: {type(obj)!r}")
+        return _strict(obj.tolist())
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def read_json(path) -> dict:

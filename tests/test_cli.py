@@ -1084,16 +1084,42 @@ def test_refusals_exit_2_and_write_no_file(tmp_path, capsys, command, text, flag
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["gen", "lab"])
-def test_an_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, command):
-    out = tmp_path / "taken"
-    out.write_text("kept\n")
-    cfg = write_config(tmp_path, "config.json", gen_config(n=2) if command == "gen" else {})
-    suite = ["fourier"] if command == "lab" else []
+@pytest.mark.parametrize(
+    "command, below",
+    [
+        *[pytest.param(command, False, id=command) for command in ("gen", "lab", "learn", "sweep")],
+        *[
+            pytest.param(command, True, id=f"{command}-below-a-file")
+            for command in ("gen", "lab", "learn", "sweep")
+        ],
+    ],
+)
+def test_an_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, command, below):
+    # refused before the command runs: nothing is diagonalized
+    config = {
+        "gen": gen_config(n=2),
+        "lab": {},
+        "learn": {"model": str(run_gen(tmp_path, n=2)), "N": 40_000, "beta": 1.0},
+        "sweep": SWEEP,
+    }[command]
+    cfg = write_config(tmp_path, "config.json", config)
+    calls = []
+
+    def forbidden(H):
+        calls.append(1)
+        raise AssertionError("diagonalized before --out was checked")
+
+    for module in (gibbs, qbp, solver):
+        monkeypatch.setattr(module, "diagonalize", forbidden)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    out = taken / "sub" if below else taken
+    suite = ["strong-convexity"] if command == "lab" else []
     assert main([command, *suite, "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
-    assert out.read_text() == "kept\n"
+    assert taken.read_text() == "kept\n"
+    assert not calls
 
 
 @pytest.mark.parametrize("command", ["gen", "learn", "sweep", "lab", "hessian", "marginals"])

@@ -199,6 +199,15 @@ def test_window_suites_diagonalize_each_observable_once(monkeypatch, suite, expe
     assert len(calls) == expected
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_returns_well_formed_check_reports(suite):
+    reports = SUITES[suite]({}, 0)
+    assert reports
+    for rep in reports:
+        assert isinstance(rep, CheckReport)
+        assert all(len(row) == len(rep.header) for row in rep.rows)
+
+
 def test_strong_convexity_random_instances():
     for seed in (0, 1):
         model = random_chain_model(3, seed=seed)
@@ -482,6 +491,12 @@ def test_local_unitary_norms_match_the_dense_oracle(n, seed, beta, size, probe_s
 # Lieb-Robinson truncation decay
 
 
+def truncation_norms(report):
+    """The norms of a `lieb_robinson_decay` report, by radius."""
+    column = report.header.index("truncation_norm")
+    return [row[column] for row in report.rows]
+
+
 def test_lieb_robinson_zero_time_exact():
     model = random_chain_model(4, seed=3, scale=0.5)
     E = next(
@@ -489,9 +504,10 @@ def test_lieb_robinson_zero_time_exact():
         for op in model.basis.ops
         if op.support == (1,) and op.letters == "Z"
     )
-    profile = lieb_robinson_decay(E, model, 0.0, range(4))
-    assert all(v < 1e-12 for v in profile.norms)
-    assert profile.nonincreasing
+    report = lieb_robinson_decay(E, model, 0.0, range(4))
+    norms = truncation_norms(report)
+    assert all(v < 1e-12 for v in norms)
+    assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
 def test_lieb_robinson_profile_decays():
@@ -501,11 +517,12 @@ def test_lieb_robinson_profile_decays():
         for op in model.basis.ops
         if op.support == (1,) and op.letters == "Z"
     )
-    profile = lieb_robinson_decay(E, model, 0.5, range(4))
-    assert profile.nonincreasing
-    assert profile.final_norm < 1e-10
-    assert profile.norms[0] > profile.final_norm
-    assert profile.a1 >= 0 and profile.a2 >= 0
+    report = lieb_robinson_decay(E, model, 0.5, range(4))
+    norms = truncation_norms(report)
+    assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+    assert norms[-1] < 1e-10
+    assert norms[0] > norms[-1]
+    assert report.grid["prefactor"] >= 0 and report.grid["decay_rate"] >= 0
 
 
 def test_lieb_robinson_takes_a_one_site_element():

@@ -13,6 +13,7 @@ from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp, solver
 from gibbslearn.cli import main
 from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
+from gibbslearn.lab import f_time, verify_fourier_pair
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -26,13 +27,11 @@ from gibbslearn.lattice import (
 from gibbslearn.qbp import (
     FilterKernel,
     f_tilde,
-    f_time,
     _hessian_core,
     hessian_logZ,
     hessian_matrices,
     qbp_transform,
     quasilocal_W,
-    verify_fourier_pair,
 )
 
 from conftest import (
@@ -100,9 +99,10 @@ def test_f_time_positive_and_decaying():
 
 def test_fourier_pair_small_grid():
     report = verify_fourier_pair(FilterKernel(beta=1.0), np.linspace(-5, 5, 11))
-    assert report.max_abs_error < 1e-4
-    assert report.quad_error_estimate < 1e-4
-    np.testing.assert_allclose(report.numeric, report.exact, atol=1e-4)
+    assert report.grid["max_abs_error"] < 1e-4
+    assert report.grid["quad_error_estimate"] < 1e-4
+    numeric, exact = np.array([row[2:4] for row in report.rows]).T
+    np.testing.assert_allclose(numeric, exact, atol=1e-4)
 
 
 def test_fourier_pair_raises_on_large_omega():

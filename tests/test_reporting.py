@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,29 @@ def test_write_json_is_canonical(tmp_path):
     assert "\r" not in text
     assert json.loads(text) == {"a": [0, 1, 2], "b": 1.5, "c": 2}
     assert read_json(path) == {"a": [0, 1, 2], "b": 1.5, "c": 2}
+
+
+def test_write_json_writes_nan_and_infinity_as_null(tmp_path):
+    path = tmp_path / "t.json"
+    obj = {
+        "nan": math.nan,
+        "inf": (-math.inf, 1.0),
+        "numpy": [np.float64(np.nan), np.float32(np.inf), np.array([1.5, np.nan])],
+        "nested": {"ints": np.arange(2), "flags": np.array([True, False])},
+    }
+    write_json(path, obj)
+
+    def refuse(constant):
+        raise AssertionError(f"{constant} in strict JSON")
+
+    assert json.loads(path.read_text(), parse_constant=refuse) == {
+        "nan": None,
+        "inf": [None, 1.0],
+        "numpy": [None, None, [1.5, None]],
+        "nested": {"ints": [0, 1], "flags": [True, False]},
+    }
+    with pytest.raises(TypeError):
+        write_json(path, {"z": 1j})
 
 
 def test_trial_seed_determinism():

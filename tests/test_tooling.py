@@ -25,7 +25,9 @@ that a count is written once, where it is allocated.  The pipeline's steps
 are called from `solver.learn` and `solver.sweep`, never from `cli.py`,
 which holds only wiring and no memory count.  Each module's `__all__` lists
 exactly the public functions and classes it defines, so that neither a
-removed name nor a new one leaves it stale.
+removed name nor a new one leaves it stale.  Every JSON file a command
+writes parses as strict JSON, with no NaN or Infinity, so that any reader can
+load it.
 """
 
 import ast
@@ -323,3 +325,30 @@ def test_readme_memory_examples_quote_the_counts():
     assert len(refusal) == 1
     n, count, exponent = map(int, refusal[0])
     assert (count, exponent) == (hessian_matrices(chain_basis(n)), n)
+
+
+def test_every_json_file_the_cli_writes_is_strict(tmp_path):
+    # strict JSON has no NaN or Infinity: the size sweep's n = 1 cell fails,
+    # so its median error is undefined and must be written as null
+    def run(command, config, *suite):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        return main([command, *suite, "--config", str(path), "--out", str(tmp_path / command)])
+
+    lattice = {"dimension": 1, "side_lengths": [3]}
+    assert run("gen", {"lattice": lattice, "kappa": 2, "beta": 1.0}) == 0
+    dump = {"model": str(tmp_path / "gen" / "model.json"), "beta": 1.0}
+    assert run("learn", {**dump, "N": 40_000}) == 0
+    assert run("hessian", dump) == 0
+    assert run("marginals", dump) == 0
+    assert run("lab", {}, "fourier") == 0
+    assert run("sweep", {"axis": "size", "values": [1, 3], "trials": 1, "beta": 1.0, "N": 1000}) == 1
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    written = sorted(tmp_path.glob("*/*.json"))
+    commands = {"gen", "learn", "hessian", "marginals", "lab", "sweep"}
+    assert {path.parent.name for path in written} == commands
+    for path in written:
+        json.loads(path.read_text(), parse_constant=refuse)
