@@ -139,9 +139,7 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
 # learn
 
 
-def cmd_learn(config: dict, seed: int, out: str, scheme_flag: str | None) -> int:
-    if scheme_flag:  # recorded, so that replay is faithful
-        config = {**config, "scheme": scheme_flag}
+def cmd_learn(config: dict, seed: int, out: str) -> int:
     params = check_config("learn config", config, LEARN_KEYS)
     cfg = SolverConfig(**params["solver"])
     model = _read_model(params["model"])
@@ -176,19 +174,11 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
         kind = SWEEP_KEYS[swept][0]
         keys = {**SWEEP_KEYS, swept: (kind, None)}  # the values give it
         if isinstance(config.get("values"), list):
-            offenders += [
+            offenders = [
                 f"values (expected {kind[1]} for axis {axis}, got {value!r})"
                 for value in config["values"]
                 if not kind[0](value)
             ]
-    if axis == "size":
-        solver = config.get("solver")
-        lambda0 = solver.get("lambda0") if isinstance(solver, dict) else None
-        offenders += [
-            f"{name} (explicit coefficients cannot span a size sweep)"
-            for name, value in (("mu", config.get("mu")), ("solver.lambda0", lambda0))
-            if isinstance(value, list)
-        ]
     params = check_config("sweep config", config, keys, offenders)
     record = sweep(params, SolverConfig(**params["solver"]), seed, jobs)
 
@@ -322,9 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory (created if missing)")
 
     common(sub.add_parser("gen", help="write a model instance from a config"))
-    p_learn = sub.add_parser("learn", help="measure a Gibbs state and fit coefficients")
-    common(p_learn)
-    p_learn.add_argument("--scheme", choices=SCHEMES, help="override the config scheme")
+    common(sub.add_parser("learn", help="measure a Gibbs state and fit coefficients"))
     p_sweep = sub.add_parser("sweep", help="scan N, beta, or size over seeded trials")
     common(p_sweep)
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
@@ -358,10 +346,8 @@ def main(argv=None) -> int:
         if args.command == "gen":
             return cmd_gen(config, seed, args.out)
         if args.command == "learn":
-            return cmd_learn(config, seed, args.out, args.scheme)
+            return cmd_learn(config, seed, args.out)
         if args.command == "sweep":
-            if args.jobs < 1:
-                raise ValueError("--jobs must be at least 1")
             return cmd_sweep(config, seed, args.out, args.jobs)
         if args.command == "lab":
             return cmd_lab(args.suite, config, seed, args.out)

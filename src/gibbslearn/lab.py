@@ -63,7 +63,8 @@ __all__ = [
 SERIES_TAIL_TOL = 1e-12
 SERIES_MAX_TERMS = 10_000_000  # per series; the `points` check refuses points that need more
 R_MIN = 0.01  # calibrated floor on the infinite-temperature variance ratio
-WEIGHT_SUM_TOL = 1e-12  # on |Tr[U rho U^+] - 1| in `local_unitary_probe`
+# on |Tr[U rho U^+] - 1| in `local_unitary_probe`, and relative on each row's spectrum bounds
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(eq=False)
@@ -321,10 +322,12 @@ def local_unitary_probe(
     lambda_i^2 w_U,i.  Trial 0 takes U = I, so its q_norm2 is the row's
     delta_gamma bit for bit: the sum that the `delta-gamma` suite reads as
     its delta_gamma at the same gamma, before its clip to 1.  The claimed
-    suppression constants are unknown, so only the constant-free fact is
+    suppression constants are unknown, so only constant-free facts are
     asserted: each trial's weights sum to Tr[U rho U^+] = 1 within
-    WEIGHT_SUM_TOL, which fails when U is not unitary; `min_slack` is the
-    tolerance less the worst deviation.
+    WEIGHT_SUM_TOL, which fails when U is not unitary, and every row lies
+    inside the spectrum, gamma^2 q_norm2 <= aq_norm2 <= norm_A^2 q_norm2 to
+    WEIGHT_SUM_TOL relative, which a negative weight can break.  `min_slack`
+    is the weight-sum tolerance less the worst deviation.
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
@@ -342,16 +345,20 @@ def local_unitary_probe(
         trial_weights.append(_weights(eigen.vectors, ensemble, embed_on_sites(q, tuple(X), n)))
 
     rows = []
+    inside = True
     for gamma in gammas:
         outside = np.abs(evals) > gamma
         d_gamma = float(weights[outside].sum())
         for trial, w in enumerate(trial_weights):
             q_norm, aq_norm = float(w[outside].sum()), float(w[outside] @ evals[outside] ** 2)
             rows.append((float(gamma), trial, d_gamma, q_norm, aq_norm))
+            # every eigenvalue outside the window has gamma < |lambda| <= norm_A
+            lo, hi, tol = gamma**2 * q_norm, norm_A**2 * q_norm, WEIGHT_SUM_TOL
+            inside &= bool(lo - tol * abs(lo) <= aq_norm <= hi + tol * abs(hi))
     worst = max(abs(float(w.sum()) - 1.0) for w in trial_weights)
     return CheckReport(
         check="local-unitary",
-        passed=worst <= WEIGHT_SUM_TOL,
+        passed=worst <= WEIGHT_SUM_TOL and inside,
         min_slack=WEIGHT_SUM_TOL - worst,
         header=("gamma", "trial", "delta_gamma", "q_norm2", "aq_norm2"),
         rows=rows,

@@ -205,9 +205,8 @@ class HamiltonianModel:
 
 
 def _support_ok(lattice: LatticeSpec, support: tuple[int, ...], kappa: int) -> bool:
-    # <= kappa sites, all pairwise within distance kappa-1 (kappa sites "across")
-    if len(support) > kappa:
-        return False
+    # all pairwise within distance kappa-1 (kappa sites "across"); `enumerate_basis`
+    # builds no support of more than kappa sites
     return all(
         lattice.distance(i, j) <= kappa - 1 for i, j in itertools.combinations(support, 2)
     )

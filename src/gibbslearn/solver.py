@@ -491,11 +491,14 @@ def _trial_pool(workers: int):
 def sweep(params: dict, cfg: SolverConfig, seed: int, jobs: int) -> dict:
     """Run every trial of the checked sweep config `params` on up to `jobs` processes.
 
-    Refuses before any trial runs when a size's learns, one per worker, do
-    not fit in memory, or when mu or lambda0 does not fit a size's basis.
-    Returns the `rows` of `sweep.csv` and the `cells` of `cells.csv`, the
-    `summary` and `timings` JSON records and the manifest's `trial_seeds`.
+    Refuses before any trial runs when jobs < 1, when a size's learns, one
+    per worker, do not fit in memory, or when mu or lambda0 does not fit a
+    size's basis.  Returns the `rows` of `sweep.csv` and the `cells` of
+    `cells.csv`, the `summary` and `timings` JSON records and the manifest's
+    `trial_seeds`.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     axis = params["axis"]
     trials = range(len(params["values"]) * params["trials"])
     workers = min(jobs, len(trials))

@@ -176,10 +176,10 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, change):
     assert "needs a config object and an int master_seed" in capsys.readouterr().err
 
 
-def learn_config(tmp_path, model, **extra):
+def learn_config(tmp_path, model, name="learn.json", **extra):
     payload = {"model": str(model), "N": 40_000, "beta": 1.0, "scheme": "grouped"}
     payload.update(extra)
-    return write_config(tmp_path, "learn.json", payload)
+    return write_config(tmp_path, name, payload)
 
 
 def model_config(tmp_path, command, model):
@@ -321,24 +321,29 @@ def test_polish_accepts_a_newton_step_within_the_rounding_of_log_z(tmp_path):
     assert result["converged"] and result["pg_final"] < 1e-13
 
 
-def test_learn_exact_scheme_flag_wins(tmp_path):
+def test_learn_exact_scheme_from_the_config(tmp_path):
     model_path = run_gen(tmp_path, n=2)
-    cfg = learn_config(tmp_path, model_path, scheme="grouped")
+    cfg = learn_config(tmp_path, model_path, scheme="exact")
     out = tmp_path / "exact_out"
-    assert (
-        main(
-            ["learn", "--config", cfg, "--seed", "2", "--out", str(out), "--scheme", "exact"]
-        )
-        == 0
-    )
+    assert main(["learn", "--config", cfg, "--seed", "2", "--out", str(out)]) == 0
     result = json.loads((out / "result.json").read_text())
     assert result["l2_error"] < 1e-6
     assert result["delta_max"] == 0.0
     meta = json.loads((out / "estimates.json").read_text())
     assert meta["scheme"] == "exact"
-    # the manifest records the effective scheme so replay is faithful
+    # the manifest records the scheme, so that replay is faithful
     manifest = json.loads((out / "learn_manifest.json").read_text())
     assert manifest["config"]["scheme"] == "exact"
+
+
+def test_learn_takes_its_scheme_from_the_config_only(tmp_path, capsys):
+    cfg = learn_config(tmp_path, run_gen(tmp_path, n=2))
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["learn", "--config", cfg, "--out", str(out), "--scheme", "exact"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --scheme exact" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_learn_manifest_replay_is_byte_identical(tmp_path):
@@ -714,7 +719,7 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"solver": {"lambda0": [0.1, 0.2]}}, "lambda0 must be m = 15 finite reals"),
         (
             {"axis": "size", "N": 2000, "values": [2, 3], "solver": {"lambda0": [0.1] * 15}},
-            "solver.lambda0 (explicit coefficients cannot span a size sweep)",
+            "lambda0 must be m = 27 finite reals",
         ),
     ],
     ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
@@ -735,8 +740,24 @@ def test_sweep_size_axis_rejects_explicit_mu(tmp_path, capsys):
         del_cfg = json.load(fh)
     del_cfg.pop("n")
     cfg = write_config(tmp_path, "size.json", del_cfg)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "size sweep" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    # the list fits n = 2's basis, but not n = 3's
+    assert "mu (expected 'random' or list of 27 floats" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_size_axis_runs_a_mu_list_that_fits_its_size(tmp_path):
+    mu = np.random.default_rng(3).uniform(-1.0, 1.0, 27).tolist()
+    cfg = write_config(
+        tmp_path,
+        "size.json",
+        {"axis": "size", "values": [3], "trials": 2, "beta": 1.0, "N": 40_000, "mu": mu},
+    )
+    out = tmp_path / "o"
+    assert main(["sweep", "--config", cfg, "--seed", "0", "--out", str(out)]) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:3] for row in rows] == [["0", "3", "27"], ["1", "3", "27"]]
 
 
 def test_lab_sum_bounds_suite(tmp_path, capsys):
@@ -813,6 +834,8 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
             {"epsilons": [-0.1]},
             "epsilons (expected a nonempty list of finite numbers > 0, got [-0.1])",
         ),
+        # a point of three numbers
+        ("sum-bounds", {"points": [[1, 2, 3]]}, "invalid lab config: points ("),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
@@ -1065,7 +1088,7 @@ def test_sweep_accepts_the_key_its_axis_sweeps(tmp_path, axis, key):
     [
         ("gen", "{not json", [], "is not valid JSON"),
         ("gen", "[1, 2]", [], "must hold a JSON object"),
-        ("sweep", json.dumps(SWEEP), ["--jobs", "0"], "--jobs must be at least 1"),
+        ("sweep", json.dumps(SWEEP), ["--jobs", "0"], "jobs must be at least 1, got 0"),
         (
             "gen",
             json.dumps(gen_config(lattice={"dimension": 2, "side_lengths": [3]})),
@@ -1168,10 +1191,11 @@ def test_cli_import_leaves_scipy_special_out(tmp_path):
     # 6.3 MB with the secrets module it loads) out as well
     model = run_gen(tmp_path, n=2)
     learn = ["learn", "--config", learn_config(tmp_path, model)]
+    exact = ["learn", "--config", learn_config(tmp_path, model, "exact.json", scheme="exact")]
     dump = ["--config", model_config(tmp_path, "hessian", model)]
     numerical = ["scipy.linalg", "scipy.optimize", "scipy.special"]
     cases = [
-        ("learn", [*learn, "--scheme", "exact"], ["scipy", "numpy.random", *numerical]),
+        ("learn", exact, ["scipy", "numpy.random", *numerical]),
         ("learn", learn, ["scipy", *numerical]),
         ("hessian", ["hessian", *dump], ["scipy", "numpy.random", *numerical]),
         ("marginals", ["marginals", *dump], ["scipy", "numpy.random", *numerical]),

@@ -430,6 +430,21 @@ def test_local_unitary_probe_fails_a_non_unitary_u(monkeypatch):
     assert rep.min_slack == pytest.approx(lab.WEIGHT_SUM_TOL - 0.21, abs=1e-12)
 
 
+def test_local_unitary_probe_fails_a_row_outside_the_spectrum():
+    # weights (1.5, -0.5) sum to 1, so every trial's weight sum passes, but on
+    # A_c = diag(0.5, 1.5) they give aq_norm2 = 0.375 - 1.125 = -0.75 at gamma = 0,
+    # below gamma^2 q_norm2 = 0
+    spectral = gibbs.SpectralDecomposition(np.zeros(2), np.eye(2, dtype=complex))
+    ens = gibbs.GibbsEnsemble(spectral, 1.0, 0.0, np.array([1.5, -0.5]))
+    rep = local_unitary_probe(np.diag([0.0, 1.0]), ens, (0,), 1, trials=3, seed=0)
+    assert not rep.passed
+    assert rep.min_slack >= 0
+    gamma, trial, _, q_norm, aq_norm = rep.rows[0]
+    assert (gamma, trial) == (0.0, 0)
+    assert q_norm == pytest.approx(1.0, abs=1e-15)
+    assert aq_norm == pytest.approx(-0.75, abs=1e-15)
+
+
 def test_local_unitary_identity_row_matches_delta_gamma():
     model = random_chain_model(2, seed=41)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)

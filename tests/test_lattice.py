@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,9 @@ from gibbslearn.lattice import (
     to_dense,
 )
 from gibbslearn.lattice import load_model
+from gibbslearn.gibbs import diagonalize, gibbs, variance
+from gibbslearn.measure import MeasurementPlan
+from gibbslearn.qbp import qbp_transform
 
 from conftest import (
     SPLIT_CELL_BASES,
@@ -290,3 +294,40 @@ def test_dense_budget_refuses_single_matrix():
     # one 2^20 x 2^20 complex matrix is 17.6 TB
     basis = chain_basis(20)
     raises_before_allocating(lambda: to_dense(basis.ops[0], basis.lattice))
+
+
+CHAIN3 = LatticeSpec(dimension=1, side_lengths=(3,))
+
+
+@pytest.mark.parametrize(
+    "refused, message",
+    [
+        (lambda: LatticeSpec(0, ()), "lattice dimension must be >= 1, got 0"),
+        (lambda: LatticeSpec(1, (0,)), "side lengths must be positive, got (0,)"),
+        (lambda: CHAIN3.site_coords(3), "site index 3 out of range for n=3"),
+        (lambda: CHAIN3.ball(-1, 0), "radius must be >= 0, got -1"),
+        (lambda: LocalBasisOp((), ""), "support must be nonempty (identity is not a basis"),
+        (
+            lambda: to_dense(LocalBasisOp((3,), "X"), CHAIN3),
+            "support (3,) does not fit a lattice with n=3",
+        ),
+        (
+            lambda: MeasurementPlan(chain_basis(2), "exact", ((0,),), 0, 0),
+            "an exact plan must be empty",
+        ),
+        (
+            lambda: qbp_transform(np.eye(3), diagonalize(np.eye(2)), 1.0),
+            "operator shape (3, 3) does not match spectral dimension 2",
+        ),
+        (
+            # an anti-Hermitian O reads Tr[O^2 rho] = -1
+            lambda: variance(1j * np.eye(2), gibbs(diagonalize(np.zeros((2, 2))), 1.0)),
+            "variance -1.000e+00 is negative beyond numerical noise",
+        ),
+    ],
+    ids=["dimension", "side", "site-index", "ball-radius", "empty-support", "dense-support",
+         "exact-plan", "qbp-shape", "anti-hermitian-variance"],
+)
+def test_refusals_of_outside_input_name_the_fault(refused, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refused()

@@ -267,6 +267,56 @@ def test_box_qp_matches_the_enumeration_of_active_sets(data):
     assert np.linalg.norm(z - newton) <= 1e-12 * max(np.linalg.norm(newton), 1e-300)
 
 
+def test_box_qp_takes_no_uphill_step():
+    # with B = -I the Newton target x + g leaves the box, and every step
+    # toward it raises the model: no descent is left, so x comes back
+    x, g = np.array([0.2, -0.1]), np.array([1.5, -2.0])
+    z = solver._box_qp(-np.eye(2), g, x, 1.0)
+    assert np.array_equal(z, x)
+
+
+@pytest.mark.parametrize("failure", ["singular", "nan"])
+def test_solve_stops_at_its_last_iterate_when_the_box_qp_fails(monkeypatch, failure):
+    # the second Newton step's box QP fails: the solve returns the point of
+    # the first step, unconverged, with that point's projected gradient
+    model = random_chain_model(3, seed=5)
+    e = exact_marginals(model, 1.0)
+    calls, box_qp = [], solver._box_qp
+
+    def failing(B, g, x, radius):
+        calls.append(x.copy())
+        if len(calls) < 2:
+            return box_qp(B, g, x, radius)
+        if failure == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        return np.full_like(x, np.nan)
+
+    monkeypatch.setattr(solver, "_box_qp", failing)
+    mu_hat, trace = solve(e, 1.0, model.basis)
+    assert len(calls) == 2 and np.array_equal(mu_hat, calls[1]) and mu_hat.any()
+    assert not trace.converged
+    assert trace.n_iterations == 2
+    assert np.isfinite(trace.pg_final) and trace.pg_final == trace.grad_norms[-1]
+    f, _, _ = _dual_eval(mu_hat, e, 1.0, basis_stack(model.basis))
+    assert f == trace.objectives[-1]
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_refuses_fewer_than_one_job_before_any_trial(monkeypatch, jobs):
+    def trial(*args):
+        raise RuntimeError("a trial ran")
+
+    monkeypatch.setattr(solver, "_trial_worker", trial)
+    params = {
+        "axis": "N", "values": [1000], "trials": 2, "n": 2, "beta": 1.0, "N": None, "kappa": 2,
+        "mu": "random", "scheme": "grouped", "delta_fail": 0.05, "solver": {},
+    }
+    with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+        solver.sweep(params, SolverConfig(), 0, jobs)
+    with pytest.raises(RuntimeError, match="a trial ran"):
+        solver.sweep(params, SolverConfig(), 0, 1)
+
+
 def test_solver_accepts_estimates_object():
     model = random_chain_model(2, seed=3)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)
