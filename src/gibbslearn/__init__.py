@@ -8,16 +8,17 @@ else lives in its module, organised bottom-up:
 - :mod:`gibbslearn.lattice`: lattices, the local Pauli operator basis, and
   Hamiltonian models with JSON round trips.
 - :mod:`gibbslearn.gibbs`: exact diagonalisation, Gibbs weights, marginals.
-- :mod:`gibbslearn.qbp`: the quantum belief propagation filter, the
-  filtered transform, and exact log-partition derivatives.
+- :mod:`gibbslearn.qbp`: the quantum belief propagation filter and the
+  exact Hessian of log Z.
 - :mod:`gibbslearn.measure`: measurement planning, outcome sampling, and
   Hoeffding confidence radii.
 - :mod:`gibbslearn.solver`: the max-entropy dual solver, its error bound,
   `learn`, the whole measure-then-fit pipeline on a model, and `sweep`, its
   seeded trials over N, beta or size.
 - :mod:`gibbslearn.lab`: structural checks (convexity floors, locality decay,
-  partition-function bounds, the filter's time/frequency pair by quadrature)
-  and `SUITES`, the check suites of ``gibbslearn lab``.
+  partition-function bounds, the filtered operators and the filter's
+  time/frequency pair by quadrature) and `SUITES`, the check suites of
+  ``gibbslearn lab``.
 - :mod:`gibbslearn.cli`: the ``gibbslearn`` command line entry point, which
   only wires configs to these calls and their results to files.
 """

@@ -39,7 +39,7 @@ from .lattice import (
     save_model,
 )
 from .measure import DEFAULT_DELTA_FAIL, SCHEMES
-from .qbp import hessian_logZ
+from .qbp import hessian_logZ, min_eigenvalue
 from .reporting import (
     ANY,
     COUNT,
@@ -95,7 +95,7 @@ MEASURE_KEYS = {
 GEN_KEYS = {
     "lattice": (LATTICE_KEYS, REQUIRED),
     "kappa": (POSITIVE_INT, REQUIRED),
-    "beta": (POSITIVE, REQUIRED),
+    "beta": (POSITIVE, None),  # checked, never read: a model has no temperature
     "mu": (ANY, "random"),
 }
 LEARN_KEYS = {
@@ -251,23 +251,15 @@ def _read_model(path: str) -> HamiltonianModel:
 
 def cmd_hessian(config: dict, seed: int, out: str) -> int:
     model, beta = _load_model_config(config, "hessian")
-    report = hessian_logZ(model, beta)
-    rows = [
-        (j, k, report.matrix[j, k])
-        for j in range(model.basis.m)
-        for k in range(model.basis.m)
-    ]
+    H = hessian_logZ(model, beta)
+    m, least = model.basis.m, min_eigenvalue(H)
+    rows = [(j, k, H[j, k]) for j in range(m) for k in range(m)]
     write_csv(os.path.join(out, "hessian.csv"), ("row", "col", "value"), rows)
     write_json(
-        os.path.join(out, "hessian.json"),
-        {
-            "beta": report.beta,
-            "m": model.basis.m,
-            "min_eigenvalue": report.min_eigenvalue,
-        },
+        os.path.join(out, "hessian.json"), {"beta": beta, "m": m, "min_eigenvalue": least}
     )
     write_manifest(out, "hessian", config, seed, ["hessian.csv", "hessian.json"])
-    print(f"m={model.basis.m} min_eigenvalue={report.min_eigenvalue:.6g}")
+    print(f"m={m} min_eigenvalue={least:.6g}")
     return 0
 
 

@@ -8,6 +8,9 @@ weight outside an observable's eigenvalue window, Lieb-Robinson truncation
 decay, analytic series bounds, the product family used for the copy-count
 lower bound, and the filter pair of `qbp`: the quadrature transform of its
 time-domain form, `f_time`, against the spectral form that a learn runs.
+Beside that pair sit the filtered operators the checks read: `qbp_transform`
+filters an operator by f_tilde of its energy gaps, and `quasilocal_W` filters
+a direction's operator W = sum_l v_l E_l.
 
 Checks with explicit constants assert; checks whose constants are only known
 to exist record measured curves and a calibrated floor instead.  Every check
@@ -31,11 +34,12 @@ from .lattice import (
     HamiltonianModel,
     LatticeSpec,
     LocalBasisOp,
+    basis_stack,
     enumerate_basis,
     random_chain,
     to_dense,
 )
-from .qbp import FilterKernel, _hessian_core, f_tilde, quasilocal_W
+from .qbp import _hessian_core, f_tilde, gap_filter
 from .reporting import POSITIVE_INT, check_config, nonempty_list_of, trial_seed
 
 __all__ = [
@@ -56,6 +60,8 @@ __all__ = [
     "lieb_robinson_decay",
     "verify_sum_bounds",
     "lower_bound_family",
+    "qbp_transform",
+    "quasilocal_W",
     "f_time",
     "verify_fourier_pair",
 ]
@@ -146,7 +152,7 @@ def strong_convexity_probe(
     m = model.basis.m
     spectral = spectrum(model)
     ensemble = gibbs(spectral, beta)
-    hess = _hessian_core(model.basis, model.mu, beta, spectral).matrix
+    hess = _hessian_core(model.basis, model.mu, beta, spectral)
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -631,17 +637,46 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Time/frequency filter pair.
+# Filtered operators and the time/frequency filter pair.
 
 
-def f_time(t, kernel: FilterKernel) -> np.ndarray | float:
+def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -> np.ndarray:
+    """Filter an operator by f_tilde of the energy gap, in the energy basis.
+
+    Degenerate eigenspaces need no care: every intra-block gap is 0 and
+    f_tilde(0) = 1, so the block is passed through unchanged whatever
+    eigenvector basis eigh picked.
+    """
+    O = np.asarray(O)
+    V = spectral.vectors
+    if O.shape != (spectral.dim, spectral.dim):
+        raise ValueError(
+            f"operator shape {O.shape} does not match spectral dimension {spectral.dim}"
+        )
+    A = V.conj().T @ O @ V
+    out = V @ (A * gap_filter(spectral, beta)) @ V.conj().T
+    return 0.5 * (out + out.conj().T)
+
+
+def quasilocal_W(v, model: HamiltonianModel, beta: float) -> np.ndarray:
+    """Filtered direction operator: qbp_transform of W = sum_l v_l E_l."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (model.basis.m,):
+        raise ValueError(f"direction has shape {v.shape}, expected ({model.basis.m},)")
+    W = basis_stack(model.basis).combine(v)
+    return qbp_transform(W, spectrum(model), beta)
+
+
+def f_time(t, beta: float) -> np.ndarray | float:
     """Time-domain QBP filter (2/(beta*pi)) * log((e^x+1)/(e^x-1)), x = pi|t|/beta.
 
     Its Fourier transform is `qbp.f_tilde`.  Log-singular (but integrable) at
     t = 0, and evaluated as (2/(beta*pi)) * log1p(2/expm1(x)), which stays
-    finite all the way to the overflow range of exp.
+    finite all the way to the overflow range of exp.  It divides by beta, so
+    a beta that is not finite and > 0 is refused.
     """
-    beta = kernel.beta
+    if not (beta > 0 and np.isfinite(beta)):
+        raise ValueError(f"time-domain filter beta must be finite and > 0, got {beta}")
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr == 0.0):
         raise ValueError("kernel singular at origin: f_time is undefined at t=0")
@@ -676,21 +711,22 @@ def _near_zero_correction(omegas: np.ndarray, beta: float, eps: float) -> np.nda
     return (2.0 / (beta * np.pi)) * bracket
 
 
-def verify_fourier_pair(kernel: FilterKernel, omegas) -> CheckReport:
+def verify_fourier_pair(beta: float, omegas) -> CheckReport:
     """Compare the quadrature transform of f_time against f_tilde on a grid.
 
     Passes when the worst error is below 1e-4.  Raises if the quadrature's
     own error estimate (step-halving comparison plus tail and cutoff bounds)
     exceeds QUAD_TOL -- a failed estimate means the reported errors would be
-    meaningless, not that the pair is wrong.
+    meaningless, not that the pair is wrong.  Refuses the beta that `f_time`
+    refuses.
     """
-    beta = float(kernel.beta)
+    beta = float(beta)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
 
     n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))
     n_steps += n_steps % 2  # even count so the half-resolution grid shares endpoints
     ts = QUAD_EPS + QUAD_STEP * np.arange(n_steps + 1)
-    f_ts = f_time(ts, kernel)
+    f_ts = f_time(ts, beta)
 
     phases = np.cos(np.outer(omegas, ts))
     integrand = phases * f_ts
@@ -716,7 +752,7 @@ def verify_fourier_pair(kernel: FilterKernel, omegas) -> CheckReport:
             f"exceeds tolerance {QUAD_TOL:.0e}"
         )
 
-    exact = f_tilde(omegas, kernel)
+    exact = f_tilde(omegas, beta)
     max_err = float(np.max(np.abs(numeric - exact)))
     return CheckReport(
         check="fourier",
@@ -889,7 +925,7 @@ def _suite_lower_bound(seed: int, sizes, betas, epsilons) -> list[CheckReport]:
 
 
 def _suite_fourier(seed: int, betas, omegas) -> list[CheckReport]:
-    return [verify_fourier_pair(FilterKernel(float(beta)), omegas) for beta in betas]
+    return [verify_fourier_pair(beta, omegas) for beta in betas]
 
 
 def _finite(x) -> bool:
@@ -972,7 +1008,7 @@ SUITES = {
     "fourier": Suite(
         _suite_fourier,
         {
-            "betas": (POSITIVE_GRID, [0.5, 1.0, 2.0]),  # FilterKernel takes beta > 0 only
+            "betas": (POSITIVE_GRID, [0.5, 1.0, 2.0]),  # f_time divides by beta
             "omegas": (GRID, [*np.linspace(-8.0, 8.0, 33), 1e-9, 1e-6, 1e-3]),
         },
     ),

@@ -1,65 +1,45 @@
-"""Energy-basis filtering transform and exact derivatives of log Z.
+"""The quantum belief propagation filter and the exact Hessian of log Z.
 
-The central object is the quantum belief propagation filter
+The central object is the filter
 
     f_tilde(omega) = tanh(beta*omega/2) / (beta*omega/2)
 
-`qbp_transform` multiplies an operator's energy-basis matrix elements by
-f_tilde of the energy gap.  That one transform yields both the derivative of
-the matrix exponential (hence the Hessian of log Z) and the filtered direction
-operator whose thermal variance lower-bounds the Hessian quadratic form; the
-two uses coincide because f_tilde is even.
+`gap_filter` evaluates it on every energy gap of a spectrum.  Weighted by the
+Gibbs weights, that matrix turns the energy-basis elements of the basis
+operators into the Hessian of log Z, which is what a learn's dual solve runs.
+`min_eigenvalue` reads its least eigenvalue.
 
-All gap arithmetic happens in the energy basis.  The filter's time-domain
-form, and the quadrature that checks the pair, live in `lab`.
+All gap arithmetic happens in the energy basis.  The filtered operators, the
+filter's time-domain form and the quadrature that checks the pair live in
+`lab`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
-from .gibbs import (
-    DIAGONALIZE_MATRICES,
-    SpectralDecomposition,
-    diagonalize,
-    gibbs,
-    spectrum,
-)
+from .gibbs import DIAGONALIZE_MATRICES, SpectralDecomposition, diagonalize, gibbs
 from .lattice import HamiltonianModel, OperatorBasis, basis_stack, check_dense_budget
 
 __all__ = [
-    "FilterKernel",
-    "HessianReport",
     "f_tilde",
     "gap_filter",
     "hessian_matrices",
-    "qbp_transform",
     "hessian_logZ",
-    "quasilocal_W",
+    "min_eigenvalue",
 ]
 
 
-@dataclass(frozen=True)
-class FilterKernel:
-    """Inverse-temperature parameter of the filter pair."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.beta > 0 and np.isfinite(self.beta)):
-            raise ValueError(f"kernel beta must be positive and finite, got {self.beta}")
-
-
-def f_tilde(omega, kernel: FilterKernel) -> np.ndarray | float:
+def f_tilde(omega, beta: float) -> np.ndarray | float:
     """Spectral filter tanh(x)/x at x = beta*omega/2; even, values in (0, 1].
 
     Below |beta*omega| = 1e-6 the two-term series 1 - (beta*omega)^2/12 is used
-    to avoid 0/0.
+    to avoid 0/0, so beta = 0 gives exactly 1.  A negative, NaN or infinite
+    beta is refused.
     """
-    bw = kernel.beta * np.asarray(omega, dtype=float)
+    if not (beta >= 0 and np.isfinite(beta)):
+        raise ValueError(f"filter beta must be finite and >= 0, got {beta}")
+    bw = beta * np.asarray(omega, dtype=float)
     small = np.abs(bw) < 1e-6
     x = np.where(small, 1.0, bw / 2.0)  # dummy 1.0 avoids a 0/0 warning
     out = np.where(small, 1.0 - bw * bw / 12.0, np.tanh(x) / x)
@@ -71,44 +51,14 @@ def f_tilde(omega, kernel: FilterKernel) -> np.ndarray | float:
 def gap_filter(
     spectral: SpectralDecomposition, beta: float, rows=slice(None), cols=slice(None)
 ) -> np.ndarray:
-    """Matrix f_tilde(E_j - E_k) over energies j in `rows`, k in `cols`; all ones at beta = 0.
-
-    Any other beta goes to FilterKernel, which refuses a negative or NaN one.
-    """
+    """Matrix f_tilde(E_j - E_k) over energies j in `rows`, k in `cols`."""
     energies = spectral.energies
-    gaps = energies[rows, None] - energies[None, cols]
-    return np.ones_like(gaps) if beta == 0 else f_tilde(gaps, FilterKernel(beta))
+    return f_tilde(energies[rows, None] - energies[None, cols], beta)
 
 
-def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -> np.ndarray:
-    """Filter an operator by f_tilde of the energy gap, in the energy basis.
-
-    Degenerate eigenspaces need no care: every intra-block gap is 0 and
-    f_tilde(0) = 1, so the block is passed through unchanged whatever
-    eigenvector basis eigh picked.
-    """
-    O = np.asarray(O)
-    V = spectral.vectors
-    if O.shape != (spectral.dim, spectral.dim):
-        raise ValueError(
-            f"operator shape {O.shape} does not match spectral dimension {spectral.dim}"
-        )
-    A = V.conj().T @ O @ V
-    out = V @ (A * gap_filter(spectral, beta)) @ V.conj().T
-    return 0.5 * (out + out.conj().T)
-
-
-@dataclass(frozen=True, eq=False)
-class HessianReport:
-    """Hessian of log Z at a coefficient point, with its extreme eigenvalue."""
-
-    beta: float
-    matrix: np.ndarray = field(repr=False)
-
-    @cached_property
-    def min_eigenvalue(self) -> float:
-        """Least eigenvalue, from one `eigvalsh` on first read: a Newton step never reads it."""
-        return float(np.linalg.eigvalsh(self.matrix)[0]) if self.matrix.size else 0.0
+def min_eigenvalue(H: np.ndarray) -> float:
+    """Least eigenvalue of a symmetric m x m matrix, from one `eigvalsh`; 0 when m = 0."""
+    return float(np.linalg.eigvalsh(H)[0]) if H.size else 0.0
 
 
 SLAB_BUDGET = 16  # entries per slab of the Hessian kernel, in full rows of 2^n
@@ -137,7 +87,7 @@ def hessian_matrices(basis: OperatorBasis) -> int:
 
 def _hessian_core(
     basis, lam: np.ndarray, beta: float, spectral: SpectralDecomposition | None = None
-) -> HessianReport:
+) -> np.ndarray:
     """Hessian of log Z at lam; `spectral`, when given, is the eigensystem of H(lam)."""
     lam = np.asarray(lam, dtype=float)
     m = basis.m
@@ -159,7 +109,7 @@ def _hessian_core(
         lo = hi
     matrix = 0.5 * beta**2 * gram
     matrix -= beta**2 * np.outer(e, e)
-    return HessianReport(beta=float(beta), matrix=matrix)
+    return matrix
 
 
 def _slab(table, spectral, r, beta, J: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -184,21 +134,12 @@ def _slab(table, spectral, r, beta, J: slice) -> tuple[np.ndarray, np.ndarray]:
     return B @ B.T, e
 
 
-def hessian_logZ(model: HamiltonianModel, beta: float) -> HessianReport:
+def hessian_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
     """Exact Hessian of log Z via the filtered anticommutator identity.
 
-    Entry (j, k) is (beta^2/2) Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, which
-    in the energy basis reduces to a weighted elementwise product of the two
-    operators' matrix elements.  It does not read `spectrum(model)`: the
+    Entry (j, k) is (beta^2/2) Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, with
+    Phi the gap filter of `lab.qbp_transform`.  In the energy basis it reduces
+    to a weighted elementwise product of the two operators' matrix elements.  It does not read `spectrum(model)`: the
     kernel diagonalizes only once the memory budget has admitted the Hessian.
     """
     return _hessian_core(model.basis, model.mu, float(beta))
-
-
-def quasilocal_W(v, model: HamiltonianModel, beta: float) -> np.ndarray:
-    """Filtered direction operator: qbp_transform of W = sum_l v_l E_l."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (model.basis.m,):
-        raise ValueError(f"direction has shape {v.shape}, expected ({model.basis.m},)")
-    W = basis_stack(model.basis).combine(v)
-    return qbp_transform(W, spectrum(model), beta)

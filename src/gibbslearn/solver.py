@@ -40,7 +40,7 @@ from .lattice import (
     instance_model,
 )
 from .measure import MarginalEstimates, build_plan, sample_outcomes
-from .qbp import _hessian_core, hessian_matrices
+from .qbp import _hessian_core, hessian_matrices, min_eigenvalue
 from .reporting import ANY, COUNT, POSITIVE, THREAD_VARS, check_config, trial_seed
 
 __all__ = [
@@ -196,7 +196,7 @@ def solve(
             B = None  # the old model goes before the kernel's peak
             trace.hessians += 1
             built = time.perf_counter()
-            B = _hessian_core(basis, x, beta, spectral).matrix
+            B = _hessian_core(basis, x, beta, spectral)
             trace.hessian_s += time.perf_counter() - built
             spectral = None
         try:
@@ -317,7 +317,7 @@ def alpha_secant(basis: OperatorBasis, a, b, beta: float, grad_a, grad_b) -> flo
         alpha = float(np.dot(np.asarray(grad_b) - np.asarray(grad_a), u)) / uu
         if alpha > 0:
             return alpha
-    return _hessian_core(basis, b, float(beta)).min_eigenvalue
+    return min_eigenvalue(_hessian_core(basis, b, float(beta)))
 
 
 def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
@@ -326,7 +326,7 @@ def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
     b = np.asarray(b, dtype=float)
     lo = np.inf
     for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
-        lo = min(lo, _hessian_core(basis, (1 - t) * a + t * b, float(beta)).min_eigenvalue)
+        lo = min(lo, min_eigenvalue(_hessian_core(basis, (1 - t) * a + t * b, float(beta))))
     return float(lo)
 
 

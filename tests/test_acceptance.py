@@ -34,7 +34,7 @@ from gibbslearn.lattice import (
     enumerate_basis,
 )
 from gibbslearn.measure import build_plan, sample_outcomes
-from gibbslearn.qbp import FilterKernel, hessian_logZ
+from gibbslearn.qbp import hessian_logZ
 from gibbslearn.reporting import trial_seed
 from gibbslearn.solver import (
     SolverConfig,
@@ -95,7 +95,7 @@ def test_acceptance_01_derivatives_match_finite_differences():
             rel = float(np.linalg.norm(fd_g - g) / np.linalg.norm(g))
             worst_grad = max(worst_grad, rel)
 
-            H = hessian_logZ(model, beta).matrix
+            H = hessian_logZ(model, beta)
             h2 = 5e-4
             f0 = _log_z_raw(stack, mu, beta)
             fd_H = np.empty((m, m))
@@ -246,7 +246,7 @@ def test_acceptance_06_filter_pair_quadrature():
     started = time.perf_counter()
     worst = 0.0
     for beta in (0.5, 1.0, 2.0):
-        report = verify_fourier_pair(FilterKernel(beta), np.linspace(-5.0, 5.0, 41))
+        report = verify_fourier_pair(beta, np.linspace(-5.0, 5.0, 41))
         worst = max(worst, report.grid["max_abs_error"])
     elapsed = time.perf_counter() - started
     ok = worst < 1e-4 and elapsed < 30.0

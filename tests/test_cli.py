@@ -109,6 +109,23 @@ def test_gen_config_offenders_are_listed(tmp_path, capsys):
     assert "kappa" in err and "beta" in err
 
 
+def test_gen_takes_but_never_reads_beta(tmp_path, capsys):
+    # a model is coefficients over a basis, with no temperature: gen runs
+    # without beta and writes the same model, but still checks a given one
+    without = {key: value for key, value in gen_config(n=2).items() if key != "beta"}
+    written = []
+    for tag, config in [("with", gen_config(n=2)), ("without", without)]:
+        cfg = write_config(tmp_path, f"{tag}.json", config)
+        out = tmp_path / tag
+        assert main(["gen", "--config", cfg, "--seed", "3", "--out", str(out)]) == 0
+        written.append((out / "model.json").read_bytes())
+    assert written[0] == written[1]
+    cfg = write_config(tmp_path, "negative.json", gen_config(n=2, beta=-1))
+    assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "beta (expected finite float > 0, got -1)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -1188,17 +1205,18 @@ def test_cli_import_leaves_scipy_special_out(tmp_path):
     # No command but lab loads scipy itself (10-15 ms, 1.3 MB), so a manifest
     # records its version only when the run loaded it; and an exact learn,
     # hessian and marginals draw nothing, so they leave numpy.random (12 ms,
-    # 6.3 MB with the secrets module it loads) out as well
+    # 6.3 MB with the secrets module it loads) out as well.  None of them
+    # loads the lab, whose compile (about 15 ms) every process would pay
     model = run_gen(tmp_path, n=2)
     learn = ["learn", "--config", learn_config(tmp_path, model)]
     exact = ["learn", "--config", learn_config(tmp_path, model, "exact.json", scheme="exact")]
     dump = ["--config", model_config(tmp_path, "hessian", model)]
-    numerical = ["scipy.linalg", "scipy.optimize", "scipy.special"]
+    kept_out = ["gibbslearn.lab", "scipy", "scipy.linalg", "scipy.optimize", "scipy.special"]
     cases = [
-        ("learn", exact, ["scipy", "numpy.random", *numerical]),
-        ("learn", learn, ["scipy", *numerical]),
-        ("hessian", ["hessian", *dump], ["scipy", "numpy.random", *numerical]),
-        ("marginals", ["marginals", *dump], ["scipy", "numpy.random", *numerical]),
+        ("learn", exact, [*kept_out, "numpy.random"]),
+        ("learn", learn, kept_out),
+        ("hessian", ["hessian", *dump], [*kept_out, "numpy.random"]),
+        ("marginals", ["marginals", *dump], [*kept_out, "numpy.random"]),
     ]
     # argv: the modules to look for, comma-separated, then the command line
     code = (

@@ -22,8 +22,8 @@ from gibbslearn.lattice import (
 )
 from gibbslearn.lattice import load_model
 from gibbslearn.gibbs import diagonalize, gibbs, variance
+from gibbslearn.lab import qbp_transform
 from gibbslearn.measure import MeasurementPlan
-from gibbslearn.qbp import qbp_transform
 
 from conftest import (
     SPLIT_CELL_BASES,

@@ -13,7 +13,7 @@ from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp, solver
 from gibbslearn.cli import main
 from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
-from gibbslearn.lab import f_time, verify_fourier_pair
+from gibbslearn.lab import f_time, qbp_transform, quasilocal_W, verify_fourier_pair
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
@@ -25,13 +25,12 @@ from gibbslearn.lattice import (
     save_model,
 )
 from gibbslearn.qbp import (
-    FilterKernel,
     f_tilde,
     _hessian_core,
+    gap_filter,
     hessian_logZ,
     hessian_matrices,
-    qbp_transform,
-    quasilocal_W,
+    min_eigenvalue,
 )
 
 from conftest import (
@@ -45,60 +44,65 @@ from conftest import (
 )
 
 
-def test_filter_kernel_validation():
-    FilterKernel(beta=2.0)
-    with pytest.raises(ValueError):
-        FilterKernel(beta=0.0)
-    with pytest.raises(ValueError):
-        FilterKernel(beta=float("inf"))
+def test_filter_pair_beta_validation():
+    # the spectral filter takes any finite beta >= 0 and is exactly 1 at
+    # beta = 0; the time-domain form divides by beta, so it and the
+    # quadrature check refuse 0 as well
+    spectral = diagonalize(assemble_hamiltonian(random_chain_model(5, seed=1)))
+    assert f_tilde(2.5, 0.0) == 1.0
+    assert np.array_equal(gap_filter(spectral, 0.0), np.ones((32, 32)))
+    for beta in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="beta"):
+            f_tilde(1.0, beta)
+    for beta in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="beta"):
+            f_time(1.0, beta)
+        with pytest.raises(ValueError, match="beta"):
+            verify_fourier_pair(beta, [0.0, 1.0])
 
 
 def test_f_tilde_at_zero_and_parity():
-    k = FilterKernel(beta=1.7)
-    assert f_tilde(0.0, k) == 1.0
+    assert f_tilde(0.0, 1.7) == 1.0
     for w in (0.3, 1.0, 4.0):
-        assert f_tilde(w, k) == pytest.approx(f_tilde(-w, k), abs=0)
+        assert f_tilde(w, 1.7) == pytest.approx(f_tilde(-w, 1.7), abs=0)
         x = 1.7 * w / 2
-        assert f_tilde(w, k) == pytest.approx(np.tanh(x) / x, rel=1e-14)
+        assert f_tilde(w, 1.7) == pytest.approx(np.tanh(x) / x, rel=1e-14)
 
 
 @given(st.floats(-50, 50), st.floats(0.1, 5.0))
 def test_f_tilde_range(omega, beta) -> None:
-    val = f_tilde(omega, FilterKernel(beta=beta))
+    val = f_tilde(omega, beta)
     assert 0 < val <= 1
 
 
 def test_f_tilde_series_branch_is_continuous():
     # the series takes over below |beta*omega| = 1e-6; both branches must
     # agree there to machine precision
-    k = FilterKernel(beta=1.0)
     below, above = 0.999999e-6, 1.000001e-6
-    assert f_tilde(below, k) == pytest.approx(f_tilde(above, k), abs=1e-15)
+    assert f_tilde(below, 1.0) == pytest.approx(f_tilde(above, 1.0), abs=1e-15)
 
 
 def test_f_time_frozen_value_and_parity():
-    k = FilterKernel(beta=1.0)
-    assert f_time(1.0, k) == pytest.approx(0.05505595798253514, abs=1e-16)
-    assert f_time(-2.3, k) == f_time(2.3, k)
+    assert f_time(1.0, 1.0) == pytest.approx(0.05505595798253514, abs=1e-16)
+    assert f_time(-2.3, 1.0) == f_time(2.3, 1.0)
 
 
 def test_f_time_diverges_at_origin():
     with pytest.raises(ValueError):
-        f_time(0.0, FilterKernel(beta=1.0))
+        f_time(0.0, 1.0)
     with pytest.raises(ValueError):
-        f_time(np.array([0.5, 0.0]), FilterKernel(beta=1.0))
+        f_time(np.array([0.5, 0.0]), 1.0)
 
 
 def test_f_time_positive_and_decaying():
-    k = FilterKernel(beta=0.7)
     ts = np.geomspace(1e-4, 20, 50)
-    vals = f_time(ts, k)
+    vals = f_time(ts, 0.7)
     assert np.all(vals > 0)
     assert np.all(np.diff(vals) < 0)
 
 
 def test_fourier_pair_small_grid():
-    report = verify_fourier_pair(FilterKernel(beta=1.0), np.linspace(-5, 5, 11))
+    report = verify_fourier_pair(1.0, np.linspace(-5, 5, 11))
     assert report.grid["max_abs_error"] < 1e-4
     assert report.grid["quad_error_estimate"] < 1e-4
     numeric, exact = np.array([row[2:4] for row in report.rows]).T
@@ -109,7 +113,7 @@ def test_fourier_pair_raises_on_large_omega():
     # at omega = 50 the step-halving and cutoff error terms exceed the
     # tolerance, so the check must refuse rather than report garbage errors
     with pytest.raises(ValueError, match="did not converge"):
-        verify_fourier_pair(FilterKernel(beta=1.0), [0.0, 50.0])
+        verify_fourier_pair(1.0, [0.0, 50.0])
 
 
 def test_qbp_transform_identity_hamiltonian():
@@ -126,7 +130,7 @@ def test_qbp_transform_scales_off_diagonals():
     spec = diagonalize(pauli_matrix("Z"))
     beta = 0.9
     out = qbp_transform(pauli_matrix("X"), spec, beta)
-    expected = f_tilde(2.0, FilterKernel(beta=beta)) * pauli_matrix("X")
+    expected = f_tilde(2.0, beta) * pauli_matrix("X")
     np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
@@ -135,7 +139,7 @@ def test_qbp_transform_refuses_a_beta_that_is_neither_zero_nor_positive(beta):
     # only beta = 0 passes the operator through unfiltered
     spec = diagonalize(pauli_matrix("Z"))
     np.testing.assert_array_equal(qbp_transform(pauli_matrix("X"), spec, 0.0), pauli_matrix("X"))
-    with pytest.raises(ValueError, match="kernel beta"):
+    with pytest.raises(ValueError, match="filter beta"):
         qbp_transform(pauli_matrix("X"), spec, beta)
 
 
@@ -177,11 +181,9 @@ def test_hessian_at_zero_coupling_is_isotropic():
     model = random_chain_model(2, seed=0)
     zero = dataclasses.replace(model, mu=np.zeros(model.basis.m))
     for beta in (0.5, 2.0):
-        report = hessian_logZ(zero, beta)
-        np.testing.assert_allclose(
-            report.matrix, beta**2 * np.eye(model.basis.m), atol=1e-12
-        )
-        assert report.min_eigenvalue == pytest.approx(beta**2, rel=1e-10)
+        H = hessian_logZ(zero, beta)
+        np.testing.assert_allclose(H, beta**2 * np.eye(model.basis.m), atol=1e-12)
+        assert min_eigenvalue(H) == pytest.approx(beta**2, rel=1e-10)
 
 
 @st.composite
@@ -211,10 +213,10 @@ def test_hessian_kernel_matches_dense_oracle(model, beta, slab_budget):
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
     with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
-        report = _hessian_core(model.basis, model.mu, beta)
-    np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
-    assert np.array_equal(report.matrix, report.matrix.T)
-    assert abs(report.min_eigenvalue - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
+        H = _hessian_core(model.basis, model.mu, beta)
+    np.testing.assert_allclose(H, oracle, rtol=0, atol=1e-12)
+    assert np.array_equal(H, H.T)
+    assert abs(min_eigenvalue(H) - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
 
 
 @pytest.mark.parametrize("slab_budget", [1, 3, 32])
@@ -231,8 +233,8 @@ def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_budge
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
     with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
-        report = _hessian_core(basis, mu, beta)
-    np.testing.assert_allclose(report.matrix, oracle, rtol=0, atol=1e-12)
+        H = _hessian_core(basis, mu, beta)
+    np.testing.assert_allclose(H, oracle, rtol=0, atol=1e-12)
 
 
 def test_hessian_kernel_peak_memory_within_its_count():
@@ -279,18 +281,15 @@ def test_hessian_reuses_a_given_eigensystem():
     spectral = diagonalize(assemble_hamiltonian(model))
     own = _hessian_core(model.basis, model.mu, 0.9)
     reused = _hessian_core(model.basis, model.mu, 0.9, spectral)
-    np.testing.assert_array_equal(reused.matrix, own.matrix)
+    np.testing.assert_array_equal(reused, own)
 
 
 def test_hessian_symmetric_and_positive():
     model = random_chain_model(3, seed=13)
-    report = hessian_logZ(model, 1.2)
-    H = report.matrix
+    H = hessian_logZ(model, 1.2)
     assert np.array_equal(H, H.T)
-    assert report.min_eigenvalue > 0
-    assert np.linalg.eigvalsh(H).min() == pytest.approx(
-        report.min_eigenvalue, rel=1e-9, abs=1e-12
-    )
+    assert min_eigenvalue(H) > 0
+    assert np.linalg.eigvalsh(H).min() == pytest.approx(min_eigenvalue(H), rel=1e-9, abs=1e-12)
 
 
 def test_hessian_budget_refuses_before_allocating():

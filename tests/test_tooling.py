@@ -17,7 +17,7 @@ renamed output field cannot drift from its documentation.  Its memory examples m
 the matrix counts that `hessian` and `learn` check, so that a changed count
 cannot leave them behind.  And each eigensolver the package calls has one
 call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
-`qbp.HessianReport.min_eigenvalue` on the m x m Hessian, so that a change of
+`qbp.min_eigenvalue` on the m x m Hessian, so that a change of
 eigensolver has one place to go and no module diagonalizes on its own.  The
 memory budget is checked only by the stages that allocate dense matrices and
 where a learn's peak is checked, in `solver.learn` and `solver.sweep`, so
