@@ -12,10 +12,12 @@ version, per-trial seeds, output names).  Feeding a manifest back through
 randomness flows from recorded seeds and wall-clock data is quarantined in
 JSON sidecars.  Exit code 0 means every asserted check of that command
 passed, 1 that the solver did not converge or a check failed, and 2 that the
-command could not run: `main` prints every ValueError, and every OSError of
-an unwritable --out, as `error: ...`.  An --out that is, or lies below, an
-existing file is refused before the command runs.  --out is created when the
-first output file is written, so a refused run leaves none behind.
+command could not run: `main` prints every ValueError, every ArithmeticError
+of a numerical overflow, and every OSError of an unwritable --out, as
+`error: ...`.  An --out that is, or lies below, an existing file is refused
+before the command runs.  --out is created when the first output file is
+written, so a refused run leaves none behind.  Each command hands its output
+files to `_write`, which writes them and the manifest that lists them.
 """
 
 from __future__ import annotations
@@ -120,17 +122,33 @@ SWEEP_KEYS = {
 DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessian, marginals
 
 
+def _write(out: str, command: str, config: dict, seed: int, files, trial_seeds=()) -> None:
+    """Write each (name, content) of `files` to out, in order, then the manifest naming them.
+
+    A `.csv` name takes a (header, rows) pair; a `.json` name takes an object,
+    or a model, which `save_model` writes.
+    """
+    for name, content in files:
+        path = os.path.join(out, name)
+        if name.endswith(".csv"):
+            write_csv(path, *content)
+        elif isinstance(content, HamiltonianModel):
+            save_model(content, path)
+        else:
+            write_json(path, content)
+    write_manifest(out, command, config, seed, [name for name, _ in files], trial_seeds)
+
+
 # ---------------------------------------------------------------------------
 # gen
 
 
-def cmd_gen(config: dict, seed: int, out: str) -> int:
+def cmd_gen(config: dict, seed: int, args) -> int:
     params = check_config("gen config", config, GEN_KEYS)
     basis = enumerate_basis(LatticeSpec(**params["lattice"]), params["kappa"])
     model = instance_model("gen config", params["mu"], basis, np.random.default_rng(seed))
 
-    save_model(model, os.path.join(out, "model.json"))
-    write_manifest(out, "gen", config, seed, ["model.json"])
+    _write(args.out, "gen", config, seed, [("model.json", model)])
     print(f"m={basis.m} n={model.n_sites}")
     return 0
 
@@ -139,22 +157,22 @@ def cmd_gen(config: dict, seed: int, out: str) -> int:
 # learn
 
 
-def cmd_learn(config: dict, seed: int, out: str) -> int:
+def cmd_learn(config: dict, seed: int, args) -> int:
     params = check_config("learn config", config, LEARN_KEYS)
     cfg = SolverConfig(**params["solver"])
     model = _read_model(params["model"])
     beta, delta_fail = float(params["beta"]), float(params["delta_fail"])
     record = learn(model, beta, params["N"], params["scheme"], delta_fail, seed, cfg)
 
-    estimates = record.pop("estimates")
-    write_csv(os.path.join(out, "estimates.csv"), estimates.CSV_HEADER, estimates.csv_rows())
-    write_json(os.path.join(out, "estimates.json"), estimates.manifest_dict())
-    trace = record.pop("trace")
-    write_csv(os.path.join(out, "trace.csv"), trace.CSV_HEADER, trace.csv_rows())
-    write_json(os.path.join(out, "learn_timings.json"), record.pop("timings"))
-    write_json(os.path.join(out, "result.json"), record)
-    outputs = ["estimates.csv", "estimates.json", "trace.csv", "learn_timings.json", "result.json"]
-    write_manifest(out, "learn", config, seed, outputs)
+    estimates, trace, timings = record.pop("estimates"), record.pop("trace"), record.pop("timings")
+    files = [
+        ("estimates.csv", (estimates.CSV_HEADER, estimates.csv_rows())),
+        ("estimates.json", estimates.manifest_dict()),
+        ("trace.csv", (trace.CSV_HEADER, trace.csv_rows())),
+        ("learn_timings.json", timings),
+        ("result.json", record),
+    ]
+    _write(args.out, "learn", config, seed, files)
     print(
         f"l2_error={record['l2_error']:.6g} delta_max={record['delta_max']:.6g} "
         f"iterations={record['iterations']} converged={record['converged']}"
@@ -166,7 +184,7 @@ def cmd_learn(config: dict, seed: int, out: str) -> int:
 # sweep
 
 
-def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
+def cmd_sweep(config: dict, seed: int, args) -> int:
     axis = config.get("axis")
     swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
     keys, offenders = SWEEP_KEYS, []
@@ -180,15 +198,16 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
                 if not kind[0](value)
             ]
     params = check_config("sweep config", config, keys, offenders)
-    record = sweep(params, SolverConfig(**params["solver"]), seed, jobs)
+    record = sweep(params, SolverConfig(**params["solver"]), seed, args.jobs)
 
-    write_csv(os.path.join(out, "sweep.csv"), SWEEP_HEADER, record["rows"])
-    write_csv(os.path.join(out, "cells.csv"), CELLS_HEADER, record["cells"])
     summary = record["summary"]
-    write_json(os.path.join(out, "sweep_summary.json"), summary)
-    write_json(os.path.join(out, "sweep_timings.json"), record["timings"])
-    outputs = ["sweep.csv", "cells.csv", "sweep_summary.json", "sweep_timings.json"]
-    write_manifest(out, "sweep", config, seed, outputs, record["trial_seeds"])
+    files = [
+        ("sweep.csv", (SWEEP_HEADER, record["rows"])),
+        ("cells.csv", (CELLS_HEADER, record["cells"])),
+        ("sweep_summary.json", summary),
+        ("sweep_timings.json", record["timings"]),
+    ]
+    _write(args.out, "sweep", config, seed, files, record["trial_seeds"])
     slope = summary["slope_log_error_vs_log_N"]
     slope_txt = "n/a" if slope is None else f"{slope:.3f}"
     print(
@@ -202,33 +221,24 @@ def cmd_sweep(config: dict, seed: int, out: str, jobs: int) -> int:
 # lab
 
 
-def cmd_lab(suite: str | None, config: dict, seed: int, out: str) -> int:
+def cmd_lab(config: dict, seed: int, args) -> int:
     from .lab import SUITES  # the lab is imported only by the command that runs it
 
-    suite = suite or config.get("suite")
+    suite = args.suite or config.get("suite")
     if suite not in SUITES:
         raise ValueError(
             f"unknown suite {suite!r}; available suites: {', '.join(sorted(SUITES))}"
         )
     reports = SUITES[suite](config, seed)
-    outputs = []
-    for i, rep in enumerate(reports):
+    summaries = [rep.summary_dict() for rep in reports]
+    files = []
+    for i, (rep, summary) in enumerate(zip(reports, summaries)):
         stem = f"{suite}_{i:02d}"
-        write_csv(os.path.join(out, stem + ".csv"), rep.header, rep.rows)
-        write_json(os.path.join(out, stem + ".json"), rep.summary_dict())
-        outputs.extend([stem + ".csv", stem + ".json"])
+        files += [(stem + ".csv", (rep.header, rep.rows)), (stem + ".json", summary)]
     all_pass = all(rep.passed for rep in reports)
-    write_json(
-        os.path.join(out, f"{suite}_suite.json"),
-        {
-            "suite": suite,
-            "pass": all_pass,
-            "n_checks": len(reports),
-            "reports": [rep.summary_dict() for rep in reports],
-        },
-    )
-    outputs.append(f"{suite}_suite.json")
-    write_manifest(out, "lab", {**config, "suite": suite}, seed, outputs)
+    record = {"suite": suite, "pass": all_pass, "n_checks": len(reports), "reports": summaries}
+    files.append((f"{suite}_suite.json", record))
+    _write(args.out, "lab", {**config, "suite": suite}, seed, files)
     print(f"suite={suite} checks={len(reports)} pass={all_pass}")
     return 0 if all_pass else 1
 
@@ -249,35 +259,29 @@ def _read_model(path: str) -> HamiltonianModel:
         raise ValueError(f"model file not found: {path}")
 
 
-def cmd_hessian(config: dict, seed: int, out: str) -> int:
+def cmd_hessian(config: dict, seed: int, args) -> int:
     model, beta = _load_model_config(config, "hessian")
     H = hessian_logZ(model, beta)
     m, least = model.basis.m, min_eigenvalue(H)
     rows = [(j, k, H[j, k]) for j in range(m) for k in range(m)]
-    write_csv(os.path.join(out, "hessian.csv"), ("row", "col", "value"), rows)
-    write_json(
-        os.path.join(out, "hessian.json"), {"beta": beta, "m": m, "min_eigenvalue": least}
-    )
-    write_manifest(out, "hessian", config, seed, ["hessian.csv", "hessian.json"])
+    files = [
+        ("hessian.csv", (("row", "col", "value"), rows)),
+        ("hessian.json", {"beta": beta, "m": m, "min_eigenvalue": least}),
+    ]
+    _write(args.out, "hessian", config, seed, files)
     print(f"m={m} min_eigenvalue={least:.6g}")
     return 0
 
 
-def cmd_marginals(config: dict, seed: int, out: str) -> int:
+def cmd_marginals(config: dict, seed: int, args) -> int:
     model, beta = _load_model_config(config, "marginals")
     ensemble = gibbs(spectrum(model), beta)
     values = marginals(basis_stack(model.basis), ensemble)
-    write_csv(
-        os.path.join(out, "marginals.csv"),
-        ("l", "value"),
-        list(zip(range(model.basis.m), values)),
-    )
-    write_json(
-        os.path.join(out, "marginals.json"),
-        {"beta": beta, "m": model.basis.m, "log_Z": ensemble.log_z},
-    )
-    outputs = ["marginals.csv", "marginals.json"]
-    write_manifest(out, "marginals", config, seed, outputs)
+    files = [
+        ("marginals.csv", (("l", "value"), list(zip(range(model.basis.m), values)))),
+        ("marginals.json", {"beta": beta, "m": model.basis.m, "log_Z": ensemble.log_z}),
+    ]
+    _write(args.out, "marginals", config, seed, files)
     print(f"m={model.basis.m} beta={beta:g}")
     return 0
 
@@ -298,21 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
+    def command(name, run, help, config_required=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=config_required, help="config or manifest JSON")
         p.add_argument("--seed", type=int, default=0, help="master seed (u64)")
         p.add_argument("--out", default="out", help="output directory (created if missing)")
+        return p
 
-    common(sub.add_parser("gen", help="write a model instance from a config"))
-    common(sub.add_parser("learn", help="measure a Gibbs state and fit coefficients"))
-    p_sweep = sub.add_parser("sweep", help="scan N, beta, or size over seeded trials")
-    common(p_sweep)
+    command("gen", cmd_gen, "write a model instance from a config")
+    command("learn", cmd_learn, "measure a Gibbs state and fit coefficients")
+    p_sweep = command("sweep", cmd_sweep, "scan N, beta, or size over seeded trials")
     p_sweep.add_argument("--jobs", type=int, default=1, help="parallel trial processes")
-    p_lab = sub.add_parser("lab", help="run one structural check suite")
+    p_lab = command("lab", cmd_lab, "run one structural check suite", config_required=False)
     p_lab.add_argument("suite", nargs="?", help="the suite to run; without one, lab lists them")
-    common(p_lab, config_required=False)
-    common(sub.add_parser("hessian", help="dump the exact log-partition Hessian"))
-    common(sub.add_parser("marginals", help="dump exact marginals of a stored model"))
+    command("hessian", cmd_hessian, "dump the exact log-partition Hessian")
+    command("marginals", cmd_marginals, "dump exact marginals of a stored model")
     return parser
 
 
@@ -335,18 +340,9 @@ def main(argv=None) -> int:
             config, seed = _load_config(args.config, args.command, args.seed)
         else:
             config, seed = {}, args.seed
-        if args.command == "gen":
-            return cmd_gen(config, seed, args.out)
-        if args.command == "learn":
-            return cmd_learn(config, seed, args.out)
-        if args.command == "sweep":
-            return cmd_sweep(config, seed, args.out, args.jobs)
-        if args.command == "lab":
-            return cmd_lab(args.suite, config, seed, args.out)
-        if args.command == "hessian":
-            return cmd_hessian(config, seed, args.out)
-        return cmd_marginals(config, seed, args.out)
-    except (ValueError, OSError) as exc:  # numpy.linalg.LinAlgError is a ValueError
+        return args.run(config, seed, args)
+    # numpy.linalg.LinAlgError is a ValueError; an overflow raises an ArithmeticError
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -168,8 +168,8 @@ def utc_now() -> str:
 def _numerical_environment() -> dict:
     """Library versions, BLAS build and thread settings behind a run's floats.
 
-    scipy's version is recorded when the run loaded scipy (the lab's series
-    check does) and is None otherwise: importing scipy only to read its
+    scipy's version is recorded when the run loaded scipy, which no command
+    does today, and is None otherwise: importing scipy only to read its
     version would cost every learn about 10 ms and 1.3 MB.
     """
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]

@@ -1,5 +1,6 @@
 import functools
 import tracemalloc
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -10,6 +11,17 @@ from scipy.special import logsumexp
 from gibbslearn import lab
 from gibbslearn.gibbs import GibbsEnsemble, diagonalize, gibbs, marginals, spectrum
 from gibbslearn.lattice import LatticeSpec, basis_stack, enumerate_basis, random_chain, to_dense
+
+# Hypothesis's pytest plugin imports this module when a test fails, and it
+# imports libcst, which warns a DeprecationWarning from mypy_extensions; the
+# error filter in pyproject.toml would turn that into an INTERNALERROR that
+# ends the session.  Imported once here, the warning cannot recur.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 ACCEPTANCE_LINES: list[str] = []
 

@@ -7,7 +7,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy
 
 from gibbslearn import gibbs, qbp, solver
 from gibbslearn.cli import main
@@ -488,6 +487,32 @@ def test_an_infinite_beta_exits_2_naming_it(tmp_path, capsys, command, extra, me
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("learn", {"beta": 1e200}),  # beta**2 in the dual solve
+        ("hessian", {"beta": 1e200}),  # 0.5 * beta**2 in the Hessian
+        ("learn", {"N": 10**29}),  # numpy's multinomial draw
+    ],
+    ids=["learn-beta", "hessian-beta", "learn-N"],
+)
+def test_a_numerical_overflow_exits_2(tmp_path, command, extra):
+    # an OverflowError is an ArithmeticError, which main reports like a
+    # ValueError; run in a process of its own, where a RuntimeWarning warns
+    model = str(run_gen(tmp_path, n=2))
+    if command == "learn":
+        cfg = learn_config(tmp_path, model, **extra)
+    else:
+        cfg = write_config(tmp_path, "dump.json", {"model": model, **extra})
+    out = tmp_path / "o"
+    argv = [sys.executable, "-m", "gibbslearn.cli", command, "--config", cfg, "--out", str(out)]
+    run = subprocess.run(argv, capture_output=True, text=True)
+    assert run.returncode == 2, run.stderr
+    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
+    assert len(errors) == 1 and "Traceback" not in run.stderr, run.stderr
     assert not out.exists()
 
 
@@ -1199,24 +1224,28 @@ def test_console_entry_point():
 
 
 def test_cli_import_leaves_scipy_special_out(tmp_path):
-    # a learn imports none of scipy's numerical modules: scipy.special costs
-    # about 0.3 s per process, scipy.linalg with scipy.optimize about 0.5 s,
-    # more than a whole n = 7 learn, and only the lab's series check needs one.
-    # No command but lab loads scipy itself (10-15 ms, 1.3 MB), so a manifest
-    # records its version only when the run loaded it; and an exact learn,
-    # hessian and marginals draw nothing, so they leave numpy.random (12 ms,
-    # 6.3 MB with the secrets module it loads) out as well.  None of them
-    # loads the lab, whose compile (about 15 ms) every process would pay
+    # no command imports scipy, lab included: scipy.special costs about 0.3 s
+    # per process, scipy.linalg with scipy.optimize about 0.5 s, more than a
+    # whole n = 7 learn, and the lab's series check bounds its tails in closed
+    # form.  So every manifest records scipy's version as null; and an exact
+    # learn, hessian and marginals draw nothing, so they leave numpy.random
+    # (12 ms, 6.3 MB with the secrets module it loads) out as well.  No command
+    # but lab loads the lab, whose compile (about 15 ms) every process would pay
     model = run_gen(tmp_path, n=2)
     learn = ["learn", "--config", learn_config(tmp_path, model)]
     exact = ["learn", "--config", learn_config(tmp_path, model, "exact.json", scheme="exact")]
     dump = ["--config", model_config(tmp_path, "hessian", model)]
-    kept_out = ["gibbslearn.lab", "scipy", "scipy.linalg", "scipy.optimize", "scipy.special"]
+    scipy_modules = ["scipy", "scipy.linalg", "scipy.optimize", "scipy.special"]
+    kept_out = ["gibbslearn.lab", *scipy_modules]
+    gen = ["gen", "--config", write_config(tmp_path, "gen.json", gen_config(n=2))]
     cases = [
+        ("gen", gen, kept_out),
+        ("sweep", ["sweep", "--config", sweep_config(tmp_path)], kept_out),
         ("learn", exact, [*kept_out, "numpy.random"]),
         ("learn", learn, kept_out),
         ("hessian", ["hessian", *dump], [*kept_out, "numpy.random"]),
         ("marginals", ["marginals", *dump], [*kept_out, "numpy.random"]),
+        ("lab", ["lab", "sum-bounds"], scipy_modules),
     ]
     # argv: the modules to look for, comma-separated, then the command line
     code = (
@@ -1231,16 +1260,6 @@ def test_cli_import_leaves_scipy_special_out(tmp_path):
         assert run.stdout.splitlines()[-1] == "0 []", (args, run.stdout)
         manifest = json.loads((out / f"{command}_manifest.json").read_text())
         assert manifest["environment"]["scipy"] is None
-
-    # the series check of `lab sum-bounds` imports scipy.special, and so its
-    # manifest records the version
-    out = tmp_path / "lab"
-    argv = [sys.executable, "-c", code, "scipy.special", "lab", "sum-bounds", "--out", str(out)]
-    run = subprocess.run(argv, capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines()[-1] == "0 ['scipy.special']"
-    manifest = json.loads((out / "lab_manifest.json").read_text())
-    assert manifest["environment"]["scipy"] == scipy.__version__
 
 
 def test_cli_import_leaves_the_lab_and_multiprocessing_out():

@@ -592,8 +592,28 @@ def test_sum_bounds_refuses_a_point_that_needs_too_many_terms():
     assert time.perf_counter() - started < 5.0
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_gamma_tail_bound_against_gammaincc(data):
+    # the bound log[z^(s-1) e^-z / (1 - r/z)], r = max(s - 1, 0), lies above
+    # log Gamma(s, z), and below it plus -log(1 - r/z) + log(1 + max(1 - s, 0)/z):
+    # Gamma(s, z) >= z^(s-1) e^-z for s >= 1, and z^s e^-z / (z + 1 - s) below
+    from scipy.special import gammaincc, gammaln
+
+    s = data.draw(st.floats(0.0, 10.0, exclude_min=True, allow_subnormal=False), label="s")
+    r = max(s - 1.0, 0.0)
+    z = data.draw(st.floats(r, 700.0, exclude_min=True), label="z")
+    q = float(gammaincc(s, z))
+    if q > 0.0:
+        exact = float(gammaln(s)) + math.log(q)
+        slack = 1e-12 * max(abs(exact), 1.0)  # gammaincc rounds to 1 as z falls to 0
+        bound = lab._log_gamma_tail(s, z)
+        excess = -math.log1p(-r / z) + math.log1p(max(1.0 - s, 0.0) / z)
+        assert exact - slack <= bound <= exact + excess + slack
+
+
 def test_gamma_tail_bound_where_gammaincc_underflows():
-    # at z = 750..800 gammaincc underflows to 0; the stand-in must bound
+    # at z = 750..800 gammaincc underflows to 0; the bound must still bound
     # log Gamma(s, z) from above, closely, and never read -inf
     from scipy.special import gammaincc
 

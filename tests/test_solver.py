@@ -240,6 +240,7 @@ def box_qp_by_enumeration(B, g, x, radius):
         r = g + B @ (z - x)
         inside = np.all(np.abs(z[free]) <= radius * (1 + 1e-12))
         if inside and np.all(sides * r <= scale):
+            z = np.clip(z, -radius, radius)  # a candidate admitted just outside is scored on the box
             q = float(g @ (z - x) + 0.5 * (z - x) @ B @ (z - x))
             if q < best_q:
                 best, best_q = z, q
@@ -266,6 +267,15 @@ def test_box_qp_matches_the_enumeration_of_active_sets(data):
     wide = 2.0 * np.abs(newton).max() + 1.0
     z = solver._box_qp(B, g, np.zeros(m), wide)
     assert np.linalg.norm(z - newton) <= 1e-12 * max(np.linalg.norm(newton), 1e-300)
+
+
+def test_box_qp_at_a_corner_the_gradient_leaves():
+    # a saved falsifying example of the property test above: the free
+    # candidate lies 9.5e-13 outside the box, and the oracle scores it on the box
+    B = np.array([[3.0, 2.0], [2.0, 3.0]])
+    g, x = np.full(2, 4.77e-12), np.array([-1.0, -1.0])
+    assert np.array_equal(solver._box_qp(B, g, x, 1.0), x)
+    assert np.array_equal(box_qp_by_enumeration(B, g, x, 1.0), x)
 
 
 def test_box_qp_takes_no_uphill_step():

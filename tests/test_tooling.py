@@ -124,6 +124,8 @@ def test_a_traced_learn_records_every_stage(tmp_path):
     assert run.returncode == 0, run.stderr
     labels = {span[0] for span in json.loads(spans.read_text())}
     stages = {
+        "cli.main",
+        "cli.io",
         "lattice.assemble",
         "gibbs.diagonalize",
         "gibbs.weights",
