@@ -44,8 +44,8 @@ from .measure import DEFAULT_DELTA_FAIL, SCHEMES
 from .qbp import hessian_logZ, min_eigenvalue
 from .reporting import (
     ANY,
-    COUNT,
-    POSITIVE,
+    BETA,
+    COPIES,
     POSITIVE_INT,
     REQUIRED,
     check_config,
@@ -97,13 +97,13 @@ MEASURE_KEYS = {
 GEN_KEYS = {
     "lattice": (LATTICE_KEYS, REQUIRED),
     "kappa": (POSITIVE_INT, REQUIRED),
-    "beta": (POSITIVE, None),  # checked, never read: a model has no temperature
+    "beta": (BETA, None),  # checked, never read: a model has no temperature
     "mu": (ANY, "random"),
 }
 LEARN_KEYS = {
     "model": (MODEL, REQUIRED),
-    "N": (COUNT, REQUIRED),
-    "beta": (POSITIVE, REQUIRED),
+    "N": (COPIES, REQUIRED),
+    "beta": (BETA, REQUIRED),
     **MEASURE_KEYS,
 }
 AXIS = (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}")
@@ -113,13 +113,13 @@ SWEEP_KEYS = {
     "trials": (POSITIVE_INT, REQUIRED),
     # each is required unless the axis sweeps it
     "n": (POSITIVE_INT, REQUIRED),
-    "beta": (POSITIVE, REQUIRED),
-    "N": (COUNT, REQUIRED),
+    "beta": (BETA, REQUIRED),
+    "N": (COPIES, REQUIRED),
     "kappa": (POSITIVE_INT, 2),
     "mu": (ANY, "random"),
     **MEASURE_KEYS,
 }
-DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (POSITIVE, REQUIRED)}  # hessian, marginals
+DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (BETA, REQUIRED)}  # hessian, marginals
 
 
 def _write(out: str, command: str, config: dict, seed: int, files, trial_seeds=()) -> None:

@@ -40,7 +40,7 @@ from .lattice import (
     to_dense,
 )
 from .qbp import _hessian_core, f_tilde, gap_filter
-from .reporting import POSITIVE_INT, check_config, nonempty_list_of, trial_seed
+from .reporting import BETA_MAX, POSITIVE_INT, check_config, nonempty_list_of, trial_seed
 
 __all__ = [
     "SUITES",
@@ -945,8 +945,8 @@ def _series_point(v) -> bool:
 # The kinds of value a suite key takes, as (predicate, hint).
 GRID = (nonempty_list_of(_finite), "a nonempty list of finite numbers")
 SIZES = (nonempty_list_of(POSITIVE_INT[0]), "a nonempty list of ints >= 1")
-BETA = (lambda v: _finite(v) and v >= 0, "a finite number >= 0")
-BETAS = (nonempty_list_of(BETA[0]), "a nonempty list of finite numbers >= 0")
+BETA = (lambda v: _finite(v) and 0 <= v <= BETA_MAX, "a finite number >= 0 with a finite square")
+BETAS = (nonempty_list_of(BETA[0]), "a nonempty list of finite numbers >= 0 with finite squares")
 POSITIVE_GRID = (
     nonempty_list_of(lambda v: _finite(v) and v > 0),
     "a nonempty list of finite numbers > 0",

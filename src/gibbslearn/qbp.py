@@ -34,15 +34,18 @@ def f_tilde(omega, beta: float) -> np.ndarray | float:
     """Spectral filter tanh(x)/x at x = beta*omega/2; even, values in (0, 1].
 
     Below |beta*omega| = 1e-6 the two-term series 1 - (beta*omega)^2/12 is used
-    to avoid 0/0, so beta = 0 gives exactly 1.  A negative, NaN or infinite
-    beta is refused.
+    to avoid 0/0, so beta = 0 gives exactly 1; each formula reads its own gaps
+    only, so a large gap never overflows the series.  A negative, NaN or
+    infinite beta is refused.
     """
     if not (beta >= 0 and np.isfinite(beta)):
         raise ValueError(f"filter beta must be finite and >= 0, got {beta}")
     bw = beta * np.asarray(omega, dtype=float)
     small = np.abs(bw) < 1e-6
-    x = np.where(small, 1.0, bw / 2.0)  # dummy 1.0 avoids a 0/0 warning
-    out = np.where(small, 1.0 - bw * bw / 12.0, np.tanh(x) / x)
+    # dummies: 1.0 avoids a 0/0 in tanh(x)/x, and 0.0 an overflow in the series
+    x = np.where(small, 1.0, bw / 2.0)
+    series = np.where(small, bw, 0.0)
+    out = np.where(small, 1.0 - series * series / 12.0, np.tanh(x) / x)
     if np.isscalar(omega) or np.ndim(omega) == 0:
         return float(out)
     return out

@@ -49,6 +49,11 @@ POSITIVE = (
     "finite float > 0",
 )
 COUNT = (lambda v: isinstance(v, Integral) and not isinstance(v, bool) and v >= 0, "int >= 0")
+# beta enters squared (the solver's first model is beta^2 I), so its square must be finite
+BETA_MAX = math.sqrt(sys.float_info.max)  # the largest float whose square is finite
+BETA = (lambda v: POSITIVE[0](v) and v <= BETA_MAX, "finite float > 0 with a finite square")
+# a sample count: numpy's multinomial draws counts below 2**63
+COPIES = (lambda v: COUNT[0](v) and v < 2**63, "int in [0, 2**63)")
 
 
 def nonempty_list_of(item):

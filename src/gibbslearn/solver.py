@@ -161,10 +161,9 @@ def solve(
     than REFRESH_RATIO or broke the curvature condition, and at every point
     with pg below ENDGAME * tol_grad, so that the step that certifies
     convergence is exact Newton and converges quadratically (Doikov, Chayti
-    and Jaggi, ICML 2023, keep a Hessian between refreshes).  `spectral`,
-    the eigensystem of H(x), lives until the Hessian at x reads it, or goes
-    at once when none is due there; a failed trial's goes before the next
-    trial diagonalizes, and B before a Hessian is built.
+    and Jaggi, ICML 2023, keep a Hessian between refreshes).  An exact
+    Hessian is due exactly when B is unset, and `spectral`, the eigensystem
+    of H(x), is dropped before the next dual evaluation diagonalizes.
 
     Every iterate is a clip onto the box, so a bound coordinate sits exactly
     at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
@@ -186,19 +185,15 @@ def solve(
     f, g, spectral = _dual_eval(x, target, beta, table)
     pg_x = pg(x, g)
     trace.record(f, pg_x, 0.0)
-    refresh, B = bool(x.any()), None
-    if not refresh:
-        spectral, B = None, beta**2 * np.eye(x.size)
+    B = None if x.any() else beta**2 * np.eye(x.size)
     for _ in range(cfg.polish_max_iters):
         if pg_x <= cfg.tol_grad:
             break
-        if refresh:
-            B = None  # the old model goes before the kernel's peak
+        if B is None:
             trace.hessians += 1
             built = time.perf_counter()
             B = _hessian_core(basis, x, beta, spectral)
             trace.hessian_s += time.perf_counter() - built
-            spectral = None
         try:
             z = _box_qp(B, g, x, radius)
         except np.linalg.LinAlgError:
@@ -215,6 +210,7 @@ def solve(
             if np.array_equal(cand, x):
                 break  # below float resolution: no step left
             trace.dual_evals += 1
+            spectral = None  # before this trial diagonalizes
             f_cand, g_cand, spectral = _dual_eval(cand, target, beta, table)
             decrease = f - f_cand
             # a decrease within the rounding of f is noise: there only a
@@ -225,7 +221,6 @@ def solve(
             if found:
                 break
             s *= 0.5
-            spectral = None  # before the next trial diagonalizes
         if not found:
             break
         step, dg = cand - x, g_cand - g
@@ -233,11 +228,9 @@ def solve(
         last, pg_x = pg_x, pg(x, g)
         trace.record(f, pg_x, s)
         curvature = float(np.dot(step, dg))
-        refresh = (
-            s < 1 or pg_x > last / REFRESH_RATIO or curvature <= 0 or pg_x <= ENDGAME * cfg.tol_grad
-        )
-        if not refresh:
-            spectral = None  # no Hessian reads it
+        if s < 1 or pg_x > last / REFRESH_RATIO or curvature <= 0 or pg_x <= ENDGAME * cfg.tol_grad:
+            B = None  # the old model goes before the kernel's peak
+        else:
             Bs = B @ step
             B += np.outer(dg, dg / curvature) - np.outer(Bs, Bs / float(np.dot(step, Bs)))
     trace.grad_final, trace.pg_final = g, pg_x

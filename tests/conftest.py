@@ -25,6 +25,14 @@ with warnings.catch_warnings():
 
 ACCEPTANCE_LINES: list[str] = []
 
+
+@pytest.fixture(autouse=True)
+def runtime_warnings_are_errors(monkeypatch):
+    """The CLI processes a test starts, sweep workers included, treat a
+    RuntimeWarning as an error, as pyproject.toml makes this process do."""
+    monkeypatch.setenv("PYTHONWARNINGS", "error::RuntimeWarning")
+
+
 # the memory-budget refusal names the bytes needed and the bytes available
 BUDGET_MESSAGE = r"memory budget exceeded: .* need [\d.]+ GB, but this machine has [\d.]+ GB"
 

@@ -25,6 +25,8 @@ from gibbslearn.solver import _dual_eval, _trial_pool
 
 from conftest import BUDGET_MESSAGE, chain_basis
 
+# the hint of every cli `beta` rule
+BETA_HINT = "finite float > 0 with a finite square"
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -121,7 +123,7 @@ def test_gen_takes_but_never_reads_beta(tmp_path, capsys):
     assert written[0] == written[1]
     cfg = write_config(tmp_path, "negative.json", gen_config(n=2, beta=-1))
     assert main(["gen", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "beta (expected finite float > 0, got -1)" in capsys.readouterr().err
+    assert f"beta (expected {BETA_HINT}, got -1)" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -129,7 +131,7 @@ def test_gen_takes_but_never_reads_beta(tmp_path, capsys):
     "extra, message",
     [
         ({"kappa": True}, "kappa (expected int >= 1, got True)"),
-        ({"beta": True}, "beta (expected finite float > 0, got True)"),
+        ({"beta": True}, f"beta (expected {BETA_HINT}, got True)"),
         (
             {"lattice": {"dimension": True, "side_lengths": [2]}},
             "lattice.dimension (expected int >= 1, got True)",
@@ -149,7 +151,7 @@ def test_gen_rejects_a_bool_for_a_number(tmp_path, capsys, extra, message):
 def test_learn_rejects_a_bool_shot_count(tmp_path, capsys):
     cfg = learn_config(tmp_path, run_gen(tmp_path, n=2), N=True)
     assert main(["learn", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "N (expected int >= 0, got True)" in capsys.readouterr().err
+    assert "N (expected int in [0, 2**63), got True)" in capsys.readouterr().err
 
 
 def test_gen_rejects_out_of_range_mu(tmp_path, capsys):
@@ -458,18 +460,27 @@ def test_one_rule_for_each_solver_field(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "command, extra, message",
     [
-        ("gen", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
-        ("learn", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
-        ("hessian", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
-        ("marginals", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
-        ("sweep", {"beta": float("inf")}, "beta (expected finite float > 0, got inf)"),
+        *[
+            (command, {"beta": float("inf")}, f"beta (expected {BETA_HINT}, got inf)")
+            for command in ("gen", "learn", "hessian", "marginals", "sweep")
+        ],
         (
             "sweep",
             {"axis": "beta", "N": 2000, "values": [1.0, float("inf")]},
-            "values (expected finite float > 0 for axis beta, got inf)",
+            f"values (expected {BETA_HINT} for axis beta, got inf)",
+        ),
+        # the square of 1e200 overflows
+        ("marginals", {"beta": 1e200}, f"beta (expected {BETA_HINT}, got 1e+200)"),
+        (
+            "sweep",
+            {"axis": "beta", "N": 2000, "values": [1.0, 1e200]},
+            f"values (expected {BETA_HINT} for axis beta, got 1e+200)",
         ),
     ],
-    ids=["gen", "learn", "hessian", "marginals", "sweep", "sweep-values"],
+    ids=[
+        "gen", "learn", "hessian", "marginals", "sweep", "sweep-values",
+        "marginals-square", "sweep-values-square",
+    ],
 )
 def test_an_infinite_beta_exits_2_naming_it(tmp_path, capsys, command, extra, message):
     # JSON Infinity parses to inf, which `beta` took: gen wrote its model, a
@@ -500,8 +511,9 @@ def test_an_infinite_beta_exits_2_naming_it(tmp_path, capsys, command, extra, me
     ids=["learn-beta", "hessian-beta", "learn-N"],
 )
 def test_a_numerical_overflow_exits_2(tmp_path, command, extra):
-    # an OverflowError is an ArithmeticError, which main reports like a
-    # ValueError; run in a process of its own, where a RuntimeWarning warns
+    # a value that would overflow is refused by the config check, before any
+    # work, with a line that names its key; run in a process of its own,
+    # where the test environment makes a RuntimeWarning an error too
     model = str(run_gen(tmp_path, n=2))
     if command == "learn":
         cfg = learn_config(tmp_path, model, **extra)
@@ -511,8 +523,9 @@ def test_a_numerical_overflow_exits_2(tmp_path, command, extra):
     argv = [sys.executable, "-m", "gibbslearn.cli", command, "--config", cfg, "--out", str(out)]
     run = subprocess.run(argv, capture_output=True, text=True)
     assert run.returncode == 2, run.stderr
-    errors = [line for line in run.stderr.splitlines() if line.startswith("error: ")]
-    assert len(errors) == 1 and "Traceback" not in run.stderr, run.stderr
+    [line] = run.stderr.splitlines()
+    (key,) = extra
+    assert line.startswith("error: ") and f" {key} (expected " in line, run.stderr
     assert not out.exists()
 
 
@@ -746,13 +759,15 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"scheme": "psychic"}, "scheme (expected one of direct, grouped, exact"),
         ({"kappa": 0}, "kappa (expected int >= 1, got 0)"),
         ({"n": 0}, "n (expected int >= 1, got 0)"),
-        ({"beta": 0}, "beta (expected finite float > 0, got 0)"),
-        ({"beta": -1.0}, "beta (expected finite float > 0, got -1.0)"),
-        ({"values": [1000.7, 2000]}, "values (expected int >= 0 for axis N, got 1000.7)"),
+        ({"beta": 0}, f"beta (expected {BETA_HINT}, got 0)"),
+        ({"beta": -1.0}, f"beta (expected {BETA_HINT}, got -1.0)"),
+        ({"values": [1000.7, 2000]}, "values (expected int in [0, 2**63) for axis N, got 1000.7)"),
         ({"axis": "beta", "N": 2000, "values": [1.0, -0.5]}, "for axis beta, got -0.5"),
         ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
         ({"trials": True}, "trials (expected int >= 1, got True)"),
-        ({"values": [True, 2000]}, "values (expected int >= 0 for axis N, got True)"),
+        ({"values": [True, 2000]}, "values (expected int in [0, 2**63) for axis N, got True)"),
+        # numpy's multinomial draws fewer than 2**63
+        ({"values": [2000, 2**63]}, f"for axis N, got {2**63})"),
         ({"mu": 5}, "mu (expected 'random' or list of 15 floats, got 5)"),
         ({"mu": "randomly"}, "mu (expected 'random' or list of 15 floats, got 'randomly')"),
         ({"mu": [0.5, 0.5]}, "mu (expected 'random' or list of 15 floats, got [0.5, 0.5])"),
@@ -765,8 +780,9 @@ def test_sweep_config_validation(tmp_path, capsys):
         ),
     ],
     ids=["scheme", "kappa", "n", "beta-zero", "beta-negative", "N-values", "beta-values",
-         "size-values", "trials-bool", "N-values-bool", "mu-number", "mu-string",
-         "mu-length", "mu-range", "size-mu-number", "lambda0-length", "size-lambda0-list"],
+         "size-values", "trials-bool", "N-values-bool", "N-values-range", "mu-number",
+         "mu-string", "mu-length", "mu-range", "size-mu-number", "lambda0-length",
+         "size-lambda0-list"],
 )
 def test_sweep_rejects_bad_fields_before_any_trial(tmp_path, capsys, extra, message):
     cfg = sweep_config(tmp_path, **extra)
@@ -831,13 +847,13 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         (
             "strong-convexity",
             {"betas": 1.0},
-            "betas (expected a nonempty list of finite numbers >= 0, got 1.0)",
+            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got 1.0)",
         ),
         ("akl", {"window_fractions": 0.2}, "window_fractions (expected a nonempty list"),
         (
             "strong-convexity",
             {"betas": []},
-            "betas (expected a nonempty list of finite numbers >= 0, got [])",
+            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got [])",
         ),
         ("strong-convexity", {"trials": 0}, "trials (expected int >= 1, got 0)"),
         ("local-unitary", {"trials": 0}, "trials (expected int >= 1, got 0)"),
@@ -855,9 +871,13 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         (
             "infinite-temp",
             {"betas": [-1.0], "directions": 1},
-            "betas (expected a nonempty list of finite numbers >= 0, got [-1.0])",
+            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got [-1.0])",
         ),
-        ("local-unitary", {"beta": -1.0}, "beta (expected a finite number >= 0, got -1.0)"),
+        (
+            "local-unitary",
+            {"beta": -1.0},
+            "beta (expected a finite number >= 0 with a finite square, got -1.0)",
+        ),
         ("fourier", {"betas": [0.0]}, "betas (expected a nonempty list of finite numbers > 0"),
         # these ran no check and passed, or checked empty windows and passed
         (
@@ -878,6 +898,8 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ),
         # a point of three numbers
         ("sum-bounds", {"points": [[1, 2, 3]]}, "invalid lab config: points ("),
+        # the square of 1e200 overflows
+        ("delta-gamma", {"betas": [1.0, 1e200]}, "finite squares, got [1.0, 1e+200])"),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):

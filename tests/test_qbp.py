@@ -2,6 +2,7 @@ import dataclasses
 import json
 import os
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -73,6 +74,21 @@ def test_f_tilde_at_zero_and_parity():
 def test_f_tilde_range(omega, beta) -> None:
     val = f_tilde(omega, beta)
     assert 0 < val <= 1
+
+
+@given(st.floats(0, 1e150), st.floats(-1e300, 1e300))
+def test_f_tilde_over_its_whole_range(beta, omega) -> None:
+    # gaps far past the series' range must not reach it, where
+    # (beta*omega)^2 overflows above |beta*omega| = 1.3e154
+    omega /= max(beta, 1.0)  # |beta*omega| <= 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        val = f_tilde(omega, beta)
+        assert f_tilde(-omega, beta) == val
+        # a gap matrix mixes both branches
+        vals = f_tilde(np.array([omega, -omega, 0.0]), beta)
+    assert np.isfinite(val) and 0 < val <= 1
+    assert np.all(np.isfinite(vals) & (vals > 0) & (vals <= 1)) and vals[0] == vals[1]
 
 
 def test_f_tilde_series_branch_is_continuous():
