@@ -109,7 +109,7 @@ LEARN_KEYS = {
 AXIS = (lambda v: isinstance(v, str) and v in SWEEP_AXES, f"one of {', '.join(SWEEP_AXES)}")
 SWEEP_KEYS = {
     "axis": (AXIS, REQUIRED),
-    "values": ((nonempty_list_of(ANY[0]), "nonempty list"), REQUIRED),
+    "values": ((lambda v: isinstance(v, list) and len(v) >= 1, "nonempty list"), REQUIRED),
     "trials": (POSITIVE_INT, REQUIRED),
     # each is required unless the axis sweeps it
     "n": (POSITIVE_INT, REQUIRED),
@@ -120,6 +120,15 @@ SWEEP_KEYS = {
     **MEASURE_KEYS,
 }
 DUMP_KEYS = {"model": (MODEL, REQUIRED), "beta": (BETA, REQUIRED)}  # hessian, marginals
+
+
+def sweep_keys(axis) -> dict:
+    """The key table of a sweep along `axis`, whose `values` give the key it sweeps."""
+    swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
+    if not swept:
+        return SWEEP_KEYS
+    kind = SWEEP_KEYS[swept][0]
+    return {**SWEEP_KEYS, "values": (nonempty_list_of(kind), REQUIRED), swept: (kind, None)}
 
 
 def _write(out: str, command: str, config: dict, seed: int, files, trial_seeds=()) -> None:
@@ -185,19 +194,7 @@ def cmd_learn(config: dict, seed: int, args) -> int:
 
 
 def cmd_sweep(config: dict, seed: int, args) -> int:
-    axis = config.get("axis")
-    swept = SWEEP_AXES.get(axis) if isinstance(axis, str) else None
-    keys, offenders = SWEEP_KEYS, []
-    if swept:
-        kind = SWEEP_KEYS[swept][0]
-        keys = {**SWEEP_KEYS, swept: (kind, None)}  # the values give it
-        if isinstance(config.get("values"), list):
-            offenders = [
-                f"values (expected {kind[1]} for axis {axis}, got {value!r})"
-                for value in config["values"]
-                if not kind[0](value)
-            ]
-    params = check_config("sweep config", config, keys, offenders)
+    params = check_config("sweep config", config, sweep_keys(config.get("axis")))
     record = sweep(params, SolverConfig(**params["solver"]), seed, args.jobs)
 
     summary = record["summary"]

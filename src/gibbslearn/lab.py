@@ -40,6 +40,7 @@ from .lattice import (
     to_dense,
 )
 from .qbp import _hessian_core, f_tilde, gap_filter
+from .reporting import BETA as POSITIVE_BETA  # > 0; the lab's own BETA admits 0
 from .reporting import BETA_MAX, POSITIVE_INT, check_config, nonempty_list_of, trial_seed
 
 __all__ = [
@@ -71,6 +72,7 @@ SERIES_MAX_TERMS = 10_000_000  # per series; the `points` check refuses points t
 R_MIN = 0.01  # calibrated floor on the infinite-temperature variance ratio
 # on |Tr[U rho U^+] - 1| in `local_unitary_probe`, and relative on each row's spectrum bounds
 WEIGHT_SUM_TOL = 1e-12
+LOG_MAX = 2 * math.log(BETA_MAX)  # the largest x whose e^x is finite
 
 
 @dataclass(eq=False)
@@ -317,15 +319,15 @@ def _centered(eigen: SpectralDecomposition, ensemble: GibbsEnsemble):
 
 
 def local_unitary_probe(
-    A: np.ndarray,
+    eigen: SpectralDecomposition,
     ensemble: GibbsEnsemble,
     X: tuple[int, ...],
-    n: int,
     trials: int,
     seed,
 ) -> CheckReport:
-    """Scatter of outside-window norms under random local unitaries.
+    """Scatter of an observable A's outside-window norms under random local unitaries.
 
+    `eigen` is A's eigensystem, whose dimension 2^n gives the site count n.
     Records ||Q_gamma U_X sqrt(rho)||_F^2 and ||A_c Q_gamma U_X sqrt(rho)||_F^2
     along 22 gammas from 0 to 1.05 ||A_c||.  Both are sums over w_U, the weight
     of U rho U^+ on A's eigenvectors u_i: Q_gamma = sum_outside |u_i><u_i|
@@ -342,7 +344,7 @@ def local_unitary_probe(
     """
     if len(X) > 2:
         raise ValueError("local unitary probe expects |X| <= 2 sites")
-    eigen = diagonalize(A)
+    n = eigen.dim.bit_length() - 1
     evals, weights = _centered(eigen, ensemble)
     norm_A = float(np.max(np.abs(evals)))
     gammas = np.linspace(0.0, 1.05 * norm_A, 22)
@@ -595,7 +597,8 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
 
     2^m ||rho_beta(mu)|| for H(mu) = sum_i mu_i |1><1|_i, computed in closed
     form and (for m <= 10) by direct tensor construction; the closed form
-    must stay below the packing envelope e^{10 beta eps sqrt(m)}.
+    must stay below the packing envelope e^{10 beta eps sqrt(m)}.  The two
+    are compared in log space, so a value past the float range reads inf.
     """
     mu = np.asarray(mu, dtype=float)
     beta = float(beta)
@@ -611,10 +614,11 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
         )
     # closed form: prod_i 2 e^{beta mu_i} / (e^{beta mu_i} + 1), in log space
     log_closed = float(np.sum(np.log(2.0) - np.log1p(np.exp(-beta * mu))))
-    closed = math.exp(log_closed)
-    envelope = math.exp(10.0 * beta * epsilon * math.sqrt(m))
-
-    passed = closed <= envelope
+    log_env = 10.0 * beta * epsilon * math.sqrt(m)
+    closed, envelope = (math.exp(a) if a <= LOG_MAX else math.inf for a in (log_closed, log_env))
+    passed = log_closed <= log_env
+    # inf - inf is nan: past the float range the comparison gives the slack's sign
+    slack = envelope - closed if closed < math.inf else (math.inf if passed else -math.inf)
     agreement = math.nan
     if m <= 10:
         diag = np.zeros(1)
@@ -627,7 +631,7 @@ def lower_bound_family(m: int, beta: float, epsilon: float, mu) -> CheckReport:
     return CheckReport(
         check="lower-bound",
         passed=passed,
-        min_slack=envelope - closed,
+        min_slack=slack,
         header=("m", "beta", "epsilon", "closed_form", "envelope", "tensor_gap"),
         rows=[(m, beta, epsilon, closed, envelope, agreement)],
         grid={"m": m, "beta": beta, "epsilon": epsilon},
@@ -729,25 +733,25 @@ def verify_fourier_pair(beta: float, omegas) -> CheckReport:
     phases = np.cos(np.outer(omegas, ts))
     integrand = phases * f_ts
     body = np.trapezoid(integrand, dx=QUAD_STEP, axis=1)
-    correction = _near_zero_correction(omegas, beta, QUAD_EPS)
-    numeric = 2.0 * (body + correction)
-
-    # Error budget: Richardson step-halving difference, exponential tail
-    # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
-    coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
-    richardson = float(np.max(np.abs(body - coarse))) / 3.0
-    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
-    cutoff = (
-        (2.0 / (beta * np.pi))
-        * (np.max(omegas) ** 4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
-        * QUAD_EPS**5
-        * (abs(np.log(QUAD_EPS)) + 2.0)
-    )
+    w_max = np.max(np.abs(omegas))
+    with np.errstate(over="ignore"):  # a huge omega reads inf here, and is refused below
+        numeric = 2.0 * (body + _near_zero_correction(omegas, beta, QUAD_EPS))
+        # Error budget: Richardson step-halving difference, exponential tail
+        # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
+        coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
+        richardson = float(np.max(np.abs(body - coarse))) / 3.0
+        tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
+        cutoff = (
+            (2.0 / (beta * np.pi))
+            * (w_max**4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
+            * QUAD_EPS**5
+            * (abs(np.log(QUAD_EPS)) + 2.0)
+        )
     estimate = 2.0 * (richardson + tail + cutoff)
     if estimate > QUAD_TOL:
         raise ValueError(
-            f"quadrature did not converge: error estimate {estimate:.3e} "
-            f"exceeds tolerance {QUAD_TOL:.0e}"
+            f"quadrature did not converge at beta = {beta:g}, max|omega| = {w_max:g}: "
+            f"error estimate {estimate:.3e} exceeds tolerance {QUAD_TOL:.0e}"
         )
 
     exact = f_tilde(omegas, beta)
@@ -882,8 +886,9 @@ def _suite_local_unitary(seed: int, trials, beta) -> list[CheckReport]:
     }
     reports = []
     for k, (name, A) in enumerate(observables.items()):
+        eigen = diagonalize(A)  # read by both site sets
         for X in ((0,), (1,)):
-            rep = local_unitary_probe(A, ensemble, X, 3, trials, trial_seed(seed, 10 + k))
+            rep = local_unitary_probe(eigen, ensemble, X, trials, trial_seed(seed, 10 + k))
             rep.grid.update(observable=name)
             reports.append(rep)
     return reports
@@ -942,23 +947,18 @@ def _series_point(v) -> bool:
         return False
 
 
-# The kinds of value a suite key takes, as (predicate, hint).
-GRID = (nonempty_list_of(_finite), "a nonempty list of finite numbers")
-SIZES = (nonempty_list_of(POSITIVE_INT[0]), "a nonempty list of ints >= 1")
-BETA = (lambda v: _finite(v) and 0 <= v <= BETA_MAX, "a finite number >= 0 with a finite square")
-BETAS = (nonempty_list_of(BETA[0]), "a nonempty list of finite numbers >= 0 with finite squares")
-POSITIVE_GRID = (
-    nonempty_list_of(lambda v: _finite(v) and v > 0),
-    "a nonempty list of finite numbers > 0",
-)
+# The kinds of value a suite key takes, as (predicate, hint); a list's kind is
+# built from its entries' kind.
+GRID = nonempty_list_of((_finite, "finite number"))
+BETA = (lambda v: _finite(v) and 0 <= v <= BETA_MAX, "finite number >= 0 with a finite square")
+BETAS = nonempty_list_of(BETA)
+# keeps the family's budget 100 eps^2, and beta * mu with it, far inside the float range
+EPSILONS = nonempty_list_of((lambda v: _finite(v) and 0 < v <= 1e152, "number in (0, 1e152]"))
 # both energy windows are nonempty, and y > x, only below half the spectral width
-FRACTIONS = (
-    nonempty_list_of(lambda v: _finite(v) and 0 <= v < 0.5),
-    "a nonempty list of finite numbers in [0, 0.5)",
-)
-POINTS = (
-    nonempty_list_of(_series_point),
-    "a nonempty list of [a, b, c, p] lists of finite numbers with a, b >= 0, c, p > 0, "
+FRACTIONS = nonempty_list_of((lambda v: _finite(v) and 0 <= v < 0.5, "finite number in [0, 0.5)"))
+POINT = (
+    _series_point,
+    "[a, b, c, p] list of finite numbers with a, b >= 0, c, p > 0, "
     f"whose three series converge within {SERIES_MAX_TERMS:,} terms",
 )
 
@@ -994,19 +994,19 @@ SUITES = {
     ),
     "lr-decay": Suite(_suite_lr_decay, {"times": (GRID, [0.25, 0.75])}),
     # None: verify_sum_bounds' own 27-point grid
-    "sum-bounds": Suite(_suite_sum_bounds, {"points": (POINTS, None)}),
+    "sum-bounds": Suite(_suite_sum_bounds, {"points": (nonempty_list_of(POINT), None)}),
     "lower-bound": Suite(
         _suite_lower_bound,
         {
-            "sizes": (SIZES, [1, 2, 4, 8]),
+            "sizes": (nonempty_list_of(POSITIVE_INT), [1, 2, 4, 8]),
             "betas": (BETAS, [0.5, 1.0]),
-            "epsilons": (POSITIVE_GRID, [0.1, 0.5]),
+            "epsilons": (EPSILONS, [0.1, 0.5]),
         },
     ),
     "fourier": Suite(
         _suite_fourier,
         {
-            "betas": (POSITIVE_GRID, [0.5, 1.0, 2.0]),  # f_time divides by beta
+            "betas": (nonempty_list_of(POSITIVE_BETA), [0.5, 1.0, 2.0]),  # f_time divides by beta
             "omegas": (GRID, [*np.linspace(-8.0, 8.0, 33), 1e-9, 1e-6, 1e-3]),
         },
     ),

@@ -188,10 +188,8 @@ class HamiltonianModel:
     def __post_init__(self) -> None:
         mu = np.array(self.mu, dtype=float)
         if mu.ndim != 1 or mu.shape[0] != self.basis.m:
-            raise ValueError(
-                f"mu has length {mu.shape if mu.ndim != 1 else mu.shape[0]}, "
-                f"basis has m={self.basis.m}"
-            )
+            got = mu.shape[0] if mu.ndim == 1 else f"shape {mu.shape}"
+            raise ValueError(f"expected m = {self.basis.m} coefficients, got {got}")
         if not np.all(np.abs(mu) <= 1.0 + 1e-12):  # NaN fails this too
             raise ValueError(
                 f"max|mu| = {np.max(np.abs(mu)):.6g}; coefficients must lie in [-1, 1]"
@@ -260,13 +258,15 @@ def random_chain(n: int, kappa: int, seed, scale: float = 1.0) -> HamiltonianMod
 def instance_model(
     where: str, mu, basis: OperatorBasis, rng: np.random.Generator
 ) -> HamiltonianModel:
-    """The model over basis with coefficients mu: "random" draws them
-    uniformly from [-1, 1] with rng, a list of m floats gives them."""
-    m = basis.m
-    hint = f"'random' or list of {m} floats"
-    kind = (lambda v: v == "random" or (FLOATS[0](v) and len(v) == m), hint)
+    """The model over basis with coefficients mu: "random" draws them uniformly
+    from [-1, 1] with rng, a list of numbers gives them; the ValueError of
+    `HamiltonianModel`, whose rule a list meets, reads `invalid <where>: mu (...)`."""
+    kind = (lambda v: v == "random" or FLOATS[0](v), f"'random' or {FLOATS[1]}")
     check_config(where, {"mu": mu}, {"mu": (kind, REQUIRED)})
-    return HamiltonianModel(basis=basis, mu=rng.uniform(-1.0, 1.0, m) if mu == "random" else mu)
+    try:
+        return HamiltonianModel(basis, rng.uniform(-1.0, 1.0, basis.m) if mu == "random" else mu)
+    except ValueError as exc:
+        raise ValueError(f"invalid {where}: mu ({exc})") from None
 
 
 def pauli_matrix(letters_by_site: Iterable[str]) -> np.ndarray:
@@ -475,7 +475,7 @@ def assemble_hamiltonian(model: HamiltonianModel) -> np.ndarray:
 # The lattice object of model.json and of gen's config: LatticeSpec's fields.
 LATTICE_KEYS = {
     "dimension": (POSITIVE_INT, REQUIRED),
-    "side_lengths": ((nonempty_list_of(POSITIVE_INT[0]), "list of ints >= 1"), REQUIRED),
+    "side_lengths": (nonempty_list_of(POSITIVE_INT), REQUIRED),
     "periodic": ((lambda v: isinstance(v, bool), "bool"), False),
 }
 MODEL_KEYS = {
@@ -498,7 +498,7 @@ def model_from_dict(payload: dict, where: str = "model file") -> HamiltonianMode
     """The model of a `model_to_dict` payload; ValueError names `where` and what is malformed."""
     values = check_config(where, payload, MODEL_KEYS)
     basis = enumerate_basis(LatticeSpec(**values["lattice"]), values["kappa"])
-    return HamiltonianModel(basis, values["mu"])
+    return instance_model(where, values["mu"], basis, rng=None)  # a list: no draw
 
 
 def save_model(model: HamiltonianModel, path) -> None:

@@ -56,28 +56,29 @@ BETA = (lambda v: POSITIVE[0](v) and v <= BETA_MAX, "finite float > 0 with a fin
 COPIES = (lambda v: COUNT[0](v) and v < 2**63, "int in [0, 2**63)")
 
 
-def nonempty_list_of(item):
-    """The predicate of a nonempty list whose every entry passes `item`."""
-    return lambda v: isinstance(v, list) and len(v) >= 1 and all(map(item, v))
+def nonempty_list_of(kind):
+    """The kind of a nonempty list whose every entry is of `kind`, a (predicate, hint) pair."""
+    check, hint = kind
+    hint = f"nonempty list, each {hint}"
+    return (lambda v: isinstance(v, list) and len(v) >= 1 and all(map(check, v))), hint
 
 
-FLOATS = (nonempty_list_of(lambda x: type(x) in (int, float)), "list of floats")  # not bool
+FLOATS = nonempty_list_of((lambda x: type(x) in (int, float), "number"))  # not bool
 
 
-def check_config(where: str, config, keys: dict, extra=()) -> dict:
+def check_config(where: str, config, keys: dict) -> dict:
     """config's values for `keys`, with the defaults of absent keys filled in.
 
     `keys` maps each key to (kind, default).  A kind is a (predicate, hint)
     pair, or the key table of a nested object, whose keys are named
     `outer.inner`; the default is REQUIRED for a key that must be given.  One
     ValueError lists every offender: an unknown key, a missing required key,
-    a value of the wrong kind, then the caller's `extra` ones.
+    a value of the wrong kind.
     """
     if not isinstance(config, dict):
         raise ValueError(f"invalid {where}: expected a JSON object, got {type(config).__name__}")
     bad = []
     values = _read(config, keys, "", bad)
-    bad += extra
     if bad:
         raise ValueError(f"invalid {where}: " + "; ".join(bad))
     return values

@@ -27,6 +27,14 @@ from conftest import BUDGET_MESSAGE, chain_basis
 
 # the hint of every cli `beta` rule
 BETA_HINT = "finite float > 0 with a finite square"
+BETAS_HINT = f"nonempty list, each {BETA_HINT}"
+GRID_HINT = "nonempty list, each finite number"  # the lab's grids
+LAB_BETAS_HINT = "nonempty list, each finite number >= 0 with a finite square"
+FRACTIONS_HINT = "nonempty list, each finite number in [0, 0.5)"
+EPSILONS_HINT = "nonempty list, each number in (0, 1e152]"
+N_VALUES_HINT = "nonempty list, each int in [0, 2**63)"
+MU_HINT = "'random' or nonempty list, each number"
+MU_RANGE = "coefficients must lie in [-1, 1]"
 
 def write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -158,10 +166,11 @@ def test_gen_rejects_out_of_range_mu(tmp_path, capsys):
     # NaN compares false against any bound, so it must fail the check too;
     # "random" is the one string mu takes
     for bad, message in [
-        ([0.0] * 14 + [1.5], "[-1, 1]"),
-        ([0.0] * 14 + [float("nan")], "[-1, 1]"),
-        ("randomly", "mu (expected 'random' or list of 15 floats, got 'randomly')"),
-        ([0.0] * 14 + [True], "mu (expected 'random' or list of 15 floats, got [0.0,"),
+        ([0.0] * 14 + [1.5], f"invalid gen config: mu (max|mu| = 1.5; {MU_RANGE})"),
+        ([0.0] * 14 + [float("nan")], f"invalid gen config: mu (max|mu| = nan; {MU_RANGE})"),
+        ("randomly", f"mu (expected {MU_HINT}, got 'randomly')"),
+        ([0.0] * 14 + [True], f"mu (expected {MU_HINT}, got [0.0,"),
+        ([0.5, 0.5], "invalid gen config: mu (expected m = 15 coefficients, got 2)"),
     ]:
         cfg = write_config(tmp_path, "bad_mu.json", gen_config(n=2, mu=bad))
         out = tmp_path / "o"
@@ -467,14 +476,14 @@ def test_one_rule_for_each_solver_field(tmp_path, capsys, key, value):
         (
             "sweep",
             {"axis": "beta", "N": 2000, "values": [1.0, float("inf")]},
-            f"values (expected {BETA_HINT} for axis beta, got inf)",
+            f"values (expected {BETAS_HINT}, got [1.0, inf])",
         ),
         # the square of 1e200 overflows
         ("marginals", {"beta": 1e200}, f"beta (expected {BETA_HINT}, got 1e+200)"),
         (
             "sweep",
             {"axis": "beta", "N": 2000, "values": [1.0, 1e200]},
-            f"values (expected {BETA_HINT} for axis beta, got 1e+200)",
+            f"values (expected {BETAS_HINT}, got [1.0, 1e+200])",
         ),
     ],
     ids=[
@@ -761,18 +770,24 @@ def test_sweep_config_validation(tmp_path, capsys):
         ({"n": 0}, "n (expected int >= 1, got 0)"),
         ({"beta": 0}, f"beta (expected {BETA_HINT}, got 0)"),
         ({"beta": -1.0}, f"beta (expected {BETA_HINT}, got -1.0)"),
-        ({"values": [1000.7, 2000]}, "values (expected int in [0, 2**63) for axis N, got 1000.7)"),
-        ({"axis": "beta", "N": 2000, "values": [1.0, -0.5]}, "for axis beta, got -0.5"),
-        ({"axis": "size", "N": 2000, "values": [2, 0]}, "for axis size, got 0"),
+        ({"values": [1000.7, 2000]}, f"values (expected {N_VALUES_HINT}, got [1000.7, 2000])"),
+        (
+            {"axis": "beta", "N": 2000, "values": [1.0, -0.5]},
+            f"values (expected {BETAS_HINT}, got [1.0, -0.5])",
+        ),
+        (
+            {"axis": "size", "N": 2000, "values": [2, 0]},
+            "values (expected nonempty list, each int >= 1, got [2, 0])",
+        ),
         ({"trials": True}, "trials (expected int >= 1, got True)"),
-        ({"values": [True, 2000]}, "values (expected int in [0, 2**63) for axis N, got True)"),
+        ({"values": [True, 2000]}, f"values (expected {N_VALUES_HINT}, got [True, 2000])"),
         # numpy's multinomial draws fewer than 2**63
-        ({"values": [2000, 2**63]}, f"for axis N, got {2**63})"),
-        ({"mu": 5}, "mu (expected 'random' or list of 15 floats, got 5)"),
-        ({"mu": "randomly"}, "mu (expected 'random' or list of 15 floats, got 'randomly')"),
-        ({"mu": [0.5, 0.5]}, "mu (expected 'random' or list of 15 floats, got [0.5, 0.5])"),
-        ({"mu": [0.0] * 14 + [1.5]}, "coefficients must lie in [-1, 1]"),
-        ({"axis": "size", "N": 2000, "values": [2, 3], "mu": 5}, "list of 15 floats, got 5)"),
+        ({"values": [2000, 2**63]}, f"values (expected {N_VALUES_HINT}, got [2000, {2**63}])"),
+        ({"mu": 5}, f"mu (expected {MU_HINT}, got 5)"),
+        ({"mu": "randomly"}, f"mu (expected {MU_HINT}, got 'randomly')"),
+        ({"mu": [0.5, 0.5]}, "invalid sweep config: mu (expected m = 15 coefficients, got 2)"),
+        ({"mu": [0.0] * 14 + [1.5]}, f"invalid sweep config: mu (max|mu| = 1.5; {MU_RANGE})"),
+        ({"axis": "size", "N": 2000, "values": [2, 3], "mu": 5}, f"mu (expected {MU_HINT}, got 5)"),
         ({"solver": {"lambda0": [0.1, 0.2]}}, "lambda0 must be m = 15 finite reals"),
         (
             {"axis": "size", "N": 2000, "values": [2, 3], "solver": {"lambda0": [0.1] * 15}},
@@ -801,7 +816,8 @@ def test_sweep_size_axis_rejects_explicit_mu(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     # the list fits n = 2's basis, but not n = 3's
-    assert "mu (expected 'random' or list of 27 floats" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid sweep config: mu (expected m = 27 coefficients, got 15)" in err
     assert not out.exists()
 
 
@@ -847,20 +863,20 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         (
             "strong-convexity",
             {"betas": 1.0},
-            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got 1.0)",
+            f"betas (expected {LAB_BETAS_HINT}, got 1.0)",
         ),
-        ("akl", {"window_fractions": 0.2}, "window_fractions (expected a nonempty list"),
+        ("akl", {"window_fractions": 0.2}, f"window_fractions (expected {FRACTIONS_HINT}, got 0.2"),
         (
             "strong-convexity",
             {"betas": []},
-            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got [])",
+            f"betas (expected {LAB_BETAS_HINT}, got [])",
         ),
         ("strong-convexity", {"trials": 0}, "trials (expected int >= 1, got 0)"),
         ("local-unitary", {"trials": 0}, "trials (expected int >= 1, got 0)"),
-        ("lower-bound", {"sizes": [0]}, "sizes (expected a nonempty list of ints >= 1"),
+        ("lower-bound", {"sizes": [0]}, "sizes (expected nonempty list, each int >= 1, got [0])"),
         ("strong-convexity", {"beta": [1.0]}, "beta (unknown, expected one of betas, trials)"),
-        ("lr-decay", {"times": "0.5"}, "times (expected a nonempty list of finite numbers"),
-        ("fourier", {"omegas": []}, "omegas (expected a nonempty list of finite numbers"),
+        ("lr-decay", {"times": "0.5"}, f"times (expected {GRID_HINT}, got '0.5')"),
+        ("fourier", {"omegas": []}, f"omegas (expected {GRID_HINT}, got [])"),
         # c = 0 died with a ZeroDivisionError traceback
         ("sum-bounds", {"points": [[1.0, 2, 0.0, 1.0]]}, "invalid lab config: points ("),
         ("sum-bounds", {"points": [[1.0, 2, 1.0, -1.0]]}, "invalid lab config: points ("),
@@ -871,41 +887,65 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         (
             "infinite-temp",
             {"betas": [-1.0], "directions": 1},
-            "betas (expected a nonempty list of finite numbers >= 0 with finite squares, got [-1.0])",
+            f"betas (expected {LAB_BETAS_HINT}, got [-1.0])",
         ),
         (
             "local-unitary",
             {"beta": -1.0},
-            "beta (expected a finite number >= 0 with a finite square, got -1.0)",
+            "beta (expected finite number >= 0 with a finite square, got -1.0)",
         ),
-        ("fourier", {"betas": [0.0]}, "betas (expected a nonempty list of finite numbers > 0"),
+        ("fourier", {"betas": [0.0]}, f"betas (expected {BETAS_HINT}, got [0.0])"),
         # these ran no check and passed, or checked empty windows and passed
         (
             "akl",
             {"window_fractions": [0.6, 0.7]},
-            "window_fractions (expected a nonempty list of finite numbers in [0, 0.5), got",
+            f"window_fractions (expected {FRACTIONS_HINT}, got [0.6, 0.7])",
         ),
         (
             "akl",
             {"window_fractions": [-3.0]},
-            "window_fractions (expected a nonempty list of finite numbers in [0, 0.5), got",
+            f"window_fractions (expected {FRACTIONS_HINT}, got [-3.0])",
         ),
         # this exited 2 without naming the key
         (
             "lower-bound",
             {"epsilons": [-0.1]},
-            "epsilons (expected a nonempty list of finite numbers > 0, got [-0.1])",
+            f"epsilons (expected {EPSILONS_HINT}, got [-0.1])",
         ),
         # a point of three numbers
         ("sum-bounds", {"points": [[1, 2, 3]]}, "invalid lab config: points ("),
         # the square of 1e200 overflows
-        ("delta-gamma", {"betas": [1.0, 1e200]}, "finite squares, got [1.0, 1e+200])"),
+        ("delta-gamma", {"betas": [1.0, 1e200]}, "finite square, got [1.0, 1e+200])"),
+        # these printed a RuntimeWarning, or an error that named no key
+        ("fourier", {"omegas": [1e300]}, "did not converge at beta = 0.5, max|omega| = 1e+300"),
+        ("fourier", {"betas": [1e200]}, f"betas (expected {BETAS_HINT}, got [1e+200])"),
+        ("lower-bound", {"epsilons": [1e200]}, f"epsilons (expected {EPSILONS_HINT}, got [1e+200]"),
+        # its error budget read max(omegas) = 1, so this ran, and failed, where [100.0, 1.0] exited 2
+        ("fourier", {"omegas": [-100.0, 1.0]}, "did not converge at beta = 0.5, max|omega| = 100:"),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
     cfg = write_config(tmp_path, "lab.json", config)
     assert main(["lab", suite, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("config", [{"epsilons": [1000.0]}, {"sizes": [100_000]}])
+def test_lab_lower_bound_runs_past_the_float_range(tmp_path, capsys, config):
+    # e^(10 beta eps sqrt(m)) overflowed, and the run exited 2 naming no key;
+    # the family is compared in log space, and an envelope past the float range reads inf
+    cfg = write_config(tmp_path, "lab.json", config)
+    out = tmp_path / "o"
+    assert main(["lab", "lower-bound", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    envelopes = [
+        line.split(",")[4]  # the header's "envelope"
+        for path in out.glob("lower-bound_*.csv")
+        for line in path.read_text().splitlines()[1:]
+    ]
+    assert "inf" in envelopes
 
 
 def test_lab_sum_bounds_runs_a_point_whose_tails_underflow(tmp_path, capsys):
@@ -1071,6 +1111,9 @@ def test_malformed_model_file_exits_2(tmp_path, capsys, command):
             {**payload, "lattice": {"dims": 1, "sides": [2], "periodic": False}},
             "lattice.dimension (missing, expected int >= 1)",
         ),
+        # these named neither the file nor mu
+        ({**payload, "mu": [2.0, *payload["mu"][1:]]}, f"mu (max|mu| = 2; {MU_RANGE})"),
+        ({**payload, "mu": payload["mu"][:3]}, "mu (expected m = 15 coefficients, got 3)"),
     ]:
         model = tmp_path / "damaged.json"
         model.write_text(json.dumps(damaged))

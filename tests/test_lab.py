@@ -184,9 +184,9 @@ def test_each_suite_diagonalizes_each_model_once(monkeypatch, suite):
     assert len(calls) == SUITE_DIAGONALIZATIONS[suite]
 
 
-# lab.diagonalize calls per default run: one per observable in delta-gamma,
-# however many gammas and betas read it (72 before), and one per local-unitary report
-@pytest.mark.parametrize("suite, expected", [("delta-gamma", 3), ("local-unitary", 4)])
+# lab.diagonalize calls per default run: one per observable, however many
+# gammas and betas (delta-gamma, 72 before) or site sets (local-unitary, 4 before) read it
+@pytest.mark.parametrize("suite, expected", [("delta-gamma", 3), ("local-unitary", 2)])
 def test_window_suites_diagonalize_each_observable_once(monkeypatch, suite, expected):
     calls = []
 
@@ -408,11 +408,11 @@ def test_local_unitary_probe_tail():
     model = random_chain_model(3, seed=33)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)
     A = embed_on_sites(pauli_matrix("Z"), (0,), 3)
-    rep = local_unitary_probe(A, ens, (1,), 3, trials=4, seed=2)
+    rep = local_unitary_probe(gibbs.diagonalize(A), ens, (1,), trials=4, seed=2)
     assert rep.passed
     assert rep.min_slack > 0
     with pytest.raises(ValueError, match="<= 2"):
-        local_unitary_probe(A, ens, (0, 1, 2), 3, trials=2, seed=0)
+        local_unitary_probe(gibbs.diagonalize(A), ens, (0, 1, 2), trials=2, seed=0)
 
 
 def test_local_unitary_probe_fails_a_non_unitary_u(monkeypatch):
@@ -425,7 +425,7 @@ def test_local_unitary_probe_fails_a_non_unitary_u(monkeypatch):
         return 1.1 * original(M, sites, n)
 
     monkeypatch.setattr(lab, "embed_on_sites", scaled)
-    rep = local_unitary_probe(A, ens, (1,), 3, trials=4, seed=2)
+    rep = local_unitary_probe(gibbs.diagonalize(A), ens, (1,), trials=4, seed=2)
     assert not rep.passed
     assert rep.min_slack == pytest.approx(lab.WEIGHT_SUM_TOL - 0.21, abs=1e-12)
 
@@ -436,7 +436,8 @@ def test_local_unitary_probe_fails_a_row_outside_the_spectrum():
     # below gamma^2 q_norm2 = 0
     spectral = gibbs.SpectralDecomposition(np.zeros(2), np.eye(2, dtype=complex))
     ens = gibbs.GibbsEnsemble(spectral, 1.0, 0.0, np.array([1.5, -0.5]))
-    rep = local_unitary_probe(np.diag([0.0, 1.0]), ens, (0,), 1, trials=3, seed=0)
+    eigen = gibbs.diagonalize(np.diag([0.0, 1.0]))
+    rep = local_unitary_probe(eigen, ens, (0,), trials=3, seed=0)
     assert not rep.passed
     assert rep.min_slack >= 0
     gamma, trial, _, q_norm, aq_norm = rep.rows[0]
@@ -449,7 +450,7 @@ def test_local_unitary_identity_row_matches_delta_gamma():
     model = random_chain_model(2, seed=41)
     ens = gibbs_state(assemble_hamiltonian(model), 1.0)
     A = random_hermitian(4, 8)
-    rep = local_unitary_probe(A, ens, (0,), 2, trials=3, seed=0)
+    rep = local_unitary_probe(gibbs.diagonalize(A), ens, (0,), trials=3, seed=0)
     identity_rows = [row for row in rep.rows if row[1] == 0]
     assert len(identity_rows) == 22
     for gamma, _, d_gamma, q_norm, _ in identity_rows:
@@ -482,7 +483,7 @@ def test_local_unitary_norms_match_the_dense_oracle(n, seed, beta, size, probe_s
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lab, "embed_on_sites", recorded)
-        rep = local_unitary_probe(A, ens, X, n, trials=4, seed=probe_seed)
+        rep = local_unitary_probe(gibbs.diagonalize(A), ens, X, trials=4, seed=probe_seed)
     assert len(unitaries) == 4
 
     V = ens.spectral.vectors

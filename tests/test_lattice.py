@@ -14,6 +14,7 @@ from gibbslearn.lattice import (
     assemble_hamiltonian,
     basis_stack,
     enumerate_basis,
+    instance_model,
     model_from_dict,
     model_to_dict,
     pauli_matrix,
@@ -272,6 +273,23 @@ def test_model_from_dict_missing_field():
     payload.pop("kappa")
     with pytest.raises(ValueError, match=r"kappa \(missing, expected int >= 1\)"):
         model_from_dict(payload)
+
+
+def test_a_stored_mu_and_a_configured_mu_share_the_models_rule():
+    # gen, sweep and model files all build their model through instance_model,
+    # so they take HamiltonianModel's range, with its 1e-12 tolerance, and name mu
+    basis = chain_basis(2)
+    payload = model_to_dict(HamiltonianModel(basis=basis, mu=np.zeros(15)))
+    rng = np.random.default_rng(0)
+    inside, outside = [1.0 + 1e-13] + [0.0] * 14, [1.0 + 1e-11] + [0.0] * 14
+    assert model_from_dict({**payload, "mu": inside}).mu[0] == inside[0]
+    assert instance_model("gen config", inside, basis, rng).mu[0] == inside[0]
+    with pytest.raises(ValueError, match=r"^invalid model file m.json: mu \(max\|mu\| = 1; "):
+        model_from_dict({**payload, "mu": outside}, "model file m.json")
+    with pytest.raises(ValueError, match=r"^invalid gen config: mu \(max\|mu\| = 1; "):
+        instance_model("gen config", outside, basis, rng)
+    with pytest.raises(ValueError, match=r"^invalid gen config: mu \(expected m = 15 coeff"):
+        instance_model("gen config", [0.5, 0.5], basis, rng)
 
 
 def test_model_dict_is_json_serializable():

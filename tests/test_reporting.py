@@ -13,6 +13,7 @@ from gibbslearn.reporting import (
     csv_body,
     fmt_cell,
     is_manifest,
+    nonempty_list_of,
     read_json,
     trial_seed,
     utc_now,
@@ -140,15 +141,29 @@ def test_check_config_fills_in_the_defaults():
     assert given == {"size": 2, "box": {"side": 4}}  # what a manifest records
 
 
+def test_a_list_kind_is_built_from_its_item_kind():
+    check, hint = nonempty_list_of(POSITIVE_INT)
+    assert hint == "nonempty list, each int >= 1"
+    assert check([1, 2]) and check([3])
+    for bad in ([], [1, 0], [True], (1, 2), 1, "12"):
+        assert not check(bad)
+    keys = {"sizes": ((check, hint), REQUIRED)}
+    with pytest.raises(ValueError) as info:
+        check_config("toy config", {"sizes": [2, 0]}, keys)
+    assert str(info.value) == (
+        "invalid toy config: sizes (expected nonempty list, each int >= 1, got [2, 0])"
+    )
+
+
 def test_check_config_lists_every_offender_in_one_error():
     config = {"count": 0, "colour": "red", "box": {"open": "no", "sid": 1}}
     with pytest.raises(ValueError) as info:
-        check_config("toy config", config, KEYS, extra=["size (too large)"])
+        check_config("toy config", config, KEYS)
     assert str(info.value) == (
         "invalid toy config: colour (unknown, expected one of size, count, box); "
         "size (missing, expected int >= 1); count (expected int >= 1, got 0); "
         "box.sid (unknown, expected one of side, open); box.side (missing, expected int >= 1); "
-        "box.open (expected bool, got 'no'); size (too large)"
+        "box.open (expected bool, got 'no')"
     )
     with pytest.raises(ValueError, match=r"box \(expected object, got 5\)"):
         check_config("toy config", {"size": 1, "box": 5}, KEYS)

@@ -10,7 +10,9 @@ README's `solver` key table must list exactly the fields `SolverConfig`
 takes, with their defaults, and its `lab` table exactly the suites and the
 keys each declares, so that neither can advertise an option the code drops.
 Likewise the key list of `gen`, `learn`, `sweep` and `hessian`/`marginals`
-must be exactly the key table that the command checks its config against.
+must be exactly the key table that the command checks its config against,
+and every beta key of those tables and of the lab suites refuses a beta whose
+square overflows.
 Its `learn` and `sweep` sections must name every key of `result.json`, the
 columns of `trace.csv` in order and every column of `sweep.csv`, so that a
 renamed output field cannot drift from its documentation.  Its memory examples must quote
@@ -286,6 +288,30 @@ def test_readme_lists_each_command_keys(heading, label, table):
     listed = re.findall(rf"^{label}: (.*)\.$", _readme_section(heading), flags=re.M)
     assert len(listed) == 1
     assert re.findall(r"`([^`]+)`", listed[0]) == list(table)
+
+
+def _key_table(name: str) -> dict:
+    """The key table that the config of command or lab suite `name` is checked against."""
+    if name.startswith("lab "):
+        return SUITES[name.removeprefix("lab ")].keys
+    if name == "sweep, axis beta":
+        return gibbslearn.cli.sweep_keys("beta")
+    return {"gen": GEN_KEYS, "learn": LEARN_KEYS, "sweep": SWEEP_KEYS, "dump": DUMP_KEYS}[name]
+
+
+# (table, key) of every beta a config sets; the beta axis's `values` are its betas
+TABLES = ("gen", "learn", "sweep", "dump", *(f"lab {name}" for name in SUITES))
+BETA_KEYS = [(t, key) for t in TABLES for key in _key_table(t) if "beta" in key]
+BETA_KEYS.append(("sweep, axis beta", "values"))
+
+
+@pytest.mark.parametrize("table, key", BETA_KEYS, ids=[f"{t}: {k}" for t, k in BETA_KEYS])
+def test_every_beta_key_refuses_a_beta_whose_square_overflows(table, key):
+    # the solver's first model is beta^2 I, and the lab squares its betas too
+    check, hint = _key_table(table)[key][0]
+    as_value = (lambda beta: beta) if key == "beta" else (lambda beta: [beta])
+    assert check(as_value(1.0))
+    assert not check(as_value(1e200)), f"{table}: {key} admits 1e200 ({hint})"
 
 
 def test_readme_names_every_result_key_of_learn(tmp_path):
