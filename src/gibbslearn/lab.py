@@ -49,7 +49,6 @@ __all__ = [
     "CheckReport",
     "ising_chain",
     "random_direction",
-    "partial_trace",
     "embed_on_sites",
     "strong_convexity_probe",
     "infinite_temp_variance_check",
@@ -95,6 +94,14 @@ class CheckReport:
         }
 
 
+def _power(x: float, k: float) -> float:
+    """float(x) ** k for x >= 0, reading inf where it leaves the float range."""
+    try:
+        return float(x) ** k
+    except OverflowError:
+        return math.inf
+
+
 def random_direction(m: int, rng: np.random.Generator) -> np.ndarray:
     """A unit vector in coefficient space: m standard normals, normalized."""
     v = rng.standard_normal(m)
@@ -102,22 +109,7 @@ def random_direction(m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense partial-trace helpers.
-
-
-def partial_trace(M: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """Trace out all qubit sites except `keep` (ascending site indices)."""
-    keep = tuple(keep)
-    if any(not 0 <= s < n for s in keep) or len(set(keep)) != len(keep):
-        raise ValueError(f"bad site subset {keep} for n={n}")
-    T = M.reshape((2,) * (2 * n))
-    traced = [s for s in range(n) if s not in keep]
-    for offset, s in enumerate(traced):
-        ax = s - offset  # axes shift left after each trace
-        T = np.trace(T, axis1=ax, axis2=ax + (n - offset))
-        # row axes before col axes; removing one of each keeps that layout
-    k = len(keep)
-    return T.reshape(2**k, 2**k)
+# Restriction to sites.
 
 
 def embed_on_sites(M: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
@@ -136,9 +128,17 @@ def embed_on_sites(M: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
     return T.reshape(2**n, 2**n)
 
 
-def _restrict(M: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """M's normalised partial trace onto `keep`, tensored back with identities."""
-    return embed_on_sites(partial_trace(M, keep, n) / 2 ** (n - len(keep)), keep, n)
+def _depolarize(M: np.ndarray, sites, n: int) -> np.ndarray:
+    """M with each site s of `sites` depolarized: its 2x2 block becomes half its trace times I.
+
+    Halving is exact, so this is M's normalised partial trace over `sites`
+    tensored back with identities, bit for bit.
+    """
+    for s in sites:
+        T = M.reshape(2**s, 2, 2 ** (n - s - 1), 2**s, 2, 2 ** (n - s - 1))
+        half = (T[:, :1, :, :, :1] + T[:, 1:, :, :, 1:]) / 2
+        M = (half * np.eye(2).reshape(2, 1, 1, 2, 1)).reshape(2**n, 2**n)
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +193,7 @@ def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> Che
     vec = np.asarray(v, dtype=float)
     m = model.basis.m
     var = variance(quasilocal_W(vec, model, beta), gibbs(spectrum(model), 0.0))
-    envelope = float(np.dot(vec, vec)) / (beta * math.log(m) + 1.0) ** 2
+    envelope = float(np.dot(vec, vec)) / _power(beta * math.log(m) + 1.0, 2)
     ratio = var / envelope if envelope > 0 else math.inf
     return CheckReport(
         check="infinite-temp",
@@ -210,7 +210,7 @@ def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> Che
 
 
 def local_reduce(O: np.ndarray, i: int, n: int) -> np.ndarray:
-    """O minus its site-i partial trace re-tensored with identity/2.
+    """O_(i) = O - (I/2) (x) Tr_i O.
 
     Keeps exactly the Pauli components of O that act nontrivially on site i.
     """
@@ -218,8 +218,12 @@ def local_reduce(O: np.ndarray, i: int, n: int) -> np.ndarray:
         raise ValueError(f"operator shape {O.shape} does not match n={n} sites")
     if not 0 <= i < n:
         raise ValueError(f"site {i} out of range for n={n}")
-    keep = tuple(s for s in range(n) if s != i)
-    return O - _restrict(O, keep, n)
+    return O - _depolarize(O, (i,), n)
+
+
+def _local_masses(O: np.ndarray, sites, n: int) -> list[float]:
+    """The Frobenius mass ||O_(i)||_F^2 of each site's local reduction."""
+    return [float(np.real(np.vdot(red, red))) for red in (local_reduce(O, i, n) for i in sites)]
 
 
 def global_to_local_check(O: np.ndarray, Z: tuple[int, ...], n: int) -> CheckReport:
@@ -232,10 +236,7 @@ def global_to_local_check(O: np.ndarray, Z: tuple[int, ...], n: int) -> CheckRep
     dim = 2**n
     O = O - (np.trace(O) / dim) * np.eye(dim, dtype=O.dtype)
     total = float(np.real(np.vdot(O, O)))
-    norms = []
-    for i in Z:
-        red = local_reduce(O, i, n)
-        norms.append(float(np.real(np.vdot(red, red))))
+    norms = _local_masses(O, Z, n)
     sum_norms = float(sum(norms))
     max_norm = max(norms) if norms else 0.0
     mean_norm = sum_norms / len(Z) if Z else 0.0
@@ -389,17 +390,11 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
     vec = np.asarray(v, dtype=float)
     lattice = model.basis.lattice
     n = lattice.n_sites
-    dim = 2**n
-    W_t = quasilocal_W(vec, model, beta)
-    rows = []
-    best = 0.0
-    for i in range(n):
-        red = local_reduce(W_t, i, n)
-        val = float(np.real(np.vdot(red, red))) / dim
-        rows.append((i, val))
-        best = max(best, val)
+    masses = _local_masses(quasilocal_W(vec, model, beta), range(n), n)
+    rows = [(i, mass / 2**n) for i, mass in enumerate(masses)]
+    best = max(val for _, val in rows)
     x = beta * math.log(beta) if beta > 0 else 0.0
-    envelope = float(np.max(vec**2)) / (x + 1.0) ** (2 * lattice.dimension + 2)
+    envelope = float(np.max(vec**2)) / _power(x + 1.0, 2 * lattice.dimension + 2)
     ratio = best / envelope if envelope > 0 else math.inf
     return CheckReport(
         check="local-variance-floor",
@@ -439,7 +434,8 @@ def lieb_robinson_decay(
 
     norms = []
     for r in radii:
-        truncated = _restrict(E_t, lattice.ball(r, E.support[0]), n)
+        ball = lattice.ball(r, E.support[0])
+        truncated = _depolarize(E_t, [s for s in range(n) if s not in ball], n)
         norms.append(float(np.linalg.norm(E_t - truncated, ord=2)))
 
     live = [(r, v) for r, v in zip(radii, norms) if v > 1e-14]
@@ -478,7 +474,9 @@ def _log_gamma_tail(s: float, z: float) -> float:
 
 
 def _tail(log_scale: float, s: float, z: float) -> float:
-    """exp(log_scale) Gamma(s, z), summed in logs; inf where it overflows."""
+    """exp(log_scale) Gamma(s, z), summed in logs; inf where it overflows, 0 where z does."""
+    if z == math.inf:
+        return 0.0
     log_tail = log_scale + _log_gamma_tail(s, z)
     return math.exp(log_tail) if log_tail < 709.0 else math.inf
 
@@ -497,11 +495,11 @@ def _series(a, b, c, p) -> list[tuple]:
         if j <= mode2 + 1:
             return math.inf
         s = (b + 1.0) / p
-        return _tail(-math.log(p) - s * math.log(c), s, c * (j - 1.0) ** p)
+        return _tail(-math.log(p) - s * math.log(c), s, c * _power(j - 1.0, p))
 
     def tail3(j):  # (1/p) c^(-s) Gamma(s, c (a + j - 1)^p), s = 1/p
         s = 1.0 / p
-        return _tail(-math.log(p) - s * math.log(c), s, c * (a + j - 1.0) ** p)
+        return _tail(-math.log(p) - s * math.log(c), s, c * _power(a + j - 1.0, p))
 
     return [
         (
@@ -510,12 +508,12 @@ def _series(a, b, c, p) -> list[tuple]:
             math.exp(c) / c,
         ),
         (
-            lambda j: j**b * math.exp(-c * j**p) if j > 0 else 0.0,
+            lambda j: j**b * math.exp(-c * _power(j, p)) if j > 0 else 0.0,
             tail2,
             (2.0 / p) * ((b + 1.0) / (c * p)) ** ((b + 1.0) / p),
         ),
         (
-            lambda j: math.exp(-c * (a + j) ** p),
+            lambda j: math.exp(-c * _power(a + j, p)),
             tail3,
             math.exp(-(c / 2.0) * a**p) * (1.0 + (1.0 / p) * (2.0 / (c * p)) ** (1.0 / p)),
         ),
@@ -526,21 +524,19 @@ def _series_terms(a, b, c, p) -> list[tuple]:
     """(terms to sum, term, closed-form bound) of each of the three sums at one point.
 
     A sum runs to the first j >= 11 whose tail bound is below SERIES_TAIL_TOL:
-    the bounds do not increase from j = 11 on (an overflow reads inf), so
-    doubling j from 11, then bisecting, finds it.  A point that needs more
+    the bounds do not increase from j = 11 on (an overflow reads inf), so one
+    bisection over [11, SERIES_MAX_TERMS] finds it.  A point that needs more
     than SERIES_MAX_TERMS terms raises a ValueError naming it.
     """
     counts = []
     for term, tail, bound in _series(a, b, c, p):
-        lo, hi = 11, 11  # the first j >= 11 below the tolerance lies in [lo, hi]
-        while not tail(hi) < SERIES_TAIL_TOL:
-            if hi == SERIES_MAX_TERMS:
-                raise ValueError(
-                    f"sum-bounds point {[a, b, c, p]} needs more than {SERIES_MAX_TERMS:,} terms"
-                )
-            lo, hi = hi + 1, min(2 * hi, SERIES_MAX_TERMS)
-        first = bisect.bisect_left(range(lo, hi), True, key=lambda j: tail(j) < SERIES_TAIL_TOL)
-        counts.append((lo + first, term, bound))
+        if not tail(SERIES_MAX_TERMS) < SERIES_TAIL_TOL:
+            raise ValueError(
+                f"sum-bounds point {[a, b, c, p]} needs more than {SERIES_MAX_TERMS:,} terms"
+            )
+        js = range(11, SERIES_MAX_TERMS + 1)
+        first = bisect.bisect_left(js, True, key=lambda j: tail(j) < SERIES_TAIL_TOL)
+        counts.append((js[first], term, bound))
     return counts
 
 
@@ -720,10 +716,28 @@ def verify_fourier_pair(beta: float, omegas) -> CheckReport:
     own error estimate (step-halving comparison plus tail and cutoff bounds)
     exceeds QUAD_TOL -- a failed estimate means the reported errors would be
     meaningless, not that the pair is wrong.  Refuses the beta that `f_time`
-    refuses.
+    refuses.  The tail and cutoff bounds read inf past the float range, and
+    are checked before `f_time` is sampled, so a beta too small or too large
+    for the grid is refused by name.
     """
     beta = float(beta)
     omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
+    w_max = np.max(np.abs(omegas))
+    f_time(np.empty(0), beta)  # refuses the beta that f_time refuses, and samples nothing
+
+    def refuse_above(estimate):
+        if estimate > QUAD_TOL:
+            raise ValueError(
+                f"quadrature did not converge at beta = {beta:g}, max|omega| = {w_max:g}: "
+                f"error estimate {estimate:.3e} exceeds tolerance {QUAD_TOL:.0e}"
+            )
+
+    # Error budget: Richardson step-halving difference, exponential tail
+    # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
+    tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
+    cutoff = (2.0 / (beta * np.pi)) * (_power(w_max, 4) / 24.0 + _power(np.pi / beta, 4) / 80.0)
+    cutoff = cutoff * QUAD_EPS**5 * (abs(np.log(QUAD_EPS)) + 2.0)
+    refuse_above(2.0 * (tail + cutoff))  # a huge omega or a beta out of range reads inf
 
     n_steps = int(np.ceil((QUAD_T_MAX - QUAD_EPS) / QUAD_STEP))
     n_steps += n_steps % 2  # even count so the half-resolution grid shares endpoints
@@ -733,26 +747,11 @@ def verify_fourier_pair(beta: float, omegas) -> CheckReport:
     phases = np.cos(np.outer(omegas, ts))
     integrand = phases * f_ts
     body = np.trapezoid(integrand, dx=QUAD_STEP, axis=1)
-    w_max = np.max(np.abs(omegas))
-    with np.errstate(over="ignore"):  # a huge omega reads inf here, and is refused below
-        numeric = 2.0 * (body + _near_zero_correction(omegas, beta, QUAD_EPS))
-        # Error budget: Richardson step-halving difference, exponential tail
-        # beyond t_max, and the dropped O(eps^5) terms of the cutoff correction.
-        coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
-        richardson = float(np.max(np.abs(body - coarse))) / 3.0
-        tail = (4.0 / np.pi**2) * float(np.exp(-np.pi * QUAD_T_MAX / beta))
-        cutoff = (
-            (2.0 / (beta * np.pi))
-            * (w_max**4 / 24.0 + (np.pi / beta) ** 4 / 80.0)
-            * QUAD_EPS**5
-            * (abs(np.log(QUAD_EPS)) + 2.0)
-        )
+    numeric = 2.0 * (body + _near_zero_correction(omegas, beta, QUAD_EPS))
+    coarse = np.trapezoid(integrand[:, ::2], dx=2 * QUAD_STEP, axis=1)
+    richardson = float(np.max(np.abs(body - coarse))) / 3.0
     estimate = 2.0 * (richardson + tail + cutoff)
-    if estimate > QUAD_TOL:
-        raise ValueError(
-            f"quadrature did not converge at beta = {beta:g}, max|omega| = {w_max:g}: "
-            f"error estimate {estimate:.3e} exceeds tolerance {QUAD_TOL:.0e}"
-        )
+    refuse_above(estimate)
 
     exact = f_tilde(omegas, beta)
     max_err = float(np.max(np.abs(numeric - exact)))

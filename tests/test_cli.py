@@ -20,7 +20,7 @@ from gibbslearn.lattice import (
     enumerate_basis,
     load_model,
 )
-from gibbslearn.reporting import THREAD_VARS
+from gibbslearn.reporting import BETA_MAX, THREAD_VARS
 from gibbslearn.solver import _dual_eval, _trial_pool
 
 from conftest import BUDGET_MESSAGE, chain_basis
@@ -930,6 +930,28 @@ def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+LAB_BETA_KEYS = [(name, key) for name, suite in SUITES.items() for key in suite.keys if "beta" in key]
+
+
+@pytest.mark.parametrize("suite, key", LAB_BETA_KEYS)
+def test_lab_beta_keys_survive_the_ends_of_their_rules(tmp_path, capsys, suite, key):
+    # fourier at 5e-324 died on an overflow warning, and infinite-temp at
+    # BETA_MAX exited 2 on a power's OverflowError that named no beta
+    admits = SUITES[suite].keys[key][0][0]
+    for beta in (5e-324, BETA_MAX, 0.0):
+        value = [beta] if key == "betas" else beta
+        if not admits(value):
+            continue
+        cfg = write_config(tmp_path, "lab.json", {key: value})
+        code = main(["lab", suite, "--config", cfg, "--out", str(tmp_path / f"o{beta}")])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"beta = {beta:g}" in err
+        else:
+            assert code in (0, 1), (beta, code)
 
 
 @pytest.mark.parametrize("config", [{"epsilons": [1000.0]}, {"sizes": [100_000]}])

@@ -21,7 +21,6 @@ from gibbslearn.lab import (
     local_unitary_probe,
     local_variance_floor,
     lower_bound_family,
-    partial_trace,
     random_direction,
     strong_convexity_probe,
     verify_sum_bounds,
@@ -52,22 +51,29 @@ def zero_coupling_model(n):
 
 
 # ---------------------------------------------------------------------------
-# partial trace / embedding
+# depolarizing sites / embedding
 
 
-def test_partial_trace_of_kron():
+def random_operator(dim, rng):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def test_depolarize_of_a_kronecker_product():
+    # A (x) B depolarized on B's sites is A (x) I Tr B / 2^k, and likewise for A's
     A = random_hermitian(2, 0)
-    B = random_hermitian(2, 1)
+    B = random_hermitian(4, 1)
     M = np.kron(A, B)
-    np.testing.assert_allclose(partial_trace(M, (0,), 2), A * np.trace(B), atol=1e-12)
-    np.testing.assert_allclose(partial_trace(M, (1,), 2), B * np.trace(A), atol=1e-12)
+    np.testing.assert_allclose(
+        lab._depolarize(M, (1, 2), 3), np.kron(A, np.eye(4)) * np.trace(B) / 4, atol=1e-12
+    )
+    np.testing.assert_allclose(
+        lab._depolarize(M, (0,), 3), np.kron(np.eye(2), B) * np.trace(A) / 2, atol=1e-12
+    )
 
 
-def test_partial_trace_round_trip():
-    # tracing the complement out of an embedded operator rescales by 2^(n-k)
-    A = random_hermitian(4, 2)
-    full = embed_on_sites(A, (0, 2), 3)
-    np.testing.assert_allclose(partial_trace(full, (0, 2), 3), 2.0 * A, atol=1e-12)
+def test_depolarize_fixes_an_operator_embedded_on_the_other_sites():
+    full = embed_on_sites(random_hermitian(4, 2), (0, 2), 3)
+    np.testing.assert_array_equal(lab._depolarize(full, (1,), 3), full)
 
 
 def test_embed_is_multiplicative():
@@ -78,14 +84,31 @@ def test_embed_is_multiplicative():
     np.testing.assert_allclose(lhs, embed_on_sites(A @ B, sites, n), atol=1e-11)
 
 
-def test_partial_trace_is_adjoint_of_embedding():
-    # Tr[embed(A)^dag M] = Tr[A^dag ptrace(M)]
+def test_depolarize_is_idempotent_and_self_adjoint():
+    # a projection in the Hilbert-Schmidt inner product: D(D(M)) = D(M) and
+    # Tr[X^+ D(Y)] = Tr[D(X)^+ Y]
     rng = np.random.default_rng(5)
-    A = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    M = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    lhs = np.trace(embed_on_sites(A, (0, 2), 3).conj().T @ M)
-    rhs = np.trace(A.conj().T @ partial_trace(M, (0, 2), 3))
-    assert lhs == pytest.approx(rhs, abs=1e-11)
+    X, Y = random_operator(8, rng), random_operator(8, rng)
+    for sites in [(0,), (1,), (0, 2), (0, 1, 2)]:
+        DY = lab._depolarize(Y, sites, 3)
+        np.testing.assert_allclose(lab._depolarize(DY, sites, 3), DY, atol=1e-12)
+        lhs = np.vdot(X, DY)
+        assert lhs == pytest.approx(np.vdot(lab._depolarize(X, sites, 3), Y), abs=1e-11)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_depolarize_matches_the_pauli_expansion(n):
+    # the oracle drops every Pauli string with a non-identity letter on a depolarized site
+    rng = np.random.default_rng(n)
+    M = random_operator(2**n, rng)
+    for k in range(n + 1):
+        sites = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+        expected = np.zeros_like(M)
+        for word in itertools.product("IXYZ", repeat=n):
+            if all(word[s] == "I" for s in sites):
+                P = pauli_matrix(word)
+                expected += (np.vdot(P, M) / 2**n) * P
+        np.testing.assert_allclose(lab._depolarize(M, sites, n), expected, atol=1e-12)
 
 
 def test_embed_matches_basis_densification():
@@ -96,13 +119,8 @@ def test_embed_matches_basis_densification():
     )
 
 
-def test_partial_trace_rejects_bad_subsets():
-    M = np.eye(8)
-    with pytest.raises(ValueError):
-        partial_trace(M, (0, 3), 3)
-    with pytest.raises(ValueError):
-        partial_trace(M, (1, 1), 3)
-    with pytest.raises(ValueError):
+def test_embed_on_sites_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError, match="does not match 1 sites"):
         embed_on_sites(np.eye(4), (0,), 3)
 
 
@@ -574,8 +592,9 @@ def test_sum_bounds_known_series_values():
 
 
 def test_series_terms_find_the_first_tail_below_tolerance():
-    # the reference: scan j = 11, 12, ... as the series is summed
-    for a, b, c, p, *_ in verify_sum_bounds().rows:
+    # the reference: scan j = 11, 12, ... as the series is summed; at p = 50,
+    # c (j - 1)^p leaves the float range long before j = SERIES_MAX_TERMS
+    for a, b, c, p, *_ in [*verify_sum_bounds().rows, (1.0, 1, 1.0, 50.0)]:
         counts = [count for count, _, _ in lab._series_terms(a, b, c, p)]
         firsts = [
             next(j for j in itertools.count(11) if tail(j) < lab.SERIES_TAIL_TOL)
