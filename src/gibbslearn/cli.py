@@ -18,11 +18,18 @@ of a numerical overflow, and every OSError of an unwritable --out, as
 before the command runs.  --out is created when the first output file is
 written, so a refused run leaves none behind.  Each command hands its output
 files to `_write`, which writes them and the manifest that lists them.
+
+Importing this module registers `gc.freeze` to run at interpreter exit, so
+the exit's collections skip the heap that the imports built.  Every output
+file is closed before `main` returns, so no output waits on those
+collections, and a `main(argv)` call freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -57,6 +64,8 @@ from .reporting import (
     write_manifest,
 )
 from .solver import CELLS_HEADER, SOLVER_KEYS, SWEEP_AXES, SWEEP_HEADER, SolverConfig, learn, sweep
+
+atexit.register(gc.freeze)
 
 
 # ---------------------------------------------------------------------------

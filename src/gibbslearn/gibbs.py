@@ -2,21 +2,26 @@
 
 Everything downstream consumes the eigensystems and states built here:
 `diagonalize` is the package's one `eigh`, and `GibbsEnsemble.rho` forms a
-dense thermal state, once per ensemble.  `spectrum(model)` builds a model's
-eigensystem once for the callers that share it; `diagonalize` is for the
-matrices no model names (the solver's iterates, a caller's H or observable)
-and for a caller that must let its eigensystem go early (`learn`).
+dense thermal state, once per ensemble.  `spectrum(model)` is a model's
+eigensystem, built afresh on each call, so its caller owns it and hands it on
+to whatever reads it; `diagonalize` is for the matrices no model names (the
+solver's iterates, a caller's H or observable).
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .lattice import HamiltonianModel, PauliTable, basis_stack, check_dense_budget
+from .lattice import (
+    HamiltonianModel,
+    PauliTable,
+    assemble_hamiltonian,
+    basis_stack,
+    check_dense_budget,
+)
 
 __all__ = [
     "DIAGONALIZE_MATRICES",
@@ -92,27 +97,14 @@ def diagonalize(H: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(energies, vectors)
 
 
-# The last model spectrum() built, held weakly, and its eigensystem.
-_SPECTRA: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
-    """The eigensystem of H(mu), shared by the callers that ask for one model.
+    """The eigensystem of H(mu), checked against the memory budget before H is built.
 
-    Cached: a model is frozen and hashed by identity, so the callers that ask
-    for the same model in a row share one (read-only) diagonalization.  The
-    cache keeps one entry, keyed weakly, so an eigensystem is dropped when
-    its model dies or before the next model is diagonalized, whichever comes
-    first.  It checks the memory budget before it assembles H: the table
-    and DIAGONALIZE_MATRICES, which also cover rho's 4 (`GibbsEnsemble.rho`).
+    The budget is the table and DIAGONALIZE_MATRICES, which also cover rho's
+    4 (`GibbsEnsemble.rho`).  Nothing keeps the result: each call diagonalizes.
     """
-    cached = _SPECTRA.get(model)
-    if cached is None:
-        _SPECTRA.clear()
-        table = basis_stack(model.basis)
-        check_dense_budget(DIAGONALIZE_MATRICES + table.matrices, model.n_sites)
-        cached = _SPECTRA[model] = diagonalize(table.combine(model.mu))
-    return cached
+    check_dense_budget(DIAGONALIZE_MATRICES + basis_stack(model.basis).matrices, model.n_sites)
+    return diagonalize(assemble_hamiltonian(model))
 
 
 def _square(H) -> np.ndarray:

@@ -10,7 +10,8 @@ lower bound, and the filter pair of `qbp`: the quadrature transform of its
 time-domain form, `f_time`, against the spectral form that a learn runs.
 Beside that pair sit the filtered operators the checks read: `qbp_transform`
 filters an operator by f_tilde of its energy gaps, and `quasilocal_W` filters
-a direction's operator W = sum_l v_l E_l.
+a direction's operator W = sum_l v_l E_l.  Every check that reads a model's
+eigensystem takes it as `spectral`, which a suite builds once per model (`gibbs.spectrum`).
 
 Checks with explicit constants assert; checks whose constants are only known
 to exist record measured curves and a calibrated floor instead.  Every check
@@ -146,7 +147,7 @@ def _depolarize(M: np.ndarray, sites, n: int) -> np.ndarray:
 
 
 def strong_convexity_probe(
-    model: HamiltonianModel, beta: float, trials: int, seed
+    model: HamiltonianModel, spectral: SpectralDecomposition, beta: float, trials: int, seed
 ) -> CheckReport:
     """Check v'Hv >= beta^2 Var[W~_v] on random unit directions.
 
@@ -157,7 +158,6 @@ def strong_convexity_probe(
     """
     beta = float(beta)
     m = model.basis.m
-    spectral = spectrum(model)
     ensemble = gibbs(spectral, beta)
     hess = _hessian_core(model.basis, model.mu, beta, spectral)
 
@@ -168,7 +168,7 @@ def strong_convexity_probe(
     for trial in range(trials):
         v = random_direction(m, rng)
         q = float(v @ hess @ v)
-        var = variance(quasilocal_W(v, model, beta), ensemble)
+        var = variance(quasilocal_W(v, model, spectral, beta), ensemble)
         slack = q - beta**2 * var
         rows.append((trial, q, beta**2 * var, slack))
         min_slack = min(min_slack, slack)
@@ -183,7 +183,9 @@ def strong_convexity_probe(
     )
 
 
-def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> CheckReport:
+def infinite_temp_variance_check(
+    model: HamiltonianModel, spectral: SpectralDecomposition, beta: float, v
+) -> CheckReport:
     """Variance of W~_v in the maximally mixed state against its envelope.
 
     The reference shape is sum(v^2) / (beta log m + 1)^2; the hidden constant
@@ -192,7 +194,7 @@ def infinite_temp_variance_check(model: HamiltonianModel, beta: float, v) -> Che
     beta = float(beta)
     vec = np.asarray(v, dtype=float)
     m = model.basis.m
-    var = variance(quasilocal_W(vec, model, beta), gibbs(spectrum(model), 0.0))
+    var = variance(quasilocal_W(vec, model, spectral, beta), gibbs(spectral, 0.0))
     envelope = float(np.dot(vec, vec)) / _power(beta * math.log(m) + 1.0, 2)
     ratio = var / envelope if envelope > 0 else math.inf
     return CheckReport(
@@ -260,6 +262,7 @@ def global_to_local_check(O: np.ndarray, Z: tuple[int, ...], n: int) -> CheckRep
 
 def akl_concentration_check(
     model: HamiltonianModel,
+    spectral: SpectralDecomposition,
     O_X: np.ndarray,
     X: tuple[int, ...],
     x: float,
@@ -280,7 +283,6 @@ def akl_concentration_check(
             for s in op.support:
                 touching[s] += 1
     g = int(touching.max()) if n else 0
-    spectral = spectrum(model)
     low = spectral.energies <= x
     high = spectral.energies >= y
     V = spectral.vectors
@@ -380,7 +382,9 @@ def local_unitary_probe(
     )
 
 
-def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport:
+def local_variance_floor(
+    v, model: HamiltonianModel, spectral: SpectralDecomposition, beta: float
+) -> CheckReport:
     """Max over sites of Tr[(W~_(i))^2 eta] against its temperature envelope.
 
     The envelope shape is (max v_l^2) / (beta log beta + 1)^(2D+2); only
@@ -390,7 +394,7 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
     vec = np.asarray(v, dtype=float)
     lattice = model.basis.lattice
     n = lattice.n_sites
-    masses = _local_masses(quasilocal_W(vec, model, beta), range(n), n)
+    masses = _local_masses(quasilocal_W(vec, model, spectral, beta), range(n), n)
     rows = [(i, mass / 2**n) for i, mass in enumerate(masses)]
     best = max(val for _, val in rows)
     x = beta * math.log(beta) if beta > 0 else 0.0
@@ -411,7 +415,7 @@ def local_variance_floor(v, model: HamiltonianModel, beta: float) -> CheckReport
 
 
 def lieb_robinson_decay(
-    E: LocalBasisOp, model: HamiltonianModel, t: float, radii
+    E: LocalBasisOp, model: HamiltonianModel, spectral: SpectralDecomposition, t: float, radii
 ) -> CheckReport:
     """Operator-norm error of ball truncations of an evolved one-site basis operator.
 
@@ -426,7 +430,6 @@ def lieb_robinson_decay(
     t = float(t)
     lattice = model.basis.lattice
     n = lattice.n_sites
-    spectral = spectrum(model)
     V = spectral.vectors
     phases = np.exp(-1j * spectral.energies * t)
     in_energy = V.conj().T @ to_dense(E, lattice) @ V
@@ -540,6 +543,15 @@ def _series_terms(a, b, c, p) -> list[tuple]:
     return counts
 
 
+def _bound2_holds(b, p) -> bool:
+    """Whether bound 2 of `verify_sum_bounds` is proven at (b, p), for every c > 0.
+
+    It is where p <= 1, or b >= 1 and p <= 2 (README, "Series bounds"); outside,
+    the bound fails at points such as (a, b, c, p) = (0, 0, 1, 4).
+    """
+    return p <= 1 or (b >= 1 and p <= 2)
+
+
 def verify_sum_bounds(points=None) -> CheckReport:
     """Three series bounds on a 27-point (a, b, c, p) grid, tails below 1e-12.
 
@@ -549,7 +561,8 @@ def verify_sum_bounds(points=None) -> CheckReport:
     Tails are controlled by geometric (1) or incomplete-gamma integral
     comparisons (2, 3) for the monotone-decreasing part of each series; the
     incomplete gamma function is bounded by an elementary expression, so the
-    check needs no special function.
+    check needs no special function.  A point outside bound 2's region
+    (`_bound2_holds`) raises a ValueError naming it.
     """
     if points is None:
         pair = {0.5: 1, 1.0: 2, 2.0: 3}
@@ -563,6 +576,11 @@ def verify_sum_bounds(points=None) -> CheckReport:
     min_slack = math.inf
     passed = True
     for a, b, c, p in points:
+        if not _bound2_holds(b, p):
+            raise ValueError(
+                f"sum-bounds point {[a, b, c, p]} is outside bound 2's region: "
+                "p <= 1, or b >= 1 and p <= 2"
+            )
         sums = []
         for count, term, bound in _series_terms(a, b, c, p):
             total = 0.0
@@ -656,13 +674,15 @@ def qbp_transform(O: np.ndarray, spectral: SpectralDecomposition, beta: float) -
     return 0.5 * (out + out.conj().T)
 
 
-def quasilocal_W(v, model: HamiltonianModel, beta: float) -> np.ndarray:
-    """Filtered direction operator: qbp_transform of W = sum_l v_l E_l."""
+def quasilocal_W(
+    v, model: HamiltonianModel, spectral: SpectralDecomposition, beta: float
+) -> np.ndarray:
+    """Filtered direction operator: qbp_transform of W = sum_l v_l E_l over H(mu)'s `spectral`."""
     v = np.asarray(v, dtype=float)
     if v.shape != (model.basis.m,):
         raise ValueError(f"direction has shape {v.shape}, expected ({model.basis.m},)")
     W = basis_stack(model.basis).combine(v)
-    return qbp_transform(W, spectrum(model), beta)
+    return qbp_transform(W, spectral, beta)
 
 
 def f_time(t, beta: float) -> np.ndarray | float:
@@ -787,8 +807,9 @@ def _suite_strong_convexity(seed: int, betas, trials) -> list[CheckReport]:
     reports = []
     for k, (n, inst) in enumerate([(2, 0), (2, 1), (3, 0), (3, 1)]):
         model = random_chain(n, 2, trial_seed(seed, k))
+        spectral = spectrum(model)
         for beta in betas:
-            rep = strong_convexity_probe(model, float(beta), trials, trial_seed(seed, 50 + k))
+            rep = strong_convexity_probe(model, spectral, beta, trials, trial_seed(seed, 50 + k))
             rep.grid.update(n=n, instance=inst)
             reports.append(rep)
     return reports
@@ -798,20 +819,21 @@ def _suite_infinite_temp(seed: int, betas, directions) -> list[CheckReport]:
     reports = []
     for k, n in enumerate((2, 3)):
         model = random_chain(n, 2, trial_seed(seed, k))
+        spectral = spectrum(model)
         rng = np.random.default_rng(trial_seed(seed, 100 + k))
         for beta in betas:
             beta = float(beta)
             v = None
             for _ in range(directions):
                 v = random_direction(model.basis.m, rng)
-                rep = infinite_temp_variance_check(model, beta, v)
+                rep = infinite_temp_variance_check(model, spectral, beta, v)
                 rep.grid.update(n=n)
                 reports.append(rep)
-            W_t = quasilocal_W(v, model, beta)
+            W_t = quasilocal_W(v, model, spectral, beta)
             rep = global_to_local_check(W_t, tuple(range(n)), n)
             rep.grid.update(n=n, beta=beta)
             reports.append(rep)
-            rep = local_variance_floor(v, model, beta)
+            rep = local_variance_floor(v, model, spectral, beta)
             rep.grid.update(n=n)
             reports.append(rep)
     return reports
@@ -823,13 +845,14 @@ def _suite_akl(seed: int, window_fractions) -> list[CheckReport]:
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     reports = []
     for tag, model in instances:
-        energies = spectrum(model).energies
+        spectral = spectrum(model)
+        energies = spectral.energies
         width = float(energies[-1] - energies[0])
         X = (model.basis.lattice.n_sites // 2,)
         for frac in window_fractions:
             x = float(energies[0] + frac * width)
             y = float(energies[-1] - frac * width)
-            rep = akl_concentration_check(model, sigma_x, X, x, y)
+            rep = akl_concentration_check(model, spectral, sigma_x, X, x, y)
             rep.grid.update(instance=tag)
             reports.append(rep)
     return reports
@@ -846,9 +869,10 @@ def _suite_delta_gamma(seed: int, betas) -> list[CheckReport]:
     }
     # an observable's eigensystem, and so its gamma grid, moves with neither gamma nor beta
     systems = {name: diagonalize(A) for name, A in observables.items()}
+    spectral = spectrum(model)
     reports = []
     for beta in betas:
-        ensemble = gibbs(spectrum(model), float(beta))
+        ensemble = gibbs(spectral, float(beta))
         for name, eigen in systems.items():
             evals, weights = _centered(eigen, ensemble)
             top = 1.1 * float(np.max(np.abs(eigen.energies)))
@@ -897,13 +921,14 @@ def _suite_lr_decay(seed: int, times) -> list[CheckReport]:
     reports = []
     for n in (5, 6):
         model = ising_chain(n, 0.5, 0.4)
+        spectral = spectrum(model)
         targets = [
             op
             for op in model.basis.ops
             if op.support == (n // 2,) and op.letters in ("Z", "X")
         ]
         for t in times:
-            reports += [lieb_robinson_decay(op, model, t, range(n)) for op in targets]
+            reports += [lieb_robinson_decay(op, model, spectral, t, range(n)) for op in targets]
     return reports
 
 
@@ -941,7 +966,8 @@ def _series_point(v) -> bool:
         return False
     a, b, c, p = v
     try:  # a point whose bounds overflow, or that needs too many terms, is refused
-        return a >= 0 and b >= 0 and c > 0 and p > 0 and bool(_series_terms(a, b, c, p))
+        domain = a >= 0 and b >= 0 and c > 0 and p > 0 and _bound2_holds(b, p)
+        return domain and bool(_series_terms(a, b, c, p))
     except (OverflowError, ValueError):
         return False
 
@@ -957,8 +983,8 @@ EPSILONS = nonempty_list_of((lambda v: _finite(v) and 0 < v <= 1e152, "number in
 FRACTIONS = nonempty_list_of((lambda v: _finite(v) and 0 <= v < 0.5, "finite number in [0, 0.5)"))
 POINT = (
     _series_point,
-    "[a, b, c, p] list of finite numbers with a, b >= 0, c, p > 0, "
-    f"whose three series converge within {SERIES_MAX_TERMS:,} terms",
+    "[a, b, c, p] list of finite numbers with a, b >= 0, c > 0, and p in (0, 1], "
+    f"or b >= 1 and p in (0, 2], whose three series converge within {SERIES_MAX_TERMS:,} terms",
 )
 
 

@@ -142,7 +142,7 @@ def hessian_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
 
     Entry (j, k) is (beta^2/2) Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, with
     Phi the gap filter of `lab.qbp_transform`.  In the energy basis it reduces
-    to a weighted elementwise product of the two operators' matrix elements.  It does not read `spectrum(model)`: the
-    kernel diagonalizes only once the memory budget has admitted the Hessian.
+    to a weighted elementwise product of the two operators' matrix elements.  It diagonalizes
+    H(mu) itself, once the memory budget has admitted the Hessian, not through `spectrum`.
     """
     return _hessian_core(model.basis, model.mu, float(beta))

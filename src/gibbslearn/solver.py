@@ -27,13 +27,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import diagonalize, gibbs, marginals
+from .gibbs import diagonalize, gibbs, marginals, spectrum
 from .lattice import (
     HamiltonianModel,
     LatticeSpec,
     OperatorBasis,
     PauliTable,
-    assemble_hamiltonian,
     basis_stack,
     check_dense_budget,
     enumerate_basis,
@@ -115,7 +114,6 @@ class SolverTrace:
     hessian_s: float = 0.0
     pg_final: float = 0.0
     converged: bool = False
-    wall_time: float = 0.0
     grad_final: np.ndarray | None = field(default=None, repr=False)
 
     CSV_HEADER = ("iteration", "objective", "grad_norm", "step", "evals")  # of `csv_rows`
@@ -171,7 +169,6 @@ def solve(
     cfg.polish_max_iters Newton steps.
     """
     cfg = cfg or SolverConfig()
-    started = time.perf_counter()
     beta, radius, table = float(beta), cfg.radius, basis_stack(basis)
     target = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
     if target.shape != (basis.m,):
@@ -235,7 +232,6 @@ def solve(
             B += np.outer(dg, dg / curvature) - np.outer(Bs, Bs / float(np.dot(step, Bs)))
     trace.grad_final, trace.pg_final = g, pg_x
     trace.converged = pg_x <= cfg.tol_grad
-    trace.wall_time = time.perf_counter() - started
     return x, trace
 
 
@@ -352,9 +348,7 @@ def learn(
     check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)
     stages = []
     t = time.perf_counter()
-    # diagonalized here, not through the `spectrum` cache, so that the
-    # eigensystem and rho at mu die with the ensemble once e(mu) is read
-    ensemble = gibbs(diagonalize(assemble_hamiltonian(model)), beta)
+    ensemble = gibbs(spectrum(model), beta)
     t = _lap(stages, "gibbs", t)
     plan = build_plan(basis, scheme, n_copies)
     t = _lap(stages, "plan", t)
@@ -399,7 +393,6 @@ def learn(
         "bound_value": bound,
         "bound_holds": bool(l2_error <= bound),
         "pg_final": trace.pg_final,
-        "wall_time_s": trace.wall_time,
         "dual_evals": trace.dual_evals,
         "hessians": trace.hessians,
         "m": m,

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 from gibbslearn.cli import main as cli_main
-from gibbslearn.gibbs import gibbs_state, marginals
+from gibbslearn.gibbs import gibbs_state, marginals, spectrum
 from gibbslearn.lab import (
     akl_concentration_check,
     global_to_local_check,
@@ -141,8 +141,9 @@ def test_acceptance_02_hessian_dominates_filtered_variance():
     violations = 0
     for seed in range(20):
         model = random_chain_model(3, seed=seed)
+        spectral = spectrum(model)
         for beta in BETAS:
-            rep = strong_convexity_probe(model, beta, trials=100, seed=seed)
+            rep = strong_convexity_probe(model, spectral, beta, trials=100, seed=seed)
             worst = min(worst, rep.min_slack)
             if not rep.passed:
                 violations += 1
@@ -262,6 +263,7 @@ def test_acceptance_07_energy_block_concentration():
     model = ising_chain(6, 0.5, 0.4)
     energies = np.linalg.eigvalsh(assemble_hamiltonian(model))
     mid = 0.5 * (energies[0] + energies[-1])
+    spectral = spectrum(model)
     rng = np.random.default_rng(77)
     operators = []
     for k in range(10):
@@ -280,7 +282,7 @@ def test_acceptance_07_energy_block_concentration():
     for O, X in operators:
         for gap in range(2, 13):
             rep = akl_concentration_check(
-                model, O, X, x=mid - gap / 2.0, y=mid + gap / 2.0
+                model, spectral, O, X, x=mid - gap / 2.0, y=mid + gap / 2.0
             )
             total += 1
             min_slack = min(min_slack, rep.min_slack)
@@ -353,6 +355,7 @@ def test_acceptance_10_evolved_operators_stay_quasi_local():
     ok = True
     worst_final = 0.0
     for model in instances:
+        spectral = spectrum(model)
         ops = [
             op
             for op in model.basis.ops
@@ -360,7 +363,7 @@ def test_acceptance_10_evolved_operators_stay_quasi_local():
         ]
         for E in ops:
             for t in (0.5, 1.0, 2.0):
-                report = lieb_robinson_decay(E, model, t, range(6))
+                report = lieb_robinson_decay(E, model, spectral, t, range(6))
                 column = report.header.index("truncation_norm")
                 norms = [row[column] for row in report.rows]
                 profiles += 1

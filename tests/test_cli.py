@@ -268,6 +268,7 @@ def test_learn_timings_sidecar_reports_each_stage(tmp_path):
     stages = timings["stages"]
     assert [s["stage"] for s in stages] == ["gibbs", "plan", "sample", "solve", "alpha", "bound"]
     assert all(s["wall_s"] >= 0 for s in stages)
+    assert stages[3]["wall_s"] > 0  # the solve's, which result.json does not repeat
     peaks = [s["peak_rss_mb"] for s in stages]
     assert peaks[0] > 0 and peaks == sorted(peaks)
     assert timings["dual_evals"] == result["dual_evals"] > 0
@@ -276,7 +277,7 @@ def test_learn_timings_sidecar_reports_each_stage(tmp_path):
     # the solve's seconds in its Hessians, a part of the solve stage
     assert 0 < timings["hessian_s"] <= stages[3]["wall_s"]
     # wall-clock data stays in the sidecar, which the manifest lists
-    assert "stages" not in result and "hessian_s" not in result
+    assert not {"stages", "hessian_s", "wall_time_s"} & set(result)
     manifest = json.loads((out / "learn_manifest.json").read_text())
     assert "learn_timings.json" in manifest["outputs"]
 
@@ -391,8 +392,12 @@ def test_learn_manifest_replay_is_byte_identical(tmp_path):
         )
         == 0
     )
-    for name in ("estimates.csv", "trace.csv"):
-        assert (replay / name).read_bytes() == (first / name).read_bytes()
+    # every output but the wall-clock sidecar, result.json included
+    outputs = json.loads((first / "learn_manifest.json").read_text())["outputs"]
+    assert "result.json" in outputs
+    for name in outputs:
+        if name != "learn_timings.json":
+            assert (replay / name).read_bytes() == (first / name).read_bytes()
 
 
 def test_learn_rejects_starved_plan(tmp_path, capsys):
@@ -922,6 +927,9 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ("lower-bound", {"epsilons": [1e200]}, f"epsilons (expected {EPSILONS_HINT}, got [1e+200]"),
         # its error budget read max(omegas) = 1, so this ran, and failed, where [100.0, 1.0] exited 2
         ("fourier", {"omegas": [-100.0, 1.0]}, "did not converge at beta = 0.5, max|omega| = 100:"),
+        # series 2 summed past its bound here, and the check failed
+        ("sum-bounds", {"points": [[0, 0, 1, 4]]}, "invalid lab config: points ("),
+        ("sum-bounds", {"points": [[0, 0, 0.1, 2]]}, "invalid lab config: points ("),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
@@ -1308,6 +1316,42 @@ def test_console_entry_point():
     )
     assert out.returncode == 0
     assert "gibbslearn" in out.stdout
+
+
+# atexit runs its handlers last-registered first, so this probe, registered
+# before the import of gibbslearn.cli, reads the freeze count after the CLI's handler
+FREEZE_PROBE = (
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: print('frozen at exit:', gc.get_freeze_count() > 0))\n"
+    "sys.argv = ['gibbslearn', 'gen', '--config', sys.argv[1], '--out', sys.argv[2]]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "entry, printed",
+    [
+        # the console script's, whose in-process main must freeze nothing yet
+        (
+            "from gibbslearn.cli import main\n"
+            "code = main()\n"
+            "print('frozen after main:', gc.get_freeze_count() > 0)\n"
+            "sys.exit(code)\n",
+            ["frozen after main: False", "frozen at exit: True"],
+        ),
+        # python -m gibbslearn.cli
+        ("runpy.run_module('gibbslearn.cli', run_name='__main__')\n", ["frozen at exit: True"]),
+    ],
+    ids=["console-script", "python-m"],
+)
+def test_a_cli_process_freezes_the_gc_heap_at_exit(tmp_path, entry, printed):
+    cfg = write_config(tmp_path, "gen.json", gen_config(n=2))
+    out = tmp_path / "o"
+    run = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE + entry, cfg, str(out)], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-len(printed) :] == printed
+    assert (out / "model.json").is_file()
 
 
 def test_cli_import_leaves_scipy_special_out(tmp_path):

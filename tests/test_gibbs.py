@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,7 @@ from gibbslearn.gibbs import (
     spectrum,
     variance,
 )
-from gibbslearn.lattice import HamiltonianModel, assemble_hamiltonian, basis_stack, pauli_matrix
+from gibbslearn.lattice import assemble_hamiltonian, basis_stack, pauli_matrix
 
 from conftest import dense_basis, dense_marginal, random_chain_model
 
@@ -98,30 +96,14 @@ def test_spectral_reconstruction():
     assert np.all(np.diff(spec.energies) >= 0)
 
 
-def test_spectrum_is_built_once_per_model():
+def test_spectrum_diagonalizes_the_assembled_hamiltonian_on_every_call():
+    # nothing keeps a model's eigensystem: each caller owns the one it asked for
     model = random_chain_model(3, seed=4)
     first = spectrum(model)
-    assert spectrum(model) is first
-    # hashed by identity: an equal mu in a distinct model is a distinct model
-    twin = HamiltonianModel(model.basis, model.mu)
-    assert spectrum(twin) is not first
+    assert spectrum(model) is not first
     reference = diagonalize(assemble_hamiltonian(model))
-    for spec in (first, spectrum(twin)):
-        np.testing.assert_array_equal(spec.energies, reference.energies)
-        np.testing.assert_array_equal(spec.vectors, reference.vectors)
-
-
-def test_spectrum_dies_with_its_model_and_keeps_one_entry():
-    model = random_chain_model(3, seed=4)
-    eigensystem = weakref.ref(spectrum(model))
-    assert eigensystem() is not None
-    del model
-    assert eigensystem() is None
-    # several live models hold at most the last one's eigensystem
-    first, second = random_chain_model(3, seed=5), random_chain_model(3, seed=6)
-    eigensystem = weakref.ref(spectrum(first))
-    spectrum(second)
-    assert eigensystem() is None
+    np.testing.assert_array_equal(first.energies, reference.energies)
+    np.testing.assert_array_equal(first.vectors, reference.vectors)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn import gibbs, lab, qbp
-from gibbslearn.gibbs import gibbs_state
+from gibbslearn.gibbs import gibbs_state, spectrum
 from gibbslearn.lab import (
     SUITES,
     CheckReport,
@@ -151,7 +152,7 @@ def test_strong_convexity_equality_at_zero_coupling():
     # H = 0: the Hessian is beta^2 I and the filtered variance of a unit
     # direction is exactly 1, so every slack should be numerical zero
     model = zero_coupling_model(2)
-    rep = strong_convexity_probe(model, 1.3, trials=20, seed=0)
+    rep = strong_convexity_probe(model, spectrum(model), 1.3, trials=20, seed=0)
     assert rep.passed
     assert abs(rep.min_slack) < 1e-10
     assert rep.grid["min_q_times_m"] == pytest.approx(
@@ -160,7 +161,8 @@ def test_strong_convexity_equality_at_zero_coupling():
 
 
 def test_strong_convexity_probe_diagonalizes_once(monkeypatch):
-    # the probe hands its eigensystem of H(mu) to the Hessian kernel
+    # the caller's eigensystem of H(mu) is the one diagonalization: the probe
+    # hands it to the Hessian kernel and to every filtered direction
     calls = []
 
     def counted(H, original=gibbs.diagonalize):
@@ -169,7 +171,8 @@ def test_strong_convexity_probe_diagonalizes_once(monkeypatch):
 
     for module in (gibbs, qbp):
         monkeypatch.setattr(module, "diagonalize", counted)
-    strong_convexity_probe(random_chain_model(5, seed=2), 1.0, trials=3, seed=0)
+    model = random_chain_model(5, seed=2)
+    strong_convexity_probe(model, spectrum(model), 1.0, trials=3, seed=0)
     assert len(calls) == 1
 
 
@@ -230,7 +233,7 @@ def test_strong_convexity_random_instances():
     for seed in (0, 1):
         model = random_chain_model(3, seed=seed)
         for beta in (0.5, 2.0):
-            rep = strong_convexity_probe(model, beta, trials=25, seed=seed)
+            rep = strong_convexity_probe(model, spectrum(model), beta, trials=25, seed=seed)
             assert rep.passed, f"seed={seed} beta={beta} slack={rep.min_slack}"
             assert len(rep.rows) == 25
 
@@ -238,7 +241,7 @@ def test_strong_convexity_random_instances():
 def test_infinite_temp_variance_at_zero_coupling():
     model = zero_coupling_model(2)
     v = np.random.default_rng(3).normal(size=model.basis.m)
-    rep = infinite_temp_variance_check(model, 1.0, v)
+    rep = infinite_temp_variance_check(model, spectrum(model), 1.0, v)
     assert rep.passed
     var = rep.rows[0][1]
     assert var == pytest.approx(float(np.dot(v, v)), rel=1e-12)
@@ -248,7 +251,7 @@ def test_infinite_temp_variance_random_instance():
     model = random_chain_model(3, seed=19)
     v = random_direction(model.basis.m, np.random.default_rng(1))
     for beta in (0.5, 2.0):
-        rep = infinite_temp_variance_check(model, beta, v)
+        rep = infinite_temp_variance_check(model, spectrum(model), beta, v)
         assert rep.passed
         assert rep.grid["r_min"] == 0.01
 
@@ -256,7 +259,7 @@ def test_infinite_temp_variance_random_instance():
 def test_local_variance_floor_beta_zero_envelope():
     model = random_chain_model(2, seed=7)
     v = np.random.default_rng(2).normal(size=model.basis.m)
-    rep = local_variance_floor(v, model, 0.0)
+    rep = local_variance_floor(v, model, spectrum(model), 0.0)
     # at beta = 0 the envelope denominator collapses to 1
     assert rep.grid["envelope"] == pytest.approx(float(np.max(v**2)), rel=1e-12)
     assert rep.passed
@@ -265,7 +268,7 @@ def test_local_variance_floor_beta_zero_envelope():
 def test_local_variance_floor_positive_at_finite_beta():
     model = random_chain_model(3, seed=11)
     v = np.random.default_rng(4).normal(size=model.basis.m)
-    rep = local_variance_floor(v, model, 2.0)
+    rep = local_variance_floor(v, model, spectrum(model), 2.0)
     assert rep.passed
     assert rep.min_slack > 0
     assert len(rep.rows) == 3
@@ -342,7 +345,7 @@ def test_global_to_local_single_site_operator():
 
 def test_akl_identity_block_vanishes():
     model = random_chain_model(3, seed=15, scale=0.5)
-    rep = akl_concentration_check(model, np.eye(2), (1,), x=-0.2, y=0.2)
+    rep = akl_concentration_check(model, spectrum(model), np.eye(2), (1,), x=-0.2, y=0.2)
     # identity commutes with everything: the high-low block is exactly zero
     assert rep.rows[0][4] == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
@@ -354,7 +357,9 @@ def test_akl_random_operator_respects_bound():
     H = assemble_hamiltonian(model)
     mid = 0.0
     for gap in (1.0, 2.0, 4.0):
-        rep = akl_concentration_check(model, O, (1,), x=mid - gap / 2, y=mid + gap / 2)
+        rep = akl_concentration_check(
+            model, spectrum(model), O, (1,), x=mid - gap / 2, y=mid + gap / 2
+        )
         assert rep.passed, f"gap={gap}: slack {rep.min_slack}"
 
 
@@ -372,7 +377,7 @@ def test_akl_g_counts_only_live_terms():
     from gibbslearn.lattice import HamiltonianModel
 
     model = HamiltonianModel(basis=basis, mu=mu)
-    rep = akl_concentration_check(model, pauli_matrix("X"), (1,), x=-1.0, y=1.0)
+    rep = akl_concentration_check(model, spectrum(model), pauli_matrix("X"), (1,), x=-1.0, y=1.0)
     assert rep.rows[0][2] == 3  # g column
 
 
@@ -538,7 +543,7 @@ def test_lieb_robinson_zero_time_exact():
         for op in model.basis.ops
         if op.support == (1,) and op.letters == "Z"
     )
-    report = lieb_robinson_decay(E, model, 0.0, range(4))
+    report = lieb_robinson_decay(E, model, spectrum(model), 0.0, range(4))
     norms = truncation_norms(report)
     assert all(v < 1e-12 for v in norms)
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -551,7 +556,7 @@ def test_lieb_robinson_profile_decays():
         for op in model.basis.ops
         if op.support == (1,) and op.letters == "Z"
     )
-    report = lieb_robinson_decay(E, model, 0.5, range(4))
+    report = lieb_robinson_decay(E, model, spectrum(model), 0.5, range(4))
     norms = truncation_norms(report)
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-10
@@ -563,7 +568,7 @@ def test_lieb_robinson_takes_a_one_site_element():
     model = random_chain_model(4, seed=3, scale=0.5)
     E = next(op for op in model.basis.ops if op.support == (1, 2))
     with pytest.raises(ValueError, match="one-site"):
-        lieb_robinson_decay(E, model, 0.5, range(4))
+        lieb_robinson_decay(E, model, spectrum(model), 0.5, range(4))
 
 
 # ---------------------------------------------------------------------------
@@ -610,6 +615,14 @@ def test_sum_bounds_refuses_a_point_that_needs_too_many_terms():
     with pytest.raises(ValueError, match=r"point \[0.001, 0, 0.001, 0.5\] needs more than"):
         verify_sum_bounds([(1e-3, 0, 1e-3, 0.5)])
     assert time.perf_counter() - started < 5.0
+
+
+@pytest.mark.parametrize("point", [(0, 0, 1, 4), (0, 0, 0.1, 2)])
+def test_sum_bounds_refuses_a_point_outside_bound_2s_region(point):
+    # series 2 sums past its bound at both: 0.36788 against 0.35355, and
+    # 2.3025 against 2.2361
+    with pytest.raises(ValueError, match=re.escape(f"point {list(point)} is outside bound 2's")):
+        verify_sum_bounds([point])
 
 
 @settings(max_examples=300, deadline=None)

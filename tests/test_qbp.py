@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp, solver
 from gibbslearn.cli import main
-from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
+from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals, spectrum
 from gibbslearn.lab import f_time, qbp_transform, quasilocal_W, verify_fourier_pair
 from gibbslearn.lattice import (
     HamiltonianModel,
@@ -403,7 +403,7 @@ def test_hessian_budget_admits_a_12_site_chain():
 def test_quasilocal_direction_shape_check():
     model = random_chain_model(2, seed=2)
     with pytest.raises(ValueError):
-        quasilocal_W(np.ones(3), model, 1.0)
+        quasilocal_W(np.ones(3), model, spectrum(model), 1.0)
 
 
 def test_quasilocal_w_hermitian_and_linear():
@@ -411,9 +411,10 @@ def test_quasilocal_w_hermitian_and_linear():
     rng = np.random.default_rng(5)
     u = rng.normal(size=model.basis.m)
     v = rng.normal(size=model.basis.m)
-    Wu = quasilocal_W(u, model, 1.1)
-    Wv = quasilocal_W(v, model, 1.1)
-    Wsum = quasilocal_W(u + 2 * v, model, 1.1)
+    spectral = spectrum(model)
+    Wu = quasilocal_W(u, model, spectral, 1.1)
+    Wv = quasilocal_W(v, model, spectral, 1.1)
+    Wsum = quasilocal_W(u + 2 * v, model, spectral, 1.1)
     np.testing.assert_allclose(Wu, Wu.conj().T, atol=1e-12)
     np.testing.assert_allclose(Wsum, Wu + 2 * Wv, atol=1e-11)
 
@@ -423,4 +424,4 @@ def test_quasilocal_w_at_zero_coupling_is_unfiltered():
     zero = dataclasses.replace(model, mu=np.zeros(model.basis.m))
     v = np.random.default_rng(9).normal(size=model.basis.m)
     W = np.tensordot(v, dense_basis(model.basis), axes=1)
-    np.testing.assert_allclose(quasilocal_W(v, zero, 2.5), W, atol=1e-12)
+    np.testing.assert_allclose(quasilocal_W(v, zero, spectrum(zero), 2.5), W, atol=1e-12)
