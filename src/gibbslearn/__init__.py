@@ -1,9 +1,10 @@
 """Hamiltonian learning workbench for exact Gibbs states of local qubit models.
 
 The package root exports the names of the README's library tour: build a
-lattice and its local Pauli basis, assemble H(mu), take its Gibbs state,
-plan and sample measurements, and solve the max-entropy dual.  Everything
-else lives in its module, organised bottom-up:
+lattice and its local Pauli basis, diagonalize H(mu), plan and sample
+measurements, and solve the max-entropy dual.  The tour's `gibbs` comes from
+its module: as a root name it would shadow the `gibbslearn.gibbs` module.
+Everything else lives in its module, organised bottom-up:
 
 - :mod:`gibbslearn.lattice`: lattices, the local Pauli operator basis, and
   Hamiltonian models with JSON round trips.
@@ -25,19 +26,18 @@ else lives in its module, organised bottom-up:
 
 __version__ = "0.1.0"  # set before the imports: reporting reads it
 
-from .gibbs import gibbs_state
-from .lattice import HamiltonianModel, LatticeSpec, assemble_hamiltonian, enumerate_basis
+from .gibbs import spectrum
+from .lattice import HamiltonianModel, LatticeSpec, enumerate_basis
 from .measure import build_plan, sample_outcomes
 from .solver import solve
 
 __all__ = [
     "HamiltonianModel",
     "LatticeSpec",
-    "assemble_hamiltonian",
     "build_plan",
     "enumerate_basis",
-    "gibbs_state",
     "sample_outcomes",
     "solve",
+    "spectrum",
     "__version__",
 ]

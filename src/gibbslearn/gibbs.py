@@ -5,7 +5,8 @@ Everything downstream consumes the eigensystems and states built here:
 dense thermal state, once per ensemble.  `spectrum(model)` is a model's
 eigensystem, built afresh on each call, so its caller owns it and hands it on
 to whatever reads it; `diagonalize` is for the matrices no model names (the
-solver's iterates, a caller's H or observable).
+solver's iterates, a caller's Hermitian H or observable).  A model's Gibbs
+state is `gibbs(spectrum(model), beta)`.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ __all__ = [
     "diagonalize",
     "spectrum",
     "gibbs",
-    "gibbs_state",
     "log_sum_exp",
     "marginals",
     "variance",
 ]
 
-HERMITICITY_TOL = 1e-8
 VARIANCE_CLAMP = 1e-10
 
 
@@ -89,11 +88,14 @@ DIAGONALIZE_MATRICES = 5
 def diagonalize(H: np.ndarray) -> SpectralDecomposition:
     """Eigendecompose a Hermitian matrix, the package's one `eigh`.
 
-    Only the lower triangle of H is read: callers hand in matrices that are
-    Hermitian by construction (`PauliTable.combine`), and `gibbs_state`
-    checks the ones that come from outside.
+    Only the lower triangle of H is read, so callers pass Hermitian
+    matrices: `PauliTable.combine` builds them so, and a caller's own matrix
+    is the caller's to check.  Raises ValueError unless H is square.
     """
-    energies, vectors = np.linalg.eigh(_square(H))
+    H = np.asarray(H)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    energies, vectors = np.linalg.eigh(H)
     return SpectralDecomposition(energies, vectors)
 
 
@@ -105,13 +107,6 @@ def spectrum(model: HamiltonianModel) -> SpectralDecomposition:
     """
     check_dense_budget(DIAGONALIZE_MATRICES + basis_stack(model.basis).matrices, model.n_sites)
     return diagonalize(assemble_hamiltonian(model))
-
-
-def _square(H) -> np.ndarray:
-    H = np.asarray(H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    return H
 
 
 def log_sum_exp(a: np.ndarray) -> float:
@@ -146,20 +141,6 @@ def gibbs(spectral: SpectralDecomposition, beta: float) -> GibbsEnsemble:
     log_z = log_sum_exp(exponents)
     weights = np.exp(exponents - log_z)
     return GibbsEnsemble(spectral, beta, log_z, weights)
-
-
-def gibbs_state(H: np.ndarray, beta: float) -> GibbsEnsemble:
-    """Thermal ensemble of a caller's matrix; rejects non-Hermitian input."""
-    H = _square(H)
-    if H.size:
-        scale = max(1.0, float(np.max(np.abs(H))))
-        defect = float(np.max(np.abs(H - H.conj().T)))
-        if defect > HERMITICITY_TOL * scale:
-            raise ValueError(
-                f"matrix is not Hermitian: max|H - H^dag| = {defect:.3e} "
-                f"exceeds {HERMITICITY_TOL:.0e} * max|H|"
-            )
-    return gibbs(diagonalize(H), beta)
 
 
 def marginals(stack: PauliTable, ensemble: GibbsEnsemble) -> np.ndarray:

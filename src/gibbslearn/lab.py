@@ -481,7 +481,7 @@ def _tail(log_scale: float, s: float, z: float) -> float:
     if z == math.inf:
         return 0.0
     log_tail = log_scale + _log_gamma_tail(s, z)
-    return math.exp(log_tail) if log_tail < 709.0 else math.inf
+    return math.exp(log_tail) if log_tail <= LOG_MAX else math.inf
 
 
 def _series(a, b, c, p) -> list[tuple]:

@@ -38,7 +38,7 @@ from .lattice import (
     enumerate_basis,
     instance_model,
 )
-from .measure import MarginalEstimates, build_plan, sample_outcomes
+from .measure import build_plan, sample_outcomes
 from .qbp import _hessian_core, hessian_matrices, min_eigenvalue
 from .reporting import ANY, COUNT, POSITIVE, THREAD_VARS, check_config, trial_seed
 
@@ -164,13 +164,15 @@ def solve(
     of H(x), is dropped before the next dual evaluation diagonalizes.
 
     Every iterate is a clip onto the box, so a bound coordinate sits exactly
-    at +-cfg.radius.  Returns (mu_hat, trace); trace.converged reports
-    whether the projected gradient dropped below cfg.tol_grad within
-    cfg.polish_max_iters Newton steps.
+    at +-cfg.radius.  Refuses before the first diagonalization when its
+    peak, a Hessian, does not fit in memory.  Returns (mu_hat, trace);
+    trace.converged reports whether the projected gradient dropped below
+    cfg.tol_grad within cfg.polish_max_iters Newton steps.
     """
     cfg = cfg or SolverConfig()
+    check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)
     beta, radius, table = float(beta), cfg.radius, basis_stack(basis)
-    target = e_hat.e_hat if isinstance(e_hat, MarginalEstimates) else np.asarray(e_hat, float)
+    target = np.asarray(e_hat, float)
     if target.shape != (basis.m,):
         raise ValueError(f"marginal vector has shape {target.shape}, expected ({basis.m},)")
 
@@ -291,22 +293,18 @@ def error_bound(delta: float, alpha: float, beta: float, m: int) -> float:
     return 2.0 * beta * np.sqrt(m) * delta / alpha
 
 
-def alpha_secant(basis: OperatorBasis, a, b, beta: float, grad_a, grad_b) -> float:
+def alpha_secant(a, b, grad_a, grad_b) -> float:
     """Mean curvature of log Z along the segment [a, b]: at least its lambda_min.
 
     The dual objective's gradients grad_a and grad_b at the ends differ by
     the integral of H u over the segment, u = b - a, so
     <grad_b - grad_a, u> / |u|^2 is the exact mean of u^T H u / |u|^2 there,
-    with no Hessian formed.  When u is zero, or rounding leaves the quotient
-    non-positive, it falls back to the min Hessian eigenvalue at b.
+    with no Hessian formed.  NaN when u is zero; rounding can leave it
+    non-positive.
     """
     u = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
     uu = float(np.dot(u, u))
-    if uu > 0:
-        alpha = float(np.dot(np.asarray(grad_b) - np.asarray(grad_a), u)) / uu
-        if alpha > 0:
-            return alpha
-    return min_eigenvalue(_hessian_core(basis, b, float(beta)))
+    return float(np.dot(np.asarray(grad_b) - np.asarray(grad_a), u)) / uu if uu else math.nan
 
 
 def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
@@ -362,7 +360,12 @@ def learn(
     # the dual gradient at mu, beta * (e_hat - e(mu)); the solver's last
     # gradient is the one at mu_hat
     grad_mu = beta * (estimates.e_hat - e_mu)
-    alpha = alpha_secant(basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
+    alpha = alpha_secant(model.mu, mu_hat, grad_mu, trace.grad_final)
+    diagonalizations = trace.dual_evals + 1  # the one at mu, then one per dual evaluation
+    if not alpha > 0:  # u = 0, or rounding left the secant non-positive
+        # the least Hessian eigenvalue at mu_hat, whose kernel diagonalizes H(mu_hat)
+        alpha = min_eigenvalue(_hessian_core(basis, mu_hat, float(beta)))
+        diagonalizations += 1
     t = _lap(stages, "alpha", t)
 
     m = basis.m
@@ -381,8 +384,7 @@ def learn(
             "dual_evals": trace.dual_evals,
             "hessians": trace.hessians,
             "hessian_s": trace.hessian_s,
-            # the one at mu, then one per dual evaluation
-            "diagonalizations": trace.dual_evals + 1,
+            "diagonalizations": diagonalizations,
         },
         "mu_hat": mu_hat,
         "l2_error": l2_error,

@@ -15,7 +15,7 @@ import pytest
 from scipy.special import logsumexp
 
 from gibbslearn.cli import main as cli_main
-from gibbslearn.gibbs import gibbs_state, marginals, spectrum
+from gibbslearn.gibbs import gibbs, marginals, spectrum
 from gibbslearn.lab import (
     akl_concentration_check,
     global_to_local_check,
@@ -168,7 +168,7 @@ def test_acceptance_03_exact_marginal_round_trip():
         stack = basis_stack(model.basis)
         for beta in BETAS:
             total += 1
-            e = marginals(stack, gibbs_state(assemble_hamiltonian(model), beta))
+            e = marginals(stack, gibbs(spectrum(model), beta))
             mu_hat, _ = solve(e, beta, model.basis, cfg)
             err = float(np.linalg.norm(mu_hat - model.mu))
             worst = max(worst, err)
@@ -191,7 +191,7 @@ def test_acceptance_04_error_bound_sound_under_noise():
     worst_margin = math.inf
     for t in range(50):
         model = random_chain_model(3, seed=4000 + t)
-        ens = gibbs_state(assemble_hamiltonian(model), beta)
+        ens = gibbs(spectrum(model), beta)
         plan = build_plan(model.basis, "grouped", 100_000)
         est = sample_outcomes(plan, ens, seed=9000 + t)
         mu_hat, _ = solve(est.e_hat, beta, model.basis)
@@ -218,7 +218,7 @@ def test_acceptance_05_estimator_error_scales_like_inverse_sqrt_N():
     mu = np.random.default_rng(11).uniform(-1.0, 1.0, basis.m) * 0.6
     model = HamiltonianModel(basis=basis, mu=mu)
     beta = 1.0
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    ens = gibbs(spectrum(model), beta)
     Ns = (1_000, 10_000, 100_000, 1_000_000)
     trials = 20
     medians = []
@@ -321,7 +321,7 @@ def test_acceptance_08_local_reductions_carry_the_mass():
 
 def test_acceptance_09_spectral_window_variance_bound():
     model = random_chain_model(3, seed=42)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     rng = np.random.default_rng(99)
     checked = 0
     min_slack = math.inf

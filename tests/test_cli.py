@@ -11,11 +11,10 @@ import pytest
 from gibbslearn import gibbs, qbp, solver
 from gibbslearn.cli import main
 from gibbslearn.lab import SUITES
-from gibbslearn.gibbs import gibbs_state, marginals
+from gibbslearn.gibbs import marginals, spectrum
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
-    assemble_hamiltonian,
     basis_stack,
     enumerate_basis,
     load_model,
@@ -284,22 +283,31 @@ def test_learn_timings_sidecar_reports_each_stage(tmp_path):
 
 def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # sampling diagonalizes mu and each dual evaluation its point; the Newton
-    # Hessians reuse those eigensystems and the secant alpha needs none
+    # Hessians reuse those eigensystems and the secant alpha needs none.  A
+    # learn from mu stops there, u = 0, and alpha's fallback Hessian
+    # diagonalizes mu_hat once more
     calls = []
 
     def counted(H, original=gibbs.diagonalize):
         calls.append(1)
         return original(H)
 
+    def counted_learn(model, beta, cfg):
+        calls.clear()
+        run = solver.learn(model, beta, 1000, "exact", 0.05, 1, cfg)
+        assert run["timings"]["diagonalizations"] == len(calls)
+        return run
+
     for module in (gibbs, qbp, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     model = load_model(run_gen(tmp_path, n=3))
-    cfg = solver.SolverConfig(tol_grad=1e-12)
-    run = solver.learn(model, 3.0, 1000, "exact", 0.05, 1, cfg)
-    trace = run["trace"]
-    assert trace.n_iterations > 2  # Newton steps from points other than the origin
-    assert len(calls) == trace.dual_evals + 1
-    assert run["timings"]["diagonalizations"] == len(calls)
+    run = counted_learn(model, 3.0, solver.SolverConfig(tol_grad=1e-12))
+    assert run["trace"].n_iterations > 2  # Newton steps from points other than the origin
+    assert len(calls) == run["trace"].dual_evals + 1
+    model = load_model(run_gen(tmp_path, n=4, seed=5, tag="mu"))
+    run = counted_learn(model, 1.0, solver.SolverConfig(lambda0=model.mu))
+    assert np.array_equal(run["mu_hat"], model.mu)
+    assert len(calls) == run["trace"].dual_evals + 2
 
 
 @pytest.mark.parametrize("scheme", ["grouped", "exact"])
@@ -604,7 +612,7 @@ def test_pg_final_is_the_residual_at_the_returned_point(tmp_path, steps):
     result = json.loads((out / "result.json").read_text())
     assert result["iterations"] == steps + 1  # the start row and one per step
     model = load_model(model_path)
-    e = marginals(basis_stack(model.basis), gibbs_state(assemble_hamiltonian(model), 1.0))
+    e = marginals(basis_stack(model.basis), gibbs.gibbs(spectrum(model), 1.0))
     mu_hat = np.array(result["mu_hat"])
     g = _dual_eval(mu_hat, e, 1.0, basis_stack(model.basis))[1]
     residual = np.linalg.norm(mu_hat - np.clip(mu_hat - g, -1.0, 1.0))
@@ -1029,7 +1037,7 @@ def test_marginals_dump_matches_direct_computation(tmp_path):
     out = tmp_path / "marg_out"
     assert main(["marginals", "--config", cfg, "--out", str(out)]) == 0
     model = load_model(model_path)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.5)
+    ens = gibbs.gibbs(spectrum(model), 1.5)
     expected = marginals(basis_stack(model.basis), ens)
     lines = (out / "marginals.csv").read_text().splitlines()[1:]
     got = np.array([float(line.split(",")[1]) for line in lines])

@@ -7,7 +7,6 @@ from scipy.special import logsumexp
 from gibbslearn.gibbs import (
     diagonalize,
     gibbs,
-    gibbs_state,
     log_sum_exp,
     marginals,
     spectrum,
@@ -47,14 +46,14 @@ def test_single_qubit_partition_function():
     # H = mu*Z has log Z = log(2 cosh(beta*mu))
     for mu in (0.3, -0.8, 1.0):
         for beta in (0.2, 1.0, 3.0):
-            ens = gibbs_state(mu * Z, beta)
+            ens = gibbs(diagonalize(mu * Z), beta)
             assert ens.log_z == pytest.approx(
                 np.log(2 * np.cosh(beta * mu)), rel=1e-14
             )
 
 
 def test_single_qubit_marginal_is_minus_tanh():
-    ens = gibbs_state(Z, 1.0)
+    ens = gibbs(diagonalize(Z), 1.0)
     assert dense_marginal(Z, ens) == pytest.approx(-np.tanh(1.0), abs=1e-14)
     assert dense_marginal(Z, ens) == pytest.approx(-0.7615941559557649, abs=1e-15)
     # X has no diagonal part in the Z eigenbasis
@@ -63,7 +62,7 @@ def test_single_qubit_marginal_is_minus_tanh():
 
 def test_beta_zero_is_maximally_mixed():
     model = random_chain_model(3, seed=5)
-    ens = gibbs_state(assemble_hamiltonian(model), 0.0)
+    ens = gibbs(spectrum(model), 0.0)
     np.testing.assert_allclose(ens.weights, np.full(8, 1 / 8))
     np.testing.assert_allclose(ens.rho, np.eye(8) / 8, atol=1e-15)
 
@@ -76,15 +75,12 @@ def test_gibbs_rejects_bad_beta():
         gibbs(spec, float("nan"))
 
 
-def test_gibbs_state_rejects_non_hermitian():
-    # a caller's matrix is checked; diagonalize reads one triangle of the
-    # table-built H, which test_lattice pins Hermitian
-    M = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="not Hermitian"):
-        gibbs_state(M, 1.0)
-    for call in (diagonalize, lambda H: gibbs_state(H, 1.0)):
+def test_diagonalize_rejects_a_non_square_matrix():
+    # diagonalize reads one triangle of a Hermitian H, which test_lattice
+    # pins for the table-built one
+    for shape in ((2, 3), (4,), (2, 2, 2)):
         with pytest.raises(ValueError, match="square"):
-            call(np.zeros((2, 3)))
+            diagonalize(np.zeros(shape))
 
 
 def test_spectral_reconstruction():
@@ -110,14 +106,14 @@ def test_spectrum_diagonalizes_the_assembled_hamiltonian_on_every_call():
 @given(st.integers(0, 10_000), st.floats(0.0, 5.0))
 def test_weights_normalized(seed, beta) -> None:
     model = random_chain_model(2, seed=seed)
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    ens = gibbs(spectrum(model), beta)
     assert ens.weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(ens.weights >= 0)
 
 
 def test_density_matrix_is_a_state():
     model = random_chain_model(3, seed=9)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.3)
+    ens = gibbs(spectrum(model), 1.3)
     rho = ens.rho
     assert ens.rho is rho and not rho.flags.writeable  # formed once, shared read-only
     np.testing.assert_allclose(rho, rho.conj().T, atol=1e-14)
@@ -128,7 +124,7 @@ def test_density_matrix_is_a_state():
 def test_marginals_stack_matches_loop():
     model = random_chain_model(3, seed=2)
     basis = model.basis
-    ens = gibbs_state(assemble_hamiltonian(model), 0.7)
+    ens = gibbs(spectrum(model), 0.7)
     stack = basis_stack(basis)
     vec = marginals(stack, ens)
     for E, value in zip(dense_basis(basis), vec):
@@ -139,19 +135,19 @@ def test_marginals_stack_matches_loop():
 def test_variance_identity_is_zero():
     # Var of a multiple of the identity must clamp exactly to zero
     model = random_chain_model(2, seed=4)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     assert variance(3.0 * np.eye(4), ens) == 0.0
 
 
 def test_variance_maximally_mixed_pauli():
     # at beta=0 every pauli string has mean 0 and second moment 1
     model = random_chain_model(2, seed=4)
-    ens = gibbs_state(assemble_hamiltonian(model), 0.0)
+    ens = gibbs(spectrum(model), 0.0)
     for E in dense_basis(model.basis):
         assert variance(E, ens) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_variance_large_beta_ground_state():
     # deep in the ground state of Z the variance of Z vanishes
-    ens = gibbs_state(Z, 50.0)
+    ens = gibbs(diagonalize(Z), 50.0)
     assert variance(Z, ens) == pytest.approx(0.0, abs=1e-12)

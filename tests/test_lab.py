@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gibbslearn import gibbs, lab, qbp
-from gibbslearn.gibbs import gibbs_state, spectrum
+from gibbslearn.gibbs import spectrum
 from gibbslearn.lab import (
     SUITES,
     CheckReport,
@@ -383,7 +383,7 @@ def test_akl_g_counts_only_live_terms():
 
 def test_delta_gamma_edges():
     model = random_chain_model(3, seed=25)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs.gibbs(spectrum(model), 1.0)
     A = random_hermitian(8, 6)
     wide = delta_gamma(A, ens, 100.0)
     assert wide.delta_gamma == pytest.approx(0.0, abs=1e-12)
@@ -394,7 +394,7 @@ def test_delta_gamma_edges():
 
 def test_delta_gamma_grid_never_violates():
     model = random_chain_model(3, seed=25)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs.gibbs(spectrum(model), 1.0)
     A = random_hermitian(8, 7)
     norm = np.linalg.norm(np.linalg.eigvalsh(A), np.inf)
     for gamma in np.linspace(0, 1.1 * norm, 12):
@@ -429,7 +429,7 @@ def test_delta_gamma_suite_matches_the_oracle(seed):
 
 def test_local_unitary_probe_tail():
     model = random_chain_model(3, seed=33)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs.gibbs(spectrum(model), 1.0)
     A = embed_on_sites(pauli_matrix("Z"), (0,), 3)
     rep = local_unitary_probe(gibbs.diagonalize(A), ens, (1,), trials=4, seed=2)
     assert rep.passed
@@ -441,7 +441,7 @@ def test_local_unitary_probe_tail():
 def test_local_unitary_probe_fails_a_non_unitary_u(monkeypatch):
     # U scaled by 1.1 carries Tr[U rho U^+] = 1.21, which the weight sums show
     model = random_chain_model(3, seed=33)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs.gibbs(spectrum(model), 1.0)
     A = embed_on_sites(pauli_matrix("Z"), (0,), 3)
 
     def scaled(M, sites, n, original=lab.embed_on_sites):
@@ -471,7 +471,7 @@ def test_local_unitary_probe_fails_a_row_outside_the_spectrum():
 
 def test_local_unitary_identity_row_matches_delta_gamma():
     model = random_chain_model(2, seed=41)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs.gibbs(spectrum(model), 1.0)
     A = random_hermitian(4, 8)
     rep = local_unitary_probe(gibbs.diagonalize(A), ens, (0,), trials=3, seed=0)
     identity_rows = [row for row in rep.rows if row[1] == 0]
@@ -496,7 +496,7 @@ def test_local_unitary_norms_match_the_dense_oracle(n, seed, beta, size, probe_s
     rng = np.random.default_rng(seed)
     dim = 2**n
     A = random_hermitian(dim, seed) / dim
-    ens = gibbs_state(assemble_hamiltonian(random_chain_model(n, seed=seed)), beta)
+    ens = gibbs.gibbs(spectrum(random_chain_model(n, seed=seed)), beta)
     X = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
     unitaries = [np.eye(dim)]
 

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gibbslearn.gibbs import gibbs_state, marginals
-from gibbslearn.lattice import assemble_hamiltonian, basis_stack
+from gibbslearn.gibbs import gibbs, marginals, spectrum
+from gibbslearn.lattice import basis_stack
 from gibbslearn.measure import (
     MarginalEstimates,
     MeasurementPlan,
@@ -81,7 +81,7 @@ def test_plan_validation_catches_bad_partitions():
 
 def test_exact_scheme_returns_dense_marginals():
     model = random_chain_model(3, seed=21)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     est = sample_outcomes(build_plan(model.basis, "exact", 0), ens)
     np.testing.assert_allclose(
         est.e_hat, marginals(basis_stack(model.basis), ens), atol=1e-12
@@ -94,7 +94,7 @@ def test_exact_scheme_returns_dense_marginals():
 def test_sampling_builds_rho_once(rho_formed, scheme):
     # the shots and then the exact marginals read one rho of the ensemble
     model = random_chain_model(3, seed=21)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     sample_outcomes(build_plan(model.basis, scheme, 10_000), ens, seed=0)
     marginals(basis_stack(model.basis), ens)
     assert rho_formed == [ens]
@@ -102,7 +102,7 @@ def test_sampling_builds_rho_once(rho_formed, scheme):
 
 def test_sampling_is_seed_deterministic():
     model = random_chain_model(2, seed=3)
-    ens = gibbs_state(assemble_hamiltonian(model), 0.8)
+    ens = gibbs(spectrum(model), 0.8)
     plan = build_plan(model.basis, "grouped", 5000)
     a = sample_outcomes(plan, ens, seed=42)
     b = sample_outcomes(plan, ens, seed=42)
@@ -113,7 +113,7 @@ def test_sampling_is_seed_deterministic():
 
 def test_estimates_concentrate_on_truth():
     model = random_chain_model(3, seed=17)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     truth = marginals(basis_stack(model.basis), ens)
     est = sample_outcomes(build_plan(model.basis, "grouped", 200_000), ens, seed=7)
     # Hoeffding radius on the +/-1 scale is 2*delta
@@ -124,7 +124,7 @@ def test_coverage_over_repeated_trials():
     # with delta_fail = 0.05 per trial, 40 independent trials should very
     # rarely produce even two joint violations (Hoeffding is conservative)
     model = random_chain_model(2, seed=29)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     truth = marginals(basis_stack(model.basis), ens)
     plan = build_plan(model.basis, "grouped", 2000)
     bad = 0
@@ -137,7 +137,7 @@ def test_coverage_over_repeated_trials():
 
 def test_direct_and_grouped_agree_statistically():
     model = random_chain_model(2, seed=5)
-    ens = gibbs_state(assemble_hamiltonian(model), 0.5)
+    ens = gibbs(spectrum(model), 0.5)
     truth = marginals(basis_stack(model.basis), ens)
     for scheme in ("direct", "grouped"):
         est = sample_outcomes(build_plan(model.basis, scheme, 150_000), ens, seed=11)
@@ -146,7 +146,7 @@ def test_direct_and_grouped_agree_statistically():
 
 def test_dimension_mismatch_rejected():
     plan = build_plan(chain_basis(2), "grouped", 1000)
-    big = gibbs_state(assemble_hamiltonian(random_chain_model(3, seed=0)), 1.0)
+    big = gibbs(spectrum(random_chain_model(3, seed=0)), 1.0)
     with pytest.raises(ValueError, match="dimension"):
         sample_outcomes(plan, big, seed=0)
 

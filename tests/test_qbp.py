@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from gibbslearn import gibbs as gibbs_module
 from gibbslearn import qbp, solver
 from gibbslearn.cli import main
-from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals, spectrum
+from gibbslearn.gibbs import diagonalize, gibbs, marginals, spectrum
 from gibbslearn.lab import f_time, qbp_transform, quasilocal_W, verify_fourier_pair
 from gibbslearn.lattice import (
     HamiltonianModel,
@@ -172,7 +172,7 @@ def test_qbp_transform_preserves_hermiticity():
 def test_grad_is_minus_beta_marginals():
     model = random_chain_model(3, seed=3)
     beta = 1.4
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    ens = gibbs(spectrum(model), beta)
     expected = -beta * marginals(basis_stack(model.basis), ens)
     np.testing.assert_allclose(grad_logZ(model, beta), expected, atol=1e-13)
 
@@ -358,6 +358,17 @@ def test_learn_refusal_comes_before_any_diagonalization(monkeypatch):
     calls = _budget_of(monkeypatch, hessian_matrices(model.basis) - 1)
     with pytest.raises(ValueError, match="memory budget exceeded"):
         solver.learn(model, 1.0, 1000, "grouped", 0.05, 1, solver.SolverConfig())
+    assert calls == []
+
+
+def test_solve_refusal_comes_before_any_diagonalization(monkeypatch):
+    # a library solve peaks in a Hessian too, so one matrix short of it
+    # refuses before the first dual evaluation diagonalizes
+    model = random_chain_model(7, seed=3)
+    e_hat = marginals(basis_stack(model.basis), gibbs(spectrum(model), 1.0))
+    calls = _budget_of(monkeypatch, hessian_matrices(model.basis) - 1)
+    with pytest.raises(ValueError, match="memory budget exceeded"):
+        solver.solve(e_hat, 1.0, model.basis)
     assert calls == []
 
 

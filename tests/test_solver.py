@@ -8,12 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gibbslearn.gibbs import diagonalize, gibbs, gibbs_state, marginals
+from gibbslearn.gibbs import diagonalize, gibbs, marginals, spectrum
 from gibbslearn import solver
 from gibbslearn.lattice import (
     HamiltonianModel,
     LatticeSpec,
-    assemble_hamiltonian,
     basis_stack,
     enumerate_basis,
 )
@@ -39,7 +38,7 @@ from conftest import (
 
 
 def exact_marginals(model, beta):
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    ens = gibbs(spectrum(model), beta)
     return marginals(basis_stack(model.basis), ens)
 
 
@@ -81,7 +80,7 @@ def test_dual_eval_matches_independent_oracles(data):
     assert abs(obj - expected) <= 1e-12
 
     dense = dense_basis(basis)
-    ens = gibbs_state(np.tensordot(lam, dense, axes=1), beta)
+    ens = gibbs(diagonalize(np.tensordot(lam, dense, axes=1)), beta)
     e = np.array([dense_marginal(E, ens) for E in dense])
     np.testing.assert_allclose(grad, beta * (e_hat - e), rtol=0, atol=1e-12)
 
@@ -327,15 +326,6 @@ def test_sweep_refuses_fewer_than_one_job_before_any_trial(monkeypatch, jobs):
         solver.sweep(params, SolverConfig(), 0, 1)
 
 
-def test_solver_accepts_estimates_object():
-    model = random_chain_model(2, seed=3)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
-    est = sample_outcomes(build_plan(model.basis, "exact", 0), ens)
-    mu_hat, trace = solve(est, 1.0, model.basis)
-    assert trace.converged
-    assert np.linalg.norm(mu_hat - model.mu) < 1e-5
-
-
 def test_wrong_marginal_shape_rejected():
     basis = chain_basis(2)
     with pytest.raises(ValueError, match="shape"):
@@ -346,7 +336,7 @@ def test_boundary_optimum_converges():
     # noisy marginals push the dual optimum onto the box boundary; the
     # polish step must solve on the free block to certify tol there
     model = random_chain_model(3, seed=31)
-    ens = gibbs_state(assemble_hamiltonian(model), 1.0)
+    ens = gibbs(spectrum(model), 1.0)
     est = sample_outcomes(build_plan(model.basis, "grouped", 30_000), ens, seed=4)
     mu_hat, trace = solve(est.e_hat, 1.0, model.basis)
     assert trace.converged
@@ -388,7 +378,7 @@ def test_alpha_positive_on_random_segment():
 
 
 def grouped_estimates(model, beta, seed, shots=100_000):
-    ens = gibbs_state(assemble_hamiltonian(model), beta)
+    ens = gibbs(spectrum(model), beta)
     return sample_outcomes(build_plan(model.basis, "grouped", shots), ens, seed=seed)
 
 
@@ -400,10 +390,9 @@ def test_solve_matches_a_tight_tolerance_reference(n, seed, radius):
     # n = 5: Newton without the Armijo rule stalls
     model = random_chain_model(n, seed=seed)
     est = grouped_estimates(model, 3.0, seed=seed)
-    mu_hat, trace = solve(est, 3.0, model.basis, SolverConfig(radius=radius))
-    reference, ref_trace = solve(
-        est, 3.0, model.basis, SolverConfig(radius=radius, tol_grad=1e-12, polish_max_iters=200)
-    )
+    mu_hat, trace = solve(est.e_hat, 3.0, model.basis, SolverConfig(radius=radius))
+    tight = SolverConfig(radius=radius, tol_grad=1e-12, polish_max_iters=200)
+    reference, ref_trace = solve(est.e_hat, 3.0, model.basis, tight)
     assert trace.converged and ref_trace.converged
     assert np.max(np.abs(mu_hat - reference)) <= 1e-5
     assert np.max(np.abs(mu_hat)) <= radius
@@ -416,7 +405,7 @@ def test_newton_binds_the_coordinates_near_the_box(beta, shots, seed):
     # whole: 0 shortened steps, 12 and 11 evaluations
     model = random_chain_model(3, seed=seed)
     est = grouped_estimates(model, beta, seed, shots)
-    _, trace = solve(est, beta, model.basis)
+    _, trace = solve(est.e_hat, beta, model.basis)
     shortened = [s for s in trace.steps[1:] if s < 1]
     assert trace.converged
     assert len(shortened) <= 3
@@ -425,7 +414,7 @@ def test_newton_binds_the_coordinates_near_the_box(beta, shots, seed):
 
 def grouped_chain_solve(seed, beta):
     model = random_chain_model(5, seed=seed)
-    return solve(grouped_estimates(model, beta, seed), beta, model.basis)[1]
+    return solve(grouped_estimates(model, beta, seed).e_hat, beta, model.basis)[1]
 
 
 # evaluation and Hessian bounds per beta; the beta = 1 cases keep their seed-only ids
@@ -503,7 +492,7 @@ def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
     monkeypatch.setattr(solver, "_dual_eval", traced_eval)
     tracemalloc.start()
     try:
-        solve(estimates, 1.0, basis)
+        solve(estimates.e_hat, 1.0, basis)
     finally:
         tracemalloc.stop()
     assert len(entries) >= 3
@@ -526,10 +515,10 @@ def test_alpha_secant_is_the_mean_curvature_along_the_segment(beta):
     # by 20-point Gauss-Legendre quadrature of the dense oracle
     model = random_chain_model(3, seed=5)
     est = grouped_estimates(model, beta, seed=5)
-    mu_hat, trace = solve(est, beta, model.basis)
+    mu_hat, trace = solve(est.e_hat, beta, model.basis)
     table = basis_stack(model.basis)
     grad_mu = _dual_eval(model.mu, est.e_hat, beta, table)[1]
-    alpha = alpha_secant(model.basis, model.mu, mu_hat, beta, grad_mu, trace.grad_final)
+    alpha = alpha_secant(model.mu, mu_hat, grad_mu, trace.grad_final)
 
     dense = dense_basis(model.basis)
     u = mu_hat - model.mu
@@ -544,13 +533,18 @@ def test_alpha_secant_is_the_mean_curvature_along_the_segment(beta):
     assert alpha >= lam_min
 
 
-def test_alpha_secant_falls_back_to_the_hessian_at_a_point():
+def test_alpha_secant_falls_back_to_the_hessian_at_a_point(monkeypatch):
+    # the secant is NaN at u = 0 and not positive from equal gradients; learn
+    # then takes the least Hessian eigenvalue at mu_hat
     model = random_chain_model(2, seed=4)
     zero = np.zeros(model.basis.m)
-    expected = min_eigenvalue(_hessian_core(model.basis, model.mu, 1.5))
-    # u = 0, and a quotient that is not positive
-    assert alpha_secant(model.basis, model.mu, model.mu, 1.5, zero, zero) == expected
-    other = model.mu + 1e-3
-    assert alpha_secant(model.basis, model.mu, other, 1.5, zero, zero) == pytest.approx(
-        min_eigenvalue(_hessian_core(model.basis, other, 1.5)), rel=1e-15
-    )
+    assert np.isnan(alpha_secant(model.mu, model.mu, zero, zero))
+    assert alpha_secant(model.mu, model.mu + 1e-3, zero, zero) == 0.0
+    # exact marginals from lambda0 = mu: the solve stops at mu, so u = 0
+    run = solver.learn(model, 1.5, 0, "exact", 0.05, 1, SolverConfig(lambda0=model.mu))
+    assert np.array_equal(run["mu_hat"], model.mu)
+    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, model.mu, 1.5))
+    # a secant that rounding leaves non-positive
+    monkeypatch.setattr(solver, "alpha_secant", lambda *ends: 0.0)
+    run = solver.learn(model, 1.5, 0, "exact", 0.05, 1, SolverConfig())
+    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, run["mu_hat"], 1.5))

@@ -17,13 +17,15 @@ Its `learn` and `sweep` sections must name every key of `result.json`, the
 columns of `trace.csv` in order and every column of `sweep.csv`, so that a
 renamed output field cannot drift from its documentation.  Its memory examples must quote
 the matrix counts that `hessian` and `learn` check, so that a changed count
-cannot leave them behind.  And each eigensolver the package calls has one
+cannot leave them behind.  Its library tour must run and import exactly the
+package root's names.  And each eigensolver the package calls has one
 call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
 `qbp.min_eigenvalue` on the m x m Hessian, so that a change of
 eigensolver has one place to go and no module diagonalizes on its own.  The
 memory budget is checked only by the stages that allocate dense matrices and
-where a learn's peak is checked, in `solver.learn` and `solver.sweep`, so
-that a count is written once, where it is allocated.  The pipeline's steps
+where a solve's or a learn's peak is checked, in `solver.solve`,
+`solver.learn` and `solver.sweep`, so that a count is written once, where
+it is allocated.  The pipeline's steps
 are called from `solver.learn` and `solver.sweep`, never from `cli.py`,
 which holds only wiring and no memory count.  Each module's `__all__` lists
 exactly the public functions and classes it defines, so that neither a
@@ -186,6 +188,7 @@ def test_dense_budget_is_checked_only_where_dense_matrices_are_allocated():
         ("lattice.py", "to_dense"),
         ("lattice.py", "basis_stack"),
         ("qbp.py", "_hessian_core"),
+        ("solver.py", "solve"),
         ("solver.py", "learn"),
         ("solver.py", "sweep"),
     ]
@@ -353,6 +356,25 @@ def test_readme_memory_examples_quote_the_counts():
     assert len(refusal) == 1
     n, count, exponent = map(int, refusal[0])
     assert (count, exponent) == (hessian_matrices(chain_basis(n)), n)
+
+
+def test_readme_library_tour_runs(capsys):
+    # the tour's python block, run as pasted, imports exactly the root's
+    # names; `gibbs` is not one, so `from gibbslearn import gibbs` is the module
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("## Library tour") :].split("```python\n", 1)[1].split("```", 1)[0]
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse(block))
+        if isinstance(node, ast.ImportFrom) and node.module == "gibbslearn"
+        for alias in node.names
+    }
+    assert imported == set(gibbslearn.__all__) - {"__version__"}
+    assert "gibbs" not in gibbslearn.__all__ and inspect.ismodule(gibbslearn.gibbs)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["trace"].converged
+    assert capsys.readouterr().out.startswith("True ")
 
 
 def test_every_json_file_the_cli_writes_is_strict(tmp_path):
