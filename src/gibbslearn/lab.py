@@ -159,7 +159,7 @@ def strong_convexity_probe(
     beta = float(beta)
     m = model.basis.m
     ensemble = gibbs(spectral, beta)
-    hess = _hessian_core(model.basis, model.mu, beta, spectral)
+    hess = _hessian_core(model.basis, spectral, beta)
 
     rng = np.random.default_rng(seed)
     rows = []
@@ -979,6 +979,9 @@ BETA = (lambda v: _finite(v) and 0 <= v <= BETA_MAX, "finite number >= 0 with a 
 BETAS = nonempty_list_of(BETA)
 # keeps the family's budget 100 eps^2, and beta * mu with it, far inside the float range
 EPSILONS = nonempty_list_of((lambda v: _finite(v) and 0 < v <= 1e152, "number in (0, 1e152]"))
+# at most five float vectors of length m live at once (mu_zero, raw, mu_edge and
+# the family's temporaries), 400 MB at the cap
+SIZES = nonempty_list_of((lambda v: type(v) is int and 1 <= v <= 10**7, "int in [1, 10**7]"))
 # both energy windows are nonempty, and y > x, only below half the spectral width
 FRACTIONS = nonempty_list_of((lambda v: _finite(v) and 0 <= v < 0.5, "finite number in [0, 0.5)"))
 POINT = (
@@ -1023,7 +1026,7 @@ SUITES = {
     "lower-bound": Suite(
         _suite_lower_bound,
         {
-            "sizes": (nonempty_list_of(POSITIVE_INT), [1, 2, 4, 8]),
+            "sizes": (SIZES, [1, 2, 4, 8]),
             "betas": (BETAS, [0.5, 1.0]),
             "epsilons": (EPSILONS, [0.1, 0.5]),
         },

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gibbs import DIAGONALIZE_MATRICES, SpectralDecomposition, diagonalize, gibbs
+from .gibbs import DIAGONALIZE_MATRICES, SpectralDecomposition, gibbs, spectrum
 from .lattice import HamiltonianModel, OperatorBasis, basis_stack, check_dense_budget
 
 __all__ = [
@@ -76,9 +76,9 @@ def hessian_matrices(basis: OperatorBasis) -> int:
     it sit three real m x m Gram matrices (the running sum, the last slab's
     and the new one's).  Counted in bytes, they take
     ceil((16 m b 2^n + 24 m^2) / (16 * 4^n)) matrices.  To these come
-    DIAGONALIZE_MATRICES, for the `eigh` of H before the first slab exists,
-    and the basis table's own `matrices`.  DIAGONALIZE_MATRICES also covers
-    V, the slab's row block, the rows of V that `PauliTable.sandwich`
+    DIAGONALIZE_MATRICES, for the caller's `eigh` of H, and the basis table's
+    own `matrices`.  DIAGONALIZE_MATRICES also covers the caller's V, which
+    the kernel reads, the slab's row block, the rows of V that `PauliTable.sandwich`
     gathers for a cell (at most one matrix), a cell's parts (at most
     2^CELL_SITES b 2^n <= 128 * 2^n entries, one matrix from n = 7 on), and
     numpy's buffers.  Builds the table, which `basis_stack` checks first.
@@ -88,16 +88,11 @@ def hessian_matrices(basis: OperatorBasis) -> int:
     return DIAGONALIZE_MATRICES + -(-held // (16 * dim * dim)) + basis_stack(basis).matrices
 
 
-def _hessian_core(
-    basis, lam: np.ndarray, beta: float, spectral: SpectralDecomposition | None = None
-) -> np.ndarray:
-    """Hessian of log Z at lam; `spectral`, when given, is the eigensystem of H(lam)."""
-    lam = np.asarray(lam, dtype=float)
+def _hessian_core(basis, spectral: SpectralDecomposition, beta: float) -> np.ndarray:
+    """Hessian of log Z at the point lam whose H(lam) has the eigensystem `spectral`."""
     m = basis.m
     table = basis_stack(basis)
     check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)
-    if spectral is None:
-        spectral = diagonalize(table.combine(lam))
     r = gibbs(spectral, beta).weights
     gram = np.zeros((m, m))
     e = np.zeros(m)
@@ -142,7 +137,8 @@ def hessian_logZ(model: HamiltonianModel, beta: float) -> np.ndarray:
 
     Entry (j, k) is (beta^2/2) Tr[{E_j, Phi(E_k)} rho] - beta^2 e_j e_k, with
     Phi the gap filter of `lab.qbp_transform`.  In the energy basis it reduces
-    to a weighted elementwise product of the two operators' matrix elements.  It diagonalizes
-    H(mu) itself, once the memory budget has admitted the Hessian, not through `spectrum`.
+    to a weighted elementwise product of the two operators' matrix elements, read from
+    `spectrum(model)` once the memory budget has admitted the Hessian.
     """
-    return _hessian_core(model.basis, model.mu, float(beta))
+    check_dense_budget(hessian_matrices(model.basis), model.n_sites)
+    return _hessian_core(model.basis, spectrum(model), float(beta))

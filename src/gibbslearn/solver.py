@@ -191,7 +191,7 @@ def solve(
         if B is None:
             trace.hessians += 1
             built = time.perf_counter()
-            B = _hessian_core(basis, x, beta, spectral)
+            B = _hessian_core(basis, spectral, beta)
             trace.hessian_s += time.perf_counter() - built
         try:
             z = _box_qp(B, g, x, radius)
@@ -309,11 +309,13 @@ def alpha_secant(a, b, grad_a, grad_b) -> float:
 
 def alpha_along_segment(basis: OperatorBasis, a, b, beta: float) -> float:
     """Min Hessian eigenvalue over ALPHA_POINTS equispaced points of the segment [a, b]."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    lo = np.inf
+    check_dense_budget(hessian_matrices(basis), basis.lattice.n_sites)  # before any eigh
+    a, b, beta = np.asarray(a, dtype=float), np.asarray(b, dtype=float), float(beta)
+    table, lo = basis_stack(basis), np.inf
     for t in np.linspace(0.0, 1.0, ALPHA_POINTS):
-        lo = min(lo, min_eigenvalue(_hessian_core(basis, (1 - t) * a + t * b, float(beta))))
+        spectral = diagonalize(table.combine((1 - t) * a + t * b))
+        lo = min(lo, min_eigenvalue(_hessian_core(basis, spectral, beta)))
+        spectral = None  # before the next point diagonalizes
     return float(lo)
 
 
@@ -363,8 +365,9 @@ def learn(
     alpha = alpha_secant(model.mu, mu_hat, grad_mu, trace.grad_final)
     diagonalizations = trace.dual_evals + 1  # the one at mu, then one per dual evaluation
     if not alpha > 0:  # u = 0, or rounding left the secant non-positive
-        # the least Hessian eigenvalue at mu_hat, whose kernel diagonalizes H(mu_hat)
-        alpha = min_eigenvalue(_hessian_core(basis, mu_hat, float(beta)))
+        # the least Hessian eigenvalue at mu_hat, on a fresh eigensystem of H(mu_hat)
+        spectral = diagonalize(basis_stack(basis).combine(mu_hat))
+        alpha = min_eigenvalue(_hessian_core(basis, spectral, float(beta)))
         diagonalizations += 1
     t = _lap(stages, "alpha", t)
 

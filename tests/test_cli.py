@@ -31,6 +31,7 @@ GRID_HINT = "nonempty list, each finite number"  # the lab's grids
 LAB_BETAS_HINT = "nonempty list, each finite number >= 0 with a finite square"
 FRACTIONS_HINT = "nonempty list, each finite number in [0, 0.5)"
 EPSILONS_HINT = "nonempty list, each number in (0, 1e152]"
+SIZES_HINT = "nonempty list, each int in [1, 10**7]"
 N_VALUES_HINT = "nonempty list, each int in [0, 2**63)"
 MU_HINT = "'random' or nonempty list, each number"
 MU_RANGE = "coefficients must lie in [-1, 1]"
@@ -284,8 +285,8 @@ def test_learn_timings_sidecar_reports_each_stage(tmp_path):
 def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
     # sampling diagonalizes mu and each dual evaluation its point; the Newton
     # Hessians reuse those eigensystems and the secant alpha needs none.  A
-    # learn from mu stops there, u = 0, and alpha's fallback Hessian
-    # diagonalizes mu_hat once more
+    # learn from mu stops there, u = 0, and learn diagonalizes mu_hat once
+    # more for alpha's fallback Hessian
     calls = []
 
     def counted(H, original=gibbs.diagonalize):
@@ -298,7 +299,7 @@ def test_learn_diagonalizes_each_point_once(tmp_path, monkeypatch):
         assert run["timings"]["diagonalizations"] == len(calls)
         return run
 
-    for module in (gibbs, qbp, solver):
+    for module in (gibbs, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     model = load_model(run_gen(tmp_path, n=3))
     run = counted_learn(model, 3.0, solver.SolverConfig(tol_grad=1e-12))
@@ -886,7 +887,7 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         ),
         ("strong-convexity", {"trials": 0}, "trials (expected int >= 1, got 0)"),
         ("local-unitary", {"trials": 0}, "trials (expected int >= 1, got 0)"),
-        ("lower-bound", {"sizes": [0]}, "sizes (expected nonempty list, each int >= 1, got [0])"),
+        ("lower-bound", {"sizes": [0]}, f"sizes (expected {SIZES_HINT}, got [0])"),
         ("strong-convexity", {"beta": [1.0]}, "beta (unknown, expected one of betas, trials)"),
         ("lr-decay", {"times": "0.5"}, f"times (expected {GRID_HINT}, got '0.5')"),
         ("fourier", {"omegas": []}, f"omegas (expected {GRID_HINT}, got [])"),
@@ -938,6 +939,8 @@ def test_every_lab_suite_passes_through_the_cli(tmp_path, suite):
         # series 2 summed past its bound here, and the check failed
         ("sum-bounds", {"points": [[0, 0, 1, 4]]}, "invalid lab config: points ("),
         ("sum-bounds", {"points": [[0, 0, 0.1, 2]]}, "invalid lab config: points ("),
+        # np.zeros(m) raised an uncaught memory error, and the run exited 1 with a traceback
+        ("lower-bound", {"sizes": [10**12]}, f"sizes (expected {SIZES_HINT}, got [1000000000000])"),
     ],
 )
 def test_lab_config_errors_exit_2(tmp_path, capsys, suite, config, message):
@@ -1277,7 +1280,7 @@ def test_an_out_that_is_a_file_exits_2_naming_it(tmp_path, capsys, monkeypatch, 
         calls.append(1)
         raise AssertionError("diagonalized before --out was checked")
 
-    for module in (gibbs, qbp, solver):
+    for module in (gibbs, solver):
         monkeypatch.setattr(module, "diagonalize", forbidden)
     taken = tmp_path / "taken"
     taken.write_text("kept\n")

@@ -229,7 +229,7 @@ def test_hessian_kernel_matches_dense_oracle(model, beta, slab_budget):
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
     with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
-        H = _hessian_core(model.basis, model.mu, beta)
+        H = _hessian_core(model.basis, spectrum(model), beta)
     np.testing.assert_allclose(H, oracle, rtol=0, atol=1e-12)
     assert np.array_equal(H, H.T)
     assert abs(min_eigenvalue(H) - np.linalg.eigvalsh(oracle)[0]) <= 1e-12
@@ -249,21 +249,22 @@ def test_hessian_kernel_matches_dense_oracle_where_cells_split(basis, slab_budge
     oracle = 0.5 * beta**2 * anti.real - beta**2 * np.outer(e, e)
 
     with mock.patch.object(qbp, "SLAB_BUDGET", slab_budget):
-        H = _hessian_core(basis, mu, beta)
+        H = _hessian_core(basis, diagonalize(basis_stack(basis).combine(mu)), beta)
     np.testing.assert_allclose(H, oracle, rtol=0, atol=1e-12)
 
 
 def test_hessian_kernel_peak_memory_within_its_count():
     # from n = 7 on, dense matrices outweigh numpy's fixed ufunc buffers;
     # one slab of energy rows is alive at a time, never the m-stack
-    # and the table the count holds is built inside the traced call
+    # and the table the count holds is built inside the traced call, as is
+    # the eigensystem of H(mu) that the kernel reads
     model = random_chain_model(7, seed=3)
-    _hessian_core(model.basis, model.mu, 1.3)
+    hessian_logZ(model, 1.3)
     basis_stack.cache_clear()
     matrix_bytes = 4**7 * 16
     tracemalloc.start()
     try:
-        _hessian_core(model.basis, model.mu, 1.3)
+        hessian_logZ(model, 1.3)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -285,19 +286,17 @@ def test_hessian_slabs_tile_the_rows_within_the_entry_budget(lattice):
         return original(table, spectral, r, beta, J)
 
     with mock.patch.object(qbp, "_slab", spied):
-        _hessian_core(basis, mu, 1.0)
+        _hessian_core(basis, diagonalize(basis_stack(basis).combine(mu)), 1.0)
     starts, stops = zip(*shapes)
     assert starts == (0, *stops[:-1]) and stops[-1] == dim
     # rows x columns of each A_l[J, lo:], against a flat budget of full rows
     assert all(0 < (hi - lo) * (dim - lo) <= qbp.SLAB_BUDGET * dim for lo, hi in shapes)
 
 
-def test_hessian_reuses_a_given_eigensystem():
+def test_hessian_logz_is_the_kernel_on_the_models_spectrum():
     model = random_chain_model(6, seed=4)
-    spectral = diagonalize(assemble_hamiltonian(model))
-    own = _hessian_core(model.basis, model.mu, 0.9)
-    reused = _hessian_core(model.basis, model.mu, 0.9, spectral)
-    np.testing.assert_array_equal(reused, own)
+    kernel = _hessian_core(model.basis, spectrum(model), 0.9)
+    np.testing.assert_array_equal(hessian_logZ(model, 0.9), kernel)
 
 
 def test_hessian_symmetric_and_positive():
@@ -324,7 +323,7 @@ def _budget_of(monkeypatch, matrices: int) -> list:
         calls.append(1)
         return original(H)
 
-    for module in (gibbs_module, qbp, solver):
+    for module in (gibbs_module, solver):
         monkeypatch.setattr(module, "diagonalize", counted)
     monkeypatch.setattr(os, "sysconf", sizes.__getitem__)
     return calls
@@ -369,6 +368,16 @@ def test_solve_refusal_comes_before_any_diagonalization(monkeypatch):
     calls = _budget_of(monkeypatch, hessian_matrices(model.basis) - 1)
     with pytest.raises(ValueError, match="memory budget exceeded"):
         solver.solve(e_hat, 1.0, model.basis)
+    assert calls == []
+
+
+def test_alpha_segment_refusal_comes_before_any_diagonalization(monkeypatch):
+    # each point of the segment builds a Hessian, so one matrix short of it
+    # refuses before the first point diagonalizes
+    model = random_chain_model(7, seed=3)
+    calls = _budget_of(monkeypatch, hessian_matrices(model.basis) - 1)
+    with pytest.raises(ValueError, match="memory budget exceeded"):
+        solver.alpha_along_segment(model.basis, model.mu, np.zeros(model.basis.m), 1.0)
     assert calls == []
 
 

@@ -150,7 +150,8 @@ def hessian_points(monkeypatch):
     Hessians is built, and each iterate it accepts, its start point first.
     Accepted iterate k is the solve's evaluation number trace.evals[k], and a
     Hessian must be built at the iterate just accepted, from the very
-    eigensystem that its evaluation returned."""
+    eigensystem that its evaluation returned: a Hessian's point is the one
+    whose evaluation returned that eigensystem."""
     evaluated, built = [], []
     dual_eval, hessian = solver._dual_eval, solver._hessian_core
 
@@ -159,9 +160,9 @@ def hessian_points(monkeypatch):
         evaluated.append((lam.copy(), result[2]))
         return result
 
-    def traced_hessian(basis, lam, beta, spectral):
-        built.append((lam.copy(), spectral, len(evaluated)))
-        return hessian(basis, lam, beta, spectral)
+    def traced_hessian(basis, spectral, beta):
+        built.append((spectral, len(evaluated)))
+        return hessian(basis, spectral, beta)
 
     monkeypatch.setattr(solver, "_dual_eval", traced_eval)
     monkeypatch.setattr(solver, "_hessian_core", traced_hessian)
@@ -170,12 +171,14 @@ def hessian_points(monkeypatch):
         evaluated.clear()
         built.clear()
         trace = solve(*args)[1]
-        for lam, spectral, evals in built:
+        points = []
+        for spectral, evals in built:
             assert evals in trace.evals
-            np.testing.assert_array_equal(lam, evaluated[evals - 1][0])
-            assert spectral is evaluated[evals - 1][1]
+            lam, seen = evaluated[evals - 1]
+            assert seen is spectral
+            points.append(lam)
         accepted = [evaluated[k - 1][0] for k in trace.evals]
-        return trace, [lam for lam, *_ in built], accepted
+        return trace, points, accepted
 
     return traced
 
@@ -479,10 +482,10 @@ def test_newton_steps_hold_no_stale_eigensystem(monkeypatch):
     entries, read = [], []
     hessian, dual_eval = solver._hessian_core, solver._dual_eval
 
-    def traced_hessian(basis, lam, beta, spectral):
+    def traced_hessian(basis, spectral, beta):
         entries.append(tracemalloc.get_traced_memory()[0])
         read.append(weakref.ref(spectral))
-        return hessian(basis, lam, beta, spectral)
+        return hessian(basis, spectral, beta)
 
     def traced_eval(*args):
         assert all(ref() is None for ref in read)
@@ -529,7 +532,8 @@ def test_alpha_secant_is_the_mean_curvature_along_the_segment(beta):
     ) / np.dot(u, u)
     assert alpha == pytest.approx(mean, rel=1e-8)
     # the mean is at least the segment's minimum, here sampled at the nodes
-    lam_min = min(min_eigenvalue(_hessian_core(model.basis, model.mu + t * u, beta)) for t in ts)
+    spectra = (diagonalize(table.combine(model.mu + t * u)) for t in ts)
+    lam_min = min(min_eigenvalue(_hessian_core(model.basis, s, beta)) for s in spectra)
     assert alpha >= lam_min
 
 
@@ -543,8 +547,9 @@ def test_alpha_secant_falls_back_to_the_hessian_at_a_point(monkeypatch):
     # exact marginals from lambda0 = mu: the solve stops at mu, so u = 0
     run = solver.learn(model, 1.5, 0, "exact", 0.05, 1, SolverConfig(lambda0=model.mu))
     assert np.array_equal(run["mu_hat"], model.mu)
-    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, model.mu, 1.5))
+    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, spectrum(model), 1.5))
     # a secant that rounding leaves non-positive
     monkeypatch.setattr(solver, "alpha_secant", lambda *ends: 0.0)
     run = solver.learn(model, 1.5, 0, "exact", 0.05, 1, SolverConfig())
-    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, run["mu_hat"], 1.5))
+    at_mu_hat = diagonalize(basis_stack(model.basis).combine(run["mu_hat"]))
+    assert run["alpha_secant"] == min_eigenvalue(_hessian_core(model.basis, at_mu_hat, 1.5))

@@ -21,9 +21,13 @@ cannot leave them behind.  Its library tour must run and import exactly the
 package root's names.  And each eigensolver the package calls has one
 call site: `eigh` in `gibbs.diagonalize`, and `eigvalsh` in
 `qbp.min_eigenvalue` on the m x m Hessian, so that a change of
-eigensolver has one place to go and no module diagonalizes on its own.  The
+eigensolver has one place to go and no module diagonalizes on its own.
+Eigensystems are built only by `gibbs.spectrum`, the solver's points, the
+`hessian` and `marginals` entry points and the lab's suites, never by a lab
+check or the Hessian kernel, which read the one their caller holds.  The
 memory budget is checked only by the stages that allocate dense matrices and
-where a solve's or a learn's peak is checked, in `solver.solve`,
+where a peak is checked before an eigensystem is built for a Hessian, in
+`qbp.hessian_logZ`, `solver.solve`, `solver.alpha_along_segment`,
 `solver.learn` and `solver.sweep`, so that a count is written once, where
 it is allocated.  The pipeline's steps
 are called from `solver.learn` and `solver.sweep`, never from `cli.py`,
@@ -59,6 +63,7 @@ from gibbslearn.cli import (
     SWEEP_KEYS,
     main,
 )
+from gibbslearn.gibbs import diagonalize
 from gibbslearn.lab import SUITES
 from gibbslearn.lattice import LATTICE_KEYS, basis_stack
 from gibbslearn.measure import build_plan
@@ -95,11 +100,12 @@ def test_every_describe_hook_reads_a_real_result():
     tracer = _load_tracer()
     basis = chain_basis(3)
     e_hat = np.full(basis.m, 0.1)
+    spectral = diagonalize(basis_stack(basis).combine(e_hat))
     calls = {
         "lattice.stack": (basis_stack, (basis,)),
         "measure.plan": (build_plan, (basis, "grouped", 1000)),
         "solver.solve": (solve, (e_hat, 1.0, basis)),
-        "qbp.hessian": (_hessian_core, (basis, np.zeros(basis.m), 1.0)),
+        "qbp.hessian": (_hessian_core, (basis, spectral, 1.0)),
     }
     assert set(calls) == set(tracer.DESCRIBE)
     for label, (fn, args) in calls.items():
@@ -188,10 +194,29 @@ def test_dense_budget_is_checked_only_where_dense_matrices_are_allocated():
         ("lattice.py", "to_dense"),
         ("lattice.py", "basis_stack"),
         ("qbp.py", "_hessian_core"),
+        ("qbp.py", "hessian_logZ"),
         ("solver.py", "solve"),
+        ("solver.py", "alpha_along_segment"),
         ("solver.py", "learn"),
         ("solver.py", "sweep"),
     ]
+
+
+def test_eigensystems_are_built_only_by_their_owners():
+    # a kernel or a lab check reads the eigensystem its caller holds, so a
+    # point is diagonalized once however many readers it has; scope None is an import
+    sites = [site[:2] for site in _package_scopes({"diagonalize", "spectrum"}) if site[1]]
+    suites = [name for path, name in sites if path == "lab.py"]
+    assert [site for site in sites if site[0] != "lab.py"] == [
+        ("cli.py", "cmd_marginals"),
+        ("gibbs.py", "spectrum"),
+        ("qbp.py", "hessian_logZ"),
+        ("solver.py", "_dual_eval"),
+        ("solver.py", "alpha_along_segment"),
+        ("solver.py", "learn"),  # H(mu), through `spectrum`
+        ("solver.py", "learn"),  # H(mu_hat), for the alpha fallback's Hessian
+    ]
+    assert suites and all(name.startswith("_suite_") for name in suites)
 
 
 def test_cli_runs_no_step_of_the_pipeline():
